@@ -774,7 +774,7 @@ impl LegoFuzzer {
             self.cfg.max_seq_len,
             code_seqs_in(v, "seqs")?,
             get_usize(v, "store_truncated")?,
-        );
+        )?;
         let buckets = get(v, "library")?
             .as_array()
             .ok_or("field 'library' must be an array")?

@@ -213,11 +213,17 @@ pub fn gram3_at(seq: u128, i: usize) -> u64 {
 /// Open-addressing set of [`pack_seq`] keys — the `u128` twin of
 /// [`NgramSet`], same probing scheme, the two 64-bit halves folded through
 /// SplitMix64.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct SeqKeySet {
     slots: Vec<u128>,
     mask: usize,
     len: usize,
+}
+
+impl Default for SeqKeySet {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SeqKeySet {
@@ -439,5 +445,21 @@ mod tests {
         for &k in &reference {
             assert!(set.contains(k));
         }
+    }
+
+    #[test]
+    fn seq_key_set_default_is_usable() {
+        let all = kinds();
+        let mut set = SeqKeySet::default();
+        assert!(!set.contains(pack_seq(&[all[0]])));
+        // More keys than the initial table holds at 7/8 load, so it grows.
+        let keys: Vec<u128> =
+            all.iter().flat_map(|&a| all[..5].iter().map(move |&b| pack_seq(&[a, b]))).collect();
+        assert!(keys.len() * 8 > 1024 * 7);
+        for &k in &keys {
+            assert!(set.insert(k));
+        }
+        assert_eq!(set.len(), keys.len());
+        assert!(keys.iter().all(|&k| set.contains(k)));
     }
 }

@@ -13,6 +13,8 @@
 //! statement type is one shift-or, duplicate probes hit an open-addressing
 //! set, and a recorded sequence is a single `u128` push.
 
+use std::ops::ControlFlow;
+
 use crate::affinity::AffinityMap;
 use crate::ngram::{pack_seq, unpack_seq, SeqKeySet, MAX_PACKED_SEQ};
 use lego_sqlast::StmtKind;
@@ -36,8 +38,12 @@ pub struct SequenceStore {
     seen: SeqKeySet,
     max_len: usize,
     /// Global cap on stored sequences (state-explosion guard, § II C1).
+    /// [`Self::on_new_affinity`] clamps every walk to the free room, so a
+    /// full store stops synthesizing without walking the affinity graph.
     cap: usize,
-    /// How many sequences were dropped due to caps (reported, never silent).
+    /// How many [`Self::on_new_affinity`] calls stopped before their walk
+    /// finished, because they hit the per-call limit or filled the store;
+    /// each such call counts once. Only the engine snapshot reads it.
     pub truncated: usize,
 }
 
@@ -56,14 +62,46 @@ impl SequenceStore {
     /// Rebuild a store from a checkpointed sequence list (in original record
     /// order, which reconstructs the `PS` index exactly) plus the truncation
     /// counter. The starters are already part of `seqs`, so the caller passes
-    /// the full list and no separate starter set.
-    pub fn from_parts(max_len: usize, seqs: Vec<Vec<StmtKind>>, truncated: usize) -> Self {
+    /// the full list and no separate starter set. A list no store could have
+    /// produced (an empty or longer-than-`LEN` sequence, a duplicate, more
+    /// sequences than the cap) is an error.
+    pub fn from_parts(
+        max_len: usize,
+        seqs: Vec<Vec<StmtKind>>,
+        truncated: usize,
+    ) -> Result<Self, String> {
         let mut store = Self::empty(max_len);
+        if seqs.len() > store.cap {
+            return Err(format!(
+                "checkpoint holds {} sequences, more than the store's cap of {}",
+                seqs.len(),
+                store.cap
+            ));
+        }
         for seq in seqs {
-            let last = *seq.last().expect("checkpointed sequences are non-empty");
-            store.record(pack_seq(&seq), seq.len(), last);
+            let Some(&last) = seq.last() else {
+                return Err("checkpointed sequence is empty".to_string());
+            };
+            if seq.len() > max_len {
+                return Err(format!(
+                    "checkpointed sequence has {} statements, more than LEN = {max_len}",
+                    seq.len()
+                ));
+            }
+            if !store.record(pack_seq(&seq), seq.len(), last) {
+                return Err("checkpointed sequence is a duplicate".to_string());
+            }
         }
         store.truncated = truncated;
+        Ok(store)
+    }
+
+    /// A store with a small cap, so tests can fill it.
+    #[cfg(test)]
+    fn with_cap(max_len: usize, starters: &[StmtKind], cap: usize) -> Self {
+        let mut store = Self::new(max_len, starters);
+        assert!(store.len() <= cap, "the starters must fit under the cap");
+        store.cap = cap;
         store
     }
 
@@ -99,18 +137,16 @@ impl SequenceStore {
     }
 
     /// Record a sequence given its packed key, length, and final type;
-    /// returns `true` if it was genuinely new and under the cap. Callers on
-    /// the synthesis walk pre-prune via `seen`, so a duplicate here is only
-    /// possible from `new`/`from_parts` replays.
+    /// returns `true` if it was genuinely new. Callers on the synthesis walk
+    /// pre-prune via `seen`, so a duplicate here is only possible from
+    /// `new`/`from_parts` replays. Every caller keeps the store under the
+    /// cap: the walk through its clamped limit, `from_parts` by checking the
+    /// list length first.
     fn record(&mut self, key: u128, len: usize, last: StmtKind) -> bool {
-        if self.seen.contains(key) {
+        debug_assert!(self.seqs.len() < self.cap, "record past the store's cap");
+        if !self.seen.insert(key) {
             return false;
         }
-        if self.seqs.len() >= self.cap {
-            self.truncated += 1;
-            return false;
-        }
-        self.seen.insert(key);
         let idx = self.seqs.len() as u32;
         let row = self.ps_row(last, len);
         self.ps[row].push(idx);
@@ -125,8 +161,9 @@ impl SequenceStore {
 
     /// Algorithm 3: when affinity `t1 → t2` is newly discovered, synthesize
     /// every new sequence (≤ `LEN`) containing it, up to `limit` sequences
-    /// per call (an engineering guard; overflow is counted in `truncated`).
-    /// Returns the new sequences as packed keys, in discovery order.
+    /// per call (an engineering guard) and up to the store's cap. A call cut
+    /// short by either bound adds 1 to `truncated`. Returns the new
+    /// sequences as packed keys, in discovery order.
     pub fn on_new_affinity(
         &mut self,
         t1: StmtKind,
@@ -134,8 +171,30 @@ impl SequenceStore {
         map: &AffinityMap,
         limit: usize,
     ) -> Vec<u128> {
-        let t2_lane = t2.code() as u128 + 1;
+        // Every successful `record` pushes exactly one key to `out`, so a
+        // limit clamped to the free room stops the walk the moment the store
+        // fills. Past that point `record` would refuse every node, and the
+        // rest of the walk could only visit nodes without recording any.
+        let limit = limit.min(self.cap - self.seqs.len());
         let mut out: Vec<u128> = Vec::new();
+        if self.walk(t1, t2, map, limit, &mut out).is_break() {
+            self.truncated += 1;
+        }
+        out
+    }
+
+    /// The level loop of Algorithm 3: extend every recorded prefix ending in
+    /// `t1` by `t2`, then `listSeq` the result. Breaks as soon as `out` holds
+    /// `limit` keys and a node is still left to visit.
+    fn walk(
+        &mut self,
+        t1: StmtKind,
+        t2: StmtKind,
+        map: &AffinityMap,
+        limit: usize,
+        out: &mut Vec<u128>,
+    ) -> ControlFlow<()> {
+        let t2_lane = t2.code() as u128 + 1;
         for level in 1..self.max_len {
             // Index walk instead of a row snapshot: sequences recorded while
             // this level is processed are strictly longer than `level`, so
@@ -147,8 +206,7 @@ impl SequenceStore {
                 let prefix = self.seqs[self.ps[row][i] as usize];
                 i += 1;
                 if out.len() >= limit {
-                    self.truncated += 1;
-                    return out;
+                    return ControlFlow::Break(());
                 }
                 let key = prefix | (t2_lane << (level * 16));
                 // Closure pruning: every recorded sequence had its whole
@@ -162,10 +220,10 @@ impl SequenceStore {
                 if self.record(key, level + 1, t2) {
                     out.push(key);
                 }
-                self.list_seq(level + 1, t2, key, map, limit, &mut out);
+                self.list_seq(level + 1, t2, key, map, limit, out)?;
             }
         }
-        out
+        ControlFlow::Continue(())
     }
 
     /// The recursive `listSeq` of Algorithm 3: extend the length-`level`
@@ -178,30 +236,29 @@ impl SequenceStore {
         map: &AffinityMap,
         limit: usize,
         out: &mut Vec<u128>,
-    ) {
+    ) -> ControlFlow<()> {
         if level >= self.max_len {
-            return;
+            return ControlFlow::Continue(());
         }
         for next in map.successors(node_type) {
             if out.len() >= limit {
-                self.truncated += 1;
-                return;
+                return ControlFlow::Break(());
             }
             let child = key | ((next.code() as u128 + 1) << (level * 16));
-            // Same closure pruning as `on_new_affinity`: a seen node's
-            // subtree holds only duplicates, skip the descent.
+            // Same closure pruning as `walk`: a seen node's subtree holds
+            // only duplicates, skip the descent.
             if self.seen.contains(child) {
                 continue;
             }
-            self.list_seq(level + 1, next, child, map, limit, out);
+            self.list_seq(level + 1, next, child, map, limit, out)?;
             if out.len() >= limit {
-                self.truncated += 1;
-                return;
+                return ControlFlow::Break(());
             }
             if self.record(child, level + 1, next) {
                 out.push(child);
             }
         }
+        ControlFlow::Continue(())
     }
 }
 
@@ -300,8 +357,9 @@ mod tests {
             }
         }
         let got = store.on_new_affinity(CT, INS, &map, 16);
-        assert!(got.len() <= 16);
-        assert!(store.truncated > 0);
+        assert_eq!(got.len(), 16);
+        // One call cut short counts once, however much of the walk it skips.
+        assert_eq!(store.truncated, 1);
     }
 
     #[test]
@@ -325,7 +383,7 @@ mod tests {
         let mut store = SequenceStore::new(3, &[CT]);
         map.insert(CT, INS);
         store.on_new_affinity(CT, INS, &map, 1000);
-        let rebuilt = SequenceStore::from_parts(3, store.sequences(), store.truncated);
+        let rebuilt = SequenceStore::from_parts(3, store.sequences(), store.truncated).unwrap();
         assert_eq!(rebuilt.sequences(), store.sequences());
         // The rebuilt PS index must extend prefixes exactly like the
         // original would.
@@ -349,5 +407,139 @@ mod tests {
         store.on_new_affinity(a, b, &map, 100_000);
         store.on_new_affinity(b, a, &map, 100_000);
         assert!(store.sequences().iter().all(|s| s.len() <= 5));
+    }
+
+    #[test]
+    fn from_parts_rejects_lists_no_store_produces() {
+        let err = |seqs: Vec<Vec<StmtKind>>| SequenceStore::from_parts(3, seqs, 0).unwrap_err();
+        assert!(err(vec![vec![CT], vec![]]).contains("empty"));
+        assert!(err(vec![vec![CT, INS, SEL, UPD]]).contains("LEN"));
+        assert!(err(vec![vec![CT, INS], vec![CT, INS]]).contains("duplicate"));
+        assert!(err(vec![vec![CT]; 200_001]).contains("cap"));
+    }
+
+    /// The walk as it was before `on_new_affinity` clamped its limit to the
+    /// store's free room: once the store fills, it keeps visiting nodes and
+    /// `record` refuses each one, adding 1 to `truncated` per node. Kept as
+    /// the reference the clamped walk must reproduce.
+    mod unclamped {
+        use super::*;
+
+        pub fn on_new_affinity(
+            s: &mut SequenceStore,
+            t1: StmtKind,
+            t2: StmtKind,
+            map: &AffinityMap,
+            limit: usize,
+        ) -> Vec<u128> {
+            let t2_lane = t2.code() as u128 + 1;
+            let mut out: Vec<u128> = Vec::new();
+            for level in 1..s.max_len {
+                let row = s.ps_row(t1, level);
+                let mut i = 0;
+                while i < s.ps[row].len() {
+                    let prefix = s.seqs[s.ps[row][i] as usize];
+                    i += 1;
+                    if out.len() >= limit {
+                        s.truncated += 1;
+                        return out;
+                    }
+                    let key = prefix | (t2_lane << (level * 16));
+                    if s.seen.contains(key) {
+                        continue;
+                    }
+                    if record(s, key, level + 1, t2) {
+                        out.push(key);
+                    }
+                    list_seq(s, level + 1, t2, key, map, limit, &mut out);
+                }
+            }
+            out
+        }
+
+        fn list_seq(
+            s: &mut SequenceStore,
+            level: usize,
+            node_type: StmtKind,
+            key: u128,
+            map: &AffinityMap,
+            limit: usize,
+            out: &mut Vec<u128>,
+        ) {
+            if level >= s.max_len {
+                return;
+            }
+            for next in map.successors(node_type) {
+                if out.len() >= limit {
+                    s.truncated += 1;
+                    return;
+                }
+                let child = key | ((next.code() as u128 + 1) << (level * 16));
+                if s.seen.contains(child) {
+                    continue;
+                }
+                list_seq(s, level + 1, next, child, map, limit, out);
+                if out.len() >= limit {
+                    s.truncated += 1;
+                    return;
+                }
+                if record(s, child, level + 1, next) {
+                    out.push(child);
+                }
+            }
+        }
+
+        fn record(s: &mut SequenceStore, key: u128, len: usize, last: StmtKind) -> bool {
+            if s.seen.contains(key) {
+                return false;
+            }
+            if s.seqs.len() >= s.cap {
+                s.truncated += 1;
+                return false;
+            }
+            s.seen.insert(key);
+            let row = s.ps_row(last, len);
+            s.ps[row].push(s.seqs.len() as u32);
+            s.seqs.push(key);
+            true
+        }
+    }
+
+    #[test]
+    fn clamped_walk_matches_the_unclamped_reference_across_the_cap() {
+        // Six types, LEN 4 and two starters span 518 sequences over a
+        // complete graph; a cap of 150 fills part-way through the stream.
+        let kinds: Vec<StmtKind> = StmtKind::all().into_iter().take(6).collect();
+        let cap = 150;
+        let mut store = SequenceStore::with_cap(4, &kinds[..2], cap);
+        let mut reference = store.clone();
+        let mut map = AffinityMap::new();
+        let (mut calls_on_full, mut reference_cost_on_full) = (0, 0);
+        let mut x = 0x5eed_u64;
+        for step in 0..200 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let t1 = kinds[(x >> 33) as usize % kinds.len()];
+            let t2 = kinds[(x >> 43) as usize % kinds.len()];
+            // Re-discoveries stay in the stream; every fourth call also
+            // exercises the per-call limit.
+            map.insert(t1, t2);
+            let limit = if x & 3 == 0 { 7 } else { 1000 };
+            let full = store.len() == cap;
+            let (truncated, reference_truncated) = (store.truncated, reference.truncated);
+            let got = store.on_new_affinity(t1, t2, &map, limit);
+            let want = unclamped::on_new_affinity(&mut reference, t1, t2, &map, limit);
+            assert_eq!(got, want, "batch {step} ({t1:?} -> {t2:?}, limit {limit})");
+            assert!(store.truncated - truncated <= 1, "one call counts at most once");
+            if full {
+                calls_on_full += 1;
+                reference_cost_on_full += reference.truncated - reference_truncated;
+            }
+        }
+        assert_eq!(store.sequences(), reference.sequences());
+        assert_eq!(store.len(), cap, "the stream must cross the cap");
+        assert!(calls_on_full > 0);
+        // The reference pays per visited node on a full store; the clamped
+        // walk returns at its first node.
+        assert!(reference_cost_on_full > calls_on_full, "{reference_cost_on_full}");
     }
 }

@@ -19,7 +19,7 @@ use crate::pool::SeedPool;
 use crate::seeds::initial_corpus;
 use crate::synthesis::{plausible_key, SequenceStore};
 use lego_dbms::ExecReport;
-use lego_observe::{Event, MutOp, Telemetry};
+use lego_observe::{Event, MutOp, Stage, Telemetry};
 use lego_sqlast::{Dialect, StmtKind, TestCase};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -915,7 +915,8 @@ impl FuzzEngine for LegoFuzzer {
             // Mutation arm: generate work on demand so synthesis bursts can
             // never take more than half the execution budget.
             if self.queue.is_empty() {
-                self.schedule_iteration();
+                let tel = self.tel.clone();
+                tel.time(Stage::Mutation, || self.schedule_iteration());
             }
             if let Some(p) = self.queue.pop_front() {
                 self.pending_origin = p.origin;

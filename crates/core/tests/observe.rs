@@ -197,6 +197,22 @@ fn deterministic_json_strips_profile_but_keeps_validity() {
 }
 
 #[test]
+fn mutation_is_charged_as_a_subset_of_generation() {
+    let (tel, _mem, _) = observed();
+    let stats = serial_stats(Dialect::Postgres, 7, Budget::execs(300), &tel);
+    let profile = stats.stage_profile.expect("observed run profiles");
+    let stage = |name: &str| profile.stages.iter().find(|s| s.stage == name).expect(name);
+    let (mutation, generation) = (stage("mutation"), stage("generation"));
+    assert!(mutation.calls > 0, "LEGO's mutation arm was never charged");
+    assert!(
+        mutation.total_ms <= generation.total_ms,
+        "mutation {} ms is not inside generation {} ms",
+        mutation.total_ms,
+        generation.total_ms
+    );
+}
+
+#[test]
 fn bug_artifacts_are_replayable_sql() {
     let dir =
         std::env::temp_dir().join(format!("lego-observe-test-{}", std::process::id())).join("bugs");

@@ -16,12 +16,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `Mutation` is charged from *inside* the engine while the driver is
 /// charging `Generation` (scheduling + queue management + mutation +
 /// instantiation), so `Mutation` is a nested subset of `Generation`;
-/// the remaining stages are disjoint top-level slices of the loop.
+/// `Generation` minus `Mutation` is the scheduling and synthesis
+/// instantiation. The remaining stages are disjoint top-level slices of
+/// the loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// `FuzzEngine::next_case` — scheduling, mutation and instantiation.
     Generation,
-    /// Engine-internal mutant construction (subset of `Generation`).
+    /// Engine-internal mutant construction (subset of `Generation`): one
+    /// call per refill of LEGO's mutation queue, covering the Algorithm 1
+    /// mutants and the conventional mutants, each with its `fix_case`.
     Mutation,
     /// `Dbms::execute_case`.
     Execution,

@@ -297,44 +297,20 @@ pub fn walk_statement_mut(stmt: &mut Statement, v: &mut dyn MutVisitor) {
 
 struct Collector {
     tables: Vec<String>,
-    columns: Vec<String>,
-    literal_count: usize,
 }
 
 impl MutVisitor for Collector {
     fn table_name(&mut self, name: &mut String) {
         self.tables.push(name.clone());
     }
-    fn column_name(&mut self, name: &mut String) {
-        self.columns.push(name.clone());
-    }
-    fn literal(&mut self, _expr: &mut Expr) {
-        self.literal_count += 1;
-    }
 }
 
 /// All table names mentioned by the statement (definitions and references).
 pub fn table_names(stmt: &Statement) -> Vec<String> {
-    let mut c = Collector { tables: vec![], columns: vec![], literal_count: 0 };
+    let mut c = Collector { tables: vec![] };
     let mut s = stmt.clone();
     walk_statement_mut(&mut s, &mut c);
     c.tables
-}
-
-/// All column names mentioned by the statement.
-pub fn column_names(stmt: &Statement) -> Vec<String> {
-    let mut c = Collector { tables: vec![], columns: vec![], literal_count: 0 };
-    let mut s = stmt.clone();
-    walk_statement_mut(&mut s, &mut c);
-    c.columns
-}
-
-/// Number of literal leaves (a size proxy used by mutators).
-pub fn literal_count(stmt: &Statement) -> usize {
-    let mut c = Collector { tables: vec![], columns: vec![], literal_count: 0 };
-    let mut s = stmt.clone();
-    walk_statement_mut(&mut s, &mut c);
-    c.literal_count
 }
 
 /// Does the statement contain a window function anywhere?
@@ -469,19 +445,6 @@ mod tests {
         let t = table_names(&c);
         assert!(t.contains(&"child".to_string()));
         assert!(t.contains(&"parent".to_string()));
-    }
-
-    #[test]
-    fn literal_count_counts_leaves() {
-        let i = Statement::Insert(Insert {
-            table: "t".into(),
-            columns: vec![],
-            source: InsertSource::Values(vec![vec![Expr::int(1), Expr::str("x"), Expr::Null]]),
-            ignore: false,
-            replace: false,
-            low_priority: false,
-        });
-        assert_eq!(literal_count(&i), 3);
     }
 
     #[test]

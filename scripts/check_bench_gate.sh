@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Bench gate: re-run the end-to-end campaign throughput bench and fail on a
-# feedback-stage-share or throughput regression against the checked-in
-# baseline report (BENCH_throughput.json at the repo root).
+# stage-share or throughput regression against the checked-in baseline
+# report (BENCH_throughput.json at the repo root).
 #
 # What is gated, and why these thresholds:
 #   * serial feedback share — the absolute acceptance bar is 30% of wall
@@ -9,6 +9,9 @@
 #     a baseline that is already well under the bar.
 #   * parallel feedback share — baseline+7pp (worker contention makes this
 #     number noisier than the serial one).
+#   * serial generation share — baseline+5pp, the serial feedback margin.
+#     Generation (scheduling, mutation, instantiation and fix_case's
+#     repair) is the largest serial stage.
 #   * serial execs/s — at least 0.6x the baseline. Stage *shares* transfer
 #     across machines; absolute execs/s do not, so this floor only catches
 #     order-of-magnitude regressions (the bug class that motivated the
@@ -54,15 +57,17 @@ echo "check_bench_gate: $cores core(s), $units units"
 cp "$baseline" "$work/fresh.json"
 
 jqv() { jq -r "$2" "$work/$1.json"; }
-share() { # <file> <run> -> feedback share_pct
-  jqv "$1" ".$2.stage_profile.stages[] | select(.stage == \"feedback\") | .share_pct"
+share() { # <file> <run> [stage, default feedback] -> share_pct
+  jqv "$1" ".$2.stage_profile.stages[] | select(.stage == \"${3:-feedback}\") | .share_pct"
 }
 
 base_serial_share=$(share baseline serial)
 base_parallel_share=$(share baseline parallel)
+base_gen_share=$(share baseline serial generation)
 base_serial_eps=$(jqv baseline .serial.execs_per_sec)
 fresh_serial_share=$(share fresh serial)
 fresh_parallel_share=$(share fresh parallel)
+fresh_gen_share=$(share fresh serial generation)
 fresh_serial_eps=$(jqv fresh .serial.execs_per_sec)
 fresh_speedup=$(jqv fresh .speedup)
 
@@ -80,6 +85,11 @@ parallel_ceil=$(jq -n "[35, $base_parallel_share + 7] | max")
 ok=$(jq -n "($fresh_parallel_share <= $parallel_ceil) | if . then 1 else 0 end")
 check "parallel feedback share" "$ok" \
   "$(printf '%.1f%% vs ceiling %.1f%%' "$fresh_parallel_share" "$parallel_ceil")"
+
+gen_ceil=$(jq -n "$base_gen_share + 5")
+ok=$(jq -n "($fresh_gen_share <= $gen_ceil) | if . then 1 else 0 end")
+check "serial generation share" "$ok" \
+  "$(printf '%.1f%% vs ceiling %.1f%%' "$fresh_gen_share" "$gen_ceil")"
 
 eps_floor=$(jq -n "$base_serial_eps * 0.6")
 ok=$(jq -n "($fresh_serial_eps >= $eps_floor) | if . then 1 else 0 end")
@@ -102,6 +112,7 @@ if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
     echo "| --- | --- | --- |"
     printf '| serial feedback share | %.1f%% | %.1f%% |\n' "$base_serial_share" "$fresh_serial_share"
     printf '| parallel feedback share | %.1f%% | %.1f%% |\n' "$base_parallel_share" "$fresh_parallel_share"
+    printf '| serial generation share | %.1f%% | %.1f%% |\n' "$base_gen_share" "$fresh_gen_share"
     printf '| serial execs/s | %.0f | %.0f |\n' "$base_serial_eps" "$fresh_serial_eps"
     printf '| 3-worker speedup | — | %.2fx |\n' "$fresh_speedup"
   } >> "$GITHUB_STEP_SUMMARY"

@@ -42,7 +42,7 @@
 //! workflow).
 //!
 //! `--rule-cov` adds the grammar-rule coverage dimension: every non-aborted
-//! case is re-parsed through the instrumented grammar and cases that
+//! case is traced through the instrumented grammar and cases that
 //! traverse never-seen rule→rule edges are admitted to the corpus even when
 //! the branch map reports nothing new (the LEGO engine additionally mines
 //! their type-affinities and schedules a FuzzySQL-style "special features"

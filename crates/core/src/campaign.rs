@@ -7,7 +7,7 @@ use crate::checkpoint::{
     self, CheckpointCfg, CheckpointMeta, FindingCk, LogicFindingCk, SnapCk, WorkerCheckpoint,
     WorkerResume, CHECKPOINT_VERSION,
 };
-use lego_coverage::{CovMap, CovRecorder, CoverageSink, GlobalCoverage};
+use lego_coverage::{CovMap, CoverageSink, GlobalCoverage};
 use lego_dbms::{CrashReport, Dbms, ExecReport, Outcome, PANIC_BUG_ID};
 use lego_observe::{Event, Stage, StageProfile, Telemetry};
 use lego_oracle::{
@@ -15,6 +15,7 @@ use lego_oracle::{
     LogicBug, OracleConfig, OracleKind, OracleSuite,
 };
 use lego_sqlast::{Dialect, TestCase};
+use lego_sqlparser::RuleTracer;
 use lego_sqlsema::{Sema, SeqReport, Verdict};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
@@ -349,6 +350,9 @@ struct SemaRuntime {
     /// Divergence fingerprint → first exec.
     seen: HashMap<u64, usize>,
     findings: Vec<LogicBugFinding>,
+    /// The report every skipped case feeds back to the engine: zero
+    /// statements executed, empty coverage, `Ok` outcome. Built once.
+    skipped: ExecReport,
 }
 
 /// The first analyzer-vs-engine disagreement in an executed case, as
@@ -394,6 +398,16 @@ impl SemaRuntime {
             skipped_stmts: 0,
             seen: HashMap::new(),
             findings: Vec::new(),
+            skipped: ExecReport {
+                outcome: Outcome::Ok,
+                coverage: CovMap::new(),
+                statements_executed: 0,
+                errors: Vec::new(),
+                stmt_errors: Vec::new(),
+                last_rows: 0,
+                stmts_ok: 0,
+                stmts_err: 0,
+            },
         }
     }
 
@@ -507,18 +521,19 @@ fn rebuild_sema_findings(
         .collect()
 }
 
-/// The synthetic report a statically-skipped case feeds back to the engine:
-/// zero statements executed, empty coverage, `Ok` outcome.
-fn skipped_report() -> ExecReport {
-    ExecReport {
-        outcome: Outcome::Ok,
-        coverage: CovMap::new(),
-        statements_executed: 0,
-        errors: Vec::new(),
-        stmt_errors: Vec::new(),
-        last_rows: 0,
-        stmts_ok: 0,
-        stmts_err: 0,
+/// Merge `case`'s grammar-rule edges into the rule virgin map `rules`:
+/// the number of new rule edges, 0 when nothing is new or the case does not
+/// parse. Hit-count bucket changes can report novelty with no new edge
+/// index; they count as 1, so the bucketed admit verdict is kept.
+fn rule_novelty(rules: &mut GlobalCoverage, tracer: &mut RuleTracer, case: &TestCase) -> usize {
+    let Some(map) = tracer.trace(&case.statements) else {
+        return 0;
+    };
+    let before = rules.edges_covered();
+    if rules.merge(map) {
+        (rules.edges_covered() - before).max(1)
+    } else {
+        0
     }
 }
 
@@ -715,10 +730,11 @@ pub fn run_campaign_durable(
 }
 
 /// [`run_campaign_durable`] plus the grammar-rule coverage dimension. With
-/// `rule_cov`, every non-aborted case is re-parsed through the instrumented
-/// grammar ([`lego_sqlparser::parse_script_traced`]) and its rule→rule edges
-/// are merged into a second virgin map; rule novelty admits cases the branch
-/// map alone would reject and triggers [`FuzzEngine::rule_feedback`]. With
+/// `rule_cov`, every non-aborted case is traced through the instrumented
+/// grammar ([`lego_sqlparser::RuleTracer`], which parses each distinct
+/// statement once) and its rule→rule edges are merged into a second virgin
+/// map, charged to [`Stage::RuleCoverage`]; rule novelty admits cases the
+/// branch map alone would reject and triggers [`FuzzEngine::rule_feedback`]. With
 /// `rule_cov == false` this is byte-for-byte [`run_campaign_durable`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_full(
@@ -783,12 +799,11 @@ fn run_campaign_resilient_inner(
     let start = Instant::now();
     engine.attach_telemetry(tel.clone());
     let mut global = GlobalCoverage::new();
-    // Grammar-rule virgin map (tentpole). `None` when the dimension is off so
-    // the disabled path touches no extra state. The recorder map is recycled
-    // between cases like the DBMS coverage map: the hot loop allocates once.
+    // Grammar-rule virgin map and tracer. `None` when the dimension is off so
+    // the disabled path touches no extra state.
     let mut rules: Option<GlobalCoverage> =
         if rule_cov { Some(GlobalCoverage::new()) } else { None };
-    let mut rule_recycle = CovMap::new();
+    let mut tracer = rule_cov.then(RuleTracer::new);
     let mut bugs: Vec<BugFinding> = Vec::new();
     let mut seen_stacks: HashMap<u64, usize> = HashMap::new();
     let mut oracle_rt = OracleRuntime::new(dialect, oracles, wal_dir, 0);
@@ -910,8 +925,7 @@ fn run_campaign_resilient_inner(
                         err: 0,
                         new_coverage: false,
                     });
-                    let report = skipped_report();
-                    tel.time(Stage::Feedback, || engine.feedback(&case, &report, false));
+                    tel.time(Stage::Feedback, || engine.feedback(&case, &srt.skipped, false));
                     execs += 1;
                     continue;
                 }
@@ -946,28 +960,15 @@ fn run_campaign_resilient_inner(
             tel.set_pending_edges((edges - prev_edges) as u64);
             tel.live_progress(edges as u64);
         }
-        // Rule-coverage dimension: re-parse through the instrumented grammar
-        // and test the rule→rule edges against the rule virgin map. A case is
-        // corpus-worthy if EITHER map reports novelty.
-        let mut rule_delta = 0usize;
-        if let Some(rules) = rules.as_mut() {
-            if aborted.is_none() {
-                let rec = CovRecorder::from_recycled(std::mem::take(&mut rule_recycle));
-                let (parsed, map) = tel.time(Stage::CoverageUnion, || {
-                    lego_sqlparser::parse_script_traced(&case.to_sql(), rec)
-                });
-                if parsed.is_ok() {
-                    let before = rules.edges_covered();
-                    if rules.merge(&map) {
-                        // Hit-count bucket changes can report novelty with no
-                        // new edge index; count only genuinely new edges but
-                        // keep the bucketed admit verdict.
-                        rule_delta = (rules.edges_covered() - before).max(1);
-                    }
-                }
-                rule_recycle = map;
+        // Rule-coverage dimension: test the case's rule→rule edges against
+        // the rule virgin map. A case is corpus-worthy if EITHER map reports
+        // novelty.
+        let rule_delta = match (rules.as_mut(), tracer.as_mut()) {
+            (Some(rules), Some(tracer)) if aborted.is_none() => {
+                tel.time(Stage::RuleCoverage, || rule_novelty(rules, tracer, &case))
             }
-        }
+            _ => 0,
+        };
         let rule_new = rule_delta > 0;
         let accepted = new_coverage || rule_new;
         tel.emit(|| Event::ExecEnd {
@@ -1303,7 +1304,7 @@ fn run_worker(
     // shared rule sink at the same sync cadence.
     let mut rules: Option<GlobalCoverage> =
         if rule_sink.is_some() { Some(GlobalCoverage::new()) } else { None };
-    let mut rule_recycle = CovMap::new();
+    let mut tracer = rule_sink.is_some().then(RuleTracer::new);
     let mut bugs: Vec<BugFinding> = Vec::new();
     let mut seen_stacks: HashMap<u64, usize> = HashMap::new();
     let mut oracle_rt = OracleRuntime::new(dialect, oracles, wal_dir, worker);
@@ -1387,8 +1388,7 @@ fn run_worker(
                         err: 0,
                         new_coverage: false,
                     });
-                    let report = skipped_report();
-                    tel.time(Stage::Feedback, || engine.feedback(&case, &report, false));
+                    tel.time(Stage::Feedback, || engine.feedback(&case, &srt.skipped, false));
                     execs += 1;
                     continue;
                 }
@@ -1424,22 +1424,12 @@ fn run_worker(
         }
         // Rule-coverage novelty, judged against the local rule shard only
         // (see the serial loop for the admit semantics).
-        let mut rule_delta = 0usize;
-        if let Some(rules) = rules.as_mut() {
-            if aborted.is_none() {
-                let rec = CovRecorder::from_recycled(std::mem::take(&mut rule_recycle));
-                let (parsed, map) = tel.time(Stage::CoverageUnion, || {
-                    lego_sqlparser::parse_script_traced(&case.to_sql(), rec)
-                });
-                if parsed.is_ok() {
-                    let before = rules.edges_covered();
-                    if rules.merge(&map) {
-                        rule_delta = (rules.edges_covered() - before).max(1);
-                    }
-                }
-                rule_recycle = map;
+        let rule_delta = match (rules.as_mut(), tracer.as_mut()) {
+            (Some(rules), Some(tracer)) if aborted.is_none() => {
+                tel.time(Stage::RuleCoverage, || rule_novelty(rules, tracer, &case))
             }
-        }
+            _ => 0,
+        };
         let rule_new = rule_delta > 0;
         let accepted = new_coverage || rule_new;
         tel.emit(|| Event::ExecEnd {

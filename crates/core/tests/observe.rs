@@ -7,11 +7,13 @@
 //! deterministic function of (seed, worker count).
 
 use lego::campaign::{
-    run_campaign, run_campaign_observed, run_campaign_parallel_observed, Budget, CampaignStats,
-    FuzzEngine, ParallelOpts,
+    run_campaign, run_campaign_full, run_campaign_observed, run_campaign_parallel_observed, Budget,
+    CampaignStats, FuzzEngine, ParallelOpts,
 };
+use lego::checkpoint::CheckpointCfg;
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::{Event, MemorySink, MetricsRegistry, Telemetry};
+use lego::OracleConfig;
 use lego_sqlast::Dialect;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -210,6 +212,35 @@ fn mutation_is_charged_as_a_subset_of_generation() {
         mutation.total_ms,
         generation.total_ms
     );
+}
+
+#[test]
+fn rule_coverage_has_a_stage_of_its_own() {
+    for rule_cov in [false, true] {
+        let (tel, _mem, _) = observed();
+        let cfg = Config { rng_seed: 11, rule_cov, ..Config::default() };
+        let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg);
+        let stats = run_campaign_full(
+            &mut engine,
+            Dialect::Postgres,
+            Budget::execs(300),
+            &tel,
+            OracleConfig::disabled(),
+            &CheckpointCfg::disabled(),
+            None,
+            rule_cov,
+        )
+        .expect("campaign without checkpointing cannot fail");
+        let profile = stats.stage_profile.expect("observed run profiles");
+        let calls = |name: &str| profile.stages.iter().find(|s| s.stage == name).expect(name).calls;
+        if rule_cov {
+            // One trace per case whose branch coverage is merged.
+            assert!(calls("rule_coverage") > 0, "rule coverage was never charged");
+            assert_eq!(calls("rule_coverage"), calls("coverage_union"));
+        } else {
+            assert_eq!(calls("rule_coverage"), 0, "rule coverage charged while off");
+        }
+    }
 }
 
 #[test]

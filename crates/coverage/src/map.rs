@@ -36,6 +36,18 @@ impl CovMap {
         *c = c.saturating_add(1);
     }
 
+    /// Add `n` hits to one edge at once: the same count and `touched` list
+    /// as `n` calls to [`CovMap::bump`], saturating at 255.
+    #[inline]
+    pub fn add(&mut self, index: usize, n: u8) {
+        let i = index & (MAP_SIZE - 1);
+        let c = &mut self.counts[i];
+        if *c == 0 && n != 0 {
+            self.touched.push(i as u32);
+        }
+        *c = c.saturating_add(n);
+    }
+
     /// Iterate `(index, &count)` over nonzero entries.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, &u8)> + '_ {
         self.touched.iter().map(move |&i| (i as usize, &self.counts[i as usize]))
@@ -163,6 +175,24 @@ mod tests {
             m.bump(1);
         }
         assert_eq!(m.get(1), 255);
+    }
+
+    #[test]
+    fn add_matches_repeated_bumps() {
+        let (mut added, mut bumped) = (CovMap::new(), CovMap::new());
+        for (index, n) in [(7, 3u8), (MAP_SIZE + 9, 1), (7, 200), (7, 100), (12, 0), (9, 255)] {
+            added.add(index, n);
+            for _ in 0..n {
+                bumped.bump(index);
+            }
+        }
+        assert_eq!(added.get(7), 255, "counts saturate at 255");
+        assert_eq!(added.get(9), 255);
+        assert_eq!(added.get(12), 0, "adding 0 hits touches nothing");
+        assert_eq!(added.counts(), bumped.counts());
+        let touched = |m: &CovMap| m.iter_nonzero().map(|(i, _)| i).collect::<Vec<_>>();
+        assert_eq!(touched(&added), [7, 9], "0 -> n pushes the edge once, in first-touch order");
+        assert_eq!(touched(&added), touched(&bumped));
     }
 
     #[test]

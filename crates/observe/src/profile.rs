@@ -46,9 +46,12 @@ pub enum Stage {
     /// Static sequence analysis (`lego_sqlsema`) under `--sema`: binder
     /// verdicts plus the analyzer-vs-engine conformance comparison.
     Sema,
+    /// Grammar-rule coverage under `--rule-cov`: tracing each executed
+    /// case's rule edges and merging them into the rule map.
+    RuleCoverage,
 }
 
-pub const STAGE_COUNT: usize = 10;
+pub const STAGE_COUNT: usize = 11;
 
 impl Stage {
     pub const ALL: [Stage; STAGE_COUNT] = [
@@ -62,6 +65,7 @@ impl Stage {
         Stage::Recovery,
         Stage::Checkpoint,
         Stage::Sema,
+        Stage::RuleCoverage,
     ];
 
     pub fn name(self) -> &'static str {
@@ -76,6 +80,7 @@ impl Stage {
             Stage::Recovery => "recovery",
             Stage::Checkpoint => "checkpoint",
             Stage::Sema => "sema",
+            Stage::RuleCoverage => "rule_coverage",
         }
     }
 
@@ -91,6 +96,7 @@ impl Stage {
             Stage::Recovery => 7,
             Stage::Checkpoint => 8,
             Stage::Sema => 9,
+            Stage::RuleCoverage => 10,
         }
     }
 

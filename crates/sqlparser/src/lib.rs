@@ -23,9 +23,11 @@
 pub mod lexer;
 mod parser;
 mod phrases;
+mod tracer;
 
 pub use lexer::{lex, lex_spanned, LexError, Tok};
 pub use parser::{ParseError, Parser};
+pub use tracer::RuleTracer;
 
 use lego_coverage::{CovMap, CovRecorder};
 use lego_sqlast::{Statement, TestCase};
@@ -72,8 +74,9 @@ pub fn parse_script(sql: &str) -> Result<TestCase, ParseError> {
 
 /// Parse a SQL script while recording grammar-rule traversal coverage into
 /// `rec` (AFL-style rule→rule edges, chain reset at each statement
-/// boundary). Returns the rule map even when parsing fails, so partial
-/// traversals of malformed inputs still count as coverage.
+/// boundary). Returns the rule map even when parsing fails: the partial
+/// traversal up to the error. [`RuleTracer`] gives the same map for a
+/// printed test case without re-parsing the statements it has seen.
 pub fn parse_script_traced(sql: &str, rec: CovRecorder) -> (Result<TestCase, ParseError>, CovMap) {
     match parse_script_inner(sql, Some(rec)) {
         Ok((case, map)) => (Ok(case), map.expect("traced parse returns its map")),

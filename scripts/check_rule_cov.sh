@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Rule-coverage smoke: drive real --rule-cov campaigns through lego_cli and
-# require the grammar-rule feedback dimension to (1) actually cover rules,
-# (2) stay deterministic across reruns, and (3) cost nothing when off —
-# an off-flag campaign must be byte-identical to a rerun of itself, report
-# zero rule branches, and emit no RuleCoverageGain telemetry.
+# require the grammar-rule feedback dimension to (1) actually cover rules and
+# show its cost as the `rule_coverage` stage, (2) stay deterministic across
+# reruns, and (3) cost nothing when off — an off-flag campaign must be
+# byte-identical to a rerun of itself, report zero rule branches, charge
+# nothing to the `rule_coverage` stage and emit no RuleCoverageGain telemetry.
 #
 # Usage: scripts/check_rule_cov.sh [path-to-lego_cli]
 #        (default: target/release/lego_cli — build with
@@ -23,6 +24,9 @@ trap 'rm -rf "$work"' EXIT
 units=24000
 seed=42
 strip='del(.wall_ms, .execs_per_sec, .stage_profile)'
+stage_calls() { # <campaign.json> -> calls charged to the rule_coverage stage
+  jq -r '.stage_profile.stages[] | select(.stage == "rule_coverage") | .calls' "$1"
+}
 
 # 1. Rule-cov campaign: the stdout line and campaign.json must agree on a
 #    nonzero rule-edge count, and RuleCoverageGain telemetry must flow.
@@ -37,6 +41,9 @@ json_edges=$(jq -r '.rule_branches' "$work/on/campaign.json")
 gains=$(jq -s 'map(select(.type == "RuleCoverageGain")) | length' "$work/on.jsonl")
 [[ "$gains" -ge 1 ]] || {
   echo "check_rule_cov: no RuleCoverageGain events in the on-flag run" >&2; exit 1; }
+calls=$(stage_calls "$work/on/campaign.json")
+[[ -n "$calls" && "$calls" -gt 0 ]] || {
+  echo "check_rule_cov: expected rule_coverage stage calls > 0, got '${calls:-none}'" >&2; exit 1; }
 "$(dirname "$0")/check_telemetry.sh" "$work/on.jsonl"
 
 # 2. Determinism: a rerun with the same seed is byte-identical (timing
@@ -65,6 +72,9 @@ off_edges=$(jq -r '.rule_branches' "$work/off/campaign.json")
 off_gains=$(jq -s 'map(select(.type == "RuleCoverageGain")) | length' "$work/off.jsonl")
 [[ "$off_gains" == "0" ]] || {
   echo "check_rule_cov: off-flag run emitted $off_gains RuleCoverageGain events" >&2; exit 1; }
+off_calls=$(stage_calls "$work/off/campaign.json")
+[[ "$off_calls" == "0" ]] || {
+  echo "check_rule_cov: off-flag run charged '${off_calls:-none}' calls to rule_coverage" >&2; exit 1; }
 "$cli" fuzz pg --units "$units" --seed "$seed" --out "$work/off2" >/dev/null
 c=$(jq -S "$strip" "$work/off/campaign.json")
 d=$(jq -S "$strip" "$work/off2/campaign.json")
@@ -75,4 +85,4 @@ if [[ "$c" != "$d" ]]; then
 fi
 
 execs=$(jq -r '.execs' "$work/on/campaign.json")
-echo "check_rule_cov: OK ($edges rule edges, $gains gain events, $execs cases, reruns byte-identical)"
+echo "check_rule_cov: OK ($edges rule edges, $gains gain events, $calls traced of $execs cases, reruns byte-identical)"

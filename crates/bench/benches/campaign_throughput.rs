@@ -11,9 +11,10 @@
 //!   noise).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use lego::campaign::{run_campaign_observed, run_campaign_parallel, Budget, ParallelOpts};
+use lego::campaign::{Budget, CampaignSpec, ParallelOpts};
 use lego::observe::{NoopSink, Telemetry};
 use lego_baselines::engine_by_name;
+use lego_bench::campaign;
 use lego_bench::grid::run_grid;
 use lego_dbms::Dbms;
 use lego_sqlast::Dialect;
@@ -74,19 +75,11 @@ fn bench_grid(c: &mut Criterion) {
 }
 
 fn sharded_campaign(workers: usize) -> usize {
-    run_campaign_parallel(
-        |w| {
-            engine_by_name(
-                "LEGO",
-                Dialect::MariaDb,
-                9 ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            )
-        },
-        Dialect::MariaDb,
-        Budget::units(40_000),
-        ParallelOpts { workers, sync_every: 16 },
-    )
-    .branches
+    let spec = CampaignSpec {
+        parallel: ParallelOpts { workers, sync_every: 16 },
+        ..CampaignSpec::new(Dialect::MariaDb, Budget::units(40_000))
+    };
+    campaign("LEGO", &spec, 9, &Telemetry::disabled()).branches
 }
 
 fn bench_sharded(c: &mut Criterion) {
@@ -98,8 +91,7 @@ fn bench_sharded(c: &mut Criterion) {
 }
 
 fn observed_campaign(tel: &Telemetry) -> usize {
-    let mut engine = engine_by_name("LEGO", Dialect::MariaDb, 9);
-    run_campaign_observed(engine.as_mut(), Dialect::MariaDb, Budget::units(20_000), tel).branches
+    campaign("LEGO", &CampaignSpec::new(Dialect::MariaDb, Budget::units(20_000)), 9, tel).branches
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {

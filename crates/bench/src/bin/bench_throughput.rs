@@ -7,6 +7,7 @@
 //! With `--telemetry ev.jsonl` the serial and parallel event streams land at
 //! `ev.serial.jsonl` and `ev.parallel.jsonl`.
 
+use lego::campaign::{Budget, CampaignSpec, ParallelOpts};
 use lego::observe::{StageProfile, Telemetry};
 use lego_bench::grid::Cli;
 use lego_bench::*;
@@ -62,7 +63,11 @@ fn run_telemetry(cli: &Cli, tag: &str, workers: usize) -> (Telemetry, Option<Tel
 fn profiled(cli: &Cli, tag: &str, units: usize, workers: usize) -> lego::campaign::CampaignStats {
     let dialect = Dialect::Postgres;
     let (tel, guard) = run_telemetry(cli, tag, workers);
-    let stats = campaign_parallel_observed("LEGO", dialect, units, DEFAULT_SEED, workers, &tel);
+    let spec = CampaignSpec {
+        parallel: ParallelOpts { workers, ..ParallelOpts::default() },
+        ..CampaignSpec::new(dialect, Budget::units(units))
+    };
+    let stats = campaign("LEGO", &spec, DEFAULT_SEED, &tel);
     if let Some(mut g) = guard {
         g.finish();
     }

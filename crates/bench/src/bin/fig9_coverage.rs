@@ -8,6 +8,7 @@
 //! Usage: `fig9_coverage [UNITS] [--workers N]` — the fuzzer×dialect cells
 //! run across a worker pool; results are identical for any worker count.
 
+use lego::campaign::{Budget, CampaignSpec};
 use lego_bench::grid::{run_grid, Cli};
 use lego_bench::*;
 use lego_sqlast::Dialect;
@@ -42,7 +43,14 @@ fn main() {
     let jobs: Vec<_> = pairs
         .iter()
         .map(|&(dialect, fuzzer)| {
-            move || campaign_observed(fuzzer, dialect, units, DEFAULT_SEED, tel)
+            move || {
+                campaign(
+                    fuzzer,
+                    &CampaignSpec::new(dialect, Budget::units(units)),
+                    DEFAULT_SEED,
+                    tel,
+                )
+            }
         })
         .collect();
     let stats = run_grid(jobs, cli.workers);

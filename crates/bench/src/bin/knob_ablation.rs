@@ -5,7 +5,7 @@
 //! Usage: `knob_ablation [UNITS] [--workers N]` — one grid cell per knob
 //! setting; results are identical for any worker count.
 
-use lego::campaign::{run_campaign_observed, Budget};
+use lego::campaign::{run_engine, Budget, CampaignSpec};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego_bench::grid::{run_grid, Cli};
 use lego_bench::*;
@@ -64,7 +64,8 @@ fn main() {
                 let mut cfg = Config { rng_seed: DEFAULT_SEED, ..Config::default() };
                 mutate(&mut cfg);
                 let mut fz = LegoFuzzer::new(Dialect::MariaDb, cfg);
-                run_campaign_observed(&mut fz, Dialect::MariaDb, Budget::units(units), tel)
+                let spec = CampaignSpec::new(Dialect::MariaDb, Budget::units(units));
+                run_engine(&spec, tel, &mut fz).expect("a campaign without checkpoints cannot fail")
             }
         })
         .collect();

@@ -61,11 +61,14 @@
 //!
 //! `--checkpoint DIR` persists the complete campaign state to `DIR` every
 //! `--checkpoint-every N` units (default: a tenth of the budget); a later
-//! `--resume DIR` with the *same* seed, budget, and cadence continues the
-//! interrupted campaign and produces the byte-identical deterministic
-//! report of an uninterrupted run.
+//! `--resume DIR` with the *same* seed and flags continues the interrupted
+//! campaign and produces the byte-identical deterministic report of an
+//! uninterrupted run. The campaign refuses a resume whose fuzzer, dialect,
+//! budget, oracles, `--rule-cov` or `--sema` differ from what the checkpoint
+//! recorded; `--checkpoint-every` on `--resume` defaults to the recorded
+//! cadence and must match it.
 
-use lego::campaign::{run_campaign_sema, Budget, FuzzEngine};
+use lego::campaign::{run_engine, Budget, CampaignSpec, FuzzEngine};
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};
 use lego::corpus_io::{load_corpus, save_corpus};
 use lego::fuzzer::{Config, LegoFuzzer};
@@ -306,7 +309,8 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     // checkpoints go (unless --checkpoint overrides it), so a run can be
     // interrupted and resumed repeatedly. The cadence is part of campaign
     // configuration (each boundary reseeds the engine RNG): on resume it
-    // defaults to the cadence recorded in the checkpoint.
+    // defaults to the recorded one, and the campaign refuses any setting
+    // that differs from the checkpoint's record.
     let mut ckpt = CheckpointCfg::disabled();
     if let Some(dir) = &resume_dir {
         let resume = match load_campaign_checkpoint(dir) {
@@ -316,21 +320,6 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if resume.meta.dialect != dialect.name() {
-            eprintln!(
-                "checkpoint is for {}, this run targets {}",
-                resume.meta.dialect,
-                dialect.name()
-            );
-            return ExitCode::FAILURE;
-        }
-        if resume.meta.budget_units != units {
-            eprintln!(
-                "checkpoint was taken under a {}-unit budget, this run asks for {units}",
-                resume.meta.budget_units
-            );
-            return ExitCode::FAILURE;
-        }
         println!(
             "resuming from checkpoint {} in {} ({} units done)",
             resume.workers[0].seq,
@@ -355,17 +344,15 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
         plot_every_ms,
         run_name: format!("fuzz_{}", dialect.name()),
     });
-    let stats = match run_campaign_sema(
-        engine.as_mut(),
-        dialect,
-        Budget::units(units),
-        &guard.tel,
+    let spec = CampaignSpec {
         oracles,
-        &ckpt,
-        wal_dir.as_deref(),
+        checkpoint: ckpt,
+        wal_dir,
         rule_cov,
         sema,
-    ) {
+        ..CampaignSpec::new(dialect, Budget::units(units))
+    };
+    let stats = match run_engine(&spec, &guard.tel, engine.as_mut()) {
         Ok(stats) => stats,
         Err(e) => {
             eprintln!("campaign failed: {e}");

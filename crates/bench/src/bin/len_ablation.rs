@@ -8,7 +8,7 @@
 //! Usage: `len_ablation [UNITS] [SEEDS] [--workers N]` — one grid cell per
 //! (LEN, seed) pair; results are identical for any worker count.
 
-use lego::campaign::{run_campaign_observed, Budget};
+use lego::campaign::{run_engine, Budget, CampaignSpec};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego_bench::grid::{run_grid, Cli};
 use lego_bench::*;
@@ -49,7 +49,8 @@ fn main() {
                     ..Config::default()
                 };
                 let mut fz = LegoFuzzer::new(Dialect::MariaDb, cfg);
-                run_campaign_observed(&mut fz, Dialect::MariaDb, Budget::units(units), tel)
+                let spec = CampaignSpec::new(Dialect::MariaDb, Budget::units(units));
+                run_engine(&spec, tel, &mut fz).expect("a campaign without checkpoints cannot fail")
             }
         })
         .collect();

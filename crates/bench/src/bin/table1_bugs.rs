@@ -6,6 +6,7 @@
 //! identifiers — the same layout as the paper's Table I, which reports 102
 //! bugs (PostgreSQL 6, MySQL 21, MariaDB 42, Comdb2 33) and 22 CVEs.
 
+use lego::campaign::{Budget, CampaignSpec};
 use lego_bench::grid::{run_grid, Cli};
 use lego_bench::*;
 use lego_dbms::bugs;
@@ -52,15 +53,12 @@ fn main() {
                 .as_ref()
                 .map(|base| base.join(format!("{}_s{s}", dialect.name().to_lowercase())));
             move || {
-                campaign_durable(
-                    "LEGO",
-                    dialect,
-                    units,
-                    DEFAULT_SEED + s as u64 * 7717,
-                    tel,
+                let spec = CampaignSpec {
                     oracles,
-                    cell_wal.as_deref(),
-                )
+                    wal_dir: cell_wal,
+                    ..CampaignSpec::new(dialect, Budget::units(units))
+                };
+                campaign("LEGO", &spec, DEFAULT_SEED + s as u64 * 7717, tel)
             }
         })
         .collect();

@@ -5,6 +5,7 @@
 //! is LEGO ≫ SQLancer > SQUIRREL, with SQLsmith excluded because its
 //! generated test cases contain a single statement.
 
+use lego::campaign::{Budget, CampaignSpec};
 use lego_bench::grid::{run_grid, Cli};
 use lego_bench::*;
 use lego_sqlast::Dialect;
@@ -36,7 +37,14 @@ fn main() {
     let jobs: Vec<_> = specs
         .iter()
         .map(|&(dialect, fuzzer)| {
-            move || campaign_observed(fuzzer, dialect, units, DEFAULT_SEED, tel)
+            move || {
+                campaign(
+                    fuzzer,
+                    &CampaignSpec::new(dialect, Budget::units(units)),
+                    DEFAULT_SEED,
+                    tel,
+                )
+            }
         })
         .collect();
     let stats = run_grid(jobs, cli.workers);

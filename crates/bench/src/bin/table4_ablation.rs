@@ -16,10 +16,8 @@
 //! skipped-statement columns — the ablation recipe from EXPERIMENTS.md
 //! §static-analysis.
 
-use lego::campaign::{run_campaign_full, run_campaign_observed, run_campaign_sema, Budget};
-use lego::checkpoint::CheckpointCfg;
+use lego::campaign::{run_engine, Budget, CampaignSpec};
 use lego::fuzzer::{Config, LegoFuzzer};
-use lego::OracleConfig;
 use lego_bench::grid::{run_grid, Cli};
 use lego_bench::*;
 use lego_sqlast::Dialect;
@@ -91,50 +89,25 @@ fn main() {
         .iter()
         .map(|&(dialect, s, variant)| {
             move || {
-                let rng_seed = DEFAULT_SEED + s * 7717;
-                match variant {
-                    Variant::Minus => {
-                        let cfg = Config { rng_seed, ..Config::default() };
-                        let mut engine = LegoFuzzer::lego_minus(dialect, cfg);
-                        run_campaign_observed(&mut engine, dialect, Budget::units(units), tel)
-                    }
-                    Variant::Lego => {
-                        let cfg = Config { rng_seed, ..Config::default() };
-                        let mut engine = LegoFuzzer::new(dialect, cfg);
-                        run_campaign_observed(&mut engine, dialect, Budget::units(units), tel)
-                    }
-                    Variant::Rule => {
-                        let cfg = Config { rng_seed, rule_cov: true, ..Config::default() };
-                        let mut engine = LegoFuzzer::new(dialect, cfg);
-                        run_campaign_full(
-                            &mut engine,
-                            dialect,
-                            Budget::units(units),
-                            tel,
-                            OracleConfig::disabled(),
-                            &CheckpointCfg::disabled(),
-                            None,
-                            true,
-                        )
-                        .expect("rule-cov campaign without checkpointing cannot fail")
-                    }
-                    Variant::Sema => {
-                        let cfg = Config { rng_seed, sema: true, ..Config::default() };
-                        let mut engine = LegoFuzzer::new(dialect, cfg);
-                        run_campaign_sema(
-                            &mut engine,
-                            dialect,
-                            Budget::units(units),
-                            tel,
-                            OracleConfig::disabled(),
-                            &CheckpointCfg::disabled(),
-                            None,
-                            false,
-                            true,
-                        )
-                        .expect("sema campaign without checkpointing cannot fail")
-                    }
-                }
+                let (rule_cov, sema) = (variant == Variant::Rule, variant == Variant::Sema);
+                let cfg = Config {
+                    rng_seed: DEFAULT_SEED + s * 7717,
+                    rule_cov,
+                    sema,
+                    ..Config::default()
+                };
+                let mut engine = if variant == Variant::Minus {
+                    LegoFuzzer::lego_minus(dialect, cfg)
+                } else {
+                    LegoFuzzer::new(dialect, cfg)
+                };
+                let spec = CampaignSpec {
+                    rule_cov,
+                    sema,
+                    ..CampaignSpec::new(dialect, Budget::units(units))
+                };
+                run_engine(&spec, tel, &mut engine)
+                    .expect("a campaign without checkpoints cannot fail")
             }
         })
         .collect();

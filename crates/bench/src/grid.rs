@@ -67,6 +67,20 @@ where
         .collect()
 }
 
+/// Grid thread count when `--workers` is absent: `LEGO_WORKERS` if set to a
+/// positive integer, otherwise the machine's available parallelism. Grid
+/// cells are independent campaigns, so this never changes a result.
+pub fn default_workers() -> usize {
+    if let Ok(v) = std::env::var("LEGO_WORKERS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n >= 1 {
+                return n;
+            }
+        }
+    }
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
 /// Command line shared by the experiment binaries: positional arguments plus
 /// optional flags (any position):
 ///
@@ -208,7 +222,7 @@ impl Cli {
         }
         Self {
             positional,
-            workers: workers.filter(|&w| w >= 1).unwrap_or_else(lego::campaign::default_workers),
+            workers: workers.filter(|&w| w >= 1).unwrap_or_else(default_workers),
             telemetry: telemetry
                 .or_else(|| std::env::var("LEGO_TELEMETRY").ok())
                 .filter(|p| !p.is_empty()),

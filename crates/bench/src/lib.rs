@@ -7,17 +7,11 @@
 
 pub mod grid;
 
-use lego::campaign::{
-    run_campaign_durable, run_campaign_observed, run_campaign_parallel_durable,
-    run_campaign_parallel_observed, run_campaign_parallel_with_oracles, run_campaign_with_oracles,
-    Budget, CampaignStats, ParallelOpts,
-};
-use lego::checkpoint::CheckpointCfg;
+use lego::campaign::{run, CampaignSpec, CampaignStats};
 use lego::observe::http::MonitorConfig;
 use lego::observe::{
     BroadcastSink, MetricsRegistry, MonitorServer, Telemetry, TimeSeriesRecorder, TraceCollector,
 };
-use lego::OracleConfig;
 use lego_baselines::engine_by_name;
 use lego_sqlast::Dialect;
 use serde::Serialize;
@@ -44,149 +38,15 @@ pub fn fuzzer_names(dialect: Dialect) -> Vec<&'static str> {
     }
 }
 
-/// Run one fuzzer×dialect campaign with the standard seed.
-pub fn campaign(fuzzer: &str, dialect: Dialect, units: usize, seed: u64) -> CampaignStats {
-    campaign_observed(fuzzer, dialect, units, seed, &Telemetry::disabled())
-}
-
-/// [`campaign`] reporting through a telemetry handle (shareable across grid
-/// cells: sinks are line-atomic and metrics aggregate across cells).
-pub fn campaign_observed(
-    fuzzer: &str,
-    dialect: Dialect,
-    units: usize,
-    seed: u64,
-    tel: &Telemetry,
-) -> CampaignStats {
-    let mut engine = engine_by_name(fuzzer, dialect, seed);
-    run_campaign_observed(engine.as_mut(), dialect, Budget::units(units), tel)
-}
-
-/// [`campaign_observed`] with the correctness oracles enabled per `oracles`
-/// (checked after every corpus-accepted case; see `lego::campaign`).
-pub fn campaign_with_oracles(
-    fuzzer: &str,
-    dialect: Dialect,
-    units: usize,
-    seed: u64,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-) -> CampaignStats {
-    let mut engine = engine_by_name(fuzzer, dialect, seed);
-    run_campaign_with_oracles(engine.as_mut(), dialect, Budget::units(units), tel, oracles)
-}
-
-/// [`campaign_with_oracles`] plus an explicit WAL directory for the
-/// recovery durability oracle (`oracles.recovery`); `None` journals under a
-/// per-process temp directory. The WAL location never influences findings.
-pub fn campaign_durable(
-    fuzzer: &str,
-    dialect: Dialect,
-    units: usize,
-    seed: u64,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-    wal_dir: Option<&Path>,
-) -> CampaignStats {
-    let mut engine = engine_by_name(fuzzer, dialect, seed);
-    run_campaign_durable(
-        engine.as_mut(),
-        dialect,
-        Budget::units(units),
-        tel,
-        oracles,
-        &CheckpointCfg::disabled(),
-        wal_dir,
-    )
-    .expect("durable campaign without checkpointing cannot fail")
-}
-
-/// Run one fuzzer×dialect campaign sharded over `workers` threads. Worker
-/// `w` gets seed `seed ^ w·φ`, so worker 0 reproduces the serial stream and
-/// `workers == 1` is byte-identical to [`campaign`].
-pub fn campaign_parallel(
-    fuzzer: &str,
-    dialect: Dialect,
-    units: usize,
-    seed: u64,
-    workers: usize,
-) -> CampaignStats {
-    campaign_parallel_observed(fuzzer, dialect, units, seed, workers, &Telemetry::disabled())
-}
-
-/// [`campaign_parallel`] reporting through a telemetry handle.
-pub fn campaign_parallel_observed(
-    fuzzer: &str,
-    dialect: Dialect,
-    units: usize,
-    seed: u64,
-    workers: usize,
-    tel: &Telemetry,
-) -> CampaignStats {
-    let fuzzer = fuzzer.to_string();
-    run_campaign_parallel_observed(
-        move |w| {
-            engine_by_name(&fuzzer, dialect, seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        },
-        dialect,
-        Budget::units(units),
-        ParallelOpts { workers, ..ParallelOpts::default() },
-        tel,
-    )
-}
-
-/// [`campaign_parallel_observed`] with the correctness oracles enabled.
-pub fn campaign_parallel_with_oracles(
-    fuzzer: &str,
-    dialect: Dialect,
-    units: usize,
-    seed: u64,
-    workers: usize,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-) -> CampaignStats {
-    let fuzzer = fuzzer.to_string();
-    run_campaign_parallel_with_oracles(
-        move |w| {
-            engine_by_name(&fuzzer, dialect, seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        },
-        dialect,
-        Budget::units(units),
-        ParallelOpts { workers, ..ParallelOpts::default() },
-        tel,
-        oracles,
-    )
-}
-
-/// [`campaign_parallel_with_oracles`] plus an explicit WAL directory for the
-/// recovery oracle. Each worker journals to its own `worker{NN}.wal` file
-/// under `wal_dir` and derives crash points from case content only, so the
-/// N-worker run stays byte-identical to the serial one.
-#[allow(clippy::too_many_arguments)]
-pub fn campaign_parallel_durable(
-    fuzzer: &str,
-    dialect: Dialect,
-    units: usize,
-    seed: u64,
-    workers: usize,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-    wal_dir: Option<&Path>,
-) -> CampaignStats {
-    let fuzzer = fuzzer.to_string();
-    run_campaign_parallel_durable(
-        move |w| {
-            engine_by_name(&fuzzer, dialect, seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        },
-        dialect,
-        Budget::units(units),
-        ParallelOpts { workers, ..ParallelOpts::default() },
-        tel,
-        oracles,
-        &CheckpointCfg::disabled(),
-        wal_dir,
-    )
-    .expect("durable campaign without checkpointing cannot fail")
+/// Run one fuzzer×dialect campaign as `spec` describes, reporting through
+/// `tel` (shareable across grid cells: sinks are line-atomic and metrics
+/// aggregate across cells). Worker `w` gets seed `seed ^ w·φ`, so worker 0
+/// reproduces the serial stream and a one-worker spec is a serial campaign.
+pub fn campaign(fuzzer: &str, spec: &CampaignSpec, seed: u64, tel: &Telemetry) -> CampaignStats {
+    run(spec, tel, |w| {
+        engine_by_name(fuzzer, spec.dialect, seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+    })
+    .expect("a campaign without checkpoints cannot fail")
 }
 
 /// A configured telemetry handle plus the monitoring-plane resources that
@@ -511,7 +371,8 @@ mod tests {
     fn tiny_campaign_runs_for_every_pair() {
         for d in Dialect::ALL {
             for f in fuzzer_names(d) {
-                let stats = campaign(f, d, 3_000, 1);
+                let spec = CampaignSpec::new(d, lego::Budget::units(3_000));
+                let stats = campaign(f, &spec, 1, &Telemetry::disabled());
                 assert!(stats.branches > 0, "{f} on {d:?}");
             }
         }

@@ -6,18 +6,14 @@
 //! answers agree with the final `CampaignStats`, and a campaign that dies
 //! still flushes its sinks.
 
-use lego::campaign::{
-    run_campaign, run_campaign_observed, run_campaign_parallel_resilient, Budget, CampaignStats,
-    FuzzEngine, ParallelOpts,
-};
-use lego::checkpoint::CheckpointCfg;
+use lego::campaign::{run, run_campaign, run_engine, Budget, CampaignSpec, CampaignStats};
+use lego::campaign::{FuzzEngine, ParallelOpts};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::http::MonitorConfig;
 use lego::observe::{
     BroadcastSink, Event, EventSink, MetricsRegistry, MonitorServer, Telemetry, TimeSeriesRecorder,
     TraceCollector,
 };
-use lego::OracleConfig;
 use lego_dbms::ExecReport;
 use lego_sqlast::{Dialect, TestCase};
 use std::io::{Read, Write};
@@ -45,7 +41,8 @@ fn get(addr: std::net::SocketAddr, path: &str) -> String {
 fn serial_stats(seed: u64, budget: Budget, tel: &Telemetry) -> CampaignStats {
     let cfg = Config { rng_seed: seed, ..Config::default() };
     let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg);
-    run_campaign_observed(&mut engine, Dialect::Postgres, budget, tel)
+    run_engine(&CampaignSpec::new(Dialect::Postgres, budget), tel, &mut engine)
+        .expect("campaign completes")
 }
 
 #[test]
@@ -209,15 +206,11 @@ impl FuzzEngine for InstantDeath {
 fn dead_campaign_still_flushes_telemetry() {
     let probe = Arc::new(FlushProbe::default());
     let tel = Telemetry::builder().sink(probe.clone()).heartbeat(2).build();
-    let result = run_campaign_parallel_resilient(
-        |_w| Box::new(InstantDeath) as Box<dyn FuzzEngine + Send>,
-        Dialect::Postgres,
-        Budget::units(5_000),
-        ParallelOpts { workers: 2, sync_every: 4 },
-        &tel,
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-    );
+    let spec = CampaignSpec {
+        parallel: ParallelOpts { workers: 2, sync_every: 4 },
+        ..CampaignSpec::new(Dialect::Postgres, Budget::units(5_000))
+    };
+    let result = run(&spec, &tel, |_w| Box::new(InstantDeath) as Box<dyn FuzzEngine + Send>);
     assert!(result.is_err(), "all workers dead must surface an error");
     assert!(
         probe.flushes.load(Ordering::SeqCst) > 0,

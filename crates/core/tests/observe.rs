@@ -1,19 +1,12 @@
-//! Observability contracts: telemetry must describe the campaign without
-//! perturbing it.
-//!
-//! The hard promise of `lego-observe` is that turning instrumentation on
-//! changes nothing about what the fuzzer does — same cases, same coverage,
-//! same bugs, byte-for-byte — and that the event stream itself is a
-//! deterministic function of (seed, worker count).
+//! Observability contracts: telemetry must describe the campaign it
+//! watches. That it never perturbs the campaign, and that the event stream
+//! is a deterministic function of (seed, worker count), is pinned by
+//! `campaign_matrix.rs`.
 
-use lego::campaign::{
-    run_campaign, run_campaign_full, run_campaign_observed, run_campaign_parallel_observed, Budget,
-    CampaignStats, FuzzEngine, ParallelOpts,
-};
-use lego::checkpoint::CheckpointCfg;
+use lego::campaign::ParallelOpts;
+use lego::campaign::{run, run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::{Event, MemorySink, MetricsRegistry, Telemetry};
-use lego::OracleConfig;
 use lego_sqlast::Dialect;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -29,10 +22,6 @@ fn lego_factory(
     }
 }
 
-fn opts(workers: usize) -> ParallelOpts {
-    ParallelOpts { workers, sync_every: 4 }
-}
-
 /// A fully-loaded telemetry handle plus its memory sink for inspection.
 fn observed() -> (Telemetry, Arc<MemorySink>, Arc<MetricsRegistry>) {
     let mem = Arc::new(MemorySink::new());
@@ -44,93 +33,17 @@ fn observed() -> (Telemetry, Arc<MemorySink>, Arc<MetricsRegistry>) {
 fn serial_stats(dialect: Dialect, seed: u64, budget: Budget, tel: &Telemetry) -> CampaignStats {
     let cfg = Config { rng_seed: seed, ..Config::default() };
     let mut engine = LegoFuzzer::new(dialect, cfg);
-    run_campaign_observed(&mut engine, dialect, budget, tel)
-}
-
-#[test]
-fn telemetry_does_not_perturb_serial_campaigns() {
-    let budget = Budget::execs(150);
-    for dialect in [Dialect::Postgres, Dialect::MariaDb] {
-        let cfg = Config { rng_seed: 0x5eed, ..Config::default() };
-        let mut engine = LegoFuzzer::new(dialect, cfg);
-        let off = run_campaign(&mut engine, dialect, budget);
-        let (tel, mem, _) = observed();
-        let on = serial_stats(dialect, 0x5eed, budget, &tel);
-        assert_eq!(
-            off.deterministic_json(),
-            on.deterministic_json(),
-            "telemetry changed the campaign on {dialect:?}"
-        );
-        assert!(!mem.is_empty(), "enabled telemetry produced no events");
-        // The profile rides on the observed stats only, outside the
-        // deterministic section.
-        assert!(off.stage_profile.is_none());
-        assert!(on.stage_profile.is_some());
-    }
-}
-
-#[test]
-fn telemetry_does_not_perturb_parallel_campaigns() {
-    let budget = Budget::units(30_000);
-    let off = run_campaign_parallel_observed(
-        lego_factory(Dialect::Postgres, 42),
-        Dialect::Postgres,
-        budget,
-        opts(3),
-        &Telemetry::disabled(),
-    );
-    let (tel, mem, _) = observed();
-    let on = run_campaign_parallel_observed(
-        lego_factory(Dialect::Postgres, 42),
-        Dialect::Postgres,
-        budget,
-        opts(3),
-        &tel,
-    );
-    assert_eq!(
-        off.deterministic_json(),
-        on.deterministic_json(),
-        "telemetry changed the 3-worker campaign"
-    );
-    assert!(!mem.is_empty());
-    assert!(on.stage_profile.is_some());
-}
-
-/// The merged event stream is a deterministic function of seed and worker
-/// count: two identical runs produce byte-identical JSONL.
-#[test]
-fn event_stream_is_deterministic_per_worker_count() {
-    for workers in [1usize, 3] {
-        let run = || {
-            let (tel, mem, _) = observed();
-            let stats = run_campaign_parallel_observed(
-                lego_factory(Dialect::Postgres, 7),
-                Dialect::Postgres,
-                Budget::units(20_000),
-                opts(workers),
-                &tel,
-            );
-            let lines: Vec<String> = mem.snapshot().iter().map(Event::to_json).collect();
-            (stats, lines)
-        };
-        let (stats_a, a) = run();
-        let (stats_b, b) = run();
-        assert_eq!(a, b, "event stream diverged between identical runs at workers={workers}");
-        assert_eq!(stats_a.deterministic_json(), stats_b.deterministic_json());
-        assert!(!a.is_empty());
-    }
+    run_engine(&CampaignSpec::new(dialect, budget), tel, &mut engine).expect("campaign completes")
 }
 
 #[test]
 fn event_stream_is_consistent_with_stats() {
     let (tel, mem, metrics) = observed();
-    let stats = run_campaign_parallel_observed(
-        lego_factory(Dialect::MariaDb, 1),
-        Dialect::MariaDb,
-        Budget::units(40_000),
-        opts(3),
-        &tel,
-    );
+    let spec = CampaignSpec {
+        parallel: ParallelOpts { workers: 3, sync_every: 4 },
+        ..CampaignSpec::new(Dialect::MariaDb, Budget::units(40_000))
+    };
+    let stats = run(&spec, &tel, lego_factory(Dialect::MariaDb, 1)).expect("campaign completes");
     let events = mem.snapshot();
     let ends: Vec<&Event> = events.iter().filter(|e| matches!(e, Event::ExecEnd { .. })).collect();
     assert_eq!(ends.len(), stats.execs, "one ExecEnd per executed case");
@@ -220,17 +133,9 @@ fn rule_coverage_has_a_stage_of_its_own() {
         let (tel, _mem, _) = observed();
         let cfg = Config { rng_seed: 11, rule_cov, ..Config::default() };
         let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg);
-        let stats = run_campaign_full(
-            &mut engine,
-            Dialect::Postgres,
-            Budget::execs(300),
-            &tel,
-            OracleConfig::disabled(),
-            &CheckpointCfg::disabled(),
-            None,
-            rule_cov,
-        )
-        .expect("campaign without checkpointing cannot fail");
+        let spec =
+            CampaignSpec { rule_cov, ..CampaignSpec::new(Dialect::Postgres, Budget::execs(300)) };
+        let stats = run_engine(&spec, &tel, &mut engine).expect("campaign completes");
         let profile = stats.stage_profile.expect("observed run profiles");
         let calls = |name: &str| profile.stages.iter().find(|s| s.stage == name).expect(name).calls;
         if rule_cov {
@@ -249,9 +154,7 @@ fn bug_artifacts_are_replayable_sql() {
         std::env::temp_dir().join(format!("lego-observe-test-{}", std::process::id())).join("bugs");
     let _ = std::fs::remove_dir_all(&dir);
     let tel = Telemetry::builder().bug_artifacts(dir.clone()).seed(1).build();
-    let cfg = Config { rng_seed: 1, ..Config::default() };
-    let mut engine = LegoFuzzer::new(Dialect::MariaDb, cfg);
-    let stats = run_campaign_observed(&mut engine, Dialect::MariaDb, Budget::units(40_000), &tel);
+    let stats = serial_stats(Dialect::MariaDb, 1, Budget::units(40_000), &tel);
     assert!(!stats.bugs.is_empty(), "campaign found no bugs to dump");
     let files: Vec<PathBuf> = std::fs::read_dir(dir.join("mariadb"))
         .expect("artifact dir exists")

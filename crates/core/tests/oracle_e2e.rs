@@ -13,7 +13,7 @@
 //! The fault flag is process-global, so every campaign-with-fault test
 //! lives in this binary and serializes on one lock.
 
-use lego::campaign::{run_campaign_with_oracles, Budget, FuzzEngine};
+use lego::campaign::{run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
 use lego::oracle::OracleKind;
 use lego::OracleConfig;
 use lego_dbms::faults::FaultGuard;
@@ -71,19 +71,19 @@ INSERT INTO t VALUES (5, 50), (6, 60), (7, 70);
 UPDATE t SET b = 0 WHERE a = 5;
 SELECT * FROM t WHERE a > 5;";
 
+/// A 400-unit PostgreSQL campaign with the given oracles.
+fn oracle_campaign(engine: &mut Replay, oracles: OracleConfig) -> CampaignStats {
+    let spec = CampaignSpec { oracles, ..CampaignSpec::new(Dialect::Postgres, Budget::units(400)) };
+    run_engine(&spec, &Telemetry::disabled(), engine).expect("campaign completes")
+}
+
 #[test]
 fn injected_logic_bug_is_found_deduped_and_reduced() {
     let _lock = FAULT_LOCK.lock().unwrap();
     let _guard = FaultGuard::enable_where_drops_last_row();
     let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
     let oracles = OracleConfig { tlp: false, norec: true, differential: false, recovery: false };
-    let stats = run_campaign_with_oracles(
-        &mut engine,
-        Dialect::Postgres,
-        Budget::units(400),
-        &Telemetry::disabled(),
-        oracles,
-    );
+    let stats = oracle_campaign(&mut engine, oracles);
 
     // Both variants were corpus-accepted and oracle-checked.
     assert!(stats.oracle_checks >= 2, "oracle_checks = {}", stats.oracle_checks);
@@ -112,13 +112,7 @@ fn oracle_campaign_with_fault_is_deterministic() {
     let _guard = FaultGuard::enable_where_drops_last_row();
     let run = || {
         let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
-        run_campaign_with_oracles(
-            &mut engine,
-            Dialect::Postgres,
-            Budget::units(400),
-            &Telemetry::disabled(),
-            OracleConfig::all(),
-        )
+        oracle_campaign(&mut engine, OracleConfig::all())
     };
     assert_eq!(run().deterministic_json(), run().deterministic_json());
 }
@@ -129,13 +123,7 @@ fn clean_engine_reports_no_logic_bugs() {
     // No fault: the same campaign must stay silent (oracle soundness on the
     // defect-free engine).
     let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
-    let stats = run_campaign_with_oracles(
-        &mut engine,
-        Dialect::Postgres,
-        Budget::units(400),
-        &Telemetry::disabled(),
-        OracleConfig::all(),
-    );
+    let stats = oracle_campaign(&mut engine, OracleConfig::all());
     assert!(stats.logic_bugs.is_empty(), "{:#?}", stats.logic_bugs);
     assert!(stats.oracle_checks > 0);
 }

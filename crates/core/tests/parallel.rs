@@ -1,17 +1,12 @@
-//! Determinism and soundness contracts of the parallel campaign path.
-//!
-//! The parallel runner promises that results depend only on the engine
-//! seeds and the worker count — never on thread scheduling — and that the
-//! single-worker path is *exactly* the serial campaign.
+//! Soundness contracts of N-worker campaigns: the merged coverage, curve,
+//! bug list and budget accounting. Their determinism (rerun identity, one
+//! worker equals serial) is pinned by `campaign_matrix.rs`.
 
-use lego::campaign::{
-    run_campaign, run_campaign_parallel, Budget, CampaignStats, FuzzEngine, ParallelOpts,
-};
+use lego::campaign::ParallelOpts;
+use lego::campaign::{run, run_campaign, Budget, CampaignSpec, CampaignStats, FuzzEngine};
 use lego::fuzzer::{Config, LegoFuzzer};
+use lego::observe::Telemetry;
 use lego_sqlast::Dialect;
-
-const ALL_DIALECTS: [Dialect; 4] =
-    [Dialect::Postgres, Dialect::MySql, Dialect::MariaDb, Dialect::Comdb2];
 
 /// Engine factory giving each worker shard its own RNG stream; worker 0
 /// uses the base seed itself so `workers == 1` reproduces a serial run.
@@ -26,8 +21,16 @@ fn lego_factory(
     }
 }
 
-fn opts(workers: usize) -> ParallelOpts {
-    ParallelOpts { workers, sync_every: 4 }
+/// A campaign over `workers` threads, syncing every 4 cases.
+fn parallel<F>(factory: F, dialect: Dialect, budget: Budget, workers: usize) -> CampaignStats
+where
+    F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
+{
+    let spec = CampaignSpec {
+        parallel: ParallelOpts { workers, sync_every: 4 },
+        ..CampaignSpec::new(dialect, budget)
+    };
+    run(&spec, &Telemetry::disabled(), factory).expect("campaign completes")
 }
 
 fn unique_stack_hashes(stats: &CampaignStats) -> bool {
@@ -39,54 +42,10 @@ fn unique_stack_hashes(stats: &CampaignStats) -> bool {
 }
 
 #[test]
-fn workers1_parallel_is_byte_identical_to_serial() {
-    let budget = Budget::execs(150);
-    for dialect in ALL_DIALECTS {
-        let cfg = Config { rng_seed: 0x5eed, ..Config::default() };
-        let mut engine = LegoFuzzer::new(dialect, cfg);
-        let serial = run_campaign(&mut engine, dialect, budget);
-        let parallel =
-            run_campaign_parallel(lego_factory(dialect, 0x5eed), dialect, budget, opts(1));
-        assert_eq!(
-            serial.deterministic_json(),
-            parallel.deterministic_json(),
-            "workers=1 diverged from serial on {dialect:?}"
-        );
-    }
-}
-
-#[test]
-fn same_seed_and_worker_count_is_deterministic() {
-    let budget = Budget::units(30_000);
-    let run = || {
-        run_campaign_parallel(
-            lego_factory(Dialect::Postgres, 42),
-            Dialect::Postgres,
-            budget,
-            opts(3),
-        )
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.deterministic_json(), b.deterministic_json());
-    assert_eq!(a.workers, 3);
-}
-
-#[test]
 fn merged_coverage_is_sound() {
     let budget = Budget::units(60_000);
-    let one = run_campaign_parallel(
-        lego_factory(Dialect::Postgres, 7),
-        Dialect::Postgres,
-        budget,
-        opts(1),
-    );
-    let four = run_campaign_parallel(
-        lego_factory(Dialect::Postgres, 7),
-        Dialect::Postgres,
-        budget,
-        opts(4),
-    );
+    let one = parallel(lego_factory(Dialect::Postgres, 7), Dialect::Postgres, budget, 1);
+    let four = parallel(lego_factory(Dialect::Postgres, 7), Dialect::Postgres, budget, 4);
     // Splitting one budget across four shards trades per-shard depth for
     // seed diversity; the union must stay within a few percent of the
     // single deep run (the values are deterministic, the margin guards
@@ -100,8 +59,7 @@ fn merged_coverage_is_sound() {
     // At equal *wall-clock* — every worker gets the budget the single
     // worker had — parallelism must strictly add coverage.
     let wall = Budget { units: budget.units * 4, snapshots: budget.snapshots };
-    let four_wall =
-        run_campaign_parallel(lego_factory(Dialect::Postgres, 7), Dialect::Postgres, wall, opts(4));
+    let four_wall = parallel(lego_factory(Dialect::Postgres, 7), Dialect::Postgres, wall, 4);
     assert!(
         four_wall.branches >= one.branches,
         "equal-wall-clock parallel run lost coverage: {} < {}",
@@ -122,8 +80,7 @@ fn merged_coverage_is_sound() {
 #[test]
 fn bugs_are_deduplicated_across_workers() {
     let budget = Budget::units(40_000);
-    let stats =
-        run_campaign_parallel(lego_factory(Dialect::MariaDb, 1), Dialect::MariaDb, budget, opts(4));
+    let stats = parallel(lego_factory(Dialect::MariaDb, 1), Dialect::MariaDb, budget, 4);
     assert!(unique_stack_hashes(&stats), "duplicate bug report crossed the worker join");
 }
 
@@ -168,7 +125,7 @@ fn budget_overshoot_is_at_most_one_case_per_worker() {
         one.units
     };
     let factory = |_worker: usize| -> Box<dyn FuzzEngine + Send> { Box::new(FixedCase::new()) };
-    let stats = run_campaign_parallel(factory, Dialect::Postgres, budget, opts(4));
+    let stats = parallel(factory, Dialect::Postgres, budget, 4);
     assert!(stats.units >= budget.units, "budget underrun: {}", stats.units);
     assert!(
         stats.units < budget.units + 4 * per_case,

@@ -14,8 +14,8 @@
 //! The fault flag is process-global, so every campaign-with-fault test
 //! lives in this binary and serializes on one lock.
 
-use lego::campaign::{run_campaign_durable, Budget, FuzzEngine};
-use lego::checkpoint::CheckpointCfg;
+use lego::campaign::{run_engine, Budget, CampaignSpec, FuzzEngine};
+use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::{Event, MemorySink, Telemetry};
 use lego::oracle::{OracleKind, OracleSuite};
 use lego::OracleConfig;
@@ -82,16 +82,12 @@ SELECT * FROM t WHERE a > 5;";
 
 fn run_recovery_campaign(dir: &Path, tel: &Telemetry) -> lego::CampaignStats {
     let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
-    run_campaign_durable(
-        &mut engine,
-        Dialect::Postgres,
-        Budget::units(400),
-        tel,
-        OracleConfig::recovery_only(),
-        &CheckpointCfg::disabled(),
-        Some(dir),
-    )
-    .expect("campaign completes")
+    let spec = CampaignSpec {
+        oracles: OracleConfig::recovery_only(),
+        wal_dir: Some(dir.to_path_buf()),
+        ..CampaignSpec::new(Dialect::Postgres, Budget::units(400))
+    };
+    run_engine(&spec, tel, &mut engine).expect("campaign completes")
 }
 
 #[test]
@@ -165,5 +161,28 @@ fn clean_engine_reports_no_durability_bugs() {
     assert!(wal.exists(), "recovery oracle never journaled to {}", wal.display());
     let bytes = std::fs::read(&wal).expect("read WAL");
     assert!(bytes.starts_with(b"LEGOWAL1"), "WAL magic missing");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn wal_location_never_influences_findings() {
+    let _lock = fault_lock();
+    // The WAL path is environment, not input: an explicit --wal-dir and the
+    // default temp-dir placement must produce byte-identical reports.
+    let dir = wal_dir("loc");
+    let run = |wal_dir: Option<PathBuf>| {
+        let cfg = Config { rng_seed: 0xd15c, ..Config::default() };
+        let mut engine = LegoFuzzer::new(Dialect::Comdb2, cfg);
+        let budget = Budget { units: 20_000, snapshots: 10 };
+        let spec = CampaignSpec {
+            oracles: OracleConfig::recovery_only(),
+            wal_dir,
+            ..CampaignSpec::new(Dialect::Comdb2, budget)
+        };
+        run_engine(&spec, &Telemetry::disabled(), &mut engine).expect("campaign completes")
+    };
+    let explicit = run(Some(dir.clone()));
+    let default = run(None);
+    assert_eq!(explicit.deterministic_json(), default.deterministic_json());
     let _ = std::fs::remove_dir_all(&dir);
 }

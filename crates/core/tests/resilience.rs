@@ -11,18 +11,18 @@
 //!    per-case isolation boundary forfeits only its own budget slice; the
 //!    join merges the survivors.
 //!
-//! Plus the checkpoint/resume determinism guarantee: a campaign interrupted
-//! at checkpoint N and resumed produces the byte-identical deterministic
-//! report of an uninterrupted run with the same checkpoint cadence.
+//! Plus resume validation: a resume whose settings differ from the ones the
+//! checkpoint recorded is refused with an error naming the setting. (That a
+//! matching resume reproduces the uninterrupted run is pinned by
+//! `campaign_matrix.rs`.)
 //!
-//! The fault switches are process-global, so every test that flips one
-//! holds `FAULT_LOCK` for its whole body (the cargo test harness runs tests
-//! in this binary on multiple threads).
+//! The fault switches are process-global and the cargo test harness runs
+//! the tests in this binary on multiple threads, so every test holds
+//! `FAULT_LOCK` for its whole body — the fault-free ones too, or a
+//! concurrent test's planted fault would leak into their campaigns.
 
-use lego::campaign::{
-    run_campaign, run_campaign_durable, run_campaign_parallel_resilient, run_campaign_resilient,
-    Budget, FuzzEngine, ParallelOpts,
-};
+use lego::campaign::ParallelOpts;
+use lego::campaign::{run, run_campaign, run_engine, Budget, CampaignSpec, FuzzEngine};
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::{Event, MemorySink, Telemetry};
@@ -150,20 +150,12 @@ fn panic_campaigns_are_deterministic_across_worker_counts() {
     let factory =
         || |_w: usize| Box::new(ScriptedEngine::new(&SCRIPT)) as Box<dyn FuzzEngine + Send>;
     for workers in [1usize, 3] {
-        let opts = ParallelOpts { workers, sync_every: 4 };
-        let run = || {
-            run_campaign_parallel_resilient(
-                factory(),
-                Dialect::Postgres,
-                Budget::units(900),
-                opts,
-                &Telemetry::disabled(),
-                OracleConfig::disabled(),
-                &CheckpointCfg::disabled(),
-            )
-            .expect("campaign completes")
+        let spec = CampaignSpec {
+            parallel: ParallelOpts { workers, sync_every: 4 },
+            ..CampaignSpec::new(Dialect::Postgres, Budget::units(900))
         };
-        let (a, b) = (run(), run());
+        let go = || run(&spec, &Telemetry::disabled(), factory()).expect("campaign completes");
+        let (a, b) = (go(), go());
         assert_eq!(
             a.deterministic_json(),
             b.deterministic_json(),
@@ -182,15 +174,8 @@ fn hang_guard_aborts_spinning_cases_and_never_retains_them() {
     let mem = Arc::new(MemorySink::new());
     let tel = Telemetry::builder().sink(mem.clone()).seed(1).build();
     let mut engine = ScriptedEngine::new(&SCRIPT);
-    let stats = run_campaign_resilient(
-        &mut engine,
-        Dialect::Postgres,
-        Budget::units(400),
-        &tel,
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-    )
-    .expect("campaign completes");
+    let spec = CampaignSpec::new(Dialect::Postgres, Budget::units(400));
+    let stats = run_engine(&spec, &tel, &mut engine).expect("campaign completes");
 
     assert!(stats.cases_aborted > 0, "hang guard never fired");
     assert!(stats.bugs.is_empty(), "a hang is not a crash");
@@ -215,7 +200,9 @@ fn hang_guard_aborts_spinning_cases_and_never_retains_them() {
 
 #[test]
 fn dead_worker_forfeits_only_its_own_slice() {
-    // No fault switch involved: the death is injected in the engine.
+    // No fault switch is flipped (the death is injected in the engine), but
+    // a concurrent test's would leak into this campaign.
+    let _lock = fault_lock();
     let mem = Arc::new(MemorySink::new());
     let tel = Telemetry::builder().sink(mem.clone()).seed(1).build();
     let factory = |w: usize| -> Box<dyn FuzzEngine + Send> {
@@ -225,16 +212,11 @@ fn dead_worker_forfeits_only_its_own_slice() {
             Box::new(ScriptedEngine::new(&SCRIPT))
         }
     };
-    let stats = run_campaign_parallel_resilient(
-        factory,
-        Dialect::Postgres,
-        Budget::units(900),
-        ParallelOpts { workers: 3, sync_every: 2 },
-        &tel,
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-    )
-    .expect("campaign must survive a dead worker");
+    let spec = CampaignSpec {
+        parallel: ParallelOpts { workers: 3, sync_every: 2 },
+        ..CampaignSpec::new(Dialect::Postgres, Budget::units(900))
+    };
+    let stats = run(&spec, &tel, factory).expect("campaign must survive a dead worker");
 
     assert_eq!(stats.workers_lost, 1);
     assert_eq!(stats.fuzzer, "SCRIPTED", "fuzzer name comes from a survivor");
@@ -254,193 +236,55 @@ fn dead_worker_forfeits_only_its_own_slice() {
     assert!(deaths[0].1.contains("injected worker death"), "error: {}", deaths[0].1);
 }
 
-/// Delete every checkpoint file of `worker` with a sequence number above
-/// `keep`, simulating a campaign killed shortly after checkpoint `keep`.
-fn truncate_checkpoints(dir: &std::path::Path, worker: usize, keep: usize) {
-    for seq in (keep + 1).. {
-        let path = dir.join(format!("worker{worker:02}_ckpt{seq:04}.json"));
-        if !path.exists() {
-            break;
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
+fn lego(w: usize) -> Box<dyn FuzzEngine + Send> {
+    let rng_seed = 7 ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    Box::new(LegoFuzzer::new(Dialect::Postgres, Config { rng_seed, ..Config::default() }))
 }
 
-#[test]
-fn serial_resume_is_byte_identical_to_uninterrupted_run() {
-    let dir = tmpdir("serial");
-    let budget = Budget::units(20_000);
-    let cfg = Config { rng_seed: 0x1e60, ..Config::default() };
-    let cadence = 6_000;
-
-    // Uninterrupted run, checkpointing as it goes.
-    let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg.clone());
-    let full = run_campaign_resilient(
-        &mut engine,
-        Dialect::Postgres,
-        budget,
-        &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: Some(dir.clone()), resume: None },
-    )
-    .expect("full run completes");
-
-    // Simulate a crash shortly after the first checkpoint, then resume.
-    truncate_checkpoints(&dir, 0, 1);
-    let resume = load_campaign_checkpoint(&dir).expect("checkpoint loads");
-    assert_eq!(resume.workers[0].seq, 1);
-    let mut fresh = LegoFuzzer::new(Dialect::Postgres, cfg);
-    let resumed = run_campaign_resilient(
-        &mut fresh,
-        Dialect::Postgres,
-        budget,
-        &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
-    )
-    .expect("resumed run completes");
-
-    assert_eq!(
-        full.deterministic_json(),
-        resumed.deterministic_json(),
-        "resume diverged from the uninterrupted run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+fn scripted(_w: usize) -> Box<dyn FuzzEngine + Send> {
+    Box::new(ScriptedEngine::new(&SCRIPT))
 }
 
-#[test]
-fn parallel_resume_is_byte_identical_to_uninterrupted_run() {
-    let dir = tmpdir("parallel");
-    let budget = Budget::units(30_000);
-    let workers = 3;
-    let opts = ParallelOpts { workers, sync_every: 4 };
-    let cadence = 3_000;
-    let factory = |w: usize| -> Box<dyn FuzzEngine + Send> {
-        let rng_seed = 0x1e60 ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        Box::new(LegoFuzzer::new(Dialect::Postgres, Config { rng_seed, ..Config::default() }))
-    };
-
-    let full = run_campaign_parallel_resilient(
-        factory,
-        Dialect::Postgres,
-        budget,
-        opts,
-        &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: Some(dir.clone()), resume: None },
-    )
-    .expect("full run completes");
-
-    // Kill the campaign "after" every worker's first checkpoint and resume.
-    for w in 0..workers {
-        truncate_checkpoints(&dir, w, 1);
-    }
-    let resume = load_campaign_checkpoint(&dir).expect("checkpoint loads");
-    assert!(resume.workers.iter().all(|w| w.seq == 1));
-    let resumed = run_campaign_parallel_resilient(
-        factory,
-        Dialect::Postgres,
-        budget,
-        opts,
-        &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
-    )
-    .expect("resumed run completes");
-
-    assert_eq!(
-        full.deterministic_json(),
-        resumed.deterministic_json(),
-        "parallel resume diverged from the uninterrupted run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
+/// A changed setting of a resumed campaign.
+type Change = fn(&mut CampaignSpec);
+/// The engines a resumed campaign builds.
+type Factory = fn(usize) -> Box<dyn FuzzEngine + Send>;
 
 #[test]
-fn serial_resume_with_recovery_oracle_is_byte_identical() {
-    // Checkpoint/resume must be WAL-aware: a resumed recovery campaign
-    // re-creates its per-worker WAL from scratch on every oracle check, so
-    // the report is byte-identical to the uninterrupted run even though the
-    // interruption discarded the WAL file mid-flight.
-    let ckpt_dir = tmpdir("recovery_ckpt");
-    let wal_a = tmpdir("recovery_wal_a");
-    let wal_b = tmpdir("recovery_wal_b");
-    let budget = Budget::units(20_000);
-    let cfg = Config { rng_seed: 0x1e60, ..Config::default() };
-    let cadence = 6_000;
-    let oracles = OracleConfig::recovery_only();
-
-    let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg.clone());
-    let full = run_campaign_durable(
-        &mut engine,
-        Dialect::Postgres,
-        budget,
-        &Telemetry::disabled(),
-        oracles,
-        &CheckpointCfg { every_units: cadence, dir: Some(ckpt_dir.clone()), resume: None },
-        Some(&wal_a),
-    )
-    .expect("full run completes");
-
-    // Simulate a crash shortly after the first checkpoint — which also
-    // tears down the WAL directory — then resume into a fresh one.
-    truncate_checkpoints(&ckpt_dir, 0, 1);
-    let _ = std::fs::remove_dir_all(&wal_a);
-    let resume = load_campaign_checkpoint(&ckpt_dir).expect("checkpoint loads");
-    assert_eq!(resume.workers[0].seq, 1);
-    // The checkpoint recorded that the recovery oracle was on.
-    assert_eq!(resume.meta.oracles, (false, false, false, true));
-    let mut fresh = LegoFuzzer::new(Dialect::Postgres, cfg);
-    let resumed = run_campaign_durable(
-        &mut fresh,
-        Dialect::Postgres,
-        budget,
-        &Telemetry::disabled(),
-        oracles,
-        &CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
-        Some(&wal_b),
-    )
-    .expect("resumed run completes");
-
-    assert_eq!(
-        full.deterministic_json(),
-        resumed.deterministic_json(),
-        "recovery-oracle resume diverged from the uninterrupted run"
-    );
-    assert!(full.oracle_checks > 0, "campaign never reached an oracle-eligible query");
-    for dir in [&ckpt_dir, &wal_b] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
-#[test]
-fn resume_rejects_a_mismatched_worker_count() {
+fn resume_rejects_every_setting_that_differs_from_the_checkpoint() {
+    let _lock = fault_lock();
     let dir = tmpdir("mismatch");
-    let factory = |w: usize| -> Box<dyn FuzzEngine + Send> {
-        let rng_seed = 7 ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        Box::new(LegoFuzzer::new(Dialect::Postgres, Config { rng_seed, ..Config::default() }))
+    let spec = CampaignSpec {
+        parallel: ParallelOpts { workers: 2, sync_every: 4 },
+        checkpoint: CheckpointCfg { every_units: 2_000, dir: Some(dir.clone()), resume: None },
+        ..CampaignSpec::new(Dialect::Postgres, Budget::units(6_000))
     };
-    run_campaign_parallel_resilient(
-        factory,
-        Dialect::Postgres,
-        Budget::units(6_000),
-        ParallelOpts { workers: 2, sync_every: 4 },
-        &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: 2_000, dir: Some(dir.clone()), resume: None },
-    )
-    .expect("seeding run completes");
+    run(&spec, &Telemetry::disabled(), lego).expect("seeding run completes");
     let resume = load_campaign_checkpoint(&dir).expect("checkpoint loads");
-    let err = run_campaign_parallel_resilient(
-        factory,
-        Dialect::Postgres,
-        Budget::units(6_000),
-        ParallelOpts { workers: 3, sync_every: 4 },
-        &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: 2_000, dir: None, resume: Some(resume) },
-    )
-    .unwrap_err();
-    assert!(err.contains("worker count"), "unexpected error: {err}");
+    let resuming = CampaignSpec {
+        checkpoint: CheckpointCfg { every_units: 2_000, dir: None, resume: Some(resume) },
+        ..spec
+    };
+    // One row per setting the checkpoint records: the name the error must
+    // give, the changed setting, and the engines to resume with.
+    let rows: [(&str, Change, Factory); 10] = [
+        ("fuzzer", |_| {}, scripted),
+        ("dialect", |s| s.dialect = Dialect::MySql, lego),
+        ("budget_units", |s| s.budget.units += 1, lego),
+        ("snapshots", |s| s.budget.snapshots += 1, lego),
+        ("workers", |s| s.parallel.workers = 3, lego),
+        ("sync_every", |s| s.parallel.sync_every = 8, lego),
+        ("every_units", |s| s.checkpoint.every_units = 3_000, lego),
+        ("oracles", |s| s.oracles = OracleConfig::all(), lego),
+        ("rule_cov", |s| s.rule_cov = true, lego),
+        ("sema", |s| s.sema = true, lego),
+    ];
+    for (field, change, factory) in rows {
+        let mut spec = resuming.clone();
+        change(&mut spec);
+        let err = run(&spec, &Telemetry::disabled(), factory).expect_err(field);
+        assert!(err.contains(&format!("{field}=")), "{field}: unhelpful error: {err}");
+    }
+    run(&resuming, &Telemetry::disabled(), lego).expect("a matching resume is accepted");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,9 +6,10 @@
 # code never consults an ambient source of nondeterminism. This lint rejects
 # the classic leaks in the files that make exploration decisions:
 #
-#   1. Ambient entropy / wall clocks used as data: SystemTime, thread_rng,
-#      from_entropy, rand::random, RandomState, DefaultHasher. Forbidden
-#      outright — seeds come from the CLI, hashes from the FNV helpers.
+#   1. Ambient entropy / wall clocks / host facts used as data: SystemTime,
+#      thread_rng, from_entropy, rand::random, RandomState, DefaultHasher,
+#      env::var, available_parallelism. Forbidden outright — seeds and
+#      worker counts come from the caller, hashes from the FNV helpers.
 #   2. Instant::now(): allowed only for throughput reporting, and every use
 #      must carry a `wall-clock` comment on the same line or within the
 #      three preceding lines explaining that the value never feeds an
@@ -34,6 +35,7 @@ cd "$(dirname "$0")/.."
 files=(
   crates/core/src/fuzzer.rs
   crates/core/src/campaign.rs
+  crates/core/src/checks.rs
   crates/core/src/mutation.rs
   crates/core/src/synthesis.rs
   crates/core/src/checkpoint.rs
@@ -43,10 +45,10 @@ while IFS= read -r f; do files+=("$f"); done \
 
 fail=0
 
-# --- Rule 1: ambient entropy and wall clocks as data -----------------------
-if hits=$(grep -nE 'SystemTime|thread_rng|from_entropy|rand::random|RandomState|DefaultHasher' \
+# --- Rule 1: ambient entropy, wall clocks and host facts as data -----------
+if hits=$(grep -nE 'SystemTime|thread_rng|from_entropy|rand::random|RandomState|DefaultHasher|env::var|available_parallelism' \
     "${files[@]}"); then
-  echo "determinism-lint: ambient entropy / wall-clock-as-data in deterministic paths:" >&2
+  echo "determinism-lint: ambient entropy / wall-clock / host facts as data in deterministic paths:" >&2
   echo "$hits" >&2
   fail=1
 fi

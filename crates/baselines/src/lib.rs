@@ -22,7 +22,7 @@ use lego_sqlast::Dialect;
 /// Construct any evaluated engine by name (used by the experiment binaries).
 ///
 /// Names: `LEGO`, `LEGO-`, `SQUIRREL`, `SQLancer`, `SQLsmith`. The box is
-/// `Send` so it can serve as a worker shard in `run_campaign_parallel`.
+/// `Send` so it can serve as a worker shard in `lego::campaign::run`.
 pub fn engine_by_name(name: &str, dialect: Dialect, rng_seed: u64) -> Box<dyn FuzzEngine + Send> {
     let cfg = Config { rng_seed, ..Config::default() };
     match name {

@@ -39,8 +39,9 @@ wrote=$(jq -s 'map(select(.type == "CheckpointWritten")) | length' "$work/full.j
 #    checkpoint file vanishes, as if the process died before writing them.
 find "$work/ckpt" -name 'worker*_ckpt*.json' ! -name '*_ckpt0001.json' -delete
 
-# 3. Resume. Same seed and budget (the checkpoint loader enforces both); the
-#    deterministic outcome must match the uninterrupted run byte-for-byte.
+# 3. Resume. Same seed and flags (the campaign refuses any setting that
+#    differs from the checkpoint's record); the deterministic outcome must
+#    match the uninterrupted run byte-for-byte.
 "$cli" fuzz pg --units "$units" --seed "$seed" --resume "$work/ckpt" \
   --out "$work/resumed" >/dev/null
 

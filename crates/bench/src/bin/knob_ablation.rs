@@ -1,6 +1,6 @@
 //! Design-knob ablation (DESIGN.md § 7): how LEGO's scheduling parameters
-//! trade off against each other on MariaDB — instantiations per synthesized
-//! sequence, synthesis cap per affinity, and conventional mutants per seed.
+//! trade off against each other on MariaDB — synthesis cap per affinity,
+//! conventional mutants per seed, and non-adjacent affinities.
 //!
 //! Usage: `knob_ablation [UNITS] [--workers N]` — one grid cell per knob
 //! setting; results are identical for any worker count.
@@ -30,13 +30,6 @@ fn main() {
     println!("Design-knob ablation on MariaDB ({units} units per cell, {} workers)\n", cli.workers);
 
     let mut specs: Vec<(String, usize, Mutation)> = Vec::new();
-    for v in [1usize, 2, 4] {
-        specs.push((
-            "instantiations_per_seq".into(),
-            v,
-            Box::new(move |c| c.instantiations_per_seq = v),
-        ));
-    }
     for v in [12usize, 48, 128] {
         specs.push((
             "synth_limit_per_affinity".into(),
@@ -52,7 +45,6 @@ fn main() {
         ));
     }
     specs.push(("baseline".into(), 0, Box::new(|_| {})));
-    specs.push(("no_split_long_seeds".into(), 0, Box::new(|c| c.split_long_seeds = false)));
     specs.push(("nonadjacent_affinities".into(), 0, Box::new(|c| c.nonadjacent_affinities = true)));
 
     let mut guard = build_telemetry(&cli, DEFAULT_SEED);

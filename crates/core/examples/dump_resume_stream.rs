@@ -1,12 +1,17 @@
-//! Restore the v1 fixture snapshot and print the next 20 scheduled cases
-//! (fixture helper for the checkpoint migration test).
+//! Restore the fixture engine snapshot and print the next 20 scheduled cases,
+//! one per line, for `tests/checkpoint_format.rs`. Run from the repository
+//! root after regenerating the snapshot:
+//!
+//! ```text
+//! cargo run -q -p lego --example dump_resume_stream > crates/core/tests/fixtures/resume_stream.txt
+//! ```
 
 use lego::campaign::FuzzEngine;
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego_sqlast::Dialect;
 
 fn main() {
-    let snap = std::fs::read_to_string("crates/core/tests/fixtures/engine_snapshot_v1.json")
+    let snap = std::fs::read_to_string("crates/core/tests/fixtures/engine_snapshot.json")
         .expect("fixture");
     let mut fz = LegoFuzzer::new(Dialect::Postgres, Config::default());
     fz.restore(&snap).expect("restore");

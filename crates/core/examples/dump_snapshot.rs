@@ -1,4 +1,11 @@
-//! Dump a LEGO engine snapshot after a short driven burst (fixture helper).
+//! Dump a LEGO engine snapshot after a short driven burst (PostgreSQL,
+//! default config), the fixture of `tests/checkpoint_format.rs`. Regenerate
+//! it, then the resume stream (see `dump_resume_stream`), whenever
+//! `CHECKPOINT_VERSION` is bumped:
+//!
+//! ```text
+//! cargo run -q -p lego --example dump_snapshot > crates/core/tests/fixtures/engine_snapshot.json
+//! ```
 
 use lego::campaign::FuzzEngine;
 use lego::fuzzer::{Config, LegoFuzzer};

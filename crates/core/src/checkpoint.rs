@@ -28,22 +28,12 @@ use serde::Serialize;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Format version; bumped on any layout change. v5 records the static
-/// sequence-analysis state per worker (skip/audit counters, conformance
-/// dedup, divergence findings) plus a `sema` meta flag (older checkpoints
-/// parse with all of it empty/off). v4 records the grammar-rule coverage map
-/// per worker plus a `rule_cov` meta flag (older checkpoints parse with both
-/// empty/off, matching the runs that produced them). v3 records the recovery
-/// oracle as a fourth `meta.json` oracle flag (older metas parse with it
-/// defaulted off). v2 embeds engine snapshots whose `executed_ngrams` are
-/// packed `u64` keys (see `lego::ngram`); v1 stored them as arrays of
-/// kind-code arrays. The read side accepts
-/// [`MIN_CHECKPOINT_VERSION`]..=[`CHECKPOINT_VERSION`] — v1 checkpoints are
-/// migrated on restore.
-pub const CHECKPOINT_VERSION: u64 = 5;
-
-/// Oldest checkpoint format this build can still restore.
-pub const MIN_CHECKPOINT_VERSION: u64 = 1;
+/// Format version, stamped on `meta.json`, on every worker checkpoint and on
+/// the engine snapshot each worker checkpoint embeds. Any layout change bumps
+/// it and regenerates the engine-snapshot fixture under `tests/fixtures/`.
+/// Restore accepts exactly this version: checkpoints are short-lived campaign
+/// state, so an older one is refused rather than migrated.
+pub const CHECKPOINT_VERSION: u64 = 6;
 
 /// Checkpointing configuration for a resilient campaign run.
 #[derive(Clone, Debug, Default)]
@@ -92,12 +82,12 @@ pub struct CheckpointMeta {
     pub every_units: usize,
     /// `(tlp, norec, differential, recovery)`.
     pub oracles: (bool, bool, bool, bool),
-    /// Whether the campaign ran with grammar-rule coverage feedback (v4;
-    /// resume must be invoked with the same flag).
+    /// Whether the campaign ran with grammar-rule coverage feedback (resume
+    /// must be invoked with the same flag).
     pub rule_cov: bool,
-    /// Whether the campaign ran with the static sequence analyzer (v5;
-    /// resume must be invoked with the same flag — skipping changes both
-    /// the unit accounting and the exploration order).
+    /// Whether the campaign ran with the static sequence analyzer (resume
+    /// must be invoked with the same flag — skipping changes both the unit
+    /// accounting and the exploration order).
     pub sema: bool,
 }
 
@@ -126,8 +116,8 @@ pub struct WorkerCheckpoint {
     pub snaps: Vec<SnapCk>,
     /// Sparse dump of the coverage accumulator.
     pub coverage: Vec<(usize, u64)>,
-    /// Sparse dump of the grammar-rule coverage accumulator (v4; empty when
-    /// the campaign ran without `rule_cov`).
+    /// Sparse dump of the grammar-rule coverage accumulator (empty when the
+    /// campaign ran without `rule_cov`).
     pub rule_coverage: Vec<(usize, u64)>,
     /// Crash dedup state: `(stack_hash, first_exec)`, hash-sorted.
     pub seen_stacks: Vec<(u64, usize)>,
@@ -136,20 +126,19 @@ pub struct WorkerCheckpoint {
     /// Oracle fingerprint dedup state: `(fingerprint, first_exec)`, sorted.
     pub oracle_seen: Vec<(u64, usize)>,
     pub oracle_checks: usize,
-    /// Statements the static analyzer proved invalid (v5; 0 without
-    /// `--sema`).
+    /// Statements the static analyzer proved invalid (0 without `--sema`).
     pub sema_rejects: usize,
     /// Statements of statically-skipped cases, never attempted on the
-    /// engine (v5; 0 without `--sema`).
+    /// engine (0 without `--sema`).
     pub sema_skipped_stmts: usize,
     /// Statically-rejected cases seen so far — drives the every-Nth
-    /// conformance-audit execution, so it must survive resume exactly (v5).
+    /// conformance-audit execution, so it must survive resume exactly.
     pub sema_audit: usize,
     /// Conformance-divergence dedup state: `(fingerprint, first_exec)`,
-    /// sorted (v5; empty without `--sema`).
+    /// sorted (empty without `--sema`).
     pub sema_seen: Vec<(u64, usize)>,
     /// Conformance-divergence findings; re-derived on resume by replaying
-    /// each case through analyzer + engine (v5; empty without `--sema`).
+    /// each case through analyzer + engine (empty without `--sema`).
     pub sema_findings: Vec<LogicFindingCk>,
     /// Engine snapshot (`FuzzEngine::checkpoint` payload), embedded as a
     /// JSON string.
@@ -223,25 +212,6 @@ pub fn write_worker(dir: &Path, ck: &WorkerCheckpoint) -> io::Result<PathBuf> {
 // Read side (hand-rolled over serde_json::Value)
 // ---------------------------------------------------------------------------
 
-/// Parsed `meta.json`.
-#[derive(Clone, Debug)]
-pub struct ResumeMeta {
-    pub fuzzer: String,
-    pub dialect: String,
-    pub budget_units: usize,
-    pub snapshots: usize,
-    pub workers: usize,
-    pub sync_every: usize,
-    pub every_units: usize,
-    /// `(tlp, norec, differential, recovery)`. Pre-v3 metas carry three
-    /// flags; recovery parses as `false`.
-    pub oracles: (bool, bool, bool, bool),
-    /// Grammar-rule coverage flag (v4; pre-v4 metas parse as `false`).
-    pub rule_cov: bool,
-    /// Static sequence-analysis flag (v5; pre-v5 metas parse as `false`).
-    pub sema: bool,
-}
-
 /// Parsed per-worker checkpoint, ready for the campaign runner to apply.
 #[derive(Clone, Debug)]
 pub struct WorkerResume {
@@ -258,16 +228,14 @@ pub struct WorkerResume {
     pub curve: Vec<(usize, usize)>,
     pub snaps: Vec<(usize, Vec<(usize, u8)>)>,
     pub coverage: Vec<(usize, u8)>,
-    /// Grammar-rule coverage shard (v4; empty for pre-v4 checkpoints and
-    /// rule-cov-off runs).
+    /// Grammar-rule coverage shard (empty for rule-cov-off runs).
     pub rule_coverage: Vec<(usize, u8)>,
     pub seen_stacks: Vec<(u64, usize)>,
     pub bugs: Vec<FindingCk>,
     pub logic_bugs: Vec<LogicFindingCk>,
     pub oracle_seen: Vec<(u64, usize)>,
     pub oracle_checks: usize,
-    /// Static-analysis counters and state (v5; zero/empty for pre-v5
-    /// checkpoints and sema-off runs).
+    /// Static-analysis counters and state (zero/empty for sema-off runs).
     pub sema_rejects: usize,
     pub sema_skipped_stmts: usize,
     pub sema_audit: usize,
@@ -280,7 +248,7 @@ pub struct WorkerResume {
 /// all at the same sequence number.
 #[derive(Clone, Debug)]
 pub struct CampaignResume {
-    pub meta: ResumeMeta,
+    pub meta: CheckpointMeta,
     pub workers: Vec<WorkerResume>,
 }
 
@@ -290,9 +258,10 @@ pub struct CampaignResume {
 /// for worker 0 but only 1-3 for worker 1; the consistent resume point is
 /// the minimum over workers of each worker's maximum sequence number.
 pub fn load_campaign_checkpoint(dir: &Path) -> Result<CampaignResume, String> {
-    let meta_src = std::fs::read_to_string(meta_path(dir))
-        .map_err(|e| format!("read {}: {e}", meta_path(dir).display()))?;
-    let meta = parse_meta(&meta_src)?;
+    let path = meta_path(dir);
+    let src =
+        std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let meta = parse_meta(&src).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut seq = usize::MAX;
     for w in 0..meta.workers {
         let newest = (1..)
@@ -315,27 +284,28 @@ pub fn load_campaign_checkpoint(dir: &Path) -> Result<CampaignResume, String> {
     Ok(CampaignResume { meta, workers })
 }
 
-fn parse_meta(src: &str) -> Result<ResumeMeta, String> {
-    let v = serde_json::from_str(src).map_err(|e| format!("meta.json: {e}"))?;
-    let version = get_u64(&v, "version")?;
-    if !(MIN_CHECKPOINT_VERSION..=CHECKPOINT_VERSION).contains(&version) {
-        return Err(format!("meta.json: unsupported checkpoint version {version}"));
+/// Require `v`'s `version` field to be [`CHECKPOINT_VERSION`].
+pub(crate) fn check_version(v: &serde_json::Value) -> Result<(), String> {
+    let version = get_u64(v, "version")?;
+    if version != CHECKPOINT_VERSION {
+        return Err(format!(
+            "checkpoint format version {version}, but this build reads only version \
+             {CHECKPOINT_VERSION}"
+        ));
     }
-    let oracles = get(&v, "oracles")?;
-    // Pre-v3 metas carry three flags (no recovery oracle yet); v3 carries
-    // four. Older checkpoints resume with recovery off, matching the runs
-    // that produced them.
-    let flags = oracles
+    Ok(())
+}
+
+fn parse_meta(src: &str) -> Result<CheckpointMeta, String> {
+    let v = serde_json::from_str(src).map_err(|e| e.to_string())?;
+    check_version(&v)?;
+    let flags = get(&v, "oracles")?
         .as_array()
-        .filter(|a| a.len() == 3 || a.len() == 4)
-        .ok_or("meta.json: oracles must be a 3- or 4-element array")?;
-    let flag = |i: usize| {
-        if i >= flags.len() {
-            return Ok(false);
-        }
-        flags[i].as_bool().ok_or("meta.json: oracle flag must be a bool")
-    };
-    Ok(ResumeMeta {
+        .filter(|a| a.len() == 4)
+        .ok_or("oracles must be a 4-element array")?;
+    let flag = |i: usize| flags[i].as_bool().ok_or("oracle flag must be a bool");
+    Ok(CheckpointMeta {
+        version: CHECKPOINT_VERSION,
         fuzzer: get_string(&v, "fuzzer")?,
         dialect: get_string(&v, "dialect")?,
         budget_units: get_usize(&v, "budget_units")?,
@@ -344,25 +314,14 @@ fn parse_meta(src: &str) -> Result<ResumeMeta, String> {
         sync_every: get_usize(&v, "sync_every")?,
         every_units: get_usize(&v, "every_units")?,
         oracles: (flag(0)?, flag(1)?, flag(2)?, flag(3)?),
-        // Pre-v4 metas predate rule coverage; those runs had it off.
-        rule_cov: match v.get("rule_cov") {
-            Some(b) => b.as_bool().ok_or("meta.json: rule_cov must be a bool")?,
-            None => false,
-        },
-        // Pre-v5 metas predate the static analyzer; those runs had it off.
-        sema: match v.get("sema") {
-            Some(b) => b.as_bool().ok_or("meta.json: sema must be a bool")?,
-            None => false,
-        },
+        rule_cov: get_bool(&v, "rule_cov")?,
+        sema: get_bool(&v, "sema")?,
     })
 }
 
 fn parse_worker(src: &str) -> Result<WorkerResume, String> {
     let v = serde_json::from_str(src).map_err(|e| e.to_string())?;
-    let version = get_u64(&v, "version")?;
-    if !(MIN_CHECKPOINT_VERSION..=CHECKPOINT_VERSION).contains(&version) {
-        return Err(format!("unsupported checkpoint version {version}"));
-    }
+    check_version(&v)?;
     let snaps = get(&v, "snaps")?
         .as_array()
         .ok_or("snaps must be an array")?
@@ -383,39 +342,19 @@ fn parse_worker(src: &str) -> Result<WorkerResume, String> {
         curve: pairs_usize(get(&v, "curve")?)?,
         snaps,
         coverage: sparse_in(get(&v, "coverage")?)?,
-        // Pre-v4 checkpoints carry no rule map; resume with an empty one.
-        rule_coverage: match v.get("rule_coverage") {
-            Some(rc) => sparse_in(rc)?,
-            None => Vec::new(),
-        },
+        rule_coverage: sparse_in(get(&v, "rule_coverage")?)?,
         seen_stacks: pairs_u64_usize(get(&v, "seen_stacks")?)?,
         bugs: findings_in(get(&v, "bugs")?)?,
         logic_bugs: logic_findings_in(get(&v, "logic_bugs")?)?,
         oracle_seen: pairs_u64_usize(get(&v, "oracle_seen")?)?,
         oracle_checks: get_usize(&v, "oracle_checks")?,
-        // Pre-v5 checkpoints carry no static-analysis state; resume with it
-        // zeroed, matching the sema-off runs that produced them.
-        sema_rejects: opt_usize(&v, "sema_rejects")?,
-        sema_skipped_stmts: opt_usize(&v, "sema_skipped_stmts")?,
-        sema_audit: opt_usize(&v, "sema_audit")?,
-        sema_seen: match v.get("sema_seen") {
-            Some(s) => pairs_u64_usize(s)?,
-            None => Vec::new(),
-        },
-        sema_findings: match v.get("sema_findings") {
-            Some(f) => logic_findings_in(f)?,
-            None => Vec::new(),
-        },
+        sema_rejects: get_usize(&v, "sema_rejects")?,
+        sema_skipped_stmts: get_usize(&v, "sema_skipped_stmts")?,
+        sema_audit: get_usize(&v, "sema_audit")?,
+        sema_seen: pairs_u64_usize(get(&v, "sema_seen")?)?,
+        sema_findings: logic_findings_in(get(&v, "sema_findings")?)?,
         engine: get_string(&v, "engine")?,
     })
-}
-
-/// An integer field that pre-v5 checkpoints may omit; absent parses as 0.
-fn opt_usize(v: &serde_json::Value, key: &str) -> Result<usize, String> {
-    match v.get(key) {
-        Some(x) => x.as_usize().ok_or_else(|| format!("field '{key}' must be an integer")),
-        None => Ok(0),
-    }
 }
 
 fn findings_in(v: &serde_json::Value) -> Result<Vec<FindingCk>, String> {
@@ -473,6 +412,10 @@ pub(crate) fn get_u64(v: &serde_json::Value, key: &str) -> Result<u64, String> {
 
 pub(crate) fn get_usize(v: &serde_json::Value, key: &str) -> Result<usize, String> {
     get(v, key)?.as_usize().ok_or_else(|| format!("field '{key}' must be an integer"))
+}
+
+fn get_bool(v: &serde_json::Value, key: &str) -> Result<bool, String> {
+    get(v, key)?.as_bool().ok_or_else(|| format!("field '{key}' must be a bool"))
 }
 
 pub(crate) fn get_string(v: &serde_json::Value, key: &str) -> Result<String, String> {
@@ -640,6 +583,6 @@ mod tests {
         let mut ck = sample_worker(0, 1);
         ck.version = 999;
         let err = parse_worker(&serde_json::to_string(&ck).unwrap()).unwrap_err();
-        assert!(err.contains("version"), "{err}");
+        assert!(err.contains("version 999") && err.contains("version 6"), "{err}");
     }
 }

@@ -11,6 +11,7 @@
 
 use crate::affinity::AffinityMap;
 use crate::campaign::FuzzEngine;
+use crate::checkpoint::CHECKPOINT_VERSION;
 use crate::gen::{gen_statement, SchemaModel};
 use crate::instantiate::{fix_case, instantiate, AstLibrary};
 use crate::mutation::{conventional_mutate_stacked, sema_repair};
@@ -26,13 +27,23 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Engine-snapshot format version. v4 adds the `sema` config knob (static
-/// sequence analysis); v3 adds the `rule_cov` config knob and the
-/// `rule_boosted` stats counter; v2 packs `executed_ngrams` as sorted `u64`
-/// keys (see [`crate::ngram`]); v1 stored arrays of kind-code arrays.
-/// Restore accepts all four (older snapshots imply the missing knobs are
-/// `false`).
-pub const ENGINE_SNAPSHOT_VERSION: u64 = 4;
+/// Bound on each of the two pending queues (mutation-derived cases and
+/// synthesis jobs); overflow is dropped and counted in
+/// [`LegoStats::queue_dropped`].
+const QUEUE_CAP: usize = 20_000;
+
+/// Copies instantiated from a synthesized sequence with a never-executed
+/// type pair (the paper's §III-C "one SQL Type Sequence will be instantiated
+/// multiple times"); a sequence that is new only by a triple gets one.
+///
+/// No second copy is ever made: the first copy executes, and its n-grams are
+/// recorded, before the job reaches the front of the queue again, so
+/// [`LegoFuzzer::pop_synth`] drops it. The counter still matters. With 1, a
+/// spent job leaves the synthesis queue one pop earlier; the queue fills to
+/// [`QUEUE_CAP`], so that changes which later jobs the cap admits, and
+/// `lego_cli fuzz maria --units 1000000 --oracles --rule-cov --sema` covered
+/// fewer branches in 9 of 11 seeds (median 15,810 → 15,653, −1.0%).
+const INSTANTIATIONS_PER_SEQ: usize = 2;
 
 /// Tuning knobs. Defaults follow the paper where it gives numbers
 /// (`LEN = 5`; the length-ablation experiment uses 3/5/8).
@@ -40,8 +51,6 @@ pub const ENGINE_SNAPSHOT_VERSION: u64 = 4;
 pub struct Config {
     /// Maximum synthesized sequence length (the paper's `LEN`).
     pub max_seq_len: usize,
-    /// How many test cases to instantiate per synthesized sequence.
-    pub instantiations_per_seq: usize,
     /// Cap on sequences synthesized per new affinity (engineering guard).
     pub synth_limit_per_affinity: usize,
     /// Conventional mutants generated per scheduled seed.
@@ -57,34 +66,25 @@ pub struct Config {
     /// Hard cap on test-case length for insertion mutants — the paper's
     /// length limit (§ VI: unbounded seeds "may degrade the performance of
     /// fuzzer or even cause fuzzer to be stuck", cf. the 945-statement seed
-    /// that hung SQUIRREL for 23 minutes).
+    /// that hung SQUIRREL for 23 minutes). A retained seed longer than this
+    /// is also kept as two overlapping halves (§ VI future work: "split long
+    /// sequences into several equivalent short sequences").
     pub max_case_len: usize,
-    /// § VI future work: "to detect bugs triggered by long sequences, we
-    /// plan to split long sequences into several equivalent short
-    /// sequences." When a retained seed exceeds `max_case_len`, keep two
-    /// overlapping halves as additional seeds.
-    pub split_long_seeds: bool,
     /// § VI future work: "importing the model of non-adjacent combinations
     /// between types" — also record gap-1 (one-apart) type pairs as
     /// affinities during analysis.
     pub nonadjacent_affinities: bool,
-    /// Pending-case queue bound; overflow is dropped and counted.
-    pub queue_cap: usize,
     /// RNG seed for the whole campaign.
     pub rng_seed: u64,
     /// Grammar-rule coverage feedback: react to parser-rule novelty reported
     /// by the campaign loop (seed boosting + gap-pair affinity harvesting)
-    /// and start from the dialect "special features" template pack. Kept
-    /// LAST so that v2 snapshots differ from v3 only by this field's
-    /// trailing JSON fragment (see `apply_snapshot`).
+    /// and start from the dialect "special features" template pack.
     pub rule_cov: bool,
     /// Static sequence analysis (`--sema`): dependency-aware mutation and
     /// splicing via the `lego-sqlsema` binder, plus kind-level plausibility
     /// filtering of synthesized drafts. The campaign layer additionally
     /// skips engine execution of statically-invalid cases and runs the
-    /// analyzer-vs-engine conformance oracle. Kept LAST (after `rule_cov`)
-    /// so pre-v4 snapshots differ only by this field's trailing JSON
-    /// fragment (see `apply_snapshot`).
+    /// analyzer-vs-engine conformance oracle.
     pub sema: bool,
 }
 
@@ -92,16 +92,13 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             max_seq_len: 5,
-            instantiations_per_seq: 2,
             synth_limit_per_affinity: 48,
             conventional_per_seed: 6,
             mutation_stack: 1,
             seq_mutation: true,
             sequence_oriented: true,
             max_case_len: 10,
-            split_long_seeds: true,
             nonadjacent_affinities: false,
-            queue_cap: 20_000,
             rng_seed: 0x1e60,
             rule_cov: false,
             sema: false,
@@ -162,21 +159,13 @@ struct Pending {
     origin: Origin,
 }
 
-/// One synthesis-queue slot. Algorithm 3 used to instantiate every variant
-/// of every synthesized sequence eagerly inside `feedback()`; profiling
-/// showed ~6× more cases instantiated than the budget could ever execute,
-/// with the surplus silently dropped at `queue_cap` — the single largest
-/// feedback-stage cost. A `Job` defers instantiation to schedule time, so a
+/// One synthesis-queue slot: a synthesized sequence and the copies still to
+/// instantiate from it. Instantiation is deferred to schedule time, so a
 /// dropped or superseded sequence costs nothing and the novelty filter gets
 /// a second look with the n-grams executed since enqueue.
-///
-/// Invariant: `Ready` entries (v1-checkpoint restores) form a strict queue
-/// prefix — jobs are only ever appended, and a partially drained job stays
-/// at the front. Checkpointing relies on this to serialize the two regions
-/// as separate fields.
-enum SynthEntry {
-    Ready(Pending),
-    Job { seq: Vec<StmtKind>, left: usize },
+struct SynthJob {
+    seq: Vec<StmtKind>,
+    left: usize,
 }
 
 /// The LEGO fuzzing engine (and, with `sequence_oriented = false`, LEGO-).
@@ -192,8 +181,8 @@ pub struct LegoFuzzer {
     queue: VecDeque<Pending>,
     /// Synthesized (Algorithm 3) work, drained at a fixed share of the
     /// schedule so synthesis bursts cannot starve mutation. Holds deferred
-    /// instantiation jobs (see [`SynthEntry`]), not materialized cases.
-    synth_queue: VecDeque<SynthEntry>,
+    /// instantiation jobs (see [`SynthJob`]), not materialized cases.
+    synth_queue: VecDeque<SynthJob>,
     /// Scheduling counter between the two queues.
     schedule_tick: usize,
     /// Kinds available for substitution/insertion.
@@ -290,7 +279,7 @@ impl LegoFuzzer {
 
     fn push(&mut self, case: TestCase, origin: Origin) {
         debug_assert_ne!(origin, Origin::Synthesized, "synthesis enqueues jobs, not cases");
-        if self.queue.len() >= self.cfg.queue_cap {
+        if self.queue.len() >= QUEUE_CAP {
             self.stats.queue_dropped += 1;
             return;
         }
@@ -457,15 +446,15 @@ impl LegoFuzzer {
                     self.stats.sequences_skipped_covered += 1;
                     continue;
                 }
-                if self.synth_queue.len() >= self.cfg.queue_cap {
+                if self.synth_queue.len() >= QUEUE_CAP {
                     self.stats.queue_dropped += 1;
                     continue;
                 }
                 // New pairs justify multiple structural variations; new
                 // triples over known pairs get one shot.
-                let left = if has_new_pair { self.cfg.instantiations_per_seq } else { 1 };
+                let left = if has_new_pair { INSTANTIATIONS_PER_SEQ } else { 1 };
                 scheduled += left as u64;
-                self.synth_queue.push_back(SynthEntry::Job { seq: unpack_seq(key), left });
+                self.synth_queue.push_back(SynthJob { seq: unpack_seq(key), left });
             }
             self.tel.emit(|| Event::SynthesisStep {
                 t1: t1.name(),
@@ -481,33 +470,23 @@ impl LegoFuzzer {
     /// queue are discarded here without ever paying for AST generation.
     fn pop_synth(&mut self) -> Option<Pending> {
         loop {
-            match self.synth_queue.front_mut()? {
-                SynthEntry::Ready(_) => {
-                    let Some(SynthEntry::Ready(p)) = self.synth_queue.pop_front() else {
-                        unreachable!("front() was Ready");
-                    };
-                    return Some(p);
-                }
-                SynthEntry::Job { seq, left } => {
-                    let still_new =
-                        seq.windows(2).any(|w| !self.executed_ngrams.contains(pack2(w[0], w[1])))
-                            || seq
-                                .windows(3)
-                                .any(|w| !self.executed_ngrams.contains(pack3(w[0], w[1], w[2])));
-                    if !still_new {
-                        self.stats.sequences_skipped_covered += 1;
-                        self.synth_queue.pop_front();
-                        continue;
-                    }
-                    let case = instantiate(seq, &self.library, self.dialect, &mut self.rng);
-                    self.stats.cases_instantiated += 1;
-                    *left -= 1;
-                    if *left == 0 {
-                        self.synth_queue.pop_front();
-                    }
-                    return Some(Pending { case: Arc::new(case), origin: Origin::Synthesized });
-                }
+            let SynthJob { seq, left } = self.synth_queue.front_mut()?;
+            let still_new = seq
+                .windows(2)
+                .any(|w| !self.executed_ngrams.contains(pack2(w[0], w[1])))
+                || seq.windows(3).any(|w| !self.executed_ngrams.contains(pack3(w[0], w[1], w[2])));
+            if !still_new {
+                self.stats.sequences_skipped_covered += 1;
+                self.synth_queue.pop_front();
+                continue;
             }
+            let case = instantiate(seq, &self.library, self.dialect, &mut self.rng);
+            self.stats.cases_instantiated += 1;
+            *left -= 1;
+            if *left == 0 {
+                self.synth_queue.pop_front();
+            }
+            return Some(Pending { case: Arc::new(case), origin: Origin::Synthesized });
         }
     }
 }
@@ -552,7 +531,7 @@ struct JobCk {
 /// engines with equal state produce byte-identical snapshots.
 #[derive(serde::Serialize)]
 struct FuzzerSnapshot {
-    /// [`ENGINE_SNAPSHOT_VERSION`]. Absent in v1 snapshots.
+    /// [`CHECKPOINT_VERSION`].
     version: u64,
     name: String,
     /// The engine `Config` as JSON; restore compares it verbatim against the
@@ -568,12 +547,9 @@ struct FuzzerSnapshot {
     library: Vec<BucketCk>,
     library_keys: Vec<u64>,
     queue: Vec<PendingCk>,
-    /// Materialized synthesized cases — the queue's `Ready` prefix (only
-    /// present after restoring a v1 snapshot, which stored cases eagerly).
-    synth_queue: Vec<PendingCk>,
-    /// Deferred instantiation jobs — the rest of the synthesis queue (v2).
+    /// The synthesis queue, front first.
     synth_jobs: Vec<JobCk>,
-    /// Packed n-gram keys in ascending order (v2; see [`crate::ngram`]).
+    /// Packed n-gram keys in ascending order (see [`crate::ngram`]).
     executed_ngrams: Vec<u64>,
     /// `LegoStats` counters in declaration order.
     stats: Vec<usize>,
@@ -622,19 +598,22 @@ fn pending_in(v: &serde_json::Value, key: &str) -> Result<VecDeque<Pending>, Str
         .collect()
 }
 
+/// Parse a JSON array of kind codes.
+fn codes_in(seq: &serde_json::Value) -> Result<Vec<StmtKind>, String> {
+    seq.as_array()
+        .ok_or("sequence must be an array")?
+        .iter()
+        .map(|c| kind_from_code(c.as_u64().ok_or("kind code must be an integer")?))
+        .collect()
+}
+
 /// Parse a JSON array of arrays of kind codes.
 fn code_seqs_in(v: &serde_json::Value, key: &str) -> Result<Vec<Vec<StmtKind>>, String> {
     crate::checkpoint::get(v, key)?
         .as_array()
         .ok_or_else(|| format!("field '{key}' must be an array"))?
         .iter()
-        .map(|seq| {
-            seq.as_array()
-                .ok_or("sequence must be an array")?
-                .iter()
-                .map(|c| kind_from_code(c.as_u64().ok_or("kind code must be an integer")?))
-                .collect()
-        })
+        .map(codes_in)
         .collect()
 }
 
@@ -644,7 +623,7 @@ impl LegoFuzzer {
         let reseed: u64 = self.rng.gen();
         self.rng = SmallRng::seed_from_u64(reseed);
         FuzzerSnapshot {
-            version: ENGINE_SNAPSHOT_VERSION,
+            version: CHECKPOINT_VERSION,
             name: self.name().to_string(),
             cfg: serde_json::to_string(&self.cfg).expect("config serialize"),
             rng_reseed: reseed,
@@ -674,26 +653,10 @@ impl LegoFuzzer {
                 .collect(),
             library_keys: self.library.keys_sorted(),
             queue: pending_out(&self.queue),
-            synth_queue: self
-                .synth_queue
-                .iter()
-                .filter_map(|e| match e {
-                    SynthEntry::Ready(p) => Some(PendingCk {
-                        sql: p.case.to_sql(),
-                        origin: p.origin.name().to_string(),
-                    }),
-                    SynthEntry::Job { .. } => None,
-                })
-                .collect(),
             synth_jobs: self
                 .synth_queue
                 .iter()
-                .filter_map(|e| match e {
-                    SynthEntry::Ready(_) => None,
-                    SynthEntry::Job { seq, left } => {
-                        Some(JobCk { seq: seq.iter().map(|k| k.code()).collect(), left: *left })
-                    }
-                })
+                .map(|j| JobCk { seq: j.seq.iter().map(|k| k.code()).collect(), left: j.left })
                 .collect(),
             executed_ngrams: self.executed_ngrams.sorted_keys(),
             stats: vec![
@@ -712,18 +675,8 @@ impl LegoFuzzer {
     /// Apply a parsed snapshot. `self` must have been constructed with the
     /// same dialect and config as the engine that produced it.
     fn apply_snapshot(&mut self, v: &serde_json::Value) -> Result<(), String> {
-        use crate::checkpoint::{get, get_string, get_u64, get_usize};
-        // Pre-versioned (v1) snapshots have no `version` field.
-        let version = match v.get("version") {
-            Some(val) => val.as_u64().ok_or("field 'version' must be an integer")?,
-            None => 1,
-        };
-        if !(1..=ENGINE_SNAPSHOT_VERSION).contains(&version) {
-            return Err(format!(
-                "engine snapshot version {version} is newer than this build supports \
-                 (max {ENGINE_SNAPSHOT_VERSION})"
-            ));
-        }
+        use crate::checkpoint::{check_version, get, get_string, get_u64, get_usize};
+        check_version(v).map_err(|e| format!("engine snapshot: {e}"))?;
         let name = get_string(v, "name")?;
         if name != self.name() {
             return Err(format!(
@@ -733,19 +686,7 @@ impl LegoFuzzer {
         }
         let cfg = get_string(v, "cfg")?;
         let own_cfg = serde_json::to_string(&self.cfg).expect("config serialize");
-        // Trailing-field compatibility: `rule_cov` (v3) and `sema` (v4) are
-        // declared in order at the END of `Config`, so each pre-vN snapshot
-        // cfg is exactly the vN cfg minus the trailing `,"knob":…}`
-        // fragments. A pre-vN snapshot matches iff this engine runs with the
-        // missing knobs at their defaults (`false`).
-        let mut cmp_cfg = own_cfg.clone();
-        if version < 4 {
-            cmp_cfg = cmp_cfg.replacen(",\"sema\":false}", "}", 1);
-        }
-        if version < 3 {
-            cmp_cfg = cmp_cfg.replacen(",\"rule_cov\":false}", "}", 1);
-        }
-        if cfg != cmp_cfg {
+        if cfg != own_cfg {
             return Err(format!(
                 "snapshot config does not match this engine's config:\n  snapshot: {cfg}\n  engine:   {own_cfg}"
             ));
@@ -798,73 +739,41 @@ impl LegoFuzzer {
             .collect::<Result<Vec<_>, String>>()?;
         self.library = AstLibrary::from_parts(buckets, keys);
         self.queue = pending_in(v, "queue")?;
-        // The synthesis queue's materialized prefix (everything, for a v1
-        // snapshot, whose engine instantiated eagerly)…
-        self.synth_queue =
-            pending_in(v, "synth_queue")?.into_iter().map(SynthEntry::Ready).collect();
-        // …followed by the deferred jobs (v2 only).
-        if version >= 2 {
-            for job in
-                get(v, "synth_jobs")?.as_array().ok_or("field 'synth_jobs' must be an array")?
-            {
-                let seq = get(job, "seq")?
-                    .as_array()
-                    .ok_or("job field 'seq' must be an array")?
-                    .iter()
-                    .map(|c| kind_from_code(c.as_u64().ok_or("kind code must be an integer")?))
-                    .collect::<Result<Vec<_>, String>>()?;
-                let left = get_usize(job, "left")?;
-                if seq.len() < 2 || left == 0 {
-                    return Err("malformed synthesis job in snapshot".to_string());
-                }
-                self.synth_queue.push_back(SynthEntry::Job { seq, left });
+        self.synth_queue = VecDeque::new();
+        for job in get(v, "synth_jobs")?.as_array().ok_or("field 'synth_jobs' must be an array")? {
+            let seq = codes_in(get(job, "seq")?)?;
+            let left = get_usize(job, "left")?;
+            if seq.len() < 2 || left == 0 {
+                return Err("malformed synthesis job in snapshot".to_string());
             }
+            self.synth_queue.push_back(SynthJob { seq, left });
         }
         self.executed_ngrams = NgramSet::new();
-        if version < 2 {
-            // v1 stored each n-gram as an array of kind codes; migrate by
-            // packing. Membership is preserved exactly — packing is
-            // injective over the alphabet.
-            for gram in code_seqs_in(v, "executed_ngrams")? {
-                let key = match gram[..] {
-                    [a, b] => pack2(a, b),
-                    [a, b, c] => pack3(a, b, c),
-                    _ => {
-                        return Err(format!("v1 n-gram must have 2 or 3 codes, got {}", gram.len()))
-                    }
-                };
-                self.executed_ngrams.insert(key);
+        for key in get(v, "executed_ngrams")?
+            .as_array()
+            .ok_or("field 'executed_ngrams' must be an array")?
+        {
+            let key = key.as_u64().ok_or("packed n-gram key must be a u64")?;
+            // Validate against the alphabet: every embedded code must
+            // decode, and re-packing must reproduce the key (rejects e.g. a
+            // hole in the middle lane).
+            let kinds = crate::ngram::unpack(key)
+                .into_iter()
+                .map(|c| kind_from_code(c as u64))
+                .collect::<Result<Vec<_>, String>>()?;
+            let repacked = match kinds[..] {
+                [a, b] => pack2(a, b),
+                [a, b, c] => pack3(a, b, c),
+                _ => return Err(format!("malformed packed n-gram key {key:#x}")),
+            };
+            if repacked != key {
+                return Err(format!("malformed packed n-gram key {key:#x}"));
             }
-        } else {
-            for key in get(v, "executed_ngrams")?
-                .as_array()
-                .ok_or("field 'executed_ngrams' must be an array")?
-            {
-                let key = key.as_u64().ok_or("packed n-gram key must be a u64")?;
-                // Validate against the alphabet: every embedded code must
-                // decode, and re-packing must reproduce the key (rejects
-                // e.g. a hole in the middle lane).
-                let kinds = crate::ngram::unpack(key)
-                    .into_iter()
-                    .map(|c| kind_from_code(c as u64))
-                    .collect::<Result<Vec<_>, String>>()?;
-                let repacked = match kinds[..] {
-                    [a, b] => pack2(a, b),
-                    [a, b, c] => pack3(a, b, c),
-                    _ => return Err(format!("malformed packed n-gram key {key:#x}")),
-                };
-                if repacked != key {
-                    return Err(format!("malformed packed n-gram key {key:#x}"));
-                }
-                self.executed_ngrams.insert(key);
-            }
+            self.executed_ngrams.insert(key);
         }
         let stats = get(v, "stats")?.as_array().ok_or("field 'stats' must be an array")?;
-        // Pre-v3 snapshots carry 7 counters (no `rule_boosted`, which is 0
-        // by definition since those engines had no rule feedback).
-        let expected = if version < 3 { 7 } else { 8 };
-        if stats.len() != expected {
-            return Err(format!("expected {expected} stats counters, got {}", stats.len()));
+        if stats.len() != 8 {
+            return Err(format!("expected 8 stats counters, got {}", stats.len()));
         }
         let counter = |i: usize| -> Result<usize, String> {
             stats[i].as_usize().ok_or_else(|| "stats counter must be an integer".to_string())
@@ -877,7 +786,7 @@ impl LegoFuzzer {
             queue_dropped: counter(4)?,
             seq_mutants: counter(5)?,
             conventional_mutants: counter(6)?,
-            rule_boosted: if version < 3 { 0 } else { counter(7)? },
+            rule_boosted: counter(7)?,
         };
         Ok(())
     }
@@ -948,7 +857,7 @@ impl FuzzEngine for LegoFuzzer {
         self.library.add_case(case);
         // § VI: over-long seeds are additionally kept as two overlapping
         // halves, so their subsequences stay cheap to mutate.
-        if self.cfg.split_long_seeds && case.len() > self.cfg.max_case_len {
+        if case.len() > self.cfg.max_case_len {
             let mid = case.len() / 2;
             let overlap = 2.min(mid);
             let first = TestCase::new(case.statements[..(mid + overlap)].to_vec());
@@ -1140,7 +1049,7 @@ mod tests {
         fz.feedback(&case2, &report2, true);
         // Feedback only *queues* jobs — AST instantiation is deferred to
         // schedule time, so sequences the budget never reaches cost nothing.
-        assert!(fz.synth_queue.iter().any(|e| matches!(e, SynthEntry::Job { .. })));
+        assert!(!fz.synth_queue.is_empty());
         assert_eq!(fz.stats.cases_instantiated, 0);
         for _ in 0..9 {
             let _ = fz.next_case();

@@ -19,10 +19,13 @@ use lego::campaign::FuzzEngine;
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego_sqlast::Dialect;
 
+/// The names [`engine_by_name`] accepts.
+pub const ENGINE_NAMES: [&str; 5] = ["LEGO", "LEGO-", "SQUIRREL", "SQLancer", "SQLsmith"];
+
 /// Construct any evaluated engine by name (used by the experiment binaries).
 ///
-/// Names: `LEGO`, `LEGO-`, `SQUIRREL`, `SQLancer`, `SQLsmith`. The box is
-/// `Send` so it can serve as a worker shard in `lego::campaign::run`.
+/// `name` must be one of [`ENGINE_NAMES`]. The box is `Send` so it can serve
+/// as a worker shard in `lego::campaign::run`.
 pub fn engine_by_name(name: &str, dialect: Dialect, rng_seed: u64) -> Box<dyn FuzzEngine + Send> {
     let cfg = Config { rng_seed, ..Config::default() };
     match name {

@@ -13,6 +13,10 @@
 //! lego_cli bugs  [pg|mysql|maria|comdb2]
 //! ```
 //!
+//! `--seed` takes decimal or `0x` hex. A numeric flag whose value does not
+//! parse, or an unknown `--fuzzer`, exits with status 2 before any campaign
+//! starts.
+//!
 //! `--telemetry PATH` (or `LEGO_TELEMETRY`) streams structured events to
 //! `PATH` as JSONL and writes metrics exports next to it; `--heartbeat`
 //! prints a ~1 Hz live status line to stderr.
@@ -75,12 +79,14 @@ use lego::fuzzer::{Config, LegoFuzzer};
 use lego::oracle::OracleKind;
 use lego::reduce::reduce_case;
 use lego::OracleConfig;
-use lego_baselines::engine_by_name;
+use lego_baselines::{engine_by_name, ENGINE_NAMES};
 use lego_bench::grid::parse_oracles;
 use lego_dbms::{bugs, Dbms};
 use lego_sqlast::Dialect;
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn dialect_of(arg: &str) -> Option<Dialect> {
     match arg {
@@ -97,6 +103,46 @@ fn usage() -> ExitCode {
         "usage:\n  lego_cli fuzz   <pg|mysql|maria|comdb2> [--fuzzer NAME] [--units N] [--seed S] [--out DIR]\n                  [--corpus DIR] [--rule-cov] [--sema] [--telemetry PATH] [--heartbeat]\n                  [--oracles[=tlp,norec,differential,recovery]] [--wal-dir DIR]\n                  [--serve ADDR] [--trace PATH] [--plot-data PATH] [--plot-every MS]\n                  [--checkpoint DIR] [--checkpoint-every N] [--resume DIR]\n  lego_cli replay <pg|mysql|maria|comdb2> <script.sql>\n  lego_cli reduce <pg|mysql|maria|comdb2> <script.sql>\n  lego_cli bugs   [pg|mysql|maria|comdb2]"
     );
     ExitCode::from(2)
+}
+
+/// The value after the flag `args[i]`, converted by `parse`. A missing or
+/// unconvertible value is reported, naming the flag and the value, and gives
+/// `None`.
+fn flag_value<T>(
+    args: &[String],
+    i: usize,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Option<T> {
+    let flag = &args[i];
+    let Some(value) = args.get(i + 1) else {
+        eprintln!("{flag} needs a value");
+        return None;
+    };
+    parse(value).map_err(|e| eprintln!("{flag} {value}: {e}")).ok()
+}
+
+fn number<T: FromStr>(s: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    s.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// A seed in decimal or `0x` hex.
+fn seed_value(s: &str) -> Result<u64, String> {
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
+    }
+    .map_err(|e| format!("{e} (expected decimal or 0x hex)"))
+}
+
+fn fuzzer_name(s: &str) -> Result<String, String> {
+    if ENGINE_NAMES.contains(&s) {
+        Ok(s.to_string())
+    } else {
+        Err(format!("unknown fuzzer (known: {})", ENGINE_NAMES.join(", ")))
+    }
 }
 
 fn main() -> ExitCode {
@@ -139,15 +185,18 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     while i + 1 < args.len() + 1 {
         match args.get(i).map(String::as_str) {
             Some("--fuzzer") => {
-                fuzzer = args.get(i + 1).cloned().unwrap_or(fuzzer);
+                let Some(v) = flag_value(args, i, fuzzer_name) else { return ExitCode::from(2) };
+                fuzzer = v;
                 i += 2;
             }
             Some("--units") => {
-                units = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(units);
+                let Some(v) = flag_value(args, i, number) else { return ExitCode::from(2) };
+                units = v;
                 i += 2;
             }
             Some("--seed") => {
-                seed = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(seed);
+                let Some(v) = flag_value(args, i, seed_value) else { return ExitCode::from(2) };
+                seed = v;
                 i += 2;
             }
             Some("--out") => {
@@ -175,8 +224,8 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 i += 2;
             }
             Some("--plot-every") => {
-                plot_every_ms =
-                    args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(plot_every_ms).max(10);
+                let Some(v) = flag_value(args, i, number::<u64>) else { return ExitCode::from(2) };
+                plot_every_ms = v.max(10);
                 i += 2;
             }
             Some("--checkpoint") => {
@@ -184,7 +233,8 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 i += 2;
             }
             Some("--checkpoint-every") => {
-                checkpoint_every = args.get(i + 1).and_then(|v| v.parse().ok());
+                let Some(v) = flag_value(args, i, number) else { return ExitCode::from(2) };
+                checkpoint_every = Some(v);
                 i += 2;
             }
             Some("--resume") => {
@@ -484,7 +534,13 @@ fn cmd_reduce(args: &[String]) -> ExitCode {
     else {
         return usage();
     };
-    let sql = std::fs::read_to_string(path).expect("read script");
+    let sql = match std::fs::read_to_string(path) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("cannot read {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let case = match lego_sqlparser::parse_script(&sql) {
         Ok(c) => c,
         Err(e) => {

@@ -3,7 +3,8 @@
 # simulate a crash by deleting every checkpoint after the first, resume, and
 # require the resumed outcome to be byte-identical to the uninterrupted run
 # (timing fields stripped, mirroring CampaignStats::deterministic_json).
-# Also validates that CheckpointWritten telemetry was emitted.
+# Also validates that CheckpointWritten telemetry was emitted, and that a
+# checkpoint stamped with the previous format version is refused.
 #
 # Usage: scripts/check_resilience.sh [path-to-lego_cli]
 #        (default: target/release/lego_cli — build with
@@ -54,5 +55,23 @@ if [[ "$full" != "$resumed" ]]; then
   exit 1
 fi
 
+# 4. Checkpoints have one format version: stamp the previous one on
+#    meta.json and require the resume to fail, naming both versions.
+current=$(jq -r '.version' "$work/ckpt/meta.json")
+old=$((current - 1))
+jq ".version = $old" "$work/ckpt/meta.json" > "$work/meta.old"
+mv "$work/meta.old" "$work/ckpt/meta.json"
+if "$cli" fuzz pg --units "$units" --seed "$seed" --resume "$work/ckpt" \
+  >/dev/null 2>"$work/old.err"; then
+  echo "check_resilience: resume accepted a version-$old checkpoint" >&2; exit 1
+fi
+if ! grep -q "version $old" "$work/old.err" || ! grep -q "version $current" "$work/old.err" \
+  || grep -q panicked "$work/old.err"; then
+  echo "check_resilience: version-$old refusal should name versions $old and $current:" >&2
+  cat "$work/old.err" >&2
+  exit 1
+fi
+
 execs=$(jq -r '.execs' "$work/full/campaign.json")
-echo "check_resilience: OK (resume byte-identical across $execs cases, $wrote checkpoints)"
+echo "check_resilience: OK (resume byte-identical across $execs cases, $wrote checkpoints;" \
+  "version-$old checkpoint refused)"

@@ -8,9 +8,9 @@
 //! of-two classes before novelty comparison. This crate reproduces those
 //! semantics in-process:
 //!
-//! * [`site_id!`] assigns a stable pseudo-random id to each instrumentation
-//!   point at compile time (FNV-1a over `file!()`/`line!()`/`column!()`),
-//!   mirroring AFL's random block ids.
+//! * [`site_id!`] and [`cov!`] give each instrumentation point the explicit
+//!   64-bit id written at its call site, mirroring AFL's fixed random block
+//!   ids: the id does not depend on where the site sits in the source.
 //! * [`CovRecorder`] is carried through one execution and folds edges into a
 //!   fresh [`CovMap`].
 //! * [`GlobalCoverage`] is the corpus-level accumulator that answers the only
@@ -271,28 +271,28 @@ impl GlobalCoverage {
     }
 }
 
-/// Compile-time instrumentation-site id.
+/// Instrumentation-site id from an explicit constant.
 ///
-/// Expands to a constant [`SiteId`] unique (with overwhelming probability) to
-/// the source location, so `cov!(ctx)` call sites behave like AFL++'s
-/// compile-time basic-block ids.
+/// Every site carries its own 64-bit literal, as AFL++ gives each basic
+/// block a fixed random id at compile time. The id is part of the program,
+/// not of its layout: moving, adding or deleting code never changes another
+/// site's id, so an engine change cannot reshuffle every edge after it. A
+/// new site takes a fresh random literal (e.g. `od -An -N8 -tx8 /dev/urandom`);
+/// `scripts/check_determinism_lint.sh` rejects two sites with the same id.
 #[macro_export]
 macro_rules! site_id {
-    () => {{
-        const ID: $crate::SiteId = $crate::SiteId::from_location(file!(), line!(), column!());
-        ID
-    }};
+    ($id:literal) => {
+        $crate::SiteId::from_raw($id)
+    };
 }
 
-/// Record a coverage hit at this source location on recorder expression `$ctx`
-/// (anything with a `.cov()` accessor returning `&mut CovRecorder`, or a
-/// `CovRecorder` itself via `cov_raw!`).
+/// Record a coverage hit at site `$id` on recorder expression `$rec`
+/// (anything with a `hit(SiteId)` method: an `ExecCtx` or a `CovRecorder`).
 #[macro_export]
 macro_rules! cov {
-    ($rec:expr) => {{
-        let id = $crate::site_id!();
-        $rec.hit(id);
-    }};
+    ($rec:expr, $id:literal) => {
+        $rec.hit($crate::site_id!($id))
+    };
 }
 
 #[cfg(test)]
@@ -425,20 +425,5 @@ mod tests {
     fn from_sparse_ignores_out_of_range_entries() {
         let g = GlobalCoverage::from_sparse(&[(MAP_SIZE + 7, 1), (3, 2)]);
         assert_eq!(g.edges_covered(), 1);
-    }
-
-    #[test]
-    fn site_id_macro_is_stable_per_location() {
-        fn one() -> SiteId {
-            site_id!()
-        }
-        assert_eq!(one(), one());
-    }
-
-    #[test]
-    fn site_id_macro_differs_across_locations() {
-        let a = site_id!();
-        let b = site_id!();
-        assert_ne!(a, b);
     }
 }

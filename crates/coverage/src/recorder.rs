@@ -7,26 +7,8 @@ use crate::map::{CovMap, MAP_SIZE};
 pub struct SiteId(u64);
 
 impl SiteId {
-    /// FNV-1a over the source coordinates, evaluated at compile time by the
-    /// [`crate::site_id!`] macro.
-    pub const fn from_location(file: &str, line: u32, column: u32) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let bytes = file.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            h ^= bytes[i] as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-            i += 1;
-        }
-        h ^= line as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-        h ^= column as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-        SiteId(h)
-    }
-
-    /// Construct from an arbitrary value (tests, synthetic sites such as
-    /// per-statement-kind virtual branches).
+    /// Construct from an explicit id: the [`crate::site_id!`] literal of an
+    /// instrumentation point, or an arbitrary value in tests.
     pub const fn from_raw(v: u64) -> Self {
         SiteId(v)
     }
@@ -136,14 +118,5 @@ mod tests {
         let base = SiteId::from_raw(5);
         assert_ne!(base.with_index(0), base.with_index(1));
         assert_ne!(base.with_index(0), base);
-    }
-
-    #[test]
-    fn from_location_is_deterministic() {
-        let a = SiteId::from_location("x.rs", 1, 2);
-        let b = SiteId::from_location("x.rs", 1, 2);
-        assert_eq!(a, b);
-        assert_ne!(a, SiteId::from_location("x.rs", 1, 3));
-        assert_ne!(a, SiteId::from_location("y.rs", 1, 2));
     }
 }

@@ -98,7 +98,7 @@ struct Rel {
 }
 
 pub fn run_query(env: &QueryEnv, ctx: &mut ExecCtx, q: &Query) -> Result<ResultSet, String> {
-    cov!(ctx);
+    cov!(ctx, 0xedf2608cb52cced5);
     let mut out = run_set_expr(env, ctx, &q.body, Some(q))?;
     // LIMIT / OFFSET after ordering (ordering handled inside run_set_expr for
     // the plain-select case; set-ops order here).
@@ -119,7 +119,7 @@ fn apply_limit_offset(ctx: &mut ExecCtx, q: &Query, out: &mut ResultSet) -> Resu
         }
     };
     if let Some(off) = &q.offset {
-        cov!(ctx);
+        cov!(ctx, 0xf1faa08cb5639316);
         let n = as_count(off, ctx)?;
         if n < out.rows.len() {
             out.rows.drain(..n);
@@ -128,7 +128,7 @@ fn apply_limit_offset(ctx: &mut ExecCtx, q: &Query, out: &mut ResultSet) -> Resu
         }
     }
     if let Some(lim) = &q.limit {
-        cov!(ctx);
+        cov!(ctx, 0xf378608cb577e7cb);
         let n = as_count(lim, ctx)?;
         out.rows.truncate(n);
     }
@@ -144,7 +144,7 @@ fn run_set_expr(
     match body {
         SetExpr::Select(sel) => run_select(env, ctx, sel, order_ctx),
         SetExpr::Values(rows) => {
-            cov!(ctx);
+            cov!(ctx, 0xf6dea08cb5a62127);
             let mut out_rows = Vec::new();
             let cols: Bindings = vec![];
             let row: Vec<Value> = vec![];
@@ -165,7 +165,7 @@ fn run_set_expr(
             Ok(rs)
         }
         SetExpr::SetOp { op, all, left, right } => {
-            cov!(ctx);
+            cov!(ctx, 0xfc9aa08cb5f41314);
             let l = run_set_expr(env, ctx, left, None)?;
             let r = run_set_expr(env, ctx, right, None)?;
             let key = |row: &Row| -> String {
@@ -174,12 +174,12 @@ fn run_set_expr(
             let mut rows = Vec::new();
             match (op, all) {
                 (SetOp::Union, true) => {
-                    cov!(ctx);
+                    cov!(ctx, 0xfe15608cb6081639);
                     rows.extend(l.rows);
                     rows.extend(r.rows);
                 }
                 (SetOp::Union, false) => {
-                    cov!(ctx);
+                    cov!(ctx, 0xfeba608cb610f2ae);
                     let mut seen = std::collections::HashSet::new();
                     for row in l.rows.into_iter().chain(r.rows) {
                         if seen.insert(key(&row)) {
@@ -188,7 +188,7 @@ fn run_set_expr(
                     }
                 }
                 (SetOp::Except, all) => {
-                    cov!(ctx);
+                    cov!(ctx, 0x0035208cb624f5d3);
                     let mut counts: HashMap<String, usize> = HashMap::new();
                     for row in &r.rows {
                         *counts.entry(key(row)).or_default() += 1;
@@ -208,7 +208,7 @@ fn run_set_expr(
                     }
                 }
                 (SetOp::Intersect, all) => {
-                    cov!(ctx);
+                    cov!(ctx, 0x0475208cb65ec29f);
                     let mut counts: HashMap<String, usize> = HashMap::new();
                     for row in &r.rows {
                         *counts.entry(key(row)).or_default() += 1;
@@ -248,28 +248,28 @@ fn base_relation(
 ) -> Result<Rel, String> {
     let label = alias.unwrap_or(name).to_ascii_lowercase();
     if let Some(t) = env.cat.table(name) {
-        cov!(ctx); // seq/index scan dispatch
+        cov!(ctx, 0x0cf4608cb6d247d3); // seq/index scan dispatch
         if env.prof.check_privileges
             && env.user != "admin"
             && !env.cat.has_privilege(env.user, name, "SELECT")
         {
-            cov!(ctx); // permission-denied path
+            cov!(ctx, 0x0f4aa08cb6f20dfc); // permission-denied path
             return Err(format!("permission denied for table {name}"));
         }
         // Planner branches: statistics and index availability shape the
         // "plan" (and therefore coverage), even though row retrieval is the
         // same underneath.
         if t.analyzed {
-            cov!(ctx);
+            cov!(ctx, 0x0f80a08cb6f4e6f3);
         }
         if !env.cat.indexes_on(name).is_empty() {
-            cov!(ctx);
+            cov!(ctx, 0x1090e08cb70360f2);
             if t.rows.len() > 16 {
-                cov!(ctx); // index considered profitable
+                cov!(ctx, 0x11d6608cb7149f84); // index considered profitable
             }
         }
         if t.clustered.is_some() {
-            cov!(ctx);
+            cov!(ctx, 0x12b0a08cb720408c);
         }
         let cols =
             t.columns.iter().map(|c| (Some(label.clone()), c.name.to_ascii_lowercase())).collect();
@@ -277,19 +277,19 @@ fn base_relation(
         return Ok(Rel { cols, rows: t.rows.clone() });
     }
     if let Some(v) = env.cat.view(name) {
-        cov!(ctx);
+        cov!(ctx, 0x1464608cb7376e38);
         if !env.prof.has_views {
             return Err("views are not supported by this engine".into());
         }
         if env.view_depth >= MAX_VIEW_DEPTH {
-            cov!(ctx);
+            cov!(ctx, 0x1506e08cb74006b5);
             return Err(format!("infinite recursion detected in view {name}"));
         }
         if v.materialized {
-            cov!(ctx);
+            cov!(ctx, 0x15e0e08cb74ba0f1);
             if let Some((cols, rows)) = &v.snapshot {
                 // Serve from the materialized snapshot.
-                cov!(ctx);
+                cov!(ctx, 0x16f1608cb75a21bc);
                 let bind =
                     cols.iter().map(|c| (Some(label.clone()), c.to_ascii_lowercase())).collect();
                 return Ok(Rel { cols: bind, rows: rows.clone() });
@@ -309,7 +309,7 @@ fn base_relation(
             rs.columns.iter().map(|c| (Some(label.clone()), c.to_ascii_lowercase())).collect();
         return Ok(Rel { cols, rows: rs.rows });
     }
-    cov!(ctx);
+    cov!(ctx, 0x1b30208cb793cc8c);
     Err(format!("relation \"{name}\" does not exist"))
 }
 
@@ -317,7 +317,7 @@ fn resolve_table_ref(env: &QueryEnv, ctx: &mut ExecCtx, t: &TableRef) -> Result<
     match t {
         TableRef::Named { name, alias } => base_relation(env, ctx, name, alias.as_deref()),
         TableRef::Subquery { query, alias } => {
-            cov!(ctx);
+            cov!(ctx, 0x1ce2a08cb7aad83c);
             let rs = run_query(env, ctx, query)?;
             let cols = rs
                 .columns
@@ -353,7 +353,10 @@ fn join_rels(
             _ => 4,
         }
     };
-    ctx.hit_idx(site_id!(), (kind as u64) << 6 | bucket(l.rows.len()) << 3 | bucket(r.rows.len()));
+    ctx.hit_idx(
+        site_id!(0x2489608cb812ebfc),
+        (kind as u64) << 6 | bucket(l.rows.len()) << 3 | bucket(r.rows.len()),
+    );
     let mut cols = l.cols.clone();
     cols.extend(r.cols.iter().cloned());
     let mut rows = Vec::new();
@@ -381,13 +384,13 @@ fn join_rels(
                 matched_right[ri] = true;
                 rows.push(combined);
                 if rows.len() > MAX_INTERMEDIATE_ROWS {
-                    cov!(ctx);
+                    cov!(ctx, 0x2a7a208cb86394e4);
                     return Err("join result too large".into());
                 }
             }
         }
         if !matched && kind == JoinKind::Left {
-            cov!(ctx);
+            cov!(ctx, 0x2ae6e08cb8695b36);
             let mut combined = lrow.clone();
             combined.extend(null_right.iter().cloned());
             rows.push(combined);
@@ -396,7 +399,7 @@ fn join_rels(
     if kind == JoinKind::Right {
         for (ri, rrow) in r.rows.iter().enumerate() {
             if !matched_right[ri] {
-                cov!(ctx);
+                cov!(ctx, 0x2c65608cb87dc44f);
                 let mut combined = null_left.clone();
                 combined.extend(rrow.iter().cloned());
                 rows.push(combined);
@@ -417,7 +420,7 @@ fn run_select(
     sel: &Select,
     order_ctx: Option<&Query>,
 ) -> Result<ResultSet, String> {
-    cov!(ctx);
+    cov!(ctx, 0x3220208cb8cb9440);
     // FROM: cross product of the from-list items.
     let mut rel = match sel.from.split_first() {
         None => Rel { cols: vec![], rows: vec![vec![]] },
@@ -433,7 +436,7 @@ fn run_select(
 
     // WHERE.
     if let Some(w) = &sel.where_ {
-        cov!(ctx);
+        cov!(ctx, 0x3586e08cb8f9db34);
         let mut kept = Vec::new();
         let mut run_subq = |q: &Query, ctx: &mut ExecCtx| -> Result<Vec<Row>, String> {
             run_query(env, ctx, q).map(|rs| rs.rows)
@@ -452,7 +455,7 @@ fn run_select(
         }
         rel.rows = kept;
         if rel.rows.is_empty() {
-            cov!(ctx); // empty-result short path (cf. Fig. 2 flowchart)
+            cov!(ctx, 0x3848a08cb91f45b3); // empty-result short path (cf. Fig. 2 flowchart)
         }
     }
 
@@ -463,7 +466,7 @@ fn run_select(
         || sel.having.as_ref().map(contains_aggregate).unwrap_or(false);
 
     if !sel.group_by.is_empty() || has_aggregates {
-        cov!(ctx);
+        cov!(ctx, 0x3b0ca08cb944ed5e);
         let rs = run_grouped(env, ctx, sel, &rel)?;
         let mut rs = rs;
         if let Some(q) = order_ctx {
@@ -482,7 +485,7 @@ fn run_select(
     // (source, output) pairs together.
     if let Some(q) = order_ctx {
         if !q.order_by.is_empty() {
-            cov!(ctx);
+            cov!(ctx, 0x3f82e08cb98199ed);
             let keys = order_keys(env, ctx, q, &rel.cols, &rel.rows, &columns, &out_rows)?;
             let mut idx: Vec<usize> = (0..out_rows.len()).collect();
             idx.sort_by(|&a, &b| compare_key_rows(&keys[a], &keys[b], &q.order_by));
@@ -493,7 +496,7 @@ fn run_select(
     let mut rs = ResultSet { columns, rows: out_rows };
 
     if sel.distinct {
-        cov!(ctx);
+        cov!(ctx, 0x4244608cb9a6fda0);
         let mut seen = std::collections::HashSet::new();
         rs.rows.retain(|row| {
             seen.insert(row.iter().map(|v| v.key_repr()).collect::<Vec<_>>().join("\u{1}"))
@@ -606,10 +609,10 @@ fn order_keys(
     for item in &q.order_by {
         // Positional ORDER BY (e.g. `ORDER BY 2`).
         if let Expr::Integer(pos) = item.expr {
-            cov!(ctx);
+            cov!(ctx, 0x59d8e08cbae79431);
             let idx = pos - 1;
             if idx < 0 || idx as usize >= out_cols.len() {
-                cov!(ctx);
+                cov!(ctx, 0x5ae9608cbaf614fc);
                 return Err(format!("ORDER BY position {pos} is not in select list"));
             }
             for (i, row) in out_rows.iter().enumerate() {
@@ -669,7 +672,7 @@ fn sort_output_rows(
     if q.order_by.is_empty() {
         return Ok(());
     }
-    cov!(ctx);
+    cov!(ctx, 0x67a7208cbba33e34);
     let keys = order_keys(env, ctx, q, &vec![], &[], &rs.columns, &rs.rows)?;
     let mut idx: Vec<usize> = (0..rs.rows.len()).collect();
     idx.sort_by(|&a, &b| compare_key_rows(&keys[a], &keys[b], &q.order_by));
@@ -692,7 +695,7 @@ fn run_grouped(
         .iter()
         .any(|p| matches!(p, SelectItem::Expr { expr, .. } if matches!(expr, Expr::Window { .. })))
     {
-        cov!(ctx);
+        cov!(ctx, 0x6b42e08cbbd442ef);
         return Err("window functions with GROUP BY are not supported".into());
     }
     // Group rows by the GROUP BY key (single group when absent).
@@ -707,10 +710,10 @@ fn run_grouped(
             // Positional GROUP BY like the paper's `GROUP BY 89, 34`: an
             // out-of-range position is a semantic error (a distinct branch).
             if let Expr::Integer(pos) = g {
-                cov!(ctx);
+                cov!(ctx, 0x6edea08cbc0547aa);
                 let idx = *pos - 1;
                 if idx < 0 || idx as usize >= rel.cols.len() {
-                    cov!(ctx);
+                    cov!(ctx, 0x6fee608cbc13b411);
                     return Err(format!("GROUP BY position {pos} is not in select list"));
                 }
                 key_parts.push(row[idx as usize].key_repr());
@@ -730,7 +733,7 @@ fn run_grouped(
     }
     // Aggregates over zero rows with no GROUP BY still yield one group.
     if groups.is_empty() && sel.group_by.is_empty() {
-        cov!(ctx);
+        cov!(ctx, 0x742ea08cbc4d87a9);
         groups.push((String::new(), vec![]));
     }
 
@@ -743,7 +746,7 @@ fn run_grouped(
             SelectItem::Star | SelectItem::QualifiedStar(_) => {
                 // `SELECT * … GROUP BY` is accepted leniently: star expands
                 // to the first row of each group (MySQL's permissive mode).
-                cov!(ctx);
+                cov!(ctx, 0x7686208cbc6d6fce);
                 for (_, c) in &rel.cols {
                     columns.push(c.clone());
                 }
@@ -755,7 +758,7 @@ fn run_grouped(
     for (_, members) in &groups {
         // HAVING.
         if let Some(h) = &sel.having {
-            cov!(ctx);
+            cov!(ctx, 0x7910e08cbc8fe626);
             let keep = eval_agg(env, ctx, h, rel, members)?;
             if !keep.is_truthy() {
                 continue;
@@ -867,7 +870,7 @@ fn eval_aggregate_call(
         2..=7 => 2,
         _ => 3,
     };
-    ctx.hit_idx(site_id!(), (name_code % 32) << 2 | gb);
+    ctx.hit_idx(site_id!(0x90daa08cbdd3414a), (name_code % 32) << 2 | gb);
     if call.star {
         if name != "COUNT" {
             return Err(format!("{name}(*) is not valid"));
@@ -888,7 +891,7 @@ fn eval_aggregate_call(
         }
     }
     if call.distinct {
-        cov!(ctx);
+        cov!(ctx, 0x94e4608cbe0a2e53);
         let mut seen = std::collections::HashSet::new();
         values.retain(|v| seen.insert(v.key_repr()));
     }
@@ -896,7 +899,7 @@ fn eval_aggregate_call(
         "COUNT" => Value::Int(values.len() as i64),
         "SUM" | "AVG" => {
             if values.is_empty() {
-                cov!(ctx);
+                cov!(ctx, 0x9698e08cbe217063);
                 Value::Null
             } else {
                 let all_int = values.iter().all(|v| matches!(v, Value::Int(_) | Value::Bool(_)));
@@ -931,9 +934,9 @@ fn compute_windows(
     let mut out = HashMap::new();
     for (pi, item) in sel.projection.iter().enumerate() {
         if let SelectItem::Expr { expr: Expr::Window { func, spec }, .. } = item {
-            cov!(ctx);
+            cov!(ctx, 0x9e72e08cbe8c1256);
             if !env.prof.has_window_functions {
-                cov!(ctx);
+                cov!(ctx, 0x9fb8e08cbe9d5e80);
                 return Err("window functions are not supported by this engine".into());
             }
             out.insert(pi, compute_one_window(env, ctx, func, spec, rel)?);
@@ -966,20 +969,20 @@ fn compute_one_window(
         partitions.entry(key).or_default().push(ri);
     }
     if !spec.partition_by.is_empty() {
-        cov!(ctx);
+        cov!(ctx, 0xa64f208cbef6f175);
     }
     // Frame clause validation branches (RANGE with offsets requires exactly
     // one numeric ORDER BY key — mirroring real planner checks).
     if let Some(frame) = &spec.frame {
-        cov!(ctx);
+        cov!(ctx, 0xa6f3208cbeffb2ba);
         if frame.unit == FrameUnit::Range {
-            cov!(ctx);
+            cov!(ctx, 0xa838a08cbf10f14c);
             let offset_bound =
                 |b: &FrameBound| matches!(b, FrameBound::Preceding(_) | FrameBound::Following(_));
             let has_offset =
                 offset_bound(&frame.start) || frame.end.as_ref().map(offset_bound).unwrap_or(false);
             if has_offset && spec.order_by.len() != 1 {
-                cov!(ctx);
+                cov!(ctx, 0xa8a6a08cbf16d99a);
                 return Err("RANGE with offset requires exactly one ORDER BY column".into());
             }
         }
@@ -992,7 +995,7 @@ fn compute_one_window(
         for b in name.bytes() {
             name_code = name_code.wrapping_mul(31).wrapping_add(b as u64);
         }
-        ctx.hit_idx(site_id!(), name_code % 32);
+        ctx.hit_idx(site_id!(0xaafd208cbf36a68f), name_code % 32);
     }
     let mut results = vec![Value::Null; n];
     let mut sorted_parts: Vec<(&String, &Vec<usize>)> = partitions.iter().collect();
@@ -1001,7 +1004,7 @@ fn compute_one_window(
         // Order within the partition.
         let mut order: Vec<usize> = members.clone();
         if !spec.order_by.is_empty() {
-            cov!(ctx);
+            cov!(ctx, 0xae2aa08cbf61bc30);
             let mut keys: HashMap<usize, Vec<Value>> = HashMap::new();
             for &ri in members {
                 let mut key = Vec::new();
@@ -1025,7 +1028,7 @@ fn compute_one_window(
                 }
             }
             "RANK" | "DENSE_RANK" => {
-                cov!(ctx);
+                cov!(ctx, 0x0045608ca88def9c);
                 let mut rank = 0i64;
                 let mut dense = 0i64;
                 let mut prev_key: Option<Vec<String>> = None;
@@ -1052,7 +1055,7 @@ fn compute_one_window(
                 }
             }
             "LEAD" | "LAG" => {
-                cov!(ctx);
+                cov!(ctx, 0x04b9608ca8ca5eff);
                 let arg = func.args.first();
                 for (i, &ri) in order.iter().enumerate() {
                     let j = if name == "LEAD" { i.checked_add(1) } else { i.checked_sub(1) };
@@ -1074,7 +1077,7 @@ fn compute_one_window(
                 }
             }
             "COUNT" | "SUM" | "MIN" | "MAX" | "AVG" => {
-                cov!(ctx);
+                cov!(ctx, 0x0a41208ca915a789);
                 match &spec.frame {
                     None => {
                         // No frame: aggregate over the whole partition.
@@ -1084,7 +1087,7 @@ fn compute_one_window(
                         }
                     }
                     Some(frame) => {
-                        cov!(ctx);
+                        cov!(ctx, 0x0b85e08ca926d1b7);
                         // Materialize the frame per row. ROWS counts
                         // physical neighbours; RANGE measures distance on
                         // the single numeric ORDER BY key (validated above).
@@ -1175,7 +1178,7 @@ fn compute_one_window(
                                 }
                             };
                             results[ri] = if members.is_empty() {
-                                cov!(ctx); // empty-frame path
+                                cov!(ctx, 0x1f45208caa332b6e); // empty-frame path
                                 if name == "COUNT" {
                                     Value::Int(0)
                                 } else {
@@ -1189,7 +1192,7 @@ fn compute_one_window(
                 }
             }
             other => {
-                cov!(ctx);
+                cov!(ctx, 0x2318e08caa673f80);
                 return Err(format!("unknown window function {other}"));
             }
         }

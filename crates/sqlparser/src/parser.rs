@@ -9,14 +9,15 @@ use lego_sqlast::kind::DdlVerb;
 use std::fmt;
 
 /// Record a grammar-rule entry on a tracing parser. Each invocation site
-/// gets its own compile-time [`lego_coverage::SiteId`] (the macro expands
-/// `site_id!` at the call site), and [`CovRecorder::hit`] chains rule→rule
-/// edges AFL-style, so the rule map captures *paths* through the grammar,
-/// not just the set of rules entered. One branch when tracing is off.
+/// passes its own explicit [`lego_coverage::SiteId`] literal (a fresh random
+/// 64-bit value for a new rule; see [`lego_coverage::site_id!`]), and
+/// [`CovRecorder::hit`] chains rule→rule edges AFL-style, so the rule map
+/// captures *paths* through the grammar, not just the set of rules entered.
+/// One branch when tracing is off.
 macro_rules! rule {
-    ($p:expr) => {
+    ($p:expr, $id:literal) => {
         if let Some(r) = $p.rules.as_mut() {
-            r.hit(lego_coverage::site_id!());
+            r.hit(lego_coverage::site_id!($id));
         }
     };
 }
@@ -189,7 +190,7 @@ impl Parser {
     // -- statements ---------------------------------------------------------
 
     pub fn parse_statement(&mut self) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0x3f0554deb9e4b1b0);
         // The generic long tail first: longest keyword-phrase match over all
         // statement kinds without dedicated parsers.
         if let Some((kind, n)) = phrases::match_misc(self.rest()) {
@@ -401,7 +402,7 @@ impl Parser {
     // -- DDL -----------------------------------------------------------------
 
     fn parse_create(&mut self) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0x1a7dd4deb7f42d54);
         self.expect_kw("CREATE")?;
         let or_replace = if self.peek_kw("OR") && self.peek_kw_at(1, "REPLACE") {
             self.pos += 2;
@@ -549,7 +550,7 @@ impl Parser {
     }
 
     fn parse_alter(&mut self) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0xcd2d54deb3d92f08);
         self.expect_kw("ALTER")?;
         if self.eat_kw("TABLE") {
             let name = self.ident()?;
@@ -587,7 +588,7 @@ impl Parser {
     }
 
     fn parse_drop(&mut self) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0xb93614deb2c9c5fa);
         self.expect_kw("DROP")?;
         let (object, n) = phrases::match_object(self.rest())
             .ok_or_else(|| self.error("expected object kind after DROP"))?;
@@ -604,7 +605,7 @@ impl Parser {
     }
 
     fn parse_dml_event(&mut self) -> PResult<DmlEvent> {
-        rule!(self);
+        rule!(self, 0xbc65d4deb2f518c7);
         if self.eat_kw("INSERT") {
             Ok(DmlEvent::Insert)
         } else if self.eat_kw("UPDATE") {
@@ -617,7 +618,7 @@ impl Parser {
     }
 
     fn parse_column_def(&mut self) -> PResult<ColumnDef> {
-        rule!(self);
+        rule!(self, 0xc06dd4deb32bd63c);
         let name = self.ident()?;
         let ty = self.parse_data_type()?;
         let mut constraints = Vec::new();
@@ -655,7 +656,7 @@ impl Parser {
     }
 
     fn parse_data_type(&mut self) -> PResult<DataType> {
-        rule!(self);
+        rule!(self, 0xe2d794deb4ffb15e);
         let name = self.ident()?.to_ascii_uppercase();
         let ty = match name.as_str() {
             "INT" | "INTEGER" => DataType::Int,
@@ -715,7 +716,7 @@ impl Parser {
     }
 
     fn parse_paren_names(&mut self) -> PResult<Vec<String>> {
-        rule!(self);
+        rule!(self, 0xd46614deb43b5a7a);
         self.expect_sym("(")?;
         let mut names = Vec::new();
         loop {
@@ -731,7 +732,7 @@ impl Parser {
     // -- DML -----------------------------------------------------------------
 
     fn parse_select_statement(&mut self) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0xd7cc14deb4698d0a);
         let selectv = self.peek_kw("SELECTV");
         if selectv {
             // Rewrite the head token so the query parser sees a plain SELECT.
@@ -750,7 +751,7 @@ impl Parser {
     }
 
     fn parse_insert(&mut self, replace: bool) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0xdc4214deb4a632cd);
         self.bump(); // INSERT or REPLACE
         let low_priority = self.eat_kw("LOW_PRIORITY");
         let ignore = self.eat_kw("IGNORE");
@@ -778,7 +779,7 @@ impl Parser {
     }
 
     fn parse_values_rows(&mut self) -> PResult<Vec<Vec<Expr>>> {
-        rule!(self);
+        rule!(self, 0x90a394deb0a23299);
         let mut rows = Vec::new();
         loop {
             self.expect_sym("(")?;
@@ -801,7 +802,7 @@ impl Parser {
     }
 
     fn parse_update(&mut self) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0x95f3d4deb0ea7964);
         self.expect_kw("UPDATE")?;
         let table = self.ident()?;
         self.expect_kw("SET")?;
@@ -819,7 +820,7 @@ impl Parser {
     }
 
     fn parse_delete(&mut self) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0x98ec14deb112ca72);
         self.expect_kw("DELETE")?;
         self.expect_kw("FROM")?;
         let table = self.ident()?;
@@ -828,7 +829,7 @@ impl Parser {
     }
 
     fn parse_with(&mut self) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0x9a69d4deb1271f27);
         self.expect_kw("WITH")?;
         let mut ctes = Vec::new();
         loop {
@@ -855,7 +856,7 @@ impl Parser {
     }
 
     fn parse_copy(&mut self) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0x856194deb00927b6);
         self.expect_kw("COPY")?;
         let source = if self.eat_sym("(") {
             let q = self.parse_query()?;
@@ -884,7 +885,7 @@ impl Parser {
     }
 
     fn parse_grant(&mut self, revoke: bool) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0x8b1dd4deb057206f);
         self.bump(); // GRANT or REVOKE
         let mut priv_words = Vec::new();
         while !self.peek_kw("ON") && !self.at_stmt_end() {
@@ -904,7 +905,7 @@ impl Parser {
     }
 
     fn parse_set(&mut self) -> PResult<Statement> {
-        rule!(self);
+        rule!(self, 0xaa8d54deb2027423);
         self.expect_kw("SET")?;
         let mut scope = None;
         if self.eat_sym("@@") {
@@ -932,7 +933,7 @@ impl Parser {
     }
 
     fn parse_query_with_into(&mut self, into: Option<&mut Option<String>>) -> PResult<Query> {
-        rule!(self);
+        rule!(self, 0xb07fd4deb2534c9f);
         let mut body = self.parse_set_atom(into)?;
         loop {
             let op = if self.peek_kw("UNION") {
@@ -973,7 +974,7 @@ impl Parser {
     }
 
     fn parse_set_atom(&mut self, into: Option<&mut Option<String>>) -> PResult<SetExpr> {
-        rule!(self);
+        rule!(self, 0x9f4b54deb1696940);
         if self.eat_kw("VALUES") {
             return Ok(SetExpr::Values(self.parse_values_rows()?));
         }
@@ -981,7 +982,7 @@ impl Parser {
     }
 
     fn parse_select_core(&mut self, into: Option<&mut Option<String>>) -> PResult<Select> {
-        rule!(self);
+        rule!(self, 0xa0ff54deb1809db8);
         self.expect_kw("SELECT")?;
         let distinct = self.eat_kw("DISTINCT");
         let mut projection = Vec::new();
@@ -1039,7 +1040,7 @@ impl Parser {
     }
 
     fn parse_table_ref(&mut self) -> PResult<TableRef> {
-        rule!(self);
+        rule!(self, 0x0de794dec4e112de);
         let mut left = self.parse_table_primary()?;
         loop {
             let kind = if self.peek_kw("JOIN") {
@@ -1073,7 +1074,7 @@ impl Parser {
     }
 
     fn parse_table_primary(&mut self) -> PResult<TableRef> {
-        rule!(self);
+        rule!(self, 0x15f9d4dec54ecaf4);
         if self.eat_sym("(") {
             let query = self.parse_query()?;
             self.expect_sym(")")?;
@@ -1093,7 +1094,7 @@ impl Parser {
     }
 
     fn parse_or(&mut self) -> PResult<Expr> {
-        rule!(self);
+        rule!(self, 0xff0954dec416f5a8);
         let mut l = self.parse_and()?;
         while self.eat_kw("OR") {
             let r = self.parse_and()?;
@@ -1103,7 +1104,7 @@ impl Parser {
     }
 
     fn parse_and(&mut self) -> PResult<Expr> {
-        rule!(self);
+        rule!(self, 0x004f94dec428489e);
         let mut l = self.parse_not()?;
         while self.eat_kw("AND") {
             let r = self.parse_not()?;
@@ -1113,7 +1114,7 @@ impl Parser {
     }
 
     fn parse_not(&mut self) -> PResult<Expr> {
-        rule!(self);
+        rule!(self, 0x0347d4dec45099ac);
         if self.peek_kw("NOT") && self.peek_kw_at(1, "EXISTS") {
             self.pos += 2;
             self.expect_sym("(")?;
@@ -1138,7 +1139,7 @@ impl Parser {
     }
 
     fn parse_cmp(&mut self) -> PResult<Expr> {
-        rule!(self);
+        rule!(self, 0x082b94dec49320f1);
         let mut l = self.parse_add()?;
         loop {
             if let Some(op) = self.peek_cmp_op() {
@@ -1225,7 +1226,7 @@ impl Parser {
     }
 
     fn parse_add(&mut self) -> PResult<Expr> {
-        rule!(self);
+        rule!(self, 0x1b11d4dec593fb9c);
         let mut l = self.parse_mul()?;
         loop {
             let op = if self.peek_sym("+") {
@@ -1245,7 +1246,7 @@ impl Parser {
     }
 
     fn parse_mul(&mut self) -> PResult<Expr> {
-        rule!(self);
+        rule!(self, 0x1f5154dec5cdbad0);
         let mut l = self.parse_unary()?;
         loop {
             let op = if self.peek_sym("*") {
@@ -1265,7 +1266,7 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> PResult<Expr> {
-        rule!(self);
+        rule!(self, 0x2391d4dec6079534);
         if self.eat_sym("-") {
             // Fold negation of numeric literals so `-86` round-trips as the
             // literal the generators emit.
@@ -1282,7 +1283,7 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> PResult<Expr> {
-        rule!(self);
+        rule!(self, 0xd53194dec1de2a81);
         match self.peek().cloned() {
             Some(Tok::Int(v)) => {
                 self.pos += 1;
@@ -1358,7 +1359,7 @@ impl Parser {
     }
 
     fn parse_case(&mut self) -> PResult<Expr> {
-        rule!(self);
+        rule!(self, 0xca2614dec148062d);
         self.expect_kw("CASE")?;
         let operand = if self.peek_kw("WHEN") { None } else { Some(Box::new(self.parse_expr()?)) };
         let mut whens = Vec::new();
@@ -1377,7 +1378,7 @@ impl Parser {
     }
 
     fn parse_func_call(&mut self, name: String) -> PResult<Expr> {
-        rule!(self);
+        rule!(self, 0xce9bd4dec184a524);
         self.expect_sym("(")?;
         let mut call = FuncCall { name, args: vec![], distinct: false, star: false };
         if self.eat_sym("*") {
@@ -1400,7 +1401,7 @@ impl Parser {
     }
 
     fn parse_window_spec(&mut self) -> PResult<WindowSpec> {
-        rule!(self);
+        rule!(self, 0xd23754dec1b5a313);
         self.expect_sym("(")?;
         let mut spec = WindowSpec::default();
         if self.peek_kw("PARTITION") {
@@ -1452,7 +1453,7 @@ impl Parser {
     }
 
     fn parse_frame_bound(&mut self) -> PResult<FrameBound> {
-        rule!(self);
+        rule!(self, 0xf873d4dec3bd7717);
         if self.eat_kw("UNBOUNDED") {
             if self.eat_kw("PRECEDING") {
                 return Ok(FrameBound::UnboundedPreceding);

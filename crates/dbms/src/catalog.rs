@@ -5,6 +5,7 @@ use crate::value::{Row, Value};
 use lego_sqlast::ast::{CreateRule, CreateTrigger, Query};
 use lego_sqlast::expr::{DataType, Expr};
 use lego_sqlast::kind::ObjectKind;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -119,20 +120,26 @@ impl Catalog {
         self.sequences_values.clear();
     }
 
-    fn norm(name: &str) -> String {
-        name.to_ascii_lowercase()
+    /// The catalog key of `name`. Keys are lowercase; a name that already is
+    /// (the common case) is looked up as it stands, without a copy.
+    fn norm(name: &str) -> Cow<'_, str> {
+        if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(name.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(name)
+        }
     }
 
     pub fn table(&self, name: &str) -> Option<&TableMeta> {
-        self.tables.get(&Self::norm(name))
+        self.tables.get(&*Self::norm(name))
     }
 
     pub fn table_mut(&mut self, name: &str) -> Option<&mut TableMeta> {
-        self.tables.get_mut(&Self::norm(name))
+        self.tables.get_mut(&*Self::norm(name))
     }
 
     pub fn add_table(&mut self, meta: TableMeta) -> Result<(), String> {
-        let key = Self::norm(&meta.name);
+        let key = meta.name.to_ascii_lowercase();
         if self.tables.contains_key(&key) || self.views.contains_key(&key) {
             return Err(format!("relation \"{}\" already exists", meta.name));
         }
@@ -141,9 +148,10 @@ impl Catalog {
     }
 
     pub fn drop_table(&mut self, name: &str) -> Result<TableMeta, String> {
-        let key = Self::norm(name);
-        let meta =
-            self.tables.remove(&key).ok_or_else(|| format!("table \"{name}\" does not exist"))?;
+        let meta = self
+            .tables
+            .remove(&*Self::norm(name))
+            .ok_or_else(|| format!("table \"{name}\" does not exist"))?;
         self.indexes.retain(|_, ix| !ix.table.eq_ignore_ascii_case(name));
         self.triggers.retain(|_, t| !t.def.table.eq_ignore_ascii_case(name));
         self.rules.retain(|_, r| !r.def.table.eq_ignore_ascii_case(name));
@@ -151,15 +159,15 @@ impl Catalog {
     }
 
     pub fn view(&self, name: &str) -> Option<&ViewMeta> {
-        self.views.get(&Self::norm(name))
+        self.views.get(&*Self::norm(name))
     }
 
     pub fn view_mut(&mut self, name: &str) -> Option<&mut ViewMeta> {
-        self.views.get_mut(&Self::norm(name))
+        self.views.get_mut(&*Self::norm(name))
     }
 
     pub fn add_view(&mut self, meta: ViewMeta, or_replace: bool) -> Result<(), String> {
-        let key = Self::norm(&meta.name);
+        let key = meta.name.to_ascii_lowercase();
         if self.tables.contains_key(&key) {
             return Err(format!("relation \"{}\" already exists", meta.name));
         }
@@ -189,13 +197,13 @@ impl Catalog {
     }
 
     pub fn user_mut(&mut self, name: &str) -> &mut UserMeta {
-        self.users.entry(Self::norm(name)).or_default()
+        self.users.entry(Self::norm(name).into_owned()).or_default()
     }
 
     pub fn has_privilege(&self, user: &str, table: &str, privilege: &str) -> bool {
         self.users
-            .get(&Self::norm(user))
-            .and_then(|u| u.privileges.get(&Self::norm(table)))
+            .get(&*Self::norm(user))
+            .and_then(|u| u.privileges.get(&*Self::norm(table)))
             .map(|ps| {
                 ps.iter()
                     .any(|p| p.eq_ignore_ascii_case(privilege) || p.eq_ignore_ascii_case("ALL"))

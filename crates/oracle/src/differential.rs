@@ -50,6 +50,7 @@ pub(crate) fn check(
             let rep = db.execute_case(&TestCase::new(vec![(*stmt).clone()]));
             out.execs += rep.statements_executed.max(1);
             statuses.push(rep.crash().is_none() && rep.errors.is_empty());
+            db.recycle(rep.coverage);
         }
         if let Some(fps) = fps {
             if fps.iter().all(|r| r.is_ok()) {

@@ -47,7 +47,9 @@ pub(crate) fn check(
         // but stop replaying if the instance dies anyway.
         let rep = db.execute_case(&TestCase::new(vec![stmt.clone()]));
         out.execs += rep.statements_executed.max(1);
-        if rep.crash().is_some() {
+        let crashed = rep.crash().is_some();
+        db.recycle(rep.coverage);
+        if crashed {
             break;
         }
     }

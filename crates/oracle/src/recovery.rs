@@ -143,7 +143,9 @@ impl RecoveryOracle {
         }
         let report = self.live.execute_case(&prefix);
         out.execs += 1;
-        if !matches!(report.outcome, Outcome::Ok) {
+        let clean = matches!(report.outcome, Outcome::Ok);
+        self.live.recycle(report.coverage);
+        if !clean {
             // A crashed or budget-killed prefix has no clean crash model.
             self.live.wal_detach();
             return;
@@ -201,7 +203,10 @@ impl RecoveryOracle {
         }
         self.replay.reset();
         match recovery::replay_into(&mut self.replay, &log.records) {
-            Ok(_) => out.execs += 1,
+            Ok(rep) => {
+                self.replay.recycle(rep.coverage);
+                out.execs += 1;
+            }
             Err(e) => {
                 return Some(DurabilityBug {
                     class: CLASS_REPLAY_DIVERGENCE,

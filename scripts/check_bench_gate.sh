@@ -12,6 +12,9 @@
 #   * serial generation share — baseline+5pp, the serial feedback margin.
 #     Generation (scheduling, mutation, instantiation and fix_case's
 #     repair) is the largest serial stage.
+#   * serial execution share — baseline+5pp, the same margin. Execution
+#     (the engine: bind, plan, execute and the bug-pattern check) is the
+#     other large serial stage; with this ceiling every large stage has one.
 #   * serial execs/s — at least 0.6x the baseline. Stage *shares* transfer
 #     across machines; absolute execs/s do not, so this floor only catches
 #     order-of-magnitude regressions (the bug class that motivated the
@@ -64,10 +67,12 @@ share() { # <file> <run> [stage, default feedback] -> share_pct
 base_serial_share=$(share baseline serial)
 base_parallel_share=$(share baseline parallel)
 base_gen_share=$(share baseline serial generation)
+base_exec_share=$(share baseline serial execution)
 base_serial_eps=$(jqv baseline .serial.execs_per_sec)
 fresh_serial_share=$(share fresh serial)
 fresh_parallel_share=$(share fresh parallel)
 fresh_gen_share=$(share fresh serial generation)
+fresh_exec_share=$(share fresh serial execution)
 fresh_serial_eps=$(jqv fresh .serial.execs_per_sec)
 fresh_speedup=$(jqv fresh .speedup)
 
@@ -91,6 +96,11 @@ ok=$(jq -n "($fresh_gen_share <= $gen_ceil) | if . then 1 else 0 end")
 check "serial generation share" "$ok" \
   "$(printf '%.1f%% vs ceiling %.1f%%' "$fresh_gen_share" "$gen_ceil")"
 
+exec_ceil=$(jq -n "$base_exec_share + 5")
+ok=$(jq -n "($fresh_exec_share <= $exec_ceil) | if . then 1 else 0 end")
+check "serial execution share" "$ok" \
+  "$(printf '%.1f%% vs ceiling %.1f%%' "$fresh_exec_share" "$exec_ceil")"
+
 eps_floor=$(jq -n "$base_serial_eps * 0.6")
 ok=$(jq -n "($fresh_serial_eps >= $eps_floor) | if . then 1 else 0 end")
 check "serial execs/s" "$ok" \
@@ -113,6 +123,7 @@ if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
     printf '| serial feedback share | %.1f%% | %.1f%% |\n' "$base_serial_share" "$fresh_serial_share"
     printf '| parallel feedback share | %.1f%% | %.1f%% |\n' "$base_parallel_share" "$fresh_parallel_share"
     printf '| serial generation share | %.1f%% | %.1f%% |\n' "$base_gen_share" "$fresh_gen_share"
+    printf '| serial execution share | %.1f%% | %.1f%% |\n' "$base_exec_share" "$fresh_exec_share"
     printf '| serial execs/s | %.0f | %.0f |\n' "$base_serial_eps" "$fresh_serial_eps"
     printf '| 3-worker speedup | — | %.2fx |\n' "$fresh_speedup"
   } >> "$GITHUB_STEP_SUMMARY"

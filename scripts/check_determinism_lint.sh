@@ -22,6 +22,14 @@
 #      sorted_pairs pattern) or be an order-insensitive rebuild
 #      (`.copied().collect()` into another hash collection, i.e. the
 #      checkpoint-restore pattern).
+#   4. One id per coverage site: every cov!/site_id!/rule! call in
+#      crates/dbms/src and crates/sqlparser/src passes an explicit 64-bit
+#      literal (lego_coverage::site_id!), and no two sites may share one —
+#      a copied `cov!` line would silently merge two branches into one
+#      edge. A new site takes a fresh random id, e.g. from
+#      `od -An -N8 -tx8 /dev/urandom` written as `0x` + 16 hex digits;
+#      never derive it from the site's position, which must stay free to
+#      move.
 #
 # Usage: scripts/check_determinism_lint.sh   (run from the repo root)
 set -euo pipefail
@@ -106,8 +114,33 @@ for f in "${files[@]}"; do
   done
 done
 
+# --- Rule 4: one id per coverage site --------------------------------------
+# perl reads each file whole, so a call that rustfmt splits over lines still
+# counts; it prints file:line:id for every site.
+site_files=$(find crates/dbms/src crates/sqlparser/src -name '*.rs' | sort)
+# shellcheck disable=SC2086
+sites=$(perl -0777 -ne '
+  while (/\b(?:cov|site_id|rule)!\(\s*(?:[^()]*?,\s*)?(0x[0-9a-fA-F_]+)\s*\)/g) {
+    my ($id, $pos) = (lc $1, $-[0]);
+    $id =~ tr/_//d;
+    my $line = 1 + (substr($_, 0, $pos) =~ tr/\n//);
+    print "$ARGV:$line $id\n";
+  }' $site_files)
+if [[ -z "$sites" ]]; then
+  echo "determinism-lint: found no coverage sites; the site pattern is stale" >&2
+  fail=1
+else
+  dups=$(awk '{ n[$NF]++; at[$NF] = at[$NF] "\n  " $1 }
+              END { for (id in n) if (n[id] > 1) print id ":" at[id] }' <<<"$sites")
+  if [[ -n "$dups" ]]; then
+    echo "determinism-lint: coverage sites sharing an id:" >&2
+    echo -e "$dups" >&2
+    fail=1
+  fi
+fi
+
 if [[ "$fail" -ne 0 ]]; then
   echo "determinism-lint: FAILED" >&2
   exit 1
 fi
-echo "determinism-lint: OK (${#files[@]} files clean)"
+echo "determinism-lint: OK (${#files[@]} files clean, $(wc -l <<<"$sites") coverage sites with distinct ids)"

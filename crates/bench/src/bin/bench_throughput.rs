@@ -88,7 +88,7 @@ fn print_profile(label: &str, profile: &Option<StageProfile>) {
 
 fn main() {
     let cli = Cli::parse();
-    let units: usize = cli.arg(0, 200_000);
+    let units: usize = cli.arg(0, "UNITS", 200_000);
     let workers = cli.workers.max(2);
     let dialect = Dialect::Postgres;
 

@@ -27,7 +27,7 @@ struct Fig9Cell {
 
 fn main() {
     let cli = Cli::parse();
-    let units: usize = cli.arg(0, DAY_BUDGET_UNITS);
+    let units: usize = cli.arg(0, "UNITS", DAY_BUDGET_UNITS);
     println!(
         "Figure 9 — branches covered in one budgeted campaign ({units} units ~ 24h, {} workers)\n",
         cli.workers

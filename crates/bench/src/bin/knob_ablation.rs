@@ -26,7 +26,7 @@ type Mutation = Box<dyn Fn(&mut Config) + Send + Sync>;
 
 fn main() {
     let cli = Cli::parse();
-    let units: usize = cli.arg(0, DAY_BUDGET_UNITS / 2);
+    let units: usize = cli.arg(0, "UNITS", DAY_BUDGET_UNITS / 2);
     println!("Design-knob ablation on MariaDB ({units} units per cell, {} workers)\n", cli.workers);
 
     let mut specs: Vec<(String, usize, Mutation)> = Vec::new();

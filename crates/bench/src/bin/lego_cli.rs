@@ -13,9 +13,9 @@
 //! lego_cli bugs  [pg|mysql|maria|comdb2]
 //! ```
 //!
-//! `--seed` takes decimal or `0x` hex. A numeric flag whose value does not
-//! parse, or an unknown `--fuzzer`, exits with status 2 before any campaign
-//! starts.
+//! `--seed` takes decimal or `0x` hex. A flag given without its value, a
+//! numeric flag whose value does not parse, or an unknown `--fuzzer` exits
+//! with status 2 before any campaign starts.
 //!
 //! `--telemetry PATH` (or `LEGO_TELEMETRY`) streams structured events to
 //! `PATH` as JSONL and writes metrics exports next to it; `--heartbeat`
@@ -81,6 +81,7 @@ use lego::reduce::reduce_case;
 use lego::OracleConfig;
 use lego_baselines::{engine_by_name, ENGINE_NAMES};
 use lego_bench::grid::parse_oracles;
+use lego_dbms::faults::Faults;
 use lego_dbms::{bugs, Dbms};
 use lego_sqlast::Dialect;
 use std::fmt::Display;
@@ -105,8 +106,9 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// The value after the flag `args[i]`, converted by `parse`. A missing or
-/// unconvertible value is reported, naming the flag and the value, and gives
+/// The value after the flag `args[i]`, converted by `parse`. A missing
+/// value (the flag is last, or another `--flag` follows it) or an
+/// unconvertible one is reported, naming the flag and the value, and gives
 /// `None`.
 fn flag_value<T>(
     args: &[String],
@@ -114,11 +116,19 @@ fn flag_value<T>(
     parse: impl FnOnce(&str) -> Result<T, String>,
 ) -> Option<T> {
     let flag = &args[i];
-    let Some(value) = args.get(i + 1) else {
+    let Some(value) = args.get(i + 1).filter(|v| !v.starts_with("--")) else {
         eprintln!("{flag} needs a value");
         return None;
     };
     parse(value).map_err(|e| eprintln!("{flag} {value}: {e}")).ok()
+}
+
+fn path(s: &str) -> Result<PathBuf, String> {
+    Ok(PathBuf::from(s))
+}
+
+fn text(s: &str) -> Result<String, String> {
+    Ok(s.to_string())
 }
 
 fn number<T: FromStr>(s: &str) -> Result<T, String>
@@ -200,27 +210,33 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 i += 2;
             }
             Some("--out") => {
-                out = args.get(i + 1).map(PathBuf::from);
+                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
+                out = Some(v);
                 i += 2;
             }
             Some("--corpus") => {
-                corpus_dir = args.get(i + 1).map(PathBuf::from);
+                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
+                corpus_dir = Some(v);
                 i += 2;
             }
             Some("--telemetry") => {
-                telemetry = args.get(i + 1).map(PathBuf::from);
+                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
+                telemetry = Some(v);
                 i += 2;
             }
             Some("--serve") => {
-                serve = args.get(i + 1).cloned();
+                let Some(v) = flag_value(args, i, text) else { return ExitCode::from(2) };
+                serve = Some(v);
                 i += 2;
             }
             Some("--trace") => {
-                trace = args.get(i + 1).map(PathBuf::from);
+                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
+                trace = Some(v);
                 i += 2;
             }
             Some("--plot-data") => {
-                plot_data = args.get(i + 1).map(PathBuf::from);
+                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
+                plot_data = Some(v);
                 i += 2;
             }
             Some("--plot-every") => {
@@ -229,7 +245,8 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 i += 2;
             }
             Some("--checkpoint") => {
-                checkpoint_dir = args.get(i + 1).map(PathBuf::from);
+                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
+                checkpoint_dir = Some(v);
                 i += 2;
             }
             Some("--checkpoint-every") => {
@@ -238,7 +255,8 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 i += 2;
             }
             Some("--resume") => {
-                resume_dir = args.get(i + 1).map(PathBuf::from);
+                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
+                resume_dir = Some(v);
                 i += 2;
             }
             Some("--heartbeat") => {
@@ -262,7 +280,8 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 i += 1;
             }
             Some("--wal-dir") => {
-                wal_dir = args.get(i + 1).map(PathBuf::from);
+                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
+                wal_dir = Some(v);
                 i += 2;
             }
             Some(spec) if spec.starts_with("--wal-dir=") => {
@@ -284,25 +303,21 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     // for the conformance oracle. Deliberately env-only (not flags): they
     // are never part of a real campaign, and the warning keeps an inherited
     // env var loud.
-    let mut _wal_fault = None;
-    let mut _sema_fault = None;
-    match std::env::var("LEGO_PLANT_FAULT").ok().as_deref() {
-        Some("wal-drop-last") => {
-            eprintln!("WARNING: planted fault 'wal-drop-last' active (LEGO_PLANT_FAULT)");
-            _wal_fault = Some(lego_dbms::faults::FaultGuard::enable_wal_drops_last_record());
-        }
-        Some("sema-overaccept") => {
-            eprintln!("WARNING: planted fault 'sema-overaccept' active (LEGO_PLANT_FAULT)");
-            _sema_fault = Some(lego_sqlsema::faults::FaultGuard::enable_overaccept_commit());
-        }
-        Some(other) if !other.is_empty() => {
+    let planted = std::env::var("LEGO_PLANT_FAULT").unwrap_or_default();
+    let faults = match planted.as_str() {
+        "" => Faults::default(),
+        "wal-drop-last" => Faults { wal_drops_last_record: true, ..Faults::default() },
+        "sema-overaccept" => Faults { overaccept_commit: true, ..Faults::default() },
+        other => {
             eprintln!(
                 "unknown LEGO_PLANT_FAULT '{other}' (supported: wal-drop-last, sema-overaccept)"
             );
             return ExitCode::from(2);
         }
-        _ => {}
     };
+    if !planted.is_empty() {
+        eprintln!("WARNING: planted fault '{planted}' active (LEGO_PLANT_FAULT)");
+    }
     println!("fuzzing {} with {fuzzer} for {units} units (seed {seed})…", dialect.name());
     let mut engine: Box<dyn FuzzEngine> = match &corpus_dir {
         Some(dir) if fuzzer == "LEGO" => {
@@ -400,6 +415,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
         wal_dir,
         rule_cov,
         sema,
+        faults,
         ..CampaignSpec::new(dialect, Budget::units(units))
     };
     let stats = match run_engine(&spec, &guard.tel, engine.as_mut()) {

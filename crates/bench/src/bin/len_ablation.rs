@@ -26,8 +26,8 @@ struct Row {
 
 fn main() {
     let cli = Cli::parse();
-    let units: usize = cli.arg(0, CONTINUOUS_BUDGET_UNITS);
-    let seeds: usize = cli.arg(1, 2);
+    let units: usize = cli.arg(0, "UNITS", CONTINUOUS_BUDGET_UNITS);
+    let seeds: usize = cli.arg(1, "SEEDS", 2);
     println!(
         "§ VI length ablation — LEGO on MariaDB, LEN ∈ {{3, 5, 8}} ({seeds} x {units} units, {} workers)\n",
         cli.workers

@@ -24,8 +24,8 @@ struct Found {
 
 fn main() {
     let cli = Cli::parse();
-    let units: usize = cli.arg(0, CONTINUOUS_BUDGET_UNITS);
-    let seeds: usize = cli.arg(1, 3);
+    let units: usize = cli.arg(0, "UNITS", CONTINUOUS_BUDGET_UNITS);
+    let seeds: usize = cli.arg(1, "SEEDS", 3);
     println!(
         "Table I — continuous fuzzing with LEGO ({seeds} campaigns x {units} units per DBMS, {} workers)\n",
         cli.workers

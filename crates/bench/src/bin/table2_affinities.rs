@@ -22,7 +22,7 @@ struct Row {
 
 fn main() {
     let cli = Cli::parse();
-    let units: usize = cli.arg(0, DAY_BUDGET_UNITS);
+    let units: usize = cli.arg(0, "UNITS", DAY_BUDGET_UNITS);
     println!(
         "Table II — type-affinities in generated seeds ({units} units, {} workers)\n",
         cli.workers

@@ -28,7 +28,7 @@ const FUZZER_ORDER: [&str; 4] = ["SQLancer", "SQLsmith", "SQUIRREL", "LEGO"];
 
 fn main() {
     let cli = Cli::parse();
-    let units: usize = cli.arg(0, DAY_BUDGET_UNITS);
+    let units: usize = cli.arg(0, "UNITS", DAY_BUDGET_UNITS);
     println!(
         "Table III — bugs triggered in one budgeted campaign ({units} units, {} workers)\n",
         cli.workers

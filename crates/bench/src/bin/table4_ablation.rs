@@ -61,8 +61,8 @@ struct Row {
 
 fn main() {
     let cli = Cli::parse();
-    let units: usize = cli.arg(0, DAY_BUDGET_UNITS);
-    let seeds: u64 = cli.arg(1, 3);
+    let units: usize = cli.arg(0, "UNITS", DAY_BUDGET_UNITS);
+    let seeds: u64 = cli.arg(1, "SEEDS", 3);
     let mut variant_list = vec![Variant::Minus, Variant::Lego];
     if cli.rule_cov {
         variant_list.push(Variant::Rule);

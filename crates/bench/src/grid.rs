@@ -7,6 +7,8 @@
 //! order — so the printed tables and JSON reports are byte-identical to a
 //! serial run regardless of scheduling.
 
+use std::fmt::Display;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -82,25 +84,29 @@ pub fn default_workers() -> usize {
 }
 
 /// Command line shared by the experiment binaries: positional arguments plus
-/// optional flags (any position):
+/// optional flags (any position). A flag's value follows it (`--flag V`) or
+/// is joined to it (`--flag=V`). A value that is missing (another `--flag`
+/// in its place counts as missing) or does not parse, here or in a
+/// positional argument ([`Cli::arg`]), exits with status 2 before any
+/// campaign starts.
 ///
-/// - `--workers N` / `--workers=N` — grid thread count; falls back to
+/// - `--workers N` — grid thread count (at least 1); falls back to
 ///   `LEGO_WORKERS`, then to the machine's parallelism.
-/// - `--telemetry PATH` / `--telemetry=PATH` — JSONL event log destination;
+/// - `--telemetry PATH` — JSONL event log destination;
 ///   falls back to the `LEGO_TELEMETRY` env var. Metrics exports land next
 ///   to the log (see [`crate::build_telemetry`]).
 /// - `--heartbeat` — ~1 Hz live status line on stderr.
 /// - `--oracles[=LIST]` — enable the correctness oracles. Bare `--oracles`
 ///   turns on the three logic oracles; `--oracles=tlp,norec,differential,recovery`
 ///   selects a subset (the recovery durability oracle is opt-in only).
-/// - `--wal-dir PATH` / `--wal-dir=PATH` — directory for the per-worker
+/// - `--wal-dir PATH` — directory for the per-worker
 ///   write-ahead-log files used by the recovery oracle; falls back to
 ///   `LEGO_WAL_DIR`, then to a per-process temp directory.
-/// - `--serve ADDR` / `--serve=ADDR` — live monitoring HTTP server
+/// - `--serve ADDR` — live monitoring HTTP server
 ///   (`/metrics`, `/status`, `/events`, `/healthz`); falls back to
 ///   `LEGO_SERVE`. Port `0` picks a free port (printed at startup).
 ///   Serving implies the time-series recorder.
-/// - `--trace PATH` / `--trace=PATH` — Chrome-trace (Perfetto) stage-span
+/// - `--trace PATH` — Chrome-trace (Perfetto) stage-span
 ///   export written at exit; falls back to `LEGO_TRACE`.
 /// - `--plot-data PATH` — AFL-style `plot_data.csv` destination (default
 ///   `results/<bin>/plot_data.csv` when serving).
@@ -159,11 +165,12 @@ pub fn parse_oracles(spec: &str) -> lego::OracleConfig {
 }
 
 impl Cli {
+    /// The process arguments; exits with status 2 on a bad value.
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| refuse(&e))
     }
 
-    fn from_args(args: impl Iterator<Item = String>) -> Self {
+    fn from_args(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut positional = Vec::new();
         let mut workers = None;
         let mut telemetry = None;
@@ -173,56 +180,44 @@ impl Cli {
         let mut serve = None;
         let mut trace = None;
         let mut plot_data = None;
-        let mut plot_every_ms = None;
+        let mut plot_every_ms = 1000;
         let mut rule_cov = false;
         let mut sema = false;
         let mut args = args.peekable();
         while let Some(a) = args.next() {
-            if a == "--workers" {
-                workers = args.next().and_then(|v| v.parse().ok());
-            } else if let Some(v) = a.strip_prefix("--workers=") {
-                workers = v.parse().ok();
-            } else if a == "--telemetry" {
-                telemetry = args.next();
-            } else if let Some(v) = a.strip_prefix("--telemetry=") {
-                telemetry = Some(v.to_string());
-            } else if a == "--heartbeat" {
-                heartbeat = true;
-            } else if a == "--oracles" {
-                oracles = lego::OracleConfig::all();
-            } else if let Some(v) = a.strip_prefix("--oracles=") {
-                oracles = parse_oracles(v);
-            } else if a == "--wal-dir" {
-                wal_dir = args.next();
-            } else if let Some(v) = a.strip_prefix("--wal-dir=") {
-                wal_dir = Some(v.to_string());
-            } else if a == "--serve" {
-                serve = args.next();
-            } else if let Some(v) = a.strip_prefix("--serve=") {
-                serve = Some(v.to_string());
-            } else if a == "--trace" {
-                trace = args.next();
-            } else if let Some(v) = a.strip_prefix("--trace=") {
-                trace = Some(v.to_string());
-            } else if a == "--plot-data" {
-                plot_data = args.next();
-            } else if let Some(v) = a.strip_prefix("--plot-data=") {
-                plot_data = Some(v.to_string());
-            } else if a == "--plot-every" {
-                plot_every_ms = args.next().and_then(|v| v.parse().ok());
-            } else if let Some(v) = a.strip_prefix("--plot-every=") {
-                plot_every_ms = v.parse().ok();
-            } else if a == "--rule-cov" {
-                rule_cov = true;
-            } else if a == "--sema" {
-                sema = true;
-            } else {
-                positional.push(a);
+            let (flag, joined) = match a.split_once('=') {
+                Some((flag, v)) if flag.starts_with("--") => (flag, Some(v.to_string())),
+                _ => (a.as_str(), None),
+            };
+            let mut value = || {
+                joined
+                    .clone()
+                    .or_else(|| args.next_if(|v| !v.starts_with("--")))
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag {
+                "--workers" => match number(flag, value()?)? {
+                    0 => return Err("--workers 0: need at least one worker".to_string()),
+                    n => workers = Some(n),
+                },
+                "--telemetry" => telemetry = Some(value()?),
+                "--heartbeat" => heartbeat = true,
+                "--oracles" => {
+                    oracles = joined.as_deref().map_or(lego::OracleConfig::all(), parse_oracles)
+                }
+                "--wal-dir" => wal_dir = Some(value()?),
+                "--serve" => serve = Some(value()?),
+                "--trace" => trace = Some(value()?),
+                "--plot-data" => plot_data = Some(value()?),
+                "--plot-every" => plot_every_ms = number::<u64>(flag, value()?)?.max(10),
+                "--rule-cov" => rule_cov = true,
+                "--sema" => sema = true,
+                _ => positional.push(a),
             }
         }
-        Self {
+        Ok(Self {
             positional,
-            workers: workers.filter(|&w| w >= 1).unwrap_or_else(default_workers),
+            workers: workers.unwrap_or_else(default_workers),
             telemetry: telemetry
                 .or_else(|| std::env::var("LEGO_TELEMETRY").ok())
                 .filter(|p| !p.is_empty()),
@@ -234,21 +229,50 @@ impl Cli {
             serve: serve.or_else(|| std::env::var("LEGO_SERVE").ok()).filter(|a| !a.is_empty()),
             trace: trace.or_else(|| std::env::var("LEGO_TRACE").ok()).filter(|p| !p.is_empty()),
             plot_data: plot_data.filter(|p| !p.is_empty()),
-            plot_every_ms: plot_every_ms.unwrap_or(1000).max(10),
+            plot_every_ms,
             rule_cov,
             sema,
-        }
+        })
     }
 
-    /// Positional argument `i` parsed, or the default.
-    pub fn arg<T: std::str::FromStr>(&self, i: usize, default: T) -> T {
-        self.positional.get(i).and_then(|s| s.parse().ok()).unwrap_or(default)
+    /// Positional argument `i`, called `name` in the error, parsed; `default`
+    /// when it is absent. A value that does not parse exits with status 2.
+    pub fn arg<T: FromStr>(&self, i: usize, name: &str, default: T) -> T
+    where
+        T::Err: Display,
+    {
+        self.try_arg(i, name, default).unwrap_or_else(|e| refuse(&e))
     }
+
+    fn try_arg<T: FromStr>(&self, i: usize, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.positional.get(i).map_or(Ok(default), |v| number(name, v.clone()))
+    }
+}
+
+/// `value` of argument `name` parsed, or an error naming both.
+fn number<T: FromStr>(name: &str, value: String) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value.parse().map_err(|e| format!("{name} {value}: {e}"))
+}
+
+/// Report a bad command line and exit with status 2.
+fn refuse(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::from_args(args.iter().map(|a| a.to_string()))
+    }
 
     #[test]
     fn grid_preserves_job_order() {
@@ -264,17 +288,18 @@ mod tests {
 
     #[test]
     fn grid_panic_finishes_remaining_cells_before_reraising() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static DONE: AtomicUsize = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..12usize)
+        type Job<'a> = Box<dyn FnOnce() -> usize + Send + 'a>;
+        let done = AtomicUsize::new(0);
+        let jobs: Vec<Job> = (0..12usize)
             .map(|i| {
+                let done = &done;
                 Box::new(move || {
                     if i == 3 {
                         panic!("injected grid cell failure");
                     }
-                    DONE.fetch_add(1, Ordering::Relaxed);
+                    done.fetch_add(1, Ordering::Relaxed);
                     i
-                }) as Box<dyn FnOnce() -> usize + Send>
+                }) as Job
             })
             .collect();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_grid(jobs, 4)));
@@ -285,7 +310,7 @@ mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("injected grid cell failure"), "unexpected payload: {msg}");
-        assert_eq!(DONE.load(Ordering::Relaxed), 11, "surviving cells must all run");
+        assert_eq!(done.load(Ordering::Relaxed), 11, "surviving cells must all run");
     }
 
     #[test]
@@ -297,99 +322,115 @@ mod tests {
 
     #[test]
     fn cli_extracts_workers_flag_anywhere() {
-        let cli = Cli::from_args(["20000", "--workers", "3", "2"].into_iter().map(String::from));
+        let cli = parse(&["20000", "--workers", "3", "2"]).unwrap();
         assert_eq!(cli.workers, 3);
         assert_eq!(cli.positional, vec!["20000", "2"]);
-        assert_eq!(cli.arg::<usize>(0, 7), 20000);
-        assert_eq!(cli.arg::<usize>(5, 7), 7);
+        assert_eq!(cli.arg::<usize>(0, "UNITS", 7), 20000);
+        assert_eq!(cli.arg::<usize>(5, "SEEDS", 7), 7);
 
-        let eq = Cli::from_args(["--workers=5"].into_iter().map(String::from));
+        let eq = parse(&["--workers=5"]).unwrap();
         assert_eq!(eq.workers, 5);
         assert!(eq.positional.is_empty());
     }
 
     #[test]
     fn cli_extracts_telemetry_and_heartbeat_flags() {
-        let cli = Cli::from_args(
-            ["9000", "--telemetry", "/tmp/ev.jsonl", "--heartbeat", "4"]
-                .into_iter()
-                .map(String::from),
-        );
+        let cli = parse(&["9000", "--telemetry", "/tmp/ev.jsonl", "--heartbeat", "4"]).unwrap();
         assert_eq!(cli.telemetry.as_deref(), Some("/tmp/ev.jsonl"));
         assert!(cli.heartbeat);
         assert_eq!(cli.positional, vec!["9000", "4"]);
 
-        let eq = Cli::from_args(["--telemetry=x.jsonl"].into_iter().map(String::from));
+        let eq = parse(&["--telemetry=x.jsonl"]).unwrap();
         assert_eq!(eq.telemetry.as_deref(), Some("x.jsonl"));
         assert!(!eq.heartbeat);
     }
 
     #[test]
     fn cli_extracts_monitoring_flags() {
-        let cli = Cli::from_args(
-            ["9000", "--serve", "127.0.0.1:0", "--trace", "/tmp/t.json", "--plot-every", "250"]
-                .into_iter()
-                .map(String::from),
-        );
+        let cli = parse(&[
+            "9000",
+            "--serve",
+            "127.0.0.1:0",
+            "--trace",
+            "/tmp/t.json",
+            "--plot-every",
+            "250",
+        ])
+        .unwrap();
         assert_eq!(cli.serve.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(cli.trace.as_deref(), Some("/tmp/t.json"));
         assert_eq!(cli.plot_every_ms, 250);
         assert_eq!(cli.positional, vec!["9000"]);
 
-        let eq = Cli::from_args(
-            ["--serve=0.0.0.0:9100", "--trace=t.json", "--plot-data=p.csv"]
-                .into_iter()
-                .map(String::from),
-        );
+        let eq = parse(&["--serve=0.0.0.0:9100", "--trace=t.json", "--plot-data=p.csv"]).unwrap();
         assert_eq!(eq.serve.as_deref(), Some("0.0.0.0:9100"));
         assert_eq!(eq.trace.as_deref(), Some("t.json"));
         assert_eq!(eq.plot_data.as_deref(), Some("p.csv"));
         assert_eq!(eq.plot_every_ms, 1000, "default cadence");
 
-        let off = Cli::from_args(["9000"].into_iter().map(String::from));
+        let off = parse(&["9000"]).unwrap();
         assert!(off.serve.is_none() && off.trace.is_none() && off.plot_data.is_none());
     }
 
     #[test]
     fn cli_clamps_plot_cadence() {
-        let cli = Cli::from_args(["--plot-every=1"].into_iter().map(String::from));
+        let cli = parse(&["--plot-every=1"]).unwrap();
         assert!(cli.plot_every_ms >= 10, "sub-10ms cadence must be clamped");
     }
 
     #[test]
     fn cli_extracts_rule_cov_flag() {
-        let on = Cli::from_args(["9000", "--rule-cov", "2"].into_iter().map(String::from));
+        let on = parse(&["9000", "--rule-cov", "2"]).unwrap();
         assert!(on.rule_cov);
         assert_eq!(on.positional, vec!["9000", "2"]);
-        let off = Cli::from_args(["9000"].into_iter().map(String::from));
+        let off = parse(&["9000"]).unwrap();
         assert!(!off.rule_cov);
     }
 
     #[test]
     fn cli_extracts_sema_flag() {
-        let on = Cli::from_args(["9000", "--sema"].into_iter().map(String::from));
+        let on = parse(&["9000", "--sema"]).unwrap();
         assert!(on.sema);
         assert_eq!(on.positional, vec!["9000"]);
-        let off = Cli::from_args(["9000"].into_iter().map(String::from));
+        let off = parse(&["9000"]).unwrap();
         assert!(!off.sema);
     }
 
     #[test]
     fn cli_rejects_zero_workers() {
-        let cli = Cli::from_args(["--workers", "0"].into_iter().map(String::from));
-        assert!(cli.workers >= 1);
+        let err = parse(&["--workers", "0"]).err().expect("zero workers refused");
+        assert!(err.contains("--workers 0"), "{err}");
+    }
+
+    #[test]
+    fn cli_refuses_values_that_do_not_parse_or_are_missing() {
+        for (args, needle) in [
+            (&["3e3", "--workers", "abc"][..], "--workers abc"),
+            (&["--workers=-1"], "--workers -1"),
+            (&["--plot-every", "fast"], "--plot-every fast"),
+            (&["--plot-every"], "--plot-every needs a value"),
+            (&["--telemetry"], "--telemetry needs a value"),
+            (&["--telemetry", "--sema"], "--telemetry needs a value"),
+        ] {
+            let err = parse(args).err().unwrap_or_else(|| panic!("{args:?} accepted"));
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+        let cli = parse(&["3e3", "x"]).unwrap();
+        let err = cli.try_arg::<usize>(0, "UNITS", 7).expect_err("3e3 is not a unit count");
+        assert!(err.contains("UNITS 3e3"), "{err}");
+        assert!(cli.try_arg::<u64>(1, "SEEDS", 3).is_err());
     }
 
     #[test]
     fn cli_extracts_oracles_flag() {
-        let off = Cli::from_args(["9000"].into_iter().map(String::from));
+        let off = parse(&["9000"]).unwrap();
         assert!(!off.oracles.enabled());
 
-        let all = Cli::from_args(["--oracles", "9000"].into_iter().map(String::from));
+        let all = parse(&["--oracles", "9000"]).unwrap();
         assert_eq!(all.oracles, lego::OracleConfig::all());
         assert_eq!(all.positional, vec!["9000"]);
 
-        let subset = Cli::from_args(["--oracles=tlp,norec"].into_iter().map(String::from));
+        let subset = parse(&["--oracles=tlp,norec"]).unwrap();
         assert!(subset.oracles.tlp && subset.oracles.norec && !subset.oracles.differential);
     }
 

@@ -1,22 +1,28 @@
-//! `lego_cli` argument handling: a value that does not parse is an error
-//! that names the flag and the value, reported before any campaign starts,
-//! never a silent fall-back to the default.
+//! Argument handling of `lego_cli` and of the experiment binaries: a value
+//! that is missing or does not parse is an error that names the argument
+//! and the value, reported before any campaign starts, never a silent
+//! fall-back to the default.
 
 use lego_baselines::ENGINE_NAMES;
 use std::process::{Command, Output};
 
-/// Run `lego_cli` with `args`, isolated from the environment switches it
-/// reads.
-fn cli(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_lego_cli"))
+/// Run the binary at `bin` with `args`, isolated from the environment
+/// switches the binaries read.
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
         .args(args)
         .env_remove("LEGO_TELEMETRY")
         .env_remove("LEGO_WAL_DIR")
         .env_remove("LEGO_SERVE")
         .env_remove("LEGO_TRACE")
         .env_remove("LEGO_PLANT_FAULT")
+        .env_remove("LEGO_WORKERS")
         .output()
-        .expect("run lego_cli")
+        .unwrap_or_else(|e| panic!("run {bin}: {e}"))
+}
+
+fn cli(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_lego_cli"), args)
 }
 
 fn stdout(out: &Output) -> String {
@@ -27,14 +33,15 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Exit status 2, the error on stderr naming `needles`, and no campaign.
+/// Exit status 2, the error on stderr naming `needles`, and no campaign
+/// (nothing on stdout).
 fn assert_refused(out: &Output, needles: &[&str]) {
     let err = stderr(out);
     assert_eq!(out.status.code(), Some(2), "stderr: {err}");
     for needle in needles {
         assert!(err.contains(needle), "stderr should name {needle:?}: {err}");
     }
-    assert!(!stdout(out).contains("fuzzing"), "a campaign started: {}", stdout(out));
+    assert!(stdout(out).is_empty(), "a campaign started: {}", stdout(out));
     assert!(!err.contains("panicked"), "{err}");
 }
 
@@ -54,8 +61,42 @@ fn unparsable_numeric_values_are_refused() {
 
 #[test]
 fn a_flag_without_its_value_is_refused() {
-    for flag in ["--units", "--seed", "--checkpoint-every", "--plot-every", "--fuzzer"] {
-        assert_refused(&cli(&["fuzz", "pg", flag]), &[flag, "needs a value"]);
+    for flag in [
+        "--units",
+        "--seed",
+        "--checkpoint-every",
+        "--plot-every",
+        "--fuzzer",
+        "--out",
+        "--corpus",
+        "--telemetry",
+        "--serve",
+        "--trace",
+        "--plot-data",
+        "--checkpoint",
+        "--resume",
+        "--wal-dir",
+    ] {
+        assert_refused(&cli(&["fuzz", "pg", "--units", "2000", flag]), &[flag, "needs a value"]);
+        // Another flag where the value belongs is not the value.
+        assert_refused(&cli(&["fuzz", "pg", flag, "--sema"]), &[flag, "needs a value"]);
+    }
+}
+
+#[test]
+fn experiment_binaries_refuse_values_that_do_not_parse() {
+    let fig9 = env!("CARGO_BIN_EXE_fig9_coverage");
+    let table4 = env!("CARGO_BIN_EXE_table4_ablation");
+    let rows: [(&str, &[&str], &[&str]); 6] = [
+        (fig9, &["3e3", "--workers", "abc"], &["--workers", "abc"]),
+        (fig9, &["2000", "--workers=0"], &["--workers", "0"]),
+        (fig9, &["2000", "--plot-every", "fast"], &["--plot-every", "fast"]),
+        (fig9, &["2000", "--workers"], &["--workers", "needs a value"]),
+        (fig9, &["3e3"], &["UNITS", "3e3"]),
+        (table4, &["2000", "two"], &["SEEDS", "two"]),
+    ];
+    for (bin, args, needles) in rows {
+        assert_refused(&run(bin, args), needles);
     }
 }
 

@@ -15,6 +15,7 @@ use crate::checkpoint::{
 };
 use crate::checks::{OracleRuntime, SemaRuntime};
 use lego_coverage::{CoverageSink, GlobalCoverage};
+use lego_dbms::faults::Faults;
 use lego_dbms::{CrashReport, Dbms, ExecReport, PANIC_BUG_ID};
 use lego_observe::{Event, Stage, StageProfile, Telemetry};
 use lego_oracle::{LogicBug, OracleConfig, OracleKind};
@@ -300,12 +301,13 @@ pub(crate) fn execute_case_isolated(
     }
 }
 
-/// Crash triage for one deduplicated finding. Panic findings skip delta
-/// debugging: re-executing prefixes of a panicking case would re-trip the
-/// panic for *every* candidate, so the reproducer is kept whole.
+/// Crash triage for one deduplicated finding, reducing on the worker's
+/// engine `db`. Panic findings skip delta debugging: re-executing prefixes
+/// of a panicking case would re-trip the panic for *every* candidate, so the
+/// reproducer is kept whole.
 fn triage_crash(
+    db: &mut Dbms,
     case: &TestCase,
-    dialect: Dialect,
     crash: &CrashReport,
     tel: &Telemetry,
 ) -> (String, usize) {
@@ -313,24 +315,24 @@ fn triage_crash(
         return (case.to_sql(), 0);
     }
     let (reduced, spent) =
-        tel.time(Stage::Dedup, || crate::reduce::reduce_case(case, dialect, crash));
+        tel.time(Stage::Dedup, || crate::reduce::reduce_case_on(db, case, crash));
     (reduced.to_sql(), spent)
 }
 
 /// Re-derive full [`BugFinding`]s from checkpointed reproducers by replaying
-/// each stored case through the isolated executor. Fails loudly if a stored
-/// crash no longer reproduces (the environment changed under the checkpoint).
-/// Replay executions are bookkeeping, not campaign work — nothing is charged
-/// to the unit budget.
-fn rebuild_bugs(dialect: Dialect, findings: &[FindingCk]) -> Result<Vec<BugFinding>, String> {
-    let mut db = Dbms::new(dialect);
+/// each stored case through the isolated executor on `db`. Fails loudly if a
+/// stored crash no longer reproduces (the environment changed under the
+/// checkpoint). Replay executions are bookkeeping, not campaign work —
+/// nothing is charged to the unit budget.
+fn rebuild_bugs(db: &mut Dbms, findings: &[FindingCk]) -> Result<Vec<BugFinding>, String> {
+    let dialect = db.dialect();
     findings
         .iter()
         .map(|f| {
             let case = lego_sqlparser::parse_script(&f.case_sql)
                 .map_err(|e| format!("checkpointed crash case re-parse: {e:?}"))?;
             db.reset();
-            let report = execute_case_isolated(&mut db, dialect, &case);
+            let report = execute_case_isolated(db, dialect, &case);
             let crash = report.crash().cloned().ok_or_else(|| {
                 format!("checkpointed crash no longer reproduces: {}", f.case_sql)
             })?;
@@ -404,6 +406,11 @@ pub struct CampaignSpec {
     /// statement with the analyzer's verdicts, and disagreements become
     /// [`OracleKind::Sema`] findings in [`CampaignStats::logic_bugs`].
     pub sema: bool,
+    /// Planted faults (tests and smoke runs only) carried by every engine
+    /// and analyzer the campaign builds: the workers' engines, which also
+    /// triage and replay checkpointed findings, the oracle suites and the
+    /// analyzers. Not part of the checkpoint record.
+    pub faults: Faults,
 }
 
 impl CampaignSpec {
@@ -418,6 +425,7 @@ impl CampaignSpec {
             wal_dir: None,
             rule_cov: false,
             sema: false,
+            faults: Faults::default(),
         }
     }
 
@@ -684,7 +692,8 @@ struct Worker<'a> {
     /// `Some` with N workers: publish to these every `sync_every` cases.
     sinks: Option<&'a Sinks>,
     /// Reset between cases; its coverage map is recycled after feedback so
-    /// the loop does not allocate per case.
+    /// the loop does not allocate per case. Triage and the replays of
+    /// checkpointed findings run on it too, so they see the spec's faults.
     db: Dbms,
     cov: GlobalCoverage,
     /// Rule virgin map and tracer; `None` without `rule_cov`, so that path
@@ -712,7 +721,9 @@ impl<'a> Worker<'a> {
         index: usize,
         sinks: Option<&'a Sinks>,
     ) -> Self {
-        let (dialect, budget, workers) = (spec.dialect, spec.budget, spec.workers());
+        let (budget, workers) = (spec.budget, spec.workers());
+        let mut db = Dbms::new(spec.dialect);
+        db.set_faults(spec.faults);
         // Static partition: worker w gets units/N, the remainder spread over
         // the first (units % N) workers. Deterministic for a given (units, N).
         let slice = budget.units / workers + usize::from(index < budget.units % workers);
@@ -734,13 +745,13 @@ impl<'a> Worker<'a> {
             index,
             slice,
             sinks,
-            db: Dbms::new(dialect),
+            db,
             cov: GlobalCoverage::new(),
             rules: spec.rule_cov.then(|| (GlobalCoverage::new(), RuleTracer::new())),
             seen_stacks: HashMap::new(),
             bugs: Vec::new(),
-            oracle: OracleRuntime::new(dialect, spec.oracles, spec.wal_dir.as_deref(), index),
-            sema: spec.sema.then(|| SemaRuntime::new(dialect)),
+            oracle: OracleRuntime::new(spec, index),
+            sema: spec.sema.then(|| SemaRuntime::new(spec)),
             curve,
             units: 0,
             execs: 0,
@@ -760,17 +771,16 @@ impl<'a> Worker<'a> {
     /// Apply one worker's checkpoint: engine state, maps, re-derived
     /// findings and counters.
     fn restore(&mut self, engine: &mut dyn FuzzEngine, w: &WorkerResume) -> Result<(), String> {
-        let dialect = self.spec.dialect;
         engine.restore(&w.engine)?;
         self.cov = GlobalCoverage::from_sparse(&w.coverage);
         if let Some((rules, _)) = self.rules.as_mut() {
             *rules = GlobalCoverage::from_sparse(&w.rule_coverage);
         }
         self.seen_stacks = w.seen_stacks.iter().copied().collect();
-        self.bugs = rebuild_bugs(dialect, &w.bugs)?;
+        self.bugs = rebuild_bugs(&mut self.db, &w.bugs)?;
         self.oracle.restore(w)?;
         if let Some(srt) = self.sema.as_mut() {
-            srt.restore(dialect, w)?;
+            srt.restore(&mut self.db, w)?;
         }
         match &mut self.curve {
             Curve::Points { points, next, .. } => {
@@ -898,7 +908,7 @@ impl<'a> Worker<'a> {
                 // Triage: minimize the reproducer right away (the reduction
                 // executions are charged to the budget, like a real
                 // campaign's triage time).
-                let (reduced_sql, spent) = triage_crash(case, dialect, crash, tel);
+                let (reduced_sql, spent) = triage_crash(&mut self.db, case, crash, tel);
                 self.units += spent;
                 tel.emit(|| Event::BugFound {
                     worker,
@@ -920,7 +930,7 @@ impl<'a> Worker<'a> {
         // Conformance oracle: every executed case (including audits of
         // statically-rejected ones) checks the analyzer against the engine.
         if let (Some(srt), Some(rep)) = (self.sema.as_mut(), &sema_rep) {
-            self.units += srt.conformance(case, rep, &report, dialect, worker, exec, tel);
+            self.units += srt.conformance(case, rep, &report, &mut self.db, worker, exec, tel);
         }
         tel.time(Stage::Feedback, || engine.feedback(case, &report, accepted));
         if rule_delta > 0 {
@@ -1258,17 +1268,14 @@ pub fn run_campaign_parallel_sema<F>(
 where
     F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
 {
-    let checkpoint = ckpt.clone();
-    let wal_dir = wal_dir.map(Path::to_path_buf);
     let spec = CampaignSpec {
-        dialect,
-        budget,
         parallel: opts,
         oracles,
-        checkpoint,
-        wal_dir,
+        checkpoint: ckpt.clone(),
+        wal_dir: wal_dir.map(Path::to_path_buf),
         rule_cov,
         sema,
+        ..CampaignSpec::new(dialect, budget)
     };
     run(&spec, tel, factory)
 }

@@ -4,19 +4,18 @@
 //! finding right away (like crash triage), and restores itself from a
 //! checkpoint by replaying the stored reproducers.
 
-use crate::campaign::LogicBugFinding;
+use crate::campaign::{CampaignSpec, LogicBugFinding};
 use crate::checkpoint::{LogicFindingCk, WorkerResume};
 use lego_coverage::CovMap;
 use lego_dbms::{Dbms, ExecReport, Outcome};
 use lego_observe::{Event, Stage, Telemetry};
 use lego_oracle::{
     reduce::{reduce_logic_bug, reduce_with},
-    LogicBug, OracleConfig, OracleKind, OracleSuite,
+    LogicBug, OracleKind, OracleSuite,
 };
 use lego_sqlast::{Dialect, TestCase};
 use lego_sqlsema::{Sema, SeqReport, Verdict};
 use std::collections::HashMap;
-use std::path::Path;
 
 /// Per-worker logic-bug oracle state: the replay suite, fingerprint dedup,
 /// findings, and the check counter. With oracles disabled every call is a
@@ -29,18 +28,15 @@ pub(crate) struct OracleRuntime {
 }
 
 impl OracleRuntime {
-    pub(crate) fn new(
-        dialect: Dialect,
-        cfg: OracleConfig,
-        wal_dir: Option<&Path>,
-        worker: usize,
-    ) -> Self {
-        Self {
-            suite: cfg.enabled().then(|| OracleSuite::with_wal(dialect, cfg, wal_dir, worker)),
-            seen: HashMap::new(),
-            findings: Vec::new(),
-            checks: 0,
-        }
+    /// The oracles of `spec`, for worker `worker`.
+    pub(crate) fn new(spec: &CampaignSpec, worker: usize) -> Self {
+        let suite = spec.oracles.enabled().then(|| {
+            let wal_dir = spec.wal_dir.as_deref();
+            let mut suite = OracleSuite::with_wal(spec.dialect, spec.oracles, wal_dir, worker);
+            suite.set_faults(spec.faults);
+            suite
+        });
+        Self { suite, seen: HashMap::new(), findings: Vec::new(), checks: 0 }
     }
 
     /// Run the configured oracles over one corpus-accepted case. New
@@ -216,20 +212,30 @@ fn sema_bug(
 }
 
 /// Does `case` still exhibit a sema divergence in the given direction?
-/// Deterministic (fresh analyzer + fresh engine per candidate), as
+/// Deterministic (a fresh binder and a reset engine per candidate), as
 /// [`reduce_with`] requires.
-fn sema_still_diverges(dialect: Dialect, case: &TestCase, analyzer_accepted: bool) -> bool {
-    let rep = Sema::new(dialect).check_sequence(&case.statements);
-    let mut db = Dbms::new(dialect);
+fn sema_still_diverges(
+    sema: &Sema,
+    db: &mut Dbms,
+    case: &TestCase,
+    analyzer_accepted: bool,
+) -> bool {
+    let rep = sema.check_sequence(&case.statements);
+    db.reset();
     let out = db.execute_case(case);
-    matches!(out.outcome, Outcome::Ok)
-        && first_divergence(&rep, &out).is_some_and(|(_, acc, _)| acc == analyzer_accepted)
+    let diverges = matches!(out.outcome, Outcome::Ok)
+        && first_divergence(&rep, &out).is_some_and(|(_, acc, _)| acc == analyzer_accepted);
+    db.recycle(out.coverage);
+    diverges
 }
 
 impl SemaRuntime {
-    pub(crate) fn new(dialect: Dialect) -> Self {
+    /// The analyzer of `spec`, carrying its faults.
+    pub(crate) fn new(spec: &CampaignSpec) -> Self {
+        let mut sema = Sema::new(spec.dialect);
+        sema.set_faults(spec.faults);
         Self {
-            sema: Sema::new(dialect),
+            sema,
             audit: 0,
             rejects: 0,
             skipped_stmts: 0,
@@ -250,16 +256,16 @@ impl SemaRuntime {
 
     /// Conformance oracle over one *executed* case: compare the analyzer's
     /// per-statement verdicts with what the engine actually did. A fresh
-    /// (fingerprint-deduplicated) divergence is ddmin-reduced immediately,
-    /// like crash and logic-bug triage; returns the statement units the
-    /// reduction consumed. Timed as [`Stage::Sema`].
+    /// (fingerprint-deduplicated) divergence is ddmin-reduced immediately on
+    /// the worker's engine `db`, like crash and logic-bug triage; returns the
+    /// statement units the reduction consumed. Timed as [`Stage::Sema`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn conformance(
         &mut self,
         case: &TestCase,
         rep: &SeqReport,
         report: &ExecReport,
-        dialect: Dialect,
+        db: &mut Dbms,
         worker: usize,
         exec: usize,
         tel: &Telemetry,
@@ -271,14 +277,15 @@ impl SemaRuntime {
             return 0;
         };
         let analyzer_accepted = divergence.1;
-        let bug = sema_bug(dialect, case, divergence);
+        let bug = sema_bug(db.dialect(), case, divergence);
         let fp = bug.fingerprint();
         let std::collections::hash_map::Entry::Vacant(e) = self.seen.entry(fp) else {
             return 0;
         };
         e.insert(exec);
+        let sema = &self.sema;
         let (reduced, evals) = tel.time(Stage::Sema, || {
-            reduce_with(case, |cand| sema_still_diverges(dialect, cand, analyzer_accepted))
+            reduce_with(case, |cand| sema_still_diverges(sema, db, cand, analyzer_accepted))
         });
         tel.emit(|| Event::SemaDivergenceFound { worker, exec: exec as u64, fingerprint: fp });
         self.findings.push(LogicBugFinding {
@@ -291,10 +298,10 @@ impl SemaRuntime {
     }
 
     /// Restore counters, dedup state and findings from a checkpoint. The
-    /// findings are re-derived by replaying each case through a fresh
-    /// analyzer and engine and matching the stored fingerprint.
-    pub(crate) fn restore(&mut self, dialect: Dialect, w: &WorkerResume) -> Result<(), String> {
-        let mut db = Dbms::new(dialect);
+    /// findings are re-derived by replaying each case through the analyzer
+    /// and the reset engine `db` and matching the stored fingerprint.
+    pub(crate) fn restore(&mut self, db: &mut Dbms, w: &WorkerResume) -> Result<(), String> {
+        let dialect = db.dialect();
         self.findings = w
             .sema_findings
             .iter()

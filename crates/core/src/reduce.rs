@@ -31,10 +31,15 @@ fn still_crashes(db: &mut Dbms, case: &TestCase, want: u64) -> bool {
 /// Shrink a crashing test case, preserving its crash identity. Returns the
 /// reduced case and the number of executions spent.
 pub fn reduce_case(case: &TestCase, dialect: Dialect, crash: &CrashReport) -> (TestCase, usize) {
+    reduce_case_on(&mut Dbms::new(dialect), case, crash)
+}
+
+/// [`reduce_case`] on a given instance, reset before every candidate — one
+/// that carries planted faults, say.
+pub fn reduce_case_on(db: &mut Dbms, case: &TestCase, crash: &CrashReport) -> (TestCase, usize) {
     let want = crash.stack_hash();
-    let mut db = Dbms::new(dialect);
-    debug_assert!(still_crashes(&mut db, case, want), "input must reproduce the crash");
-    reduce_with(case, |candidate| still_crashes(&mut db, candidate, want))
+    debug_assert!(still_crashes(db, case, want), "input must reproduce the crash");
+    reduce_with(case, |candidate| still_crashes(db, candidate, want))
 }
 
 #[cfg(test)]

@@ -1,27 +1,28 @@
 //! End-to-end triage pipeline test for the logic-bug oracles.
 //!
-//! A known wrong-result defect is injected behind the test-only
-//! `lego_dbms::faults` flag (the WHERE filter silently drops its last
-//! qualifying row). A campaign with oracles enabled must then:
+//! A known wrong-result defect is planted in the campaign's engines through
+//! `CampaignSpec::faults` (the WHERE filter silently drops its last
+//! qualifying row; see `lego_dbms::faults`). A campaign with oracles enabled
+//! must then:
 //!
 //! 1. detect the defect (NoREC: the un-filtered scan form bypasses the
 //!    faulty filter),
 //! 2. collapse duplicate findings across literal variants of the same query
 //!    shape into exactly one report, and
 //! 3. reduce the reproducer to at most 3 statements.
-//!
-//! The fault flag is process-global, so every campaign-with-fault test
-//! lives in this binary and serializes on one lock.
 
 use lego::campaign::{run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
 use lego::oracle::OracleKind;
 use lego::OracleConfig;
-use lego_dbms::faults::FaultGuard;
+use lego_dbms::faults::Faults;
 use lego_observe::Telemetry;
 use lego_sqlast::{Dialect, TestCase};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
+/// The planted wrong-result fault.
+fn where_fault() -> Faults {
+    Faults { where_drops_last_row: true, ..Faults::default() }
+}
 
 /// Deterministic replay engine: cycles through a fixed case list. The cases
 /// share one SELECT skeleton (same tables/columns/operators, different
@@ -71,19 +72,21 @@ INSERT INTO t VALUES (5, 50), (6, 60), (7, 70);
 UPDATE t SET b = 0 WHERE a = 5;
 SELECT * FROM t WHERE a > 5;";
 
-/// A 400-unit PostgreSQL campaign with the given oracles.
-fn oracle_campaign(engine: &mut Replay, oracles: OracleConfig) -> CampaignStats {
-    let spec = CampaignSpec { oracles, ..CampaignSpec::new(Dialect::Postgres, Budget::units(400)) };
+/// A 400-unit PostgreSQL campaign with the given oracles and faults.
+fn oracle_campaign(engine: &mut Replay, oracles: OracleConfig, faults: Faults) -> CampaignStats {
+    let spec = CampaignSpec {
+        oracles,
+        faults,
+        ..CampaignSpec::new(Dialect::Postgres, Budget::units(400))
+    };
     run_engine(&spec, &Telemetry::disabled(), engine).expect("campaign completes")
 }
 
 #[test]
 fn injected_logic_bug_is_found_deduped_and_reduced() {
-    let _lock = FAULT_LOCK.lock().unwrap();
-    let _guard = FaultGuard::enable_where_drops_last_row();
     let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
     let oracles = OracleConfig { tlp: false, norec: true, differential: false, recovery: false };
-    let stats = oracle_campaign(&mut engine, oracles);
+    let stats = oracle_campaign(&mut engine, oracles, where_fault());
 
     // Both variants were corpus-accepted and oracle-checked.
     assert!(stats.oracle_checks >= 2, "oracle_checks = {}", stats.oracle_checks);
@@ -103,27 +106,25 @@ fn injected_logic_bug_is_found_deduped_and_reduced() {
 
     // The reproducer still trips the oracle with the same identity.
     let mut suite = lego::oracle::OracleSuite::new(Dialect::Postgres, oracles);
+    suite.set_faults(where_fault());
     assert!(suite.bug_persists(&reduced, finding.fingerprint()));
 }
 
 #[test]
 fn oracle_campaign_with_fault_is_deterministic() {
-    let _lock = FAULT_LOCK.lock().unwrap();
-    let _guard = FaultGuard::enable_where_drops_last_row();
     let run = || {
         let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
-        oracle_campaign(&mut engine, OracleConfig::all())
+        oracle_campaign(&mut engine, OracleConfig::all(), where_fault())
     };
     assert_eq!(run().deterministic_json(), run().deterministic_json());
 }
 
 #[test]
 fn clean_engine_reports_no_logic_bugs() {
-    let _lock = FAULT_LOCK.lock().unwrap();
     // No fault: the same campaign must stay silent (oracle soundness on the
     // defect-free engine).
     let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
-    let stats = oracle_campaign(&mut engine, OracleConfig::all());
+    let stats = oracle_campaign(&mut engine, OracleConfig::all(), Faults::default());
     assert!(stats.logic_bugs.is_empty(), "{:#?}", stats.logic_bugs);
     assert!(stats.oracle_checks > 0);
 }

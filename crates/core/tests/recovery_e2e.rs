@@ -1,33 +1,29 @@
 //! End-to-end triage pipeline test for the recovery (durability) oracle.
 //!
-//! A known lost-write defect is injected behind the test-only
-//! `lego_dbms::faults` flag: at every WAL sync the final pending record is
-//! marked durable but its bytes never reach the file. A campaign with the
-//! recovery oracle enabled must then:
+//! A known lost-write defect is planted in the campaign's engines through
+//! `CampaignSpec::faults` (see `lego_dbms::faults`): at every WAL sync the
+//! final pending record is marked durable but its bytes never reach the
+//! file. A campaign with the recovery oracle enabled must then:
 //!
 //! 1. detect the defect (replay of the WAL diverges from the state the
 //!    engine claimed was durable),
 //! 2. collapse every affected case into exactly one deduplicated finding
 //!    (the divergence class, not the case text, is the bug's identity), and
 //! 3. reduce the reproducer to at most 3 statements.
-//!
-//! The fault flag is process-global, so every campaign-with-fault test
-//! lives in this binary and serializes on one lock.
 
 use lego::campaign::{run_engine, Budget, CampaignSpec, FuzzEngine};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::{Event, MemorySink, Telemetry};
 use lego::oracle::{OracleKind, OracleSuite};
 use lego::OracleConfig;
-use lego_dbms::faults::FaultGuard;
+use lego_dbms::faults::Faults;
 use lego_sqlast::{Dialect, TestCase};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn fault_lock() -> MutexGuard<'static, ()> {
-    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// The planted lost-write fault.
+fn torn_write() -> Faults {
+    Faults { wal_drops_last_record: true, ..Faults::default() }
 }
 
 /// Fresh per-test WAL directory: concurrent campaigns must never share
@@ -80,11 +76,12 @@ INSERT INTO t VALUES (5, 50), (6, 60), (7, 70);
 UPDATE t SET b = 0 WHERE a = 5;
 SELECT * FROM t WHERE a > 5;";
 
-fn run_recovery_campaign(dir: &Path, tel: &Telemetry) -> lego::CampaignStats {
+fn run_recovery_campaign(dir: &Path, tel: &Telemetry, faults: Faults) -> lego::CampaignStats {
     let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
     let spec = CampaignSpec {
         oracles: OracleConfig::recovery_only(),
         wal_dir: Some(dir.to_path_buf()),
+        faults,
         ..CampaignSpec::new(Dialect::Postgres, Budget::units(400))
     };
     run_engine(&spec, tel, &mut engine).expect("campaign completes")
@@ -92,12 +89,10 @@ fn run_recovery_campaign(dir: &Path, tel: &Telemetry) -> lego::CampaignStats {
 
 #[test]
 fn injected_lost_write_is_found_deduped_and_reduced() {
-    let _lock = fault_lock();
-    let _guard = FaultGuard::enable_wal_drops_last_record();
     let dir = wal_dir("fault");
     let mem = Arc::new(MemorySink::new());
     let tel = Telemetry::builder().sink(mem.clone()).seed(1).build();
-    let stats = run_recovery_campaign(&dir, &tel);
+    let stats = run_recovery_campaign(&dir, &tel, torn_write());
 
     // Both variants were corpus-accepted and recovery-checked.
     assert!(stats.oracle_checks >= 2, "oracle_checks = {}", stats.oracle_checks);
@@ -121,6 +116,7 @@ fn injected_lost_write_is_found_deduped_and_reduced() {
     // The reproducer still trips the oracle with the same identity.
     let mut suite =
         OracleSuite::with_wal(Dialect::Postgres, OracleConfig::recovery_only(), Some(&dir), 99);
+    suite.set_faults(torn_write());
     assert!(suite.bug_persists(&reduced, finding.fingerprint()));
 
     // The finding surfaced through telemetry as a durability event (not a
@@ -139,21 +135,18 @@ fn injected_lost_write_is_found_deduped_and_reduced() {
 
 #[test]
 fn recovery_campaign_with_fault_is_deterministic() {
-    let _lock = fault_lock();
-    let _guard = FaultGuard::enable_wal_drops_last_record();
     let dir = wal_dir("det");
-    let run = || run_recovery_campaign(&dir, &Telemetry::disabled());
+    let run = || run_recovery_campaign(&dir, &Telemetry::disabled(), torn_write());
     assert_eq!(run().deterministic_json(), run().deterministic_json());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn clean_engine_reports_no_durability_bugs() {
-    let _lock = fault_lock();
     // No fault: the same campaign must stay silent (oracle soundness on the
     // defect-free engine), and the WAL files must actually exist.
     let dir = wal_dir("clean");
-    let stats = run_recovery_campaign(&dir, &Telemetry::disabled());
+    let stats = run_recovery_campaign(&dir, &Telemetry::disabled(), Faults::default());
     assert!(stats.logic_bugs.is_empty(), "{:#?}", stats.logic_bugs);
     assert_eq!(stats.durability_bugs, 0);
     assert!(stats.oracle_checks > 0);
@@ -166,7 +159,6 @@ fn clean_engine_reports_no_durability_bugs() {
 
 #[test]
 fn wal_location_never_influences_findings() {
-    let _lock = fault_lock();
     // The WAL path is environment, not input: an explicit --wal-dir and the
     // default temp-dir placement must produce byte-identical reports.
     let dir = wal_dir("loc");

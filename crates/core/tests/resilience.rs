@@ -1,7 +1,8 @@
 //! Fault-tolerance contracts of the campaign supervisor.
 //!
 //! Three promises are exercised end to end, against *actually* faulty
-//! engines (via the `lego-dbms` planted-fault switches):
+//! engines (the planted faults of `lego_dbms::faults`, set per campaign
+//! through `CampaignSpec::faults`):
 //!
 //! 1. **Panic isolation** — an engine panic mid-case becomes a recorded,
 //!    deduplicated crash finding; the campaign runs to budget exhaustion.
@@ -14,30 +15,20 @@
 //! Plus resume validation: a resume whose settings differ from the ones the
 //! checkpoint recorded is refused with an error naming the setting. (That a
 //! matching resume reproduces the uninterrupted run is pinned by
-//! `campaign_matrix.rs`.)
-//!
-//! The fault switches are process-global and the cargo test harness runs
-//! the tests in this binary on multiple threads, so every test holds
-//! `FAULT_LOCK` for its whole body — the fault-free ones too, or a
-//! concurrent test's planted fault would leak into their campaigns.
+//! `campaign_matrix.rs`.) And fault isolation: a faulted campaign leaves a
+//! concurrent fault-free one untouched.
 
 use lego::campaign::ParallelOpts;
-use lego::campaign::{run, run_campaign, run_engine, Budget, CampaignSpec, FuzzEngine};
+use lego::campaign::{run, run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::{Event, MemorySink, Telemetry};
+use lego_dbms::faults::Faults;
 use lego_dbms::{ExecReport, PANIC_BUG_ID};
 use lego_oracle::OracleConfig;
 use lego_sqlast::{Dialect, TestCase};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn fault_lock() -> MutexGuard<'static, ()> {
-    // A failed fault test must not wedge the others.
-    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Barrier};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lego_resilience_{tag}_{}", std::process::id()));
@@ -51,6 +42,8 @@ struct ScriptedEngine {
     cases: Vec<Arc<TestCase>>,
     next: usize,
     verdicts: Vec<(String, bool)>,
+    /// Before handing out case `n`, wait on each of these barriers in turn.
+    gate: Option<(usize, Vec<Arc<Barrier>>)>,
 }
 
 impl ScriptedEngine {
@@ -59,7 +52,7 @@ impl ScriptedEngine {
             .iter()
             .map(|s| Arc::new(lego_sqlparser::parse_script(s).expect("scripted case parses")))
             .collect();
-        Self { cases, next: 0, verdicts: Vec::new() }
+        Self { cases, next: 0, verdicts: Vec::new(), gate: None }
     }
 }
 
@@ -69,6 +62,13 @@ impl FuzzEngine for ScriptedEngine {
     }
 
     fn next_case(&mut self) -> Arc<TestCase> {
+        if let Some((at, barriers)) = &self.gate {
+            if *at == self.next {
+                for barrier in barriers {
+                    barrier.wait();
+                }
+            }
+        }
         let case = Arc::clone(&self.cases[self.next % self.cases.len()]);
         self.next += 1;
         case
@@ -119,12 +119,21 @@ const SCRIPT: [&str; 4] = [
     "SELECT * FROM t;",
 ];
 
+/// The planted engine panic on `CREATE TRIGGER`.
+fn panics() -> Faults {
+    Faults { panic_on_create_trigger: true, ..Faults::default() }
+}
+
+/// A serial 150-unit PostgreSQL campaign on `engine` with `faults` planted.
+fn scripted_campaign(engine: &mut ScriptedEngine, faults: Faults) -> CampaignStats {
+    let spec = CampaignSpec { faults, ..CampaignSpec::new(Dialect::Postgres, Budget::units(150)) };
+    run_engine(&spec, &Telemetry::disabled(), engine).expect("campaign completes")
+}
+
 #[test]
 fn engine_panic_becomes_a_recorded_finding_and_campaign_survives() {
-    let _lock = fault_lock();
-    let _fault = lego_dbms::faults::FaultGuard::enable_panic_on_create_trigger();
     let mut engine = ScriptedEngine::new(&SCRIPT);
-    let stats = run_campaign(&mut engine, Dialect::Postgres, Budget::units(150));
+    let stats = scripted_campaign(&mut engine, panics());
 
     // The campaign survived to budget exhaustion and recorded exactly one
     // deduplicated panic finding (the same panic re-fires every cycle).
@@ -144,14 +153,39 @@ fn engine_panic_becomes_a_recorded_finding_and_campaign_survives() {
 }
 
 #[test]
+fn a_faulted_campaign_leaves_a_concurrent_fault_free_one_untouched() {
+    let solo = scripted_campaign(&mut ScriptedEngine::new(&SCRIPT), Faults::default());
+    assert!(solo.bugs.is_empty(), "the fault-free engine never panics");
+    // The faulted campaign stops before its 7th case (after the trigger
+    // case has panicked once) until the fault-free campaign has run from
+    // its first case to its end.
+    let (mid, done) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    let mut faulted = ScriptedEngine::new(&SCRIPT);
+    faulted.gate = Some((6, vec![mid.clone(), done.clone()]));
+    let mut clean = ScriptedEngine::new(&SCRIPT);
+    clean.gate = Some((0, vec![mid]));
+    let (faulted, clean) = std::thread::scope(|s| {
+        let faulted = s.spawn(move || scripted_campaign(&mut faulted, panics()));
+        let clean = s.spawn(move || {
+            let stats = scripted_campaign(&mut clean, Faults::default());
+            done.wait();
+            stats
+        });
+        (faulted.join().unwrap(), clean.join().unwrap())
+    });
+    assert_eq!(clean.deterministic_json(), solo.deterministic_json());
+    assert_eq!(faulted.bugs.len(), 1, "one deduplicated panic finding");
+    assert_eq!(faulted.bugs[0].crash.bug_id, PANIC_BUG_ID);
+}
+
+#[test]
 fn panic_campaigns_are_deterministic_across_worker_counts() {
-    let _lock = fault_lock();
-    let _fault = lego_dbms::faults::FaultGuard::enable_panic_on_create_trigger();
     let factory =
         || |_w: usize| Box::new(ScriptedEngine::new(&SCRIPT)) as Box<dyn FuzzEngine + Send>;
     for workers in [1usize, 3] {
         let spec = CampaignSpec {
             parallel: ParallelOpts { workers, sync_every: 4 },
+            faults: panics(),
             ..CampaignSpec::new(Dialect::Postgres, Budget::units(900))
         };
         let go = || run(&spec, &Telemetry::disabled(), factory()).expect("campaign completes");
@@ -169,12 +203,13 @@ fn panic_campaigns_are_deterministic_across_worker_counts() {
 
 #[test]
 fn hang_guard_aborts_spinning_cases_and_never_retains_them() {
-    let _lock = fault_lock();
-    let _fault = lego_dbms::faults::FaultGuard::enable_spin_on_create_trigger();
     let mem = Arc::new(MemorySink::new());
     let tel = Telemetry::builder().sink(mem.clone()).seed(1).build();
     let mut engine = ScriptedEngine::new(&SCRIPT);
-    let spec = CampaignSpec::new(Dialect::Postgres, Budget::units(400));
+    let spec = CampaignSpec {
+        faults: Faults { spin_on_create_trigger: true, ..Faults::default() },
+        ..CampaignSpec::new(Dialect::Postgres, Budget::units(400))
+    };
     let stats = run_engine(&spec, &tel, &mut engine).expect("campaign completes");
 
     assert!(stats.cases_aborted > 0, "hang guard never fired");
@@ -200,9 +235,6 @@ fn hang_guard_aborts_spinning_cases_and_never_retains_them() {
 
 #[test]
 fn dead_worker_forfeits_only_its_own_slice() {
-    // No fault switch is flipped (the death is injected in the engine), but
-    // a concurrent test's would leak into this campaign.
-    let _lock = fault_lock();
     let mem = Arc::new(MemorySink::new());
     let tel = Telemetry::builder().sink(mem.clone()).seed(1).build();
     let factory = |w: usize| -> Box<dyn FuzzEngine + Send> {
@@ -252,7 +284,6 @@ type Factory = fn(usize) -> Box<dyn FuzzEngine + Send>;
 
 #[test]
 fn resume_rejects_every_setting_that_differs_from_the_checkpoint() {
-    let _lock = fault_lock();
     let dir = tmpdir("mismatch");
     let spec = CampaignSpec {
         parallel: ParallelOpts { workers: 2, sync_every: 4 },

@@ -2,30 +2,20 @@
 //!
 //! The analyzer and the engine agree on everything the agreement suite
 //! covers, so a real divergence cannot be provoked from the outside. Instead
-//! the planted `overaccept_commit` analyzer fault (see
-//! `lego_sqlsema::faults`) makes the binder wrongly accept `COMMIT` outside
-//! a transaction; the engine then rejects the statement at runtime and the
-//! campaign must surface the disagreement as a `SemaDivergence` finding —
-//! deduplicated by fingerprint and delta-debugged like every other logic
-//! bug.
-//!
-//! Kept in its own test binary: the fault switch is global to the process,
-//! so both tests — the fault-free one too — serialize on one lock.
+//! the planted `overaccept_commit` analyzer fault (see `lego_dbms::faults`),
+//! set through `CampaignSpec::faults`, makes the campaign's binders wrongly
+//! accept `COMMIT` outside a transaction; the engine then rejects the
+//! statement at runtime and the campaign must surface the disagreement as a
+//! `SemaDivergence` finding — deduplicated by fingerprint and delta-debugged
+//! like every other logic bug.
 
 use lego::campaign::{run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
 use lego::observe::Telemetry;
+use lego_dbms::faults::Faults;
 use lego_dbms::ExecReport;
 use lego_oracle::OracleKind;
 use lego_sqlast::{Dialect, TestCase};
-use lego_sqlsema::faults::FaultGuard;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn fault_lock() -> MutexGuard<'static, ()> {
-    // A failed fault test must not wedge the other.
-    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 /// Hands out a fixed cycle of hand-written cases — no RNG, no corpus — so
 /// the campaign sees exactly the fixtures below, repeatedly.
@@ -59,17 +49,19 @@ impl FuzzEngine for Fixtures {
     }
 }
 
-/// A 2,000-unit PostgreSQL campaign with the analyzer on.
-fn sema_campaign(engine: &mut Fixtures) -> CampaignStats {
-    let spec =
-        CampaignSpec { sema: true, ..CampaignSpec::new(Dialect::Postgres, Budget::units(2_000)) };
+/// A 2,000-unit PostgreSQL campaign with the analyzer on and `faults`
+/// planted.
+fn sema_campaign(engine: &mut Fixtures, faults: Faults) -> CampaignStats {
+    let spec = CampaignSpec {
+        sema: true,
+        faults,
+        ..CampaignSpec::new(Dialect::Postgres, Budget::units(2_000))
+    };
     run_engine(&spec, &Telemetry::disabled(), engine).expect("campaign completes")
 }
 
 #[test]
 fn planted_overacceptance_yields_exactly_one_reduced_divergence_finding() {
-    let _lock = fault_lock();
-    let _fault = FaultGuard::enable_overaccept_commit();
     // Two healthy fixtures plus the divergent one, which the cycle serves
     // many times over the budget — the fingerprint dedup must collapse every
     // repeat (and the padding statements must not split the identity).
@@ -78,7 +70,7 @@ fn planted_overacceptance_yields_exactly_one_reduced_divergence_finding() {
         "CREATE TABLE t1 (c0 INT); SELECT c0 FROM t1;",
         "CREATE TABLE t2 (c0 INT); INSERT INTO t2 (c0) VALUES (7); COMMIT; SELECT c0 FROM t2;",
     ]);
-    let stats = sema_campaign(&mut engine);
+    let stats = sema_campaign(&mut engine, Faults { overaccept_commit: true, ..Faults::default() });
 
     assert_eq!(
         stats.sema_divergences,
@@ -107,15 +99,14 @@ fn planted_overacceptance_yields_exactly_one_reduced_divergence_finding() {
 
 #[test]
 fn healthy_analyzer_reports_no_divergence_on_the_same_fixtures() {
-    let _lock = fault_lock();
-    // No FaultGuard: the analyzer honestly rejects the bare COMMITs, so the
+    // No fault: the analyzer honestly rejects the bare COMMITs, so the
     // cases are skipped (or audited and found to *agree*: the analyzer said
     // Reject and the engine erred) and no finding appears.
     let mut engine = Fixtures::new(&[
         "CREATE TABLE t0 (c0 INT); INSERT INTO t0 (c0) VALUES (1); COMMIT; SELECT c0 FROM t0;",
         "CREATE TABLE t1 (c0 INT); SELECT c0 FROM t1;",
     ]);
-    let stats = sema_campaign(&mut engine);
+    let stats = sema_campaign(&mut engine, Faults::default());
     assert_eq!(stats.sema_divergences, 0);
     assert!(stats.sema_rejects > 0, "the bare COMMIT fixture must be statically rejected");
     assert!(stats.sema_skipped_stmts > 0);

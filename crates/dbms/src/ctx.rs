@@ -2,6 +2,7 @@
 //! and the per-case execution budgets.
 
 use crate::bugs::CrashReport;
+use crate::faults::Faults;
 use crate::limits::{AbortReason, Limits};
 use lego_coverage::{CovRecorder, SiteId};
 use lego_sqlast::StmtKind;
@@ -31,6 +32,8 @@ pub struct ExecCtx {
     pub eval_depth: usize,
     /// Set (sticky) when any budget trips; aborts the case.
     pub abort: Option<AbortReason>,
+    /// Planted faults of the executing instance (test-only).
+    pub faults: Faults,
 }
 
 impl ExecCtx {
@@ -56,6 +59,7 @@ impl ExecCtx {
             stmts_charged: 0,
             eval_depth: 0,
             abort: None,
+            faults: Faults::default(),
         }
     }
 

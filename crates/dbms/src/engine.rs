@@ -4,6 +4,7 @@
 use crate::bugs::{CrashReport, OracleState};
 use crate::ctx::ExecCtx;
 use crate::exec::Session;
+use crate::faults::Faults;
 use crate::limits::{AbortReason, Limits};
 use crate::profile::Profile;
 use crate::wal::Wal;
@@ -112,6 +113,7 @@ pub struct Dbms {
     poisoned: Option<CrashReport>,
     spare_map: Option<CovMap>,
     limits: Limits,
+    faults: Faults,
     wal: Option<Wal>,
 }
 
@@ -122,6 +124,7 @@ impl Dbms {
             poisoned: None,
             spare_map: None,
             limits: Limits::default(),
+            faults: Faults::default(),
             wal: None,
         }
     }
@@ -134,6 +137,15 @@ impl Dbms {
 
     pub fn limits(&self) -> Limits {
         self.limits
+    }
+
+    /// Plant test-only faults in every subsequent execution, query and
+    /// attached WAL of this instance (survives [`Dbms::reset`]).
+    pub fn set_faults(&mut self, faults: Faults) {
+        self.faults = faults;
+        if let Some(wal) = self.wal.as_mut() {
+            wal.set_faults(faults);
+        }
     }
 
     /// Reset to the fresh-instance state in place: empty catalog, default
@@ -149,7 +161,9 @@ impl Dbms {
     /// Every subsequently executed statement is journaled and synced at
     /// commit boundaries; see [`crate::wal`].
     pub fn wal_attach(&mut self, path: &Path) -> std::io::Result<()> {
-        self.wal = Some(Wal::create(path)?);
+        let mut wal = Wal::create(path)?;
+        wal.set_faults(self.faults);
+        self.wal = Some(wal);
         Ok(())
     }
 
@@ -203,12 +217,14 @@ impl Dbms {
     }
 
     /// A context on the spare coverage map, if one was handed back, with
-    /// the default [`Limits`].
+    /// the default [`Limits`] and this instance's faults.
     fn spare_ctx(&mut self) -> ExecCtx {
-        match self.spare_map.take() {
+        let mut ctx = match self.spare_map.take() {
             Some(map) => ExecCtx::reusing(map),
             None => ExecCtx::new(),
-        }
+        };
+        ctx.faults = self.faults;
+        ctx
     }
 
     fn fresh_ctx(&mut self) -> ExecCtx {

@@ -147,10 +147,10 @@ impl Session {
         // an injected infinite loop, both keyed to CREATE TRIGGER so the
         // resilience tests can plant them behind a specific statement type.
         if matches!(stmt, Statement::CreateTrigger(_)) {
-            if crate::faults::panic_on_create_trigger() {
+            if ctx.faults.panic_on_create_trigger {
                 panic!("injected fault: engine panic on CREATE TRIGGER");
             }
-            if crate::faults::spin_on_create_trigger() {
+            if ctx.faults.spin_on_create_trigger {
                 // A "hang" the budget guard can catch deterministically: burn
                 // row budget until the per-case limit aborts the case.
                 loop {

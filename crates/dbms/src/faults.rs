@@ -1,10 +1,10 @@
 //! Test-only fault injection.
 //!
 //! The metamorphic oracles (`lego-oracle`) can only be integration-tested
-//! against an engine that is actually wrong, and the campaign supervisor's
-//! panic-isolation/hang-guard paths can only be integration-tested against
-//! an engine that actually panics or hangs. This module provides
-//! process-global switches for these fault classes:
+//! against an engine that is actually wrong, the campaign supervisor's
+//! panic-isolation/hang-guard paths against an engine that actually panics
+//! or hangs, and the analyzer's conformance oracle against an analyzer that
+//! is actually wrong. [`Faults`] names these fault classes:
 //!
 //! - **wrong result** — the `WHERE` filter drops the last qualifying row:
 //!   the classic shape of an optimizer/scan bug that never crashes and never
@@ -16,96 +16,30 @@
 //!   of the paper's 23-minute SQUIRREL hang, § II-C3);
 //! - **torn write** — every WAL sync acknowledges the last pending record
 //!   without writing its bytes: a lost committed write, the durability bug
-//!   shape the recovery oracle (`lego-oracle`) exists to catch.
+//!   shape the recovery oracle (`lego-oracle`) exists to catch;
+//! - **analyzer over-acceptance** — the `lego-sqlsema` binder accepts
+//!   `COMMIT` even when it has proven no transaction is open; the engine
+//!   then rejects the statement and the conformance oracle must report it.
 //!
-//! The switches are off by default and are only meant to be flipped from
-//! tests (keep fault-enabled tests in their own test binary: the flags are
-//! global to the process and test binaries run their `#[test]`s on multiple
-//! threads). The hot-path cost when disabled is one relaxed atomic load per
-//! guarded site.
+//! A `Faults` value is owned by each instance it plants faults in, like
+//! [`crate::Limits`]: a [`crate::Dbms`] ([`crate::Dbms::set_faults`], kept
+//! across resets and handed to every WAL it attaches) and an analyzer
+//! (`lego_sqlsema::Sema::set_faults`). A faulted instance never changes
+//! another, so faulted and fault-free instances can run side by side in one
+//! process. Everything is off by default.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static WHERE_DROPS_LAST_ROW: AtomicBool = AtomicBool::new(false);
-static PANIC_ON_CREATE_TRIGGER: AtomicBool = AtomicBool::new(false);
-static SPIN_ON_CREATE_TRIGGER: AtomicBool = AtomicBool::new(false);
-static WAL_DROPS_LAST_RECORD: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable the planted wrong-result fault (test-only).
-pub fn set_where_drops_last_row(enabled: bool) {
-    WHERE_DROPS_LAST_ROW.store(enabled, Ordering::Relaxed);
-}
-
-/// Enable or disable the planted engine panic on `CREATE TRIGGER`
-/// (test-only).
-pub fn set_panic_on_create_trigger(enabled: bool) {
-    PANIC_ON_CREATE_TRIGGER.store(enabled, Ordering::Relaxed);
-}
-
-/// Enable or disable the planted engine hang on `CREATE TRIGGER`
-/// (test-only).
-pub fn set_spin_on_create_trigger(enabled: bool) {
-    SPIN_ON_CREATE_TRIGGER.store(enabled, Ordering::Relaxed);
-}
-
-/// Enable or disable the planted torn-write fault: on every WAL sync, the
-/// last pending record is acknowledged as durable but its bytes never reach
-/// the file — a lost write the recovery oracle must catch (test-only).
-pub fn set_wal_drops_last_record(enabled: bool) {
-    WAL_DROPS_LAST_RECORD.store(enabled, Ordering::Relaxed);
-}
-
-/// Is the planted wrong-result fault enabled?
-pub(crate) fn where_drops_last_row() -> bool {
-    WHERE_DROPS_LAST_ROW.load(Ordering::Relaxed)
-}
-
-/// Is the planted engine panic enabled?
-pub(crate) fn panic_on_create_trigger() -> bool {
-    PANIC_ON_CREATE_TRIGGER.load(Ordering::Relaxed)
-}
-
-/// Is the planted engine hang enabled?
-pub(crate) fn spin_on_create_trigger() -> bool {
-    SPIN_ON_CREATE_TRIGGER.load(Ordering::Relaxed)
-}
-
-/// Is the planted torn-write fault enabled?
-pub(crate) fn wal_drops_last_record() -> bool {
-    WAL_DROPS_LAST_RECORD.load(Ordering::Relaxed)
-}
-
-/// RAII guard that enables a fault for a scope and always disables every
-/// fault on drop, so a panicking test cannot leak a fault into later tests.
-pub struct FaultGuard(());
-
-impl FaultGuard {
-    pub fn enable_where_drops_last_row() -> Self {
-        set_where_drops_last_row(true);
-        FaultGuard(())
-    }
-
-    pub fn enable_panic_on_create_trigger() -> Self {
-        set_panic_on_create_trigger(true);
-        FaultGuard(())
-    }
-
-    pub fn enable_spin_on_create_trigger() -> Self {
-        set_spin_on_create_trigger(true);
-        FaultGuard(())
-    }
-
-    pub fn enable_wal_drops_last_record() -> Self {
-        set_wal_drops_last_record(true);
-        FaultGuard(())
-    }
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        set_where_drops_last_row(false);
-        set_panic_on_create_trigger(false);
-        set_spin_on_create_trigger(false);
-        set_wal_drops_last_record(false);
-    }
+/// The planted faults one instance carries; [`Faults::default`] is none.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Faults {
+    /// A filtered scan loses its last qualifying row (wrong result).
+    pub where_drops_last_row: bool,
+    /// `CREATE TRIGGER` panics (engine panic).
+    pub panic_on_create_trigger: bool,
+    /// `CREATE TRIGGER` burns row budget until the case aborts (hang).
+    pub spin_on_create_trigger: bool,
+    /// Every WAL sync marks its last pending record durable but never
+    /// writes its bytes (lost write).
+    pub wal_drops_last_record: bool,
+    /// The analyzer accepts `COMMIT` outside a transaction (analyzer bug).
+    pub overaccept_commit: bool,
 }

@@ -448,7 +448,7 @@ fn run_select(
                 kept.push(row);
             }
         }
-        if crate::faults::where_drops_last_row() && !kept.is_empty() {
+        if ctx.faults.where_drops_last_row && !kept.is_empty() {
             // Planted wrong-result fault (test-only, see `crate::faults`):
             // the filtered scan silently loses its last qualifying row.
             kept.pop();

@@ -28,7 +28,7 @@
 //! change requires regenerating them (and, for compatibility, a migration —
 //! see the engine-snapshot v1→v2 precedent).
 
-use crate::faults;
+use crate::faults::Faults;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -134,6 +134,8 @@ pub struct Wal {
     len: u64,
     /// First write error, if any; the log stops writing once set.
     io_error: Option<String>,
+    /// Planted faults (test-only); only the torn write applies here.
+    faults: Faults,
 }
 
 impl Wal {
@@ -151,7 +153,15 @@ impl Wal {
             written_spans: Vec::new(),
             len: WAL_MAGIC.len() as u64,
             io_error: None,
+            faults: Faults::default(),
         })
+    }
+
+    /// Plant faults in this log (test-only): with
+    /// [`Faults::wal_drops_last_record`], every later sync loses its last
+    /// record's bytes.
+    pub fn set_faults(&mut self, faults: Faults) {
+        self.faults = faults;
     }
 
     /// Buffer one executed statement. Not durable until [`Wal::sync`].
@@ -161,14 +171,14 @@ impl Wal {
 
     /// Flush the pending buffer: write each record's bytes and mark it
     /// synced. Under the injected torn-write fault
-    /// ([`faults::set_wal_drops_last_record`]), the final pending record is
+    /// ([`Faults::wal_drops_last_record`]), the final pending record is
     /// marked synced but its bytes are silently dropped — the lost-write
     /// bug shape the recovery oracle exists to catch.
     pub fn sync(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        let drop_last = faults::wal_drops_last_record();
+        let drop_last = self.faults.wal_drops_last_record;
         let n = self.pending.len();
         for (i, sql) in std::mem::take(&mut self.pending).into_iter().enumerate() {
             let lose_bytes = drop_last && i + 1 == n;

@@ -615,3 +615,62 @@ fn subquery_in_where_filters_by_other_table() {
     assert!(r.errors.is_empty(), "{:?}", r.errors);
     assert_eq!(r.last_rows, 1);
 }
+
+// -- planted faults ----------------------------------------------------------
+
+/// The planted faults belong to the instance that carries them: a faulted
+/// and a fault-free engine, side by side on one thread, disagree on the
+/// same case, through both entry points the oracles read results from.
+#[test]
+fn planted_faults_belong_to_one_instance() {
+    use lego_dbms::faults::Faults;
+    use lego_sqlast::ast::Statement;
+
+    let setup = "CREATE TABLE t (a INT);\nINSERT INTO t VALUES (1), (2), (3);";
+    let filter = "SELECT * FROM t WHERE a > 1;";
+    let mut clean = Dbms::new(Dialect::Postgres);
+    let mut faulted = Dbms::new(Dialect::Postgres);
+    faulted.set_faults(Faults { where_drops_last_row: true, ..Faults::default() });
+    let case = format!("{setup}\n{filter}");
+    assert_eq!(clean.execute_script(&case).last_rows, 2);
+    assert_eq!(faulted.execute_script(&case).last_rows, 1);
+
+    // `run_query` sees the fault too, and a reset keeps it.
+    let Statement::Select(select) = lego_sqlparser::parse_statement(filter).unwrap() else {
+        panic!("{filter} is a SELECT");
+    };
+    for db in [&mut clean, &mut faulted] {
+        db.reset();
+        db.execute_script(setup);
+    }
+    assert_eq!(clean.run_query(&select.query).unwrap().rows.len(), 2);
+    assert_eq!(faulted.run_query(&select.query).unwrap().rows.len(), 1);
+}
+
+/// An engine hands its torn-write fault to the WAL it attaches, and to one
+/// already attached; a fault-free engine's WAL writes every synced record.
+#[test]
+fn the_torn_write_fault_reaches_only_the_faulted_engines_wal() {
+    use lego_dbms::faults::Faults;
+
+    let torn = Faults { wal_drops_last_record: true, ..Faults::default() };
+    let wal = |tag: &str| {
+        std::env::temp_dir().join(format!("lego_engine_faults_{}_{tag}.wal", std::process::id()))
+    };
+    let mut before = Dbms::new(Dialect::Postgres);
+    before.set_faults(torn);
+    before.wal_attach(&wal("before")).unwrap();
+    let mut after = Dbms::new(Dialect::Postgres);
+    after.wal_attach(&wal("after")).unwrap();
+    after.set_faults(torn);
+    let mut clean = Dbms::new(Dialect::Postgres);
+    clean.wal_attach(&wal("clean")).unwrap();
+    let script = "CREATE TABLE t (a INT);\nINSERT INTO t VALUES (1);";
+    for (db, written) in [(&mut before, 0), (&mut after, 0), (&mut clean, 2)] {
+        db.execute_script(script);
+        let wal = db.wal().expect("attached");
+        assert_eq!(wal.synced_records().len(), 2);
+        assert_eq!(wal.written_records().len(), written);
+        let _ = std::fs::remove_file(wal.path());
+    }
+}

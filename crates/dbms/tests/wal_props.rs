@@ -12,20 +12,11 @@
 //! are exercised exhaustively over deterministic corpora instead of random
 //! sampling — the input spaces here (byte offsets, bit positions) are small
 //! enough to cover completely.
-//!
-//! The torn-write fault flag is process-global and changes `Wal::sync`
-//! behaviour, so every test that syncs a WAL serializes on one lock.
 
+use lego_dbms::faults::Faults;
 use lego_dbms::recovery::{read_wal, scan_wal};
 use lego_dbms::wal::{decode_record, encode_record, Wal, WAL_MAGIC};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn fault_lock() -> MutexGuard<'static, ()> {
-    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn tmpfile(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lego_wal_props_{tag}_{}.wal", std::process::id()))
@@ -49,7 +40,6 @@ fn corpus() -> Vec<String> {
 
 #[test]
 fn synced_statements_roundtrip_verbatim_through_the_file() {
-    let _lock = fault_lock();
     // Every prefix length of the corpus roundtrips — not just the full set.
     for n in 0..=corpus().len() {
         let path = tmpfile(&format!("roundtrip{n}"));
@@ -70,7 +60,6 @@ fn synced_statements_roundtrip_verbatim_through_the_file() {
 
 #[test]
 fn unsynced_tail_is_lost_and_synced_prefix_survives() {
-    let _lock = fault_lock();
     let path = tmpfile("tail");
     let mut wal = Wal::create(&path).expect("create WAL");
     let all = corpus();
@@ -157,17 +146,14 @@ fn truncation_at_every_offset_recovers_the_longest_valid_prefix() {
 
 #[test]
 fn torn_write_fault_diverges_synced_from_written() {
-    let _lock = fault_lock();
     let path = tmpfile("fault");
     let mut wal = Wal::create(&path).expect("create WAL");
     wal.append("CREATE TABLE t (a INT);");
     wal.sync();
-    {
-        let _fault = lego_dbms::faults::FaultGuard::enable_wal_drops_last_record();
-        wal.append("INSERT INTO t VALUES (1);");
-        wal.append("INSERT INTO t VALUES (2);");
-        wal.sync();
-    }
+    wal.set_faults(Faults { wal_drops_last_record: true, ..Faults::default() });
+    wal.append("INSERT INTO t VALUES (1);");
+    wal.append("INSERT INTO t VALUES (2);");
+    wal.sync();
     // The engine believes all three are durable; the file holds only two.
     assert_eq!(wal.synced_records().len(), 3);
     assert_eq!(wal.written_records().len(), 2);

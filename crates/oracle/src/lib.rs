@@ -29,6 +29,7 @@ pub mod metamorphic;
 pub mod recovery;
 pub mod reduce;
 
+use lego_dbms::faults::Faults;
 use lego_dbms::Dbms;
 use lego_sqlast::ast::{SelectVariant, Statement};
 use lego_sqlast::skeleton::rebind;
@@ -234,6 +235,17 @@ impl OracleSuite {
             base: Dbms::new(dialect),
             cross: Dialect::ALL.iter().map(|&d| Dbms::new(d)).collect(),
             recovery,
+        }
+    }
+
+    /// Plant test-only faults in every engine the suite replays on.
+    pub fn set_faults(&mut self, faults: Faults) {
+        self.base.set_faults(faults);
+        for db in &mut self.cross {
+            db.set_faults(faults);
+        }
+        if let Some(rec) = self.recovery.as_mut() {
+            rec.set_faults(faults);
         }
     }
 

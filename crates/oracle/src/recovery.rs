@@ -40,6 +40,7 @@
 //! reduction via [`crate::OracleSuite::bug_persists`] works unchanged.
 
 use crate::{LogicBug, OracleKind, OracleOutcome};
+use lego_dbms::faults::Faults;
 use lego_dbms::recovery::{self, RecoveredLog};
 use lego_dbms::{Dbms, Outcome};
 use lego_sqlast::{Dialect, TestCase};
@@ -118,6 +119,12 @@ impl RecoveryOracle {
 
     pub fn wal_path(&self) -> &Path {
         &self.wal_path
+    }
+
+    /// Plant test-only faults in the live and the replay engine.
+    pub fn set_faults(&mut self, faults: Faults) {
+        self.live.set_faults(faults);
+        self.replay.set_faults(faults);
     }
 
     /// Crash point for a case: a statement index in `1..=len`, derived only

@@ -1,19 +1,22 @@
-//! Oracle detection of an injected wrong-result fault.
-//!
-//! These tests flip the process-global `lego_dbms::faults` flag, so they
-//! live in their own test binary and serialize on a lock: the default test
-//! runner is multithreaded, and the fault must not leak into unrelated
-//! tests.
+//! Oracle detection of an injected wrong-result fault: every suite here
+//! replays on engines carrying the planted `WHERE` fault
+//! (`lego_dbms::faults`), except the one that checks a fault-free suite
+//! stays silent.
 
-use lego_dbms::faults::FaultGuard;
+use lego_dbms::faults::Faults;
 use lego_oracle::{OracleConfig, OracleKind, OracleSuite};
 use lego_sqlast::{Dialect, TestCase};
-use std::sync::Mutex;
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn case(sql: &str) -> TestCase {
     lego_sqlparser::parse_script(sql).expect("test SQL parses")
+}
+
+/// A PostgreSQL suite running `cfg` on engines whose `WHERE` filter drops
+/// its last qualifying row.
+fn faulted_suite(cfg: OracleConfig) -> OracleSuite {
+    let mut suite = OracleSuite::new(Dialect::Postgres, cfg);
+    suite.set_faults(Faults { where_drops_last_row: true, ..Faults::default() });
+    suite
 }
 
 const BUGGY_CASE: &str = "CREATE TABLE t (a INT);
@@ -22,12 +25,12 @@ const BUGGY_CASE: &str = "CREATE TABLE t (a INT);
 
 #[test]
 fn norec_catches_the_injected_filter_fault() {
-    let _lock = FAULT_LOCK.lock().unwrap();
-    let _guard = FaultGuard::enable_where_drops_last_row();
-    let mut s = OracleSuite::new(
-        Dialect::Postgres,
-        OracleConfig { tlp: false, norec: true, differential: false, recovery: false },
-    );
+    let mut s = faulted_suite(OracleConfig {
+        tlp: false,
+        norec: true,
+        differential: false,
+        recovery: false,
+    });
     let out = s.check_case(&case(BUGGY_CASE));
     // The faulty WHERE drops the last qualifying row; the NoREC scan form
     // has no WHERE clause, so its TRUE-count stays correct.
@@ -41,12 +44,12 @@ fn norec_catches_the_injected_filter_fault() {
 
 #[test]
 fn tlp_catches_the_injected_filter_fault() {
-    let _lock = FAULT_LOCK.lock().unwrap();
-    let _guard = FaultGuard::enable_where_drops_last_row();
-    let mut s = OracleSuite::new(
-        Dialect::Postgres,
-        OracleConfig { tlp: true, norec: false, differential: false, recovery: false },
-    );
+    let mut s = faulted_suite(OracleConfig {
+        tlp: true,
+        norec: false,
+        differential: false,
+        recovery: false,
+    });
     // Include NULLs so all three partitions are non-trivial; each partition
     // query loses its last row while the unpartitioned scan stays intact.
     let out = s.check_case(&case(
@@ -60,9 +63,7 @@ fn tlp_catches_the_injected_filter_fault() {
 
 #[test]
 fn fingerprint_is_stable_across_literal_variants_of_the_fault() {
-    let _lock = FAULT_LOCK.lock().unwrap();
-    let _guard = FaultGuard::enable_where_drops_last_row();
-    let mut s = OracleSuite::new(Dialect::Postgres, OracleConfig::metamorphic());
+    let mut s = faulted_suite(OracleConfig::metamorphic());
     let a = s.check_case(&case(BUGGY_CASE));
     let b = s.check_case(&case(
         "CREATE TABLE t (a INT);
@@ -77,8 +78,6 @@ fn fingerprint_is_stable_across_literal_variants_of_the_fault() {
 
 #[test]
 fn reduction_shrinks_a_logic_bug_reproducer() {
-    let _lock = FAULT_LOCK.lock().unwrap();
-    let _guard = FaultGuard::enable_where_drops_last_row();
     let noisy = case(
         "CREATE TABLE pad (z TEXT);
          INSERT INTO pad VALUES ('noise');
@@ -87,8 +86,7 @@ fn reduction_shrinks_a_logic_bug_reproducer() {
          INSERT INTO t VALUES (100), (200), (300);
          SELECT * FROM t WHERE a > 150;",
     );
-    let cfg = OracleConfig::metamorphic();
-    let mut s = OracleSuite::new(Dialect::Postgres, cfg);
+    let mut s = faulted_suite(OracleConfig::metamorphic());
     let out = s.check_case(&noisy);
     let bug = out.bugs.first().cloned().expect("fault must be detected");
     let (reduced, evals) = lego_oracle::reduce::reduce_logic_bug(&noisy, &mut s, &bug);
@@ -102,12 +100,8 @@ fn reduction_shrinks_a_logic_bug_reproducer() {
 }
 
 #[test]
-fn fault_guard_restores_clean_behavior() {
-    let _lock = FAULT_LOCK.lock().unwrap();
-    {
-        let _guard = FaultGuard::enable_where_drops_last_row();
-    }
+fn a_fault_free_suite_reports_nothing_on_the_buggy_case() {
     let mut s = OracleSuite::new(Dialect::Postgres, OracleConfig::all());
     let out = s.check_case(&case(BUGGY_CASE));
-    assert!(out.bugs.is_empty(), "fault leaked past its guard: {:?}", out.bugs);
+    assert!(out.bugs.is_empty(), "{:?}", out.bugs);
 }

@@ -284,6 +284,8 @@ pub struct Binder {
     xa: Tri,
     /// Table locks (normalized name → mode; `None` = unknown mode).
     locks: Ns<Option<String>>,
+    /// Planted analyzer bug (test-only, see `lego_dbms::faults`).
+    pub(crate) overaccept_commit: bool,
 }
 
 fn acc() -> StmtVerdict {
@@ -314,6 +316,7 @@ impl Binder {
             prepared_txns: Ns::default(),
             xa: Tri::No,
             locks: Ns::default(),
+            overaccept_commit: false,
         }
     }
 
@@ -940,7 +943,7 @@ impl Binder {
                     }
                     Verdict::Reject => {}
                 }
-                if true_verdict == Verdict::Reject && crate::faults::overaccept_commit() {
+                if true_verdict == Verdict::Reject && self.overaccept_commit {
                     // Planted analyzer bug (test-only): claim the COMMIT is
                     // fine even though no transaction can be open. The state
                     // transition above stays honest — only the verdict lies.

@@ -27,12 +27,12 @@
 
 pub mod binder;
 pub mod deps;
-pub mod faults;
 pub mod types;
 
 pub use binder::{Binder, Presence, Tri};
 pub use deps::{plausible_sequence, DepGraph, Sym, SymNs};
 
+use lego_dbms::faults::Faults;
 use lego_dbms::Profile;
 use lego_sqlast::{Dialect, Statement};
 
@@ -89,11 +89,19 @@ impl SeqReport {
 #[derive(Clone, Debug)]
 pub struct Sema {
     prof: Profile,
+    /// Planted analyzer bug (test-only), handed to every binder.
+    overaccept_commit: bool,
 }
 
 impl Sema {
     pub fn new(dialect: Dialect) -> Sema {
-        Sema { prof: Profile::for_dialect(dialect) }
+        Sema { prof: Profile::for_dialect(dialect), overaccept_commit: false }
+    }
+
+    /// Plant the analyzer fault of `faults`
+    /// ([`Faults::overaccept_commit`], test-only) in every later binder.
+    pub fn set_faults(&mut self, faults: Faults) {
+        self.overaccept_commit = faults.overaccept_commit;
     }
 
     pub fn profile(&self) -> &Profile {
@@ -103,7 +111,9 @@ impl Sema {
     /// A fresh binder positioned at the start of a sequence (the per-case
     /// engine state: pristine catalog, admin user, no transaction).
     pub fn binder(&self) -> Binder {
-        Binder::new(self.prof)
+        let mut b = Binder::new(self.prof);
+        b.overaccept_commit = self.overaccept_commit;
+        b
     }
 
     /// Classify every statement of `stmts`, threading the abstract state

@@ -229,6 +229,22 @@ fn settings_lifecycle() {
     );
 }
 
+/// The planted over-acceptance belongs to the analyzer that carries it: a
+/// faulted and a fault-free analyzer, side by side on one thread, disagree
+/// on a bare `COMMIT`.
+#[test]
+fn planted_overacceptance_belongs_to_one_analyzer() {
+    use lego_dbms::faults::Faults;
+
+    let stmts = lego_sqlparser::parse_script("CREATE TABLE t (a INT); COMMIT;").unwrap().statements;
+    let clean = Sema::new(Dialect::Postgres);
+    let mut faulted = Sema::new(Dialect::Postgres);
+    faulted.set_faults(Faults { overaccept_commit: true, ..Faults::default() });
+    let verdict = |sema: &Sema| sema.check_sequence(&stmts).verdicts[1].verdict;
+    assert_eq!(verdict(&clean), Verdict::Reject);
+    assert_eq!(verdict(&faulted), Verdict::Accept);
+}
+
 // -- generator sweep ---------------------------------------------------------
 
 const DIALECTS: [Dialect; 4] =

@@ -30,6 +30,15 @@
 #      `od -An -N8 -tx8 /dev/urandom` written as `0x` + 16 hex digits;
 #      never derive it from the site's position, which must stay free to
 #      move.
+#   5. No mutable process-global state in the engine, analyzer, oracles,
+#      parser, coverage and campaign crates (crates/{dbms,sqlsema,oracle,
+#      sqlparser,coverage,core}/src): no `static mut`, and no `static`
+#      whose type is an Atomic*, Mutex or RwLock. Such a static is shared
+#      by every instance and every test thread in the process, so one
+#      instance's setting leaks into another's run and a test's result
+#      depends on the scheduler; state belongs to the instance that uses it
+#      (the planted faults are a per-instance `Faults` value for this
+#      reason). Write-once tables (`static … OnceLock`) stay allowed.
 #
 # Usage: scripts/check_determinism_lint.sh   (run from the repo root)
 set -euo pipefail
@@ -137,6 +146,14 @@ else
     echo -e "$dups" >&2
     fail=1
   fi
+fi
+
+# --- Rule 5: no mutable process-global state ------------------------------
+if hits=$(grep -rnE '\bstatic[[:space:]]+mut\b|\bstatic[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:[[:space:]]*([A-Za-z_][A-Za-z0-9_]*::)*(Atomic[A-Za-z0-9]*|Mutex|RwLock)\b' \
+    crates/{dbms,sqlsema,oracle,sqlparser,coverage,core}/src); then
+  echo "determinism-lint: mutable process-global state (static mut / Atomic* / Mutex / RwLock):" >&2
+  echo "$hits" >&2
+  fail=1
 fi
 
 if [[ "$fail" -ne 0 ]]; then

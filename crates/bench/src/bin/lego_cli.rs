@@ -30,7 +30,8 @@
 //!
 //! `--oracles` enables the wrong-result correctness oracles (TLP, NoREC and
 //! cross-dialect differential replay) on every corpus-accepted case;
-//! `--oracles=tlp,norec,differential,recovery` selects a subset. The
+//! `--oracles=tlp,norec,differential,recovery` selects a subset (an
+//! unknown or empty name exits with status 2, listing the known ones). The
 //! `recovery` durability oracle is opt-in only: it journals every statement
 //! to a write-ahead log, simulates a crash at a deterministic mid-sequence
 //! point (clean record boundary and torn mid-record truncation), replays the
@@ -276,7 +277,13 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 i += 1;
             }
             Some(spec) if spec.starts_with("--oracles=") => {
-                oracles = parse_oracles(&spec["--oracles=".len()..]);
+                match parse_oracles(&spec["--oracles=".len()..]) {
+                    Ok(cfg) => oracles = cfg,
+                    Err(e) => {
+                        eprintln!("{e}");
+                        return ExitCode::from(2);
+                    }
+                }
                 i += 1;
             }
             Some("--wal-dir") => {

@@ -140,12 +140,15 @@ pub struct Cli {
     pub sema: bool,
 }
 
+/// The names an `--oracles=LIST` value may hold.
+pub const ORACLE_NAMES: [&str; 6] = ["tlp", "norec", "differential", "diff", "recovery", "all"];
+
 /// Parse an `--oracles` value: a comma-separated subset of
 /// `tlp`/`norec`/`differential`/`recovery` (`diff` accepted). `all` means
 /// the three logic oracles — the recovery durability oracle is only enabled
-/// when named explicitly. Unknown names are ignored rather than fatal —
-/// experiment binaries treat flags leniently.
-pub fn parse_oracles(spec: &str) -> lego::OracleConfig {
+/// when named explicitly. An unknown or empty name is an error that names
+/// it and lists the known ones.
+pub fn parse_oracles(spec: &str) -> Result<lego::OracleConfig, String> {
     let mut cfg = lego::OracleConfig::disabled();
     for name in spec.split(',') {
         match name.trim().to_ascii_lowercase().as_str() {
@@ -158,10 +161,20 @@ pub fn parse_oracles(spec: &str) -> lego::OracleConfig {
                 cfg = lego::OracleConfig::all();
                 cfg.recovery = recovery;
             }
-            _ => {}
+            other => {
+                let what = if other.is_empty() {
+                    "an empty oracle name".to_string()
+                } else {
+                    format!("unknown oracle {other:?}")
+                };
+                return Err(format!(
+                    "--oracles={spec}: {what}; known: {}",
+                    ORACLE_NAMES.join(", ")
+                ));
+            }
         }
     }
-    cfg
+    Ok(cfg)
 }
 
 impl Cli {
@@ -203,7 +216,10 @@ impl Cli {
                 "--telemetry" => telemetry = Some(value()?),
                 "--heartbeat" => heartbeat = true,
                 "--oracles" => {
-                    oracles = joined.as_deref().map_or(lego::OracleConfig::all(), parse_oracles)
+                    oracles = match joined.as_deref() {
+                        Some(spec) => parse_oracles(spec)?,
+                        None => lego::OracleConfig::all(),
+                    }
                 }
                 "--wal-dir" => wal_dir = Some(value()?),
                 "--serve" => serve = Some(value()?),
@@ -397,6 +413,22 @@ mod tests {
     }
 
     #[test]
+    fn cli_refuses_unknown_and_empty_oracle_names() {
+        for (args, needle) in [
+            ("--oracles=tpl", "unknown oracle \"tpl\""),
+            ("--oracles=tlp,nroec", "unknown oracle \"nroec\""),
+            ("--oracles=", "an empty oracle name"),
+            ("--oracles=tlp,,norec", "an empty oracle name"),
+        ] {
+            let err = parse(&[args]).err().unwrap_or_else(|| panic!("{args} accepted"));
+            assert!(err.contains(args) && err.contains(needle), "{args}: {err}");
+            for name in ORACLE_NAMES {
+                assert!(err.contains(name), "{args}: {err} should list {name}");
+            }
+        }
+    }
+
+    #[test]
     fn cli_rejects_zero_workers() {
         let err = parse(&["--workers", "0"]).err().expect("zero workers refused");
         assert!(err.contains("--workers 0"), "{err}");
@@ -436,11 +468,13 @@ mod tests {
 
     #[test]
     fn oracle_spec_parsing() {
-        assert_eq!(parse_oracles("all"), lego::OracleConfig::all());
-        let d = parse_oracles("diff");
+        assert_eq!(parse_oracles("all"), Ok(lego::OracleConfig::all()));
+        let d = parse_oracles("diff").unwrap();
         assert!(d.differential && !d.tlp && !d.norec);
-        assert!(!parse_oracles("bogus").enabled());
-        let spaced = parse_oracles(" tlp , differential ");
+        let recovery = parse_oracles("recovery,all").unwrap();
+        assert!(recovery.tlp && recovery.norec && recovery.differential && recovery.recovery);
+        assert!(parse_oracles("bogus").is_err());
+        let spaced = parse_oracles(" tlp , differential ").unwrap();
         assert!(spaced.tlp && spaced.differential && !spaced.norec);
     }
 }

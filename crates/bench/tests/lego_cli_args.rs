@@ -109,6 +109,17 @@ fn an_unknown_fuzzer_is_refused_with_the_known_names() {
 }
 
 #[test]
+fn an_unknown_or_empty_oracle_name_is_refused_with_the_known_names() {
+    let fig9 = env!("CARGO_BIN_EXE_fig9_coverage");
+    for spec in ["--oracles=tpl", "--oracles=tlp,nroec", "--oracles=", "--oracles=tlp,,norec"] {
+        let mut needles = vec![spec];
+        needles.extend(lego_bench::grid::ORACLE_NAMES);
+        assert_refused(&cli(&["fuzz", "pg", "--units", "200", spec]), &needles);
+        assert_refused(&run(fig9, &["2000", spec]), &needles);
+    }
+}
+
+#[test]
 fn every_known_fuzzer_runs() {
     for name in ENGINE_NAMES {
         let out = cli(&["fuzz", "pg", "--fuzzer", name, "--units", "200"]);

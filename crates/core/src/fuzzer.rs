@@ -21,6 +21,7 @@ use crate::seeds::initial_corpus;
 use crate::synthesis::{plausible_key, SequenceStore};
 use lego_dbms::ExecReport;
 use lego_observe::{Event, MutOp, Stage, Telemetry};
+use lego_sqlast::ast::Statement;
 use lego_sqlast::{Dialect, StmtKind, TestCase};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -316,29 +317,30 @@ impl LegoFuzzer {
     /// Algorithm 1 over one seed: for each statement, build the
     /// substitution / insertion / deletion mutants. (They are *executed*
     /// later by the campaign loop; affinity analysis happens in `feedback`
-    /// for the ones that hit new branches.)
+    /// for the ones that hit new branches.) Each mutant is spliced from the
+    /// borrowed seed, copying every statement it keeps once, and the prefix
+    /// schema grows by one statement per position.
     fn sequence_mutants(&mut self, seed: &TestCase) -> Vec<(TestCase, Origin)> {
+        let stmts = &seed.statements;
         let mut out = Vec::new();
-        let n = seed.statements.len().min(12);
+        let n = stmts.len().min(12);
         // Under `--sema`, deletion consults the seed's def-use graph so a
         // removal that severs a live dependency edge gets its dangling
         // references repaired instead of shipping a provably-dead case.
         // Built once per seed; `None` off-path so the sema-less RNG stream
         // and mutant set stay byte-identical.
-        let dep_graph = if self.cfg.sema {
-            Some(lego_sqlsema::DepGraph::build(&seed.statements))
-        } else {
-            None
-        };
+        let dep_graph =
+            if self.cfg.sema { Some(lego_sqlsema::DepGraph::build(stmts)) } else { None };
+        let mut schema = SchemaModel::new();
         for i in 0..n {
-            let schema = SchemaModel::of_statements(&seed.statements[..i]);
+            if i > 0 {
+                schema.observe(&stmts[i - 1]);
+            }
             // Substitution.
             {
-                let current = seed.statements[i].kind();
-                let kind = self.random_kind(Some(current));
+                let kind = self.random_kind(Some(stmts[i].kind()));
                 let stmt = gen_statement(kind, &schema, self.dialect, &mut self.rng);
-                let mut q1 = seed.clone();
-                q1.statements[i] = stmt;
+                let mut q1 = splice(stmts, i, 1, Some(stmt));
                 fix_case(&mut q1, &mut self.rng);
                 if self.cfg.sema {
                     sema_repair(&mut q1, self.dialect);
@@ -351,11 +353,10 @@ impl LegoFuzzer {
             // in the LEGO- ablation along with Algorithms 2-3; LEGO- keeps
             // substitution and deletion (type exploration over existing
             // sequence shapes).
-            if self.cfg.sequence_oriented && seed.statements.len() < self.cfg.max_case_len {
+            if self.cfg.sequence_oriented && stmts.len() < self.cfg.max_case_len {
                 let kind = self.random_kind(None);
                 let stmt = gen_statement(kind, &schema, self.dialect, &mut self.rng);
-                let mut q2 = seed.clone();
-                q2.statements.insert(i + 1, stmt);
+                let mut q2 = splice(stmts, i + 1, 0, Some(stmt));
                 fix_case(&mut q2, &mut self.rng);
                 if self.cfg.sema {
                     sema_repair(&mut q2, self.dialect);
@@ -363,13 +364,11 @@ impl LegoFuzzer {
                 out.push((q2, Origin::Insertion));
             }
             // Deletion.
-            if seed.statements.len() > 1 {
-                let mut q3 = seed.clone();
-                q3.statements.remove(i);
+            if stmts.len() > 1 {
+                let mut q3 = splice(stmts, i, 1, None);
                 fix_case(&mut q3, &mut self.rng);
                 if let Some(graph) = &dep_graph {
-                    let order: Vec<usize> =
-                        (0..seed.statements.len()).filter(|&j| j != i).collect();
+                    let order: Vec<usize> = (0..stmts.len()).filter(|&j| j != i).collect();
                     if !graph.order_satisfied(&order) {
                         sema_repair(&mut q3, self.dialect);
                     }
@@ -491,6 +490,16 @@ impl LegoFuzzer {
     }
 }
 
+/// A case holding `stmts` with `stmts[at..at + remove]` replaced by `insert`:
+/// one copy of each statement kept, in a vector of the final length.
+fn splice(stmts: &[Statement], at: usize, remove: usize, insert: Option<Statement>) -> TestCase {
+    let mut out = Vec::with_capacity(stmts.len() - remove + usize::from(insert.is_some()));
+    out.extend_from_slice(&stmts[..at]);
+    out.extend(insert);
+    out.extend_from_slice(&stmts[at + remove..]);
+    TestCase::new(out)
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint/resume: the engine half of `crate::checkpoint`
 // ---------------------------------------------------------------------------
@@ -555,7 +564,7 @@ struct FuzzerSnapshot {
     stats: Vec<usize>,
 }
 
-fn stmt_to_sql(stmt: &lego_sqlast::ast::Statement) -> String {
+fn stmt_to_sql(stmt: &Statement) -> String {
     TestCase::new(vec![stmt.clone()]).to_sql()
 }
 
@@ -563,7 +572,7 @@ fn parse_case(sql: &str) -> Result<TestCase, String> {
     lego_sqlparser::parse_script(sql).map_err(|e| format!("checkpointed case re-parse: {e:?}"))
 }
 
-fn parse_stmt(sql: &str) -> Result<lego_sqlast::ast::Statement, String> {
+fn parse_stmt(sql: &str) -> Result<Statement, String> {
     let mut case = parse_case(sql)?;
     if case.statements.len() != 1 {
         return Err(format!("expected one statement, got {}", case.statements.len()));
@@ -984,6 +993,87 @@ mod tests {
         let changed =
             mutants.iter().filter(|(m, _)| m.type_sequence() != seed.type_sequence()).count();
         assert!(changed * 10 >= mutants.len() * 9, "{changed}/{}", mutants.len());
+    }
+
+    /// `sequence_mutants` as it was before mutants were spliced from the
+    /// borrowed seed: a copy of the whole seed per mutant, edited in place,
+    /// and the prefix schema rebuilt at every position.
+    fn reference_sequence_mutants(fz: &mut LegoFuzzer, seed: &TestCase) -> Vec<(TestCase, Origin)> {
+        let mut out = Vec::new();
+        let n = seed.statements.len().min(12);
+        let dep_graph =
+            if fz.cfg.sema { Some(lego_sqlsema::DepGraph::build(&seed.statements)) } else { None };
+        for i in 0..n {
+            let schema = SchemaModel::of_statements(&seed.statements[..i]);
+            {
+                let current = seed.statements[i].kind();
+                let kind = fz.random_kind(Some(current));
+                let stmt = gen_statement(kind, &schema, fz.dialect, &mut fz.rng);
+                let mut q1 = seed.clone();
+                q1.statements[i] = stmt;
+                fix_case(&mut q1, &mut fz.rng);
+                if fz.cfg.sema {
+                    sema_repair(&mut q1, fz.dialect);
+                }
+                out.push((q1, Origin::Substitution));
+            }
+            if fz.cfg.sequence_oriented && seed.statements.len() < fz.cfg.max_case_len {
+                let kind = fz.random_kind(None);
+                let stmt = gen_statement(kind, &schema, fz.dialect, &mut fz.rng);
+                let mut q2 = seed.clone();
+                q2.statements.insert(i + 1, stmt);
+                fix_case(&mut q2, &mut fz.rng);
+                if fz.cfg.sema {
+                    sema_repair(&mut q2, fz.dialect);
+                }
+                out.push((q2, Origin::Insertion));
+            }
+            if seed.statements.len() > 1 {
+                let mut q3 = seed.clone();
+                q3.statements.remove(i);
+                fix_case(&mut q3, &mut fz.rng);
+                if let Some(graph) = &dep_graph {
+                    let order: Vec<usize> =
+                        (0..seed.statements.len()).filter(|&j| j != i).collect();
+                    if !graph.order_satisfied(&order) {
+                        sema_repair(&mut q3, fz.dialect);
+                    }
+                }
+                out.push((q3, Origin::Deletion));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sequence_mutants_match_the_clone_based_reference_on_generated_cases() {
+        // LEGO, LEGO- (no insertion) and `--sema` (dependency repair), with
+        // the affinities of the generated cases steering `random_kind`.
+        let configs = [
+            Config::default(),
+            Config { sequence_oriented: false, ..Config::default() },
+            Config { sema: true, ..Config::default() },
+        ];
+        for dialect in Dialect::ALL {
+            let cases = crate::testutil::generated_cases(dialect);
+            for cfg in &configs {
+                let mut fz = LegoFuzzer::new(dialect, cfg.clone());
+                for case in cases.iter().take(200) {
+                    fz.affinities.analyze(case);
+                }
+                for (n, case) in cases.iter().enumerate() {
+                    fz.rng = SmallRng::seed_from_u64(n as u64);
+                    let new = fz.sequence_mutants(case);
+                    let new_next: u64 = fz.rng.gen();
+                    fz.rng = SmallRng::seed_from_u64(n as u64);
+                    let old = reference_sequence_mutants(&mut fz, case);
+                    let old_next: u64 = fz.rng.gen();
+                    let what = format!("{dialect:?} {cfg:?} case {n}: {}", case.to_sql());
+                    assert_eq!(new, old, "{what}");
+                    assert_eq!(new_next, old_next, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

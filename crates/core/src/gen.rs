@@ -21,28 +21,53 @@ pub struct SchemaModel {
 #[derive(Clone, Debug)]
 pub struct TableModel {
     pub name: String,
-    pub columns: Vec<(String, DataType)>,
-    /// Columns that must appear in an INSERT column list (NOT NULL or
-    /// PRIMARY KEY, without a DEFAULT to fall back on).
-    pub required: Vec<String>,
-    /// Columns that reject explicit NULL values (NOT NULL or PRIMARY KEY,
-    /// with or without a DEFAULT).
-    pub not_null: Vec<String>,
-    /// Columns that reject duplicate values (UNIQUE or PRIMARY KEY).
-    pub unique: Vec<String>,
+    pub columns: Vec<ColumnModel>,
+}
+
+/// One column of a [`TableModel`], with the constraints the validator
+/// repairs INSERT rows against.
+#[derive(Clone, Debug)]
+pub struct ColumnModel {
+    pub name: String,
+    pub ty: DataType,
+    /// Rejects explicit NULL values (NOT NULL or PRIMARY KEY, with or
+    /// without a DEFAULT).
+    pub not_null: bool,
+    /// Must appear in an INSERT column list (NOT NULL or PRIMARY KEY,
+    /// without a DEFAULT to fall back on). The validator appends the
+    /// required columns an explicit list lacks, in table order.
+    pub required: bool,
+    /// Rejects duplicate values (UNIQUE or PRIMARY KEY).
+    pub unique: bool,
+}
+
+impl ColumnModel {
+    /// A column without constraints.
+    pub fn new(name: String, ty: DataType) -> Self {
+        Self { name, ty, not_null: false, required: false, unique: false }
+    }
+
+    /// Does `name` (in any letter case) name this column?
+    pub fn is(&self, name: &str) -> bool {
+        self.name.eq_ignore_ascii_case(name)
+    }
 }
 
 impl TableModel {
-    pub fn requires(&self, column: &str) -> bool {
-        self.required.iter().any(|r| r.eq_ignore_ascii_case(column))
+    /// The first column called `name`.
+    pub fn column(&self, name: &str) -> Option<&ColumnModel> {
+        self.columns.iter().find(|c| c.is(name))
     }
 
+    /// Does a column called `column` reject NULL? Constraints belong to
+    /// names: with two columns of one name, either one's flag counts.
     pub fn is_not_null(&self, column: &str) -> bool {
-        self.not_null.iter().any(|r| r.eq_ignore_ascii_case(column))
+        self.columns.iter().any(|c| c.not_null && c.is(column))
     }
 
+    /// Does a column called `column` reject duplicates?
     pub fn is_unique(&self, column: &str) -> bool {
-        self.unique.iter().any(|r| r.eq_ignore_ascii_case(column))
+        self.columns.iter().any(|c| c.unique && c.is(column))
     }
 }
 
@@ -84,54 +109,41 @@ impl SchemaModel {
         match stmt {
             Statement::CreateTable(c) if !self.has_table(&c.name) => {
                 use lego_sqlast::ast::ColumnConstraint as CC;
-                let mut required = Vec::new();
-                let mut not_null = Vec::new();
-                let mut unique = Vec::new();
-                for col in &c.columns {
-                    let nn =
-                        col.constraints.iter().any(|k| matches!(k, CC::NotNull | CC::PrimaryKey));
-                    let has_default = col.constraints.iter().any(|k| matches!(k, CC::Default(_)));
-                    if nn {
-                        not_null.push(col.name.clone());
-                        if !has_default {
-                            required.push(col.name.clone());
+                let columns = c
+                    .columns
+                    .iter()
+                    .map(|col| {
+                        let has = |f: fn(&CC) -> bool| col.constraints.iter().any(f);
+                        let not_null = has(|k| matches!(k, CC::NotNull | CC::PrimaryKey));
+                        ColumnModel {
+                            name: col.name.clone(),
+                            ty: col.ty,
+                            not_null,
+                            required: not_null && !has(|k| matches!(k, CC::Default(_))),
+                            unique: has(|k| matches!(k, CC::Unique | CC::PrimaryKey)),
                         }
-                    }
-                    if col.constraints.iter().any(|k| matches!(k, CC::Unique | CC::PrimaryKey)) {
-                        unique.push(col.name.clone());
-                    }
-                }
-                self.tables.push(TableModel {
-                    name: c.name.clone(),
-                    columns: c.columns.iter().map(|col| (col.name.clone(), col.ty)).collect(),
-                    required,
-                    not_null,
-                    unique,
-                });
+                    })
+                    .collect();
+                self.tables.push(TableModel { name: c.name.clone(), columns });
             }
             Statement::CreateTableAs { name, .. } if !self.has_table(name) => {
                 self.tables.push(TableModel {
                     name: name.clone(),
-                    columns: vec![("column1".into(), DataType::Int)],
-                    required: Vec::new(),
-                    not_null: Vec::new(),
-                    unique: Vec::new(),
+                    columns: vec![ColumnModel::new("column1".into(), DataType::Int)],
                 });
             }
             Statement::CreateView(v) if !self.has_table(&v.name) => {
-                // Approximate view columns by the underlying table's.
-                let cols = lego_sqlast::visit::table_names(stmt)
+                // Approximate view columns by the underlying table's, without
+                // its constraints.
+                let columns = lego_sqlast::visit::table_names(stmt)
                     .iter()
                     .skip(1)
-                    .find_map(|t| self.table(t).map(|t| t.columns.clone()))
-                    .unwrap_or_else(|| vec![("column1".into(), DataType::Int)]);
-                self.tables.push(TableModel {
-                    name: v.name.clone(),
-                    columns: cols,
-                    required: Vec::new(),
-                    not_null: Vec::new(),
-                    unique: Vec::new(),
-                });
+                    .find_map(|t| self.table(t))
+                    .map(|t| {
+                        t.columns.iter().map(|c| ColumnModel::new(c.name.clone(), c.ty)).collect()
+                    })
+                    .unwrap_or_else(|| vec![ColumnModel::new("column1".into(), DataType::Int)]);
+                self.tables.push(TableModel { name: v.name.clone(), columns });
             }
             Statement::Drop(d) if matches!(d.object, ObjectKind::Table | ObjectKind::View) => {
                 self.tables.retain(|t| !t.name.eq_ignore_ascii_case(&d.name));
@@ -141,33 +153,37 @@ impl SchemaModel {
                 if let Some(t) = self.tables.iter_mut().find(|t| t.name.eq_ignore_ascii_case(&name))
                 {
                     match &a.action {
-                        AlterTableAction::AddColumn(c) => t.columns.push((c.name.clone(), c.ty)),
-                        AlterTableAction::DropColumn(c) => {
-                            t.columns.retain(|(n, _)| !n.eq_ignore_ascii_case(c));
-                            t.required.retain(|n| !n.eq_ignore_ascii_case(c));
-                            t.not_null.retain(|n| !n.eq_ignore_ascii_case(c));
-                            t.unique.retain(|n| !n.eq_ignore_ascii_case(c));
+                        AlterTableAction::AddColumn(c) => {
+                            t.columns.push(ColumnModel::new(c.name.clone(), c.ty))
                         }
+                        AlterTableAction::DropColumn(c) => t.columns.retain(|col| !col.is(c)),
                         AlterTableAction::RenameColumn { old, new } => {
-                            if let Some(col) =
-                                t.columns.iter_mut().find(|(n, _)| n.eq_ignore_ascii_case(old))
-                            {
-                                col.0 = new.clone();
-                            }
-                            for list in [&mut t.required, &mut t.not_null, &mut t.unique] {
-                                if let Some(r) =
-                                    list.iter_mut().find(|n| n.eq_ignore_ascii_case(old))
-                                {
-                                    *r = new.clone();
+                            // The first column called `old` takes the new
+                            // name. Constraints belong to names (see
+                            // `TableModel::is_not_null`), so each flag it
+                            // lacks moves to it from the first other column
+                            // called `old` that has it.
+                            if let Some(i) = t.columns.iter().position(|c| c.is(old)) {
+                                let (head, rest) = t.columns.split_at_mut(i + 1);
+                                let renamed = &mut head[i];
+                                for c in rest.iter_mut().filter(|c| c.is(old)) {
+                                    for (flag, other) in [
+                                        (&mut renamed.not_null, &mut c.not_null),
+                                        (&mut renamed.required, &mut c.required),
+                                        (&mut renamed.unique, &mut c.unique),
+                                    ] {
+                                        if !*flag {
+                                            *flag = std::mem::take(other);
+                                        }
+                                    }
                                 }
+                                renamed.name = new.clone();
                             }
                         }
                         AlterTableAction::RenameTo(new) => t.name = new.clone(),
                         AlterTableAction::AlterColumnType { name, ty } => {
-                            if let Some(col) =
-                                t.columns.iter_mut().find(|(n, _)| n.eq_ignore_ascii_case(name))
-                            {
-                                col.1 = *ty;
+                            if let Some(col) = t.columns.iter_mut().find(|c| c.is(name)) {
+                                col.ty = *ty;
                             }
                         }
                     }
@@ -221,12 +237,12 @@ fn random_type(rng: &mut SmallRng) -> DataType {
 }
 
 /// Random scalar expression over the given columns.
-pub fn gen_expr(cols: &[(String, DataType)], rng: &mut SmallRng, depth: usize) -> Expr {
+pub fn gen_expr(cols: &[ColumnModel], rng: &mut SmallRng, depth: usize) -> Expr {
     let col = |rng: &mut SmallRng| -> Expr {
         if cols.is_empty() {
             Expr::Integer(1)
         } else {
-            Expr::col(cols[rng.gen_range(0..cols.len())].0.clone())
+            Expr::col(cols[rng.gen_range(0..cols.len())].name.clone())
         }
     };
     if depth == 0 {
@@ -286,7 +302,7 @@ pub fn gen_expr(cols: &[(String, DataType)], rng: &mut SmallRng, depth: usize) -
     }
 }
 
-fn gen_window_expr(cols: &[(String, DataType)], rng: &mut SmallRng) -> Expr {
+fn gen_window_expr(cols: &[ColumnModel], rng: &mut SmallRng) -> Expr {
     const WFNS: &[&str] = &["ROW_NUMBER", "RANK", "DENSE_RANK", "LEAD", "LAG", "SUM", "COUNT"];
     let name = WFNS[rng.gen_range(0..WFNS.len())];
     let args = if matches!(name, "ROW_NUMBER" | "RANK" | "DENSE_RANK") {
@@ -297,7 +313,7 @@ fn gen_window_expr(cols: &[(String, DataType)], rng: &mut SmallRng) -> Expr {
     let order_col = if cols.is_empty() {
         Expr::Integer(1)
     } else {
-        Expr::col(cols[rng.gen_range(0..cols.len())].0.clone())
+        Expr::col(cols[rng.gen_range(0..cols.len())].name.clone())
     };
     let frame = if rng.gen_bool(0.3) {
         Some(FrameClause {
@@ -312,7 +328,7 @@ fn gen_window_expr(cols: &[(String, DataType)], rng: &mut SmallRng) -> Expr {
         func: FuncCall::new(name, args),
         spec: WindowSpec {
             partition_by: if rng.gen_bool(0.3) && !cols.is_empty() {
-                vec![Expr::col(cols[rng.gen_range(0..cols.len())].0.clone())]
+                vec![Expr::col(cols[rng.gen_range(0..cols.len())].name.clone())]
             } else {
                 vec![]
             },
@@ -330,7 +346,7 @@ pub fn gen_query(
     depth: usize,
 ) -> Query {
     let table = schema.random_table(rng).cloned();
-    let (from, cols): (Vec<TableRef>, Vec<(String, DataType)>) = match &table {
+    let (from, cols): (Vec<TableRef>, Vec<ColumnModel>) = match &table {
         None => (vec![], vec![]),
         Some(t) => {
             let mut from = vec![TableRef::named(t.name.clone())];
@@ -346,11 +362,11 @@ pub fn gen_query(
                         Some(Expr::eq(
                             Expr::Column(ColumnRef::qualified(
                                 t.name.clone(),
-                                cols[rng.gen_range(0..cols.len())].0.clone(),
+                                cols[rng.gen_range(0..cols.len())].name.clone(),
                             )),
                             Expr::Column(ColumnRef::qualified(
                                 t2.name.clone(),
-                                t2.columns[rng.gen_range(0..t2.columns.len())].0.clone(),
+                                t2.columns[rng.gen_range(0..t2.columns.len())].name.clone(),
                             )),
                         ))
                     };
@@ -369,7 +385,7 @@ pub fn gen_query(
     };
     let group = !cols.is_empty() && rng.gen_bool(0.15);
     let projection = if group {
-        let key = cols[rng.gen_range(0..cols.len())].0.clone();
+        let key = cols[rng.gen_range(0..cols.len())].name.clone();
         vec![
             SelectItem::Expr { expr: Expr::col(key), alias: None },
             SelectItem::Expr {
@@ -445,7 +461,7 @@ pub fn gen_query(
     }
     let order_by = if rng.gen_bool(0.4) && !cols.is_empty() {
         vec![OrderItem {
-            expr: Expr::col(cols[rng.gen_range(0..cols.len())].0.clone()),
+            expr: Expr::col(cols[rng.gen_range(0..cols.len())].name.clone()),
             desc: rng.gen_bool(0.4),
         }]
     } else {
@@ -462,15 +478,14 @@ pub fn gen_query(
 fn gen_insert(schema: &SchemaModel, dialect: Dialect, rng: &mut SmallRng, replace: bool) -> Insert {
     let (table, columns) = match schema.random_table(rng) {
         Some(t) => (t.name.clone(), t.columns.clone()),
-        None => ("t1".to_string(), vec![("v1".into(), DataType::Int)]),
+        None => ("t1".to_string(), vec![ColumnModel::new("v1".into(), DataType::Int)]),
     };
     let source = if rng.gen_bool(0.1) {
         InsertSource::Query(Box::new(gen_query(schema, dialect, rng, 0)))
     } else {
         let nrows = rng.gen_range(1..4);
-        let rows = (0..nrows)
-            .map(|_| columns.iter().map(|(_, ty)| gen_literal(*ty, rng)).collect())
-            .collect();
+        let rows =
+            (0..nrows).map(|_| columns.iter().map(|c| gen_literal(c.ty, rng)).collect()).collect();
         InsertSource::Values(rows)
     };
     let mysqlish = matches!(dialect, Dialect::MySql | Dialect::MariaDb);
@@ -619,7 +634,7 @@ pub fn gen_statement(
         StmtKind::Ddl(DdlVerb::Create, ObjectKind::Index) => {
             let (table, column) = match schema.random_table(rng) {
                 Some(t) if !t.columns.is_empty() => {
-                    (t.name.clone(), t.columns[rng.gen_range(0..t.columns.len())].0.clone())
+                    (t.name.clone(), t.columns[rng.gen_range(0..t.columns.len())].name.clone())
                 }
                 _ => ("t1".into(), "v1".into()),
             };
@@ -681,7 +696,7 @@ pub fn gen_statement(
         StmtKind::Ddl(DdlVerb::Alter, ObjectKind::Table) => {
             let (name, col) = match schema.random_table(rng) {
                 Some(t) if !t.columns.is_empty() => {
-                    (t.name.clone(), t.columns[rng.gen_range(0..t.columns.len())].0.clone())
+                    (t.name.clone(), t.columns[rng.gen_range(0..t.columns.len())].name.clone())
                 }
                 _ => ("t1".into(), "v1".into()),
             };
@@ -740,19 +755,19 @@ pub fn gen_statement(
         StmtKind::Other(K::Update) => {
             let (table, cols) = match schema.random_table(rng) {
                 Some(t) if !t.columns.is_empty() => (t.name.clone(), t.columns.clone()),
-                _ => ("t1".into(), vec![("v1".into(), DataType::Int)]),
+                _ => ("t1".into(), vec![ColumnModel::new("v1".into(), DataType::Int)]),
             };
-            let target = cols[rng.gen_range(0..cols.len())].clone();
+            let target = &cols[rng.gen_range(0..cols.len())];
             Statement::Update(Update {
                 table,
-                assignments: vec![(target.0, gen_literal(target.1, rng))],
+                assignments: vec![(target.name.clone(), gen_literal(target.ty, rng))],
                 where_: if rng.gen_bool(0.7) { Some(gen_expr(&cols, rng, 1)) } else { None },
             })
         }
         StmtKind::Other(K::Delete) => {
             let (table, cols) = match schema.random_table(rng) {
                 Some(t) => (t.name.clone(), t.columns.clone()),
-                None => ("t1".into(), vec![("v1".into(), DataType::Int)]),
+                None => ("t1".into(), vec![ColumnModel::new("v1".into(), DataType::Int)]),
             };
             Statement::Delete(Delete {
                 table,
@@ -971,6 +986,240 @@ mod tests {
         assert!(!m.has_table("a"));
         assert!(!m.has_table("c"));
         assert_eq!(m.table("b").unwrap().columns.len(), 2);
+    }
+
+    /// The table model as it was before the constraint flags moved onto
+    /// the columns: the columns, plus three lists of constrained column
+    /// names kept next to them.
+    #[derive(Debug, Default)]
+    struct ListSchema {
+        tables: Vec<ListTable>,
+    }
+
+    #[derive(Debug)]
+    struct ListTable {
+        name: String,
+        columns: Vec<(String, DataType)>,
+        required: Vec<String>,
+        not_null: Vec<String>,
+        unique: Vec<String>,
+    }
+
+    impl ListSchema {
+        fn table(&self, name: &str) -> Option<&ListTable> {
+            self.tables.iter().find(|t| t.name.eq_ignore_ascii_case(name))
+        }
+
+        fn observe(&mut self, stmt: &Statement) {
+            let unconstrained = |name: &String, columns| ListTable {
+                name: name.clone(),
+                columns,
+                required: Vec::new(),
+                not_null: Vec::new(),
+                unique: Vec::new(),
+            };
+            match stmt {
+                Statement::CreateTable(c) if self.table(&c.name).is_none() => {
+                    use lego_sqlast::ast::ColumnConstraint as CC;
+                    let mut t = unconstrained(&c.name, Vec::new());
+                    for col in &c.columns {
+                        t.columns.push((col.name.clone(), col.ty));
+                        let nn = col
+                            .constraints
+                            .iter()
+                            .any(|k| matches!(k, CC::NotNull | CC::PrimaryKey));
+                        let has_default =
+                            col.constraints.iter().any(|k| matches!(k, CC::Default(_)));
+                        if nn {
+                            t.not_null.push(col.name.clone());
+                            if !has_default {
+                                t.required.push(col.name.clone());
+                            }
+                        }
+                        if col.constraints.iter().any(|k| matches!(k, CC::Unique | CC::PrimaryKey))
+                        {
+                            t.unique.push(col.name.clone());
+                        }
+                    }
+                    self.tables.push(t);
+                }
+                Statement::CreateTableAs { name, .. } if self.table(name).is_none() => {
+                    self.tables.push(unconstrained(name, vec![("column1".into(), DataType::Int)]));
+                }
+                Statement::CreateView(v) if self.table(&v.name).is_none() => {
+                    let cols = lego_sqlast::visit::table_names(stmt)
+                        .iter()
+                        .skip(1)
+                        .find_map(|t| self.table(t).map(|t| t.columns.clone()))
+                        .unwrap_or_else(|| vec![("column1".into(), DataType::Int)]);
+                    self.tables.push(unconstrained(&v.name, cols));
+                }
+                Statement::Drop(d) if matches!(d.object, ObjectKind::Table | ObjectKind::View) => {
+                    self.tables.retain(|t| !t.name.eq_ignore_ascii_case(&d.name));
+                }
+                Statement::AlterTable(a) => {
+                    let Some(t) =
+                        self.tables.iter_mut().find(|t| t.name.eq_ignore_ascii_case(&a.name))
+                    else {
+                        return;
+                    };
+                    match &a.action {
+                        AlterTableAction::AddColumn(c) => t.columns.push((c.name.clone(), c.ty)),
+                        AlterTableAction::DropColumn(c) => {
+                            t.columns.retain(|(n, _)| !n.eq_ignore_ascii_case(c));
+                            t.required.retain(|n| !n.eq_ignore_ascii_case(c));
+                            t.not_null.retain(|n| !n.eq_ignore_ascii_case(c));
+                            t.unique.retain(|n| !n.eq_ignore_ascii_case(c));
+                        }
+                        AlterTableAction::RenameColumn { old, new } => {
+                            if let Some(col) =
+                                t.columns.iter_mut().find(|(n, _)| n.eq_ignore_ascii_case(old))
+                            {
+                                col.0 = new.clone();
+                            }
+                            for list in [&mut t.required, &mut t.not_null, &mut t.unique] {
+                                if let Some(r) =
+                                    list.iter_mut().find(|n| n.eq_ignore_ascii_case(old))
+                                {
+                                    *r = new.clone();
+                                }
+                            }
+                        }
+                        AlterTableAction::RenameTo(new) => t.name = new.clone(),
+                        AlterTableAction::AlterColumnType { name, ty } => {
+                            if let Some(col) =
+                                t.columns.iter_mut().find(|(n, _)| n.eq_ignore_ascii_case(name))
+                            {
+                                col.1 = *ty;
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The two models agree on everything the validator asks of them: the
+    /// tables in order, their columns in order, and, for every column name
+    /// in two letter cases, NOT NULL and UNIQUE. Required columns agree as a
+    /// multiset; their order can differ (see `ColumnModel::required`).
+    /// Returns whether some table had two columns of one name.
+    fn assert_same_schema(new: &SchemaModel, old: &ListSchema, what: &str) -> bool {
+        let names =
+            |t: &TableModel| t.columns.iter().map(|c| (c.name.clone(), c.ty)).collect::<Vec<_>>();
+        assert_eq!(
+            new.tables.iter().map(|t| (t.name.clone(), names(t))).collect::<Vec<_>>(),
+            old.tables.iter().map(|t| (t.name.clone(), t.columns.clone())).collect::<Vec<_>>(),
+            "{what}"
+        );
+        let mut duplicates = false;
+        for (t, o) in new.tables.iter().zip(&old.tables) {
+            let listed = |list: &[String], c: &str| list.iter().any(|n| n.eq_ignore_ascii_case(c));
+            for col in &t.columns {
+                for c in [col.name.clone(), col.name.to_ascii_uppercase()] {
+                    assert_eq!(
+                        t.is_not_null(&c),
+                        listed(&o.not_null, &c),
+                        "{what}: {}.{c}",
+                        t.name
+                    );
+                    assert_eq!(t.is_unique(&c), listed(&o.unique, &c), "{what}: {}.{c}", t.name);
+                }
+                duplicates |= t.columns.iter().filter(|d| d.is(&col.name)).count() > 1;
+            }
+            let mut required: Vec<&str> =
+                t.columns.iter().filter(|c| c.required).map(|c| c.name.as_str()).collect();
+            let mut listed_required: Vec<&str> = o.required.iter().map(String::as_str).collect();
+            required.sort_unstable();
+            listed_required.sort_unstable();
+            assert_eq!(required, listed_required, "{what}: {}", t.name);
+        }
+        duplicates
+    }
+
+    #[test]
+    fn schema_model_matches_the_three_list_reference() {
+        use lego_sqlast::ast::AlterTableAction as A;
+        // Hand-written: every ALTER TABLE column action, and renames that
+        // give two columns one name and then rename one of them.
+        let scripts = [
+            "CREATE TABLE t (a INT PRIMARY KEY, b INT NOT NULL, c INT UNIQUE, d INT NOT NULL DEFAULT 1);\n\
+             ALTER TABLE t ADD COLUMN e INT; ALTER TABLE t RENAME COLUMN b TO f;\n\
+             ALTER TABLE t DROP COLUMN c; ALTER TABLE t ALTER COLUMN a TYPE TEXT;\n\
+             ALTER TABLE t RENAME TO u; ALTER TABLE u RENAME COLUMN D TO g;",
+            "CREATE TABLE t (a INT, b INT NOT NULL);\n\
+             ALTER TABLE t RENAME COLUMN a TO b; ALTER TABLE t RENAME COLUMN b TO c;\n\
+             ALTER TABLE t RENAME COLUMN B TO a; ALTER TABLE t DROP COLUMN c;",
+            "CREATE TABLE t (a INT UNIQUE, b INT PRIMARY KEY, c INT);\n\
+             ALTER TABLE t ADD COLUMN a INT; ALTER TABLE t RENAME COLUMN c TO a;\n\
+             ALTER TABLE t RENAME COLUMN a TO z; ALTER TABLE t RENAME COLUMN a TO y;\n\
+             ALTER TABLE t RENAME COLUMN b TO y; ALTER TABLE t RENAME COLUMN y TO x;",
+            "CREATE TABLE t (a INT NOT NULL, a INT UNIQUE, A INT PRIMARY KEY);\n\
+             CREATE VIEW w AS SELECT * FROM t; ALTER TABLE t RENAME COLUMN a TO b;\n\
+             ALTER TABLE t RENAME COLUMN a TO c; ALTER TABLE t RENAME COLUMN a TO d;\n\
+             DROP VIEW w; CREATE TABLE w AS SELECT 1; DROP TABLE t;",
+        ];
+        let mut duplicates = 0;
+        for script in scripts {
+            let case = lego_sqlparser::parse_script(script).unwrap();
+            let (mut new, mut old) = (SchemaModel::new(), ListSchema::default());
+            for (i, stmt) in case.statements.iter().enumerate() {
+                new.observe(stmt);
+                old.observe(stmt);
+                duplicates +=
+                    assert_same_schema(&new, &old, &format!("{script}, statement {i}")) as usize;
+            }
+        }
+        assert!(duplicates >= 8, "{duplicates}");
+
+        // Generated: every prefix of every generated case. The validator's
+        // rebinding turns many an ADD COLUMN or RENAME COLUMN into one that
+        // repeats a name, so the cases are full of duplicate columns.
+        let (mut alters, mut duplicates) = ([0usize; 3], 0usize);
+        for dialect in Dialect::ALL {
+            for (n, case) in crate::testutil::generated_cases(dialect).iter().enumerate() {
+                let (mut new, mut old) = (SchemaModel::new(), ListSchema::default());
+                for (i, stmt) in case.statements.iter().enumerate() {
+                    if let Statement::AlterTable(a) = stmt {
+                        match a.action {
+                            A::AddColumn(_) => alters[0] += 1,
+                            A::DropColumn(_) => alters[1] += 1,
+                            A::RenameColumn { .. } => alters[2] += 1,
+                            _ => {}
+                        }
+                    }
+                    new.observe(stmt);
+                    old.observe(stmt);
+                    let what = format!("{dialect:?} case {n} statement {i}: {stmt}");
+                    duplicates += assert_same_schema(&new, &old, &what) as usize;
+                }
+            }
+        }
+        assert!(alters.iter().all(|&a| a >= 100), "ADD / DROP / RENAME COLUMN: {alters:?}");
+        assert!(duplicates >= 100, "prefixes with duplicate columns: {duplicates}");
+    }
+
+    #[test]
+    fn required_columns_follow_table_order_after_a_rename_to_a_taken_name() {
+        // `c` takes the name `a`, then the first `a` is renamed `z` and
+        // takes `c`'s NOT NULL along. The three-list model kept `r, z`;
+        // the flags list the required columns in table order.
+        let mut m = SchemaModel::new();
+        for s in lego_sqlparser::parse_script(
+            "CREATE TABLE t (a INT, r INT NOT NULL, c INT NOT NULL);\n\
+             ALTER TABLE t RENAME COLUMN c TO a; ALTER TABLE t RENAME COLUMN a TO z;",
+        )
+        .unwrap()
+        .statements
+        {
+            m.observe(&s);
+        }
+        let t = m.table("t").unwrap();
+        let required: Vec<&str> =
+            t.columns.iter().filter(|c| c.required).map(|c| c.name.as_str()).collect();
+        assert_eq!(required, ["z", "r"]);
+        assert!(t.is_not_null("z") && t.is_not_null("r") && !t.is_not_null("a"));
     }
 
     #[test]

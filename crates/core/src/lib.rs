@@ -59,6 +59,8 @@ pub mod reduce;
 pub mod seeds;
 pub mod special;
 pub mod synthesis;
+#[cfg(test)]
+mod testutil;
 
 pub use affinity::AffinityMap;
 pub use campaign::{

@@ -2,7 +2,7 @@
 //! structure/data mutations all coverage-guided DBMS fuzzers share
 //! (SQUIRREL-style), deliberately *unable* to change the SQL Type Sequence.
 
-use crate::gen::{gen_expr, gen_literal, SchemaModel};
+use crate::gen::{gen_expr, gen_literal, ColumnModel, SchemaModel};
 use crate::instantiate::fix_case;
 use lego_sqlast::ast::*;
 use lego_sqlast::expr::*;
@@ -29,9 +29,9 @@ pub fn conventional_mutate_stacked(case: &TestCase, rng: &mut SmallRng, stack: u
     for _ in 0..n {
         let idx = rng.gen_range(0..out.statements.len());
         let schema = SchemaModel::of_statements(&out.statements[..idx]);
-        let cols = schema.random_table(rng).map(|t| t.columns.clone()).unwrap_or_default();
+        let cols = schema.random_table(rng).map_or(&[][..], |t| &t.columns);
         let before = out.statements[idx].kind();
-        mutate_statement(&mut out.statements[idx], &cols, rng);
+        mutate_statement(&mut out.statements[idx], cols, rng);
         debug_assert_eq!(
             out.statements[idx].kind(),
             before,
@@ -72,8 +72,7 @@ pub fn sema_repair(case: &mut TestCase, dialect: Dialect) -> usize {
     let mut binder = Sema::new(dialect).binder();
     let mut repaired = 0usize;
     for stmt in &mut case.statements {
-        let in_scope = binder.relations_in_scope();
-        if let Some(target) = in_scope.first() {
+        if let Some(target) = binder.first_relation_in_scope() {
             let defined = defined_relation(stmt).map(str::to_owned);
             rebind(
                 stmt,
@@ -81,7 +80,7 @@ pub fn sema_repair(case: &mut TestCase, dialect: Dialect) -> usize {
                     if defined.as_deref() != Some(t.as_str())
                         && binder.relation_definitely_absent(t)
                     {
-                        *t = target.clone();
+                        *t = target.to_owned();
                         repaired += 1;
                     }
                 },
@@ -94,7 +93,7 @@ pub fn sema_repair(case: &mut TestCase, dialect: Dialect) -> usize {
     repaired
 }
 
-fn mutate_statement(stmt: &mut Statement, cols: &[(String, DataType)], rng: &mut SmallRng) {
+fn mutate_statement(stmt: &mut Statement, cols: &[ColumnModel], rng: &mut SmallRng) {
     // Try a structure mutation specific to the statement shape; fall back to
     // literal tweaking, which applies to anything with data.
     let done = match stmt {
@@ -115,8 +114,8 @@ fn mutate_statement(stmt: &mut Statement, cols: &[(String, DataType)], rng: &mut
                 }
                 _ => {
                     if !cols.is_empty() {
-                        let c = cols[rng.gen_range(0..cols.len())].clone();
-                        u.assignments.push((c.0, gen_literal(c.1, rng)));
+                        let c = &cols[rng.gen_range(0..cols.len())];
+                        u.assignments.push((c.name.clone(), gen_literal(c.ty, rng)));
                     }
                 }
             }
@@ -194,7 +193,7 @@ fn mutate_statement(stmt: &mut Statement, cols: &[(String, DataType)], rng: &mut
 }
 
 /// Structure mutations over a query (the grey "mutation areas" of Fig. 1).
-fn mutate_query(q: &mut Query, cols: &[(String, DataType)], rng: &mut SmallRng) -> bool {
+fn mutate_query(q: &mut Query, cols: &[ColumnModel], rng: &mut SmallRng) -> bool {
     match rng.gen_range(0..6) {
         0 => {
             // WHERE add/replace/remove — the paper's running example turns
@@ -212,7 +211,7 @@ fn mutate_query(q: &mut Query, cols: &[(String, DataType)], rng: &mut SmallRng) 
         1 => {
             if q.order_by.is_empty() && !cols.is_empty() {
                 q.order_by.push(OrderItem {
-                    expr: Expr::col(cols[rng.gen_range(0..cols.len())].0.clone()),
+                    expr: Expr::col(cols[rng.gen_range(0..cols.len())].name.clone()),
                     desc: rng.gen_bool(0.5),
                 });
             } else if !q.order_by.is_empty() {
@@ -241,7 +240,7 @@ fn mutate_query(q: &mut Query, cols: &[(String, DataType)], rng: &mut SmallRng) 
         4 => {
             if let SetExpr::Select(sel) = &mut q.body {
                 if sel.group_by.is_empty() && !cols.is_empty() {
-                    let key = cols[rng.gen_range(0..cols.len())].0.clone();
+                    let key = cols[rng.gen_range(0..cols.len())].name.clone();
                     sel.group_by = vec![Expr::col(key.clone())];
                     sel.projection = vec![
                         SelectItem::Expr { expr: Expr::col(key), alias: None },
@@ -266,7 +265,9 @@ fn mutate_query(q: &mut Query, cols: &[(String, DataType)], rng: &mut SmallRng) 
                             spec: WindowSpec {
                                 partition_by: vec![],
                                 order_by: vec![OrderItem {
-                                    expr: Expr::col(cols[rng.gen_range(0..cols.len())].0.clone()),
+                                    expr: Expr::col(
+                                        cols[rng.gen_range(0..cols.len())].name.clone(),
+                                    ),
                                     desc: false,
                                 }],
                                 frame: None,
@@ -362,6 +363,46 @@ mod tests {
         .unwrap();
         assert_eq!(sema_repair(&mut case, Dialect::Postgres), 0);
         assert!(case.to_sql().contains("t2"));
+    }
+
+    /// `conventional_mutate_stacked` as it was before it borrowed the
+    /// random table's columns: a copy of them per mutation.
+    fn reference_conventional_mutate_stacked(
+        case: &TestCase,
+        rng: &mut SmallRng,
+        stack: usize,
+    ) -> TestCase {
+        let mut out = case.clone();
+        if out.statements.is_empty() {
+            return out;
+        }
+        let n = rng.gen_range(1..=stack.max(1));
+        for _ in 0..n {
+            let idx = rng.gen_range(0..out.statements.len());
+            let schema = SchemaModel::of_statements(&out.statements[..idx]);
+            let cols = schema.random_table(rng).map(|t| t.columns.clone()).unwrap_or_default();
+            mutate_statement(&mut out.statements[idx], &cols, rng);
+        }
+        fix_case(&mut out, rng);
+        out
+    }
+
+    #[test]
+    fn conventional_mutants_match_the_clone_based_reference_on_generated_cases() {
+        for dialect in Dialect::ALL {
+            for (n, case) in crate::testutil::generated_cases(dialect).iter().enumerate() {
+                for stack in [1, 3] {
+                    let seed = (n as u64) << 2 | stack as u64;
+                    let (mut rng_new, mut rng_old) =
+                        (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+                    let new = conventional_mutate_stacked(case, &mut rng_new, stack);
+                    let old = reference_conventional_mutate_stacked(case, &mut rng_old, stack);
+                    let what = format!("{dialect:?} case {n}, stack {stack}: {}", case.to_sql());
+                    assert_eq!(new, old, "{what}");
+                    assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

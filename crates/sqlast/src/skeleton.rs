@@ -10,64 +10,80 @@
 use crate::ast::Statement;
 use crate::expr::Expr;
 use crate::visit::{walk_statement_mut, MutVisitor};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::fmt::{self, Write};
 
 /// Replace identifiers with canonical `$tN` / `$cN` placeholders, preserving
-/// repetition structure (the same original name maps to the same placeholder).
+/// repetition structure (the same original name maps to the same placeholder,
+/// numbered in walk order).
 pub fn normalize(stmt: &Statement) -> Statement {
-    struct Normalizer {
-        tables: HashMap<String, String>,
-        columns: HashMap<String, String>,
-    }
-    impl Normalizer {
-        fn canon(map: &mut HashMap<String, String>, prefix: &str, name: &mut String) {
-            let next = map.len();
-            match map.entry(name.clone()) {
-                Entry::Occupied(e) => *name = e.get().clone(),
-                Entry::Vacant(e) => {
-                    let c = format!("{}{}", prefix, next);
-                    e.insert(c.clone());
-                    *name = c;
-                }
-            }
-        }
-    }
-    impl MutVisitor for Normalizer {
-        fn table_name(&mut self, name: &mut String) {
-            Self::canon(&mut self.tables, "$t", name);
-        }
-        fn column_name(&mut self, name: &mut String) {
-            Self::canon(&mut self.columns, "$c", name);
-        }
-        fn literal(&mut self, expr: &mut Expr) {
-            // Normalize literal *values* but keep their type, so two inserts
-            // differing only in data share a skeleton.
-            match expr {
-                Expr::Integer(v) => *v = 0,
-                Expr::Float(v) => *v = 0.0,
-                Expr::Str(s) => *s = "$s".into(),
-                Expr::Bool(b) => *b = true,
-                _ => {}
-            }
-        }
-    }
     let mut s = stmt.clone();
-    walk_statement_mut(&mut s, &mut Normalizer { tables: HashMap::new(), columns: HashMap::new() });
+    walk_statement_mut(&mut s, &mut Normalizer::default());
     s
+}
+
+/// The names seen so far, one list per placeholder kind; a name's
+/// placeholder number is its index.
+#[derive(Default)]
+struct Normalizer {
+    tables: Vec<String>,
+    columns: Vec<String>,
+}
+
+impl Normalizer {
+    fn canon(seen: &mut Vec<String>, prefix: &str, name: &mut String) {
+        let n = seen.iter().position(|s| s == name).unwrap_or_else(|| {
+            seen.push(std::mem::take(name));
+            seen.len() - 1
+        });
+        name.clear();
+        write!(name, "{prefix}{n}").expect("writing to a String cannot fail");
+    }
+}
+
+impl MutVisitor for Normalizer {
+    fn table_name(&mut self, name: &mut String) {
+        Self::canon(&mut self.tables, "$t", name);
+    }
+    fn column_name(&mut self, name: &mut String) {
+        Self::canon(&mut self.columns, "$c", name);
+    }
+    fn literal(&mut self, expr: &mut Expr) {
+        // Normalize literal *values* but keep their type, so two inserts
+        // differing only in data share a skeleton.
+        match expr {
+            Expr::Integer(v) => *v = 0,
+            Expr::Float(v) => *v = 0.0,
+            Expr::Str(s) => {
+                s.clear();
+                s.push_str("$s");
+            }
+            Expr::Bool(b) => *b = true,
+            _ => {}
+        }
+    }
 }
 
 /// A stable structural fingerprint: equal iff the normalized statements
 /// render identically. Used to keep the AST library free of duplicates
 /// ("instantiates sequences into test cases with non-repetitive structures").
+/// The rendering streams into the hash; no text is kept.
 pub fn structure_key(stmt: &Statement) -> u64 {
-    let text = normalize(stmt).to_string();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write!(h, "{}", normalize(stmt)).expect("hashing cannot fail");
+    h.0
+}
+
+/// FNV-1a over the bytes written to it.
+struct Fnv1a(u64);
+
+impl Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+        Ok(())
     }
-    h
 }
 
 /// A [`MutVisitor`] that rebinds identifiers/literals through caller-supplied

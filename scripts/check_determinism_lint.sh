@@ -56,6 +56,9 @@ files=(
   crates/core/src/mutation.rs
   crates/core/src/synthesis.rs
   crates/core/src/checkpoint.rs
+  crates/core/src/instantiate.rs
+  crates/core/src/gen.rs
+  crates/sqlast/src/skeleton.rs
 )
 while IFS= read -r f; do files+=("$f"); done \
   < <(find crates/coverage/src crates/sqlsema/src -name '*.rs' | sort)

@@ -580,6 +580,17 @@ mod tests {
     }
 
     #[test]
+    fn fixer_qualifies_the_self_join_whose_name_sorts_first_in_lower_case() {
+        for seed in 0..8 {
+            let sql = fixed_last(
+                "CREATE TABLE B2 (x INT); CREATE TABLE a1 (y INT); SELECT x, y FROM B2, B2, a1, a1;",
+                seed,
+            );
+            assert_eq!(sql, "SELECT x, a1.y FROM B2, B2, a1, a1", "seed {seed}");
+        }
+    }
+
+    #[test]
     fn fixer_rebinds_unknown_columns_across_every_referenced_table() {
         let script = "CREATE TABLE t (a INT); CREATE TABLE u (b INT); CREATE TABLE w (c INT);\n\
                       SELECT q FROM t, u;";
@@ -660,9 +671,10 @@ mod tests {
     }
 
     /// Every statement of the generated cases, each with the schema of its
-    /// prefix, as generated and again with its names upper-cased (known
-    /// names must still match), and once with the previous case's schema,
-    /// which leaves most of its names unknown.
+    /// prefix, as generated, with its names upper-cased (known names must
+    /// still match) and with every other name upper-cased (one name in two
+    /// letter cases), and once with the previous case's schema, which
+    /// leaves most of its names unknown.
     fn for_each_generated_statement(mut check: impl FnMut(&Statement, &SchemaModel, u64, &str)) {
         for dialect in Dialect::ALL {
             let mut previous = SchemaModel::new();
@@ -678,8 +690,17 @@ mod tests {
                         |c| c.make_ascii_uppercase(),
                         |_l| {},
                     );
+                    let mut mixed = stmt.clone();
+                    let upper = std::cell::Cell::new(false);
+                    let alternate = |name: &mut String| {
+                        if upper.replace(!upper.get()) {
+                            name.make_ascii_uppercase();
+                        }
+                    };
+                    rebind(&mut mixed, alternate, alternate, |_l| {});
                     check(stmt, &schema, seed, &what);
                     check(&shouted, &schema, seed, &format!("{what}, upper-cased"));
+                    check(&mixed, &schema, seed, &format!("{what}, mixed case"));
                     check(stmt, &previous, seed, &format!("{what}, previous schema"));
                     schema.observe(stmt);
                 }

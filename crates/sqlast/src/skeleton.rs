@@ -73,7 +73,8 @@ pub fn structure_key(stmt: &Statement) -> u64 {
     h.0
 }
 
-/// FNV-1a over the bytes written to it.
+/// FNV-1a over the bytes written to it, with the multiplier the library
+/// keys in checkpoints were made with (it is not the standard FNV prime).
 struct Fnv1a(u64);
 
 impl Write for Fnv1a {

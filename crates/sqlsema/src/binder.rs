@@ -2055,5 +2055,26 @@ mod tests {
             }
         }
         assert!(nonempty > 1000, "{nonempty}");
+
+        // CREATE VIEW proves no view present, so set the namespaces: a view
+        // first, a table first, either alone, a shadowed (Maybe) entry.
+        for (tables, views, first) in [
+            (&["z1", "b1"][..], &["a1", "y1"][..], Some("a1")),
+            (&["b1"], &["c1"], Some("b1")),
+            (&[], &["c1"], Some("c1")),
+            (&["d1"], &[], Some("d1")),
+            (&[], &[], None),
+        ] {
+            let mut binder = crate::Sema::new(Dialect::Postgres).binder();
+            for t in tables {
+                binder.cat.tables.set(t.to_string(), Presence::Present, None);
+            }
+            for v in views {
+                binder.cat.views.set(v.to_string(), Presence::Present, None);
+            }
+            binder.cat.views.set("a0".into(), Presence::Maybe, None);
+            assert_eq!(relations_in_scope(&binder).first().map(String::as_str), first);
+            assert_eq!(binder.first_relation_in_scope(), first, "{tables:?} {views:?}");
+        }
     }
 }

@@ -49,6 +49,8 @@ pub mod campaign;
 pub mod checkpoint;
 mod checks;
 pub mod corpus_io;
+#[cfg(test)]
+mod engine_pin;
 pub mod fuzzer;
 pub mod gen;
 pub mod instantiate;

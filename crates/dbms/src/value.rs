@@ -125,7 +125,10 @@ impl Value {
             t if t.is_textual() => {
                 let mut s = self.render_text();
                 if let DataType::VarChar(n) | DataType::Char(n) = t {
-                    s.truncate(n as usize);
+                    // The length counts characters, not bytes.
+                    if let Some((cut, _)) = s.char_indices().nth(n as usize) {
+                        s.truncate(cut);
+                    }
                 }
                 Value::Text(s)
             }
@@ -227,6 +230,17 @@ mod tests {
         assert_eq!(
             Value::Text("hello world".into()).coerce_to(DataType::VarChar(5)),
             Value::Text("hello".into())
+        );
+    }
+
+    #[test]
+    fn varchar_and_char_count_characters_not_bytes() {
+        for ty in [DataType::VarChar(1), DataType::Char(1)] {
+            assert_eq!(Value::Text("éx".into()).coerce_to(ty), Value::Text("é".into()));
+        }
+        assert_eq!(
+            Value::Text("日本語".into()).coerce_to(DataType::VarChar(5)),
+            Value::Text("日本語".into())
         );
     }
 

@@ -1,7 +1,7 @@
 //! Behavioural tests for the simulated engines: each test drives a realistic
 //! multi-statement session and checks both results and error semantics.
 
-use lego_dbms::{Dbms, Outcome};
+use lego_dbms::{Dbms, Outcome, Value};
 use lego_sqlast::Dialect;
 
 fn run(dialect: Dialect, sql: &str) -> lego_dbms::ExecReport {
@@ -155,6 +155,22 @@ fn foreign_keys_enforced_when_profile_says_so() {
          INSERT INTO c VALUES (9);",
     );
     assert!(r.errors.is_empty(), "{:?}", r.errors);
+}
+
+#[test]
+fn varchar_and_char_cut_multibyte_text_at_characters() {
+    // The length counts characters: cutting 'éx' at byte 1 would split 'é'.
+    for ty in ["VARCHAR(1)", "CHAR(1)"] {
+        let mut db = Dbms::new(Dialect::Postgres);
+        let r = db.execute_script(&format!(
+            "CREATE TABLE t (a {ty}); INSERT INTO t VALUES ('éx'); SELECT * FROM t;"
+        ));
+        assert!(matches!(r.outcome, Outcome::Ok), "{ty}: {:?}", r.errors);
+        assert!(r.errors.is_empty(), "{ty}: {:?}", r.errors);
+        assert_eq!(r.last_rows, 1, "{ty}");
+        let rows = &db.session().cat.table("t").expect("table t").rows;
+        assert_eq!(rows, &vec![vec![Value::Text("é".into())]], "{ty}");
+    }
 }
 
 // -- views / matviews ----------------------------------------------------------

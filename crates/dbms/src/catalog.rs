@@ -7,6 +7,7 @@ use lego_sqlast::expr::{DataType, Expr};
 use lego_sqlast::kind::ObjectKind;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 #[derive(Clone, Debug)]
 pub struct ColumnMeta {
@@ -32,7 +33,9 @@ pub struct IndexMeta {
 pub struct TableMeta {
     pub name: String,
     pub temporary: bool,
-    pub columns: Vec<ColumnMeta>,
+    /// Shared with transaction snapshots and running statements; ALTER
+    /// TABLE copies it on write (`Arc::make_mut`).
+    pub columns: Arc<Vec<ColumnMeta>>,
     /// Table-level CHECK expressions.
     pub checks: Vec<Expr>,
     /// Table-level FOREIGN KEY constraints: (cols, ref table, ref cols).
@@ -121,8 +124,9 @@ impl Catalog {
     }
 
     /// The catalog key of `name`. Keys are lowercase; a name that already is
-    /// (the common case) is looked up as it stands, without a copy.
-    fn norm(name: &str) -> Cow<'_, str> {
+    /// (the common case) is looked up as it stands, without a copy. Column
+    /// bindings follow the same rule.
+    pub(crate) fn norm(name: &str) -> Cow<'_, str> {
         if name.bytes().any(|b| b.is_ascii_uppercase()) {
             Cow::Owned(name.to_ascii_lowercase())
         } else {
@@ -231,7 +235,7 @@ mod tests {
         TableMeta {
             name: name.into(),
             temporary: false,
-            columns: vec![ColumnMeta {
+            columns: Arc::new(vec![ColumnMeta {
                 name: "a".into(),
                 ty: DataType::Int,
                 not_null: false,
@@ -240,7 +244,7 @@ mod tests {
                 default: None,
                 check: None,
                 references: None,
-            }],
+            }]),
             checks: vec![],
             foreign_keys: vec![],
             rows: vec![],

@@ -10,7 +10,7 @@ use crate::profile::Profile;
 use crate::wal::Wal;
 use lego_coverage::map::CovMap;
 use lego_coverage::site_id;
-use lego_sqlast::{Dialect, TestCase};
+use lego_sqlast::{Dialect, StmtKind, TestCase};
 use std::path::Path;
 
 /// Final outcome of executing one test case.
@@ -106,12 +106,15 @@ pub const PANIC_BUG_ID: u32 = u32::MAX;
 /// reset. Campaign loops keep one instance per worker and call [`Dbms::reset`]
 /// between cases instead of constructing a new instance, which reuses the
 /// session's allocations; a spare [`CovMap`] can be handed back with
-/// [`Dbms::recycle`] so the per-case 64 KiB coverage buffer is reused too.
+/// [`Dbms::recycle`] so the per-case 64 KiB coverage buffer is reused too,
+/// and the statement-kind trace keeps its buffer from case to case.
 /// The instance stays poisoned once it crashes (until the next `reset`).
 pub struct Dbms {
     session: Session,
     poisoned: Option<CrashReport>,
     spare_map: Option<CovMap>,
+    /// The last context's trace buffer, empty.
+    spare_trace: Vec<StmtKind>,
     limits: Limits,
     faults: Faults,
     wal: Option<Wal>,
@@ -123,6 +126,7 @@ impl Dbms {
             session: Session::new(Profile::for_dialect(dialect)),
             poisoned: None,
             spare_map: None,
+            spare_trace: Vec::new(),
             limits: Limits::default(),
             faults: Faults::default(),
             wal: None,
@@ -216,15 +220,24 @@ impl Dbms {
         self.spare_map = Some(map);
     }
 
-    /// A context on the spare coverage map, if one was handed back, with
-    /// the default [`Limits`] and this instance's faults.
+    /// A context on the spare coverage map, if one was handed back, and the
+    /// spare trace buffer, with the default [`Limits`] and this instance's
+    /// faults.
     fn spare_ctx(&mut self) -> ExecCtx {
         let mut ctx = match self.spare_map.take() {
             Some(map) => ExecCtx::reusing(map),
             None => ExecCtx::new(),
         };
+        ctx.trace = std::mem::take(&mut self.spare_trace);
         ctx.faults = self.faults;
         ctx
+    }
+
+    /// Keep the context's trace buffer for the next one; return its map.
+    fn finish(&mut self, mut ctx: ExecCtx) -> CovMap {
+        ctx.trace.clear();
+        self.spare_trace = ctx.trace;
+        ctx.cov.into_map()
     }
 
     fn fresh_ctx(&mut self) -> ExecCtx {
@@ -256,9 +269,10 @@ impl Dbms {
     pub fn execute_case(&mut self, case: &TestCase) -> ExecReport {
         let mut ctx = self.fresh_ctx();
         if let Some(crash) = &self.poisoned {
+            let outcome = Outcome::Crash(crash.clone());
             return ExecReport {
-                outcome: Outcome::Crash(crash.clone()),
-                coverage: ctx.cov.into_map(),
+                outcome,
+                coverage: self.finish(ctx),
                 statements_executed: 0,
                 errors: vec!["server is down".into()],
                 stmt_errors: vec![0],
@@ -271,6 +285,7 @@ impl Dbms {
         let mut stmt_errors = Vec::new();
         let mut executed = 0usize;
         let mut ok_count = 0usize;
+        let mut outcome = Outcome::Ok;
         for stmt in &case.statements {
             // Every statement re-enters through the same command dispatcher,
             // so the AFL edge chain re-synchronizes at the statement
@@ -301,16 +316,8 @@ impl Dbms {
                 // A budget tripped: the harness kills the case (AFL timeout
                 // analogue). The server is *not* poisoned — the next case
                 // gets a reset instance as usual.
-                return ExecReport {
-                    outcome: Outcome::Aborted(reason),
-                    last_rows: ctx.last_row_count,
-                    coverage: ctx.cov.into_map(),
-                    statements_executed: executed,
-                    stmts_ok: ok_count,
-                    stmts_err: executed - ok_count,
-                    errors,
-                    stmt_errors,
-                };
+                outcome = Outcome::Aborted(reason);
+                break;
             }
             if ctx.crash.is_none() {
                 // Pattern-based oracle check on the observed type sequence.
@@ -320,24 +327,16 @@ impl Dbms {
                     ctx.crash = Some(crash);
                 }
             }
-            if let Some(crash) = ctx.crash.clone() {
+            if let Some(crash) = ctx.crash.take() {
                 self.poisoned = Some(crash.clone());
-                return ExecReport {
-                    outcome: Outcome::Crash(crash),
-                    last_rows: ctx.last_row_count,
-                    coverage: ctx.cov.into_map(),
-                    statements_executed: executed,
-                    stmts_ok: ok_count,
-                    stmts_err: executed - ok_count,
-                    errors,
-                    stmt_errors,
-                };
+                outcome = Outcome::Crash(crash);
+                break;
             }
         }
         ExecReport {
-            outcome: Outcome::Ok,
+            outcome,
             last_rows: ctx.last_row_count,
-            coverage: ctx.cov.into_map(),
+            coverage: self.finish(ctx),
             statements_executed: executed,
             stmts_ok: ok_count,
             stmts_err: executed - ok_count,
@@ -361,7 +360,8 @@ impl Dbms {
         // and hands it straight back instead of zeroing a fresh one.
         let mut ctx = self.spare_ctx();
         let result = self.session.run_query(&mut ctx, q);
-        self.spare_map = Some(ctx.cov.into_map());
+        let map = self.finish(ctx);
+        self.spare_map = Some(map);
         result
     }
 
@@ -380,7 +380,7 @@ impl Dbms {
                 ctx.hit_idx(site_id!(0x4547129b3b5f5700), h % 64);
                 ExecReport {
                     outcome: Outcome::ParseError(e.to_string()),
-                    coverage: ctx.cov.into_map(),
+                    coverage: self.finish(ctx),
                     statements_executed: 0,
                     errors: vec![e.to_string()],
                     stmt_errors: vec![0],

@@ -5,18 +5,20 @@ use crate::value::{Row, Value};
 use lego_coverage::{cov, site_id};
 use lego_sqlast::ast::Query;
 use lego_sqlast::expr::*;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Column bindings available to an expression: `(table alias, column name)`,
-/// both lowercased, positionally matching the row.
-pub type Bindings = Vec<(Option<String>, String)>;
+/// both lowercase, positionally matching the row. Names that already are
+/// lowercase are borrowed ([`Catalog::norm`](crate::catalog::Catalog)).
+pub type Bindings<'a> = Vec<(Option<Cow<'a, str>>, Cow<'a, str>)>;
 
 /// Callback that executes a correlated-free subquery and yields its rows.
 pub type SubqueryExec<'a> = dyn FnMut(&Query, &mut ExecCtx) -> Result<Vec<Row>, String> + 'a;
 
 /// Everything an expression needs at evaluation time.
 pub struct EvalEnv<'a> {
-    pub cols: &'a Bindings,
+    pub cols: &'a Bindings<'a>,
     pub row: &'a [Value],
     pub ctx: &'a mut ExecCtx,
     /// Executes correlated-free subqueries; `None` where subqueries are
@@ -51,7 +53,7 @@ impl<'a> EvalEnv<'a> {
 }
 
 /// `bound == name.to_ascii_lowercase()`, without building the lowercase copy.
-fn is_lowercase_of(bound: &str, name: &str) -> bool {
+pub(crate) fn is_lowercase_of(bound: &str, name: &str) -> bool {
     bound.len() == name.len()
         && bound.bytes().zip(name.bytes()).all(|(b, n)| b == n.to_ascii_lowercase())
 }
@@ -194,7 +196,7 @@ fn eval_inner(expr: &Expr, env: &mut EvalEnv) -> Result<Value, String> {
             let v = eval(expr, env)?;
             // One conversion routine per (source class, target type).
             env.ctx.hit_idx(site_id!(0x1691a6e2a8df16d9), vclass(&v) << 8 | cast_ty_code(*ty));
-            Ok(v.cast_to(*ty))
+            Ok(v.coerce_to(*ty))
         }
         Expr::Subquery(q) => {
             cov!(env.ctx, 0x176ca6e2a8eacc45);
@@ -369,8 +371,18 @@ fn eval_binary(l: &Expr, op: BinOp, r: &Expr, env: &mut EvalEnv) -> Result<Value
     }
 }
 
+/// `name` in uppercase; a name that already is (the generators' spelling)
+/// is borrowed.
+pub(crate) fn upper(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_lowercase()) {
+        Cow::Owned(name.to_ascii_uppercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
 fn eval_scalar_func(call: &FuncCall, env: &mut EvalEnv) -> Result<Value, String> {
-    let name = call.name.to_ascii_uppercase();
+    let name = upper(&call.name);
     let mut args = Vec::with_capacity(call.args.len());
     for a in &call.args {
         args.push(eval(a, env)?);
@@ -382,7 +394,7 @@ fn eval_scalar_func(call: &FuncCall, env: &mut EvalEnv) -> Result<Value, String>
     let c0 = args.first().map(vclass).unwrap_or(0);
     env.ctx.hit_idx(site_id!(0x7475e6e2addb8f9b), (name_code % 64) << 3 | c0);
     let arg0 = || args.first().cloned().unwrap_or(Value::Null);
-    match name.as_str() {
+    match &*name {
         "ABS" => Ok(match arg0() {
             Value::Null => Value::Null,
             Value::Int(v) => Value::Int(v.wrapping_abs()),
@@ -567,7 +579,7 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
 
 /// Is the call an aggregate function?
 pub fn is_aggregate(call: &FuncCall) -> bool {
-    matches!(call.name.to_ascii_uppercase().as_str(), "COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
+    ["COUNT", "SUM", "AVG", "MIN", "MAX"].iter().any(|a| call.name.eq_ignore_ascii_case(a))
 }
 
 /// Does the expression contain an aggregate call (outside subqueries)?

@@ -16,6 +16,7 @@ use lego_sqlast::expr::DataType;
 use lego_sqlast::kind::{DdlVerb, ObjectKind, StandaloneKind, StmtKind};
 use std::cell::LazyCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 // Work bounds: real AFL harnesses kill executions that exceed a time budget
 // (the paper's SQUIRREL anecdote: one 945-statement seed hung it for 23
@@ -260,32 +261,8 @@ impl Session {
             Statement::CreateTableAs { name, query } => {
                 cov!(ctx, 0x36f2810b528bcc35);
                 let rs = run_query(&self.qenv(), ctx, query)?;
-                let columns = rs
-                    .columns
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| ColumnMeta {
-                        name: if c.is_empty() { format!("column{}", i + 1) } else { c.clone() },
-                        ty: infer_type(rs.rows.first().and_then(|r| r.get(i))),
-                        not_null: false,
-                        unique: false,
-                        primary_key: false,
-                        default: None,
-                        check: None,
-                        references: None,
-                    })
-                    .collect();
                 let n = rs.rows.len();
-                self.cat.add_table(TableMeta {
-                    name: name.clone(),
-                    temporary: false,
-                    columns,
-                    checks: vec![],
-                    foreign_keys: vec![],
-                    rows: rs.rows,
-                    analyzed: false,
-                    clustered: None,
-                })?;
+                self.cat.add_table(result_to_table(name, rs, false))?;
                 Ok(n)
             }
             Statement::AlterTable(a) => self.exec_alter_table(ctx, a),
@@ -660,9 +637,8 @@ impl Session {
             return Err("a table must have at least one column".into());
         }
         let mut cols = Vec::with_capacity(c.columns.len());
-        let mut seen = BTreeSet::new();
-        for col in &c.columns {
-            if !seen.insert(col.name.to_ascii_lowercase()) {
+        for (n, col) in c.columns.iter().enumerate() {
+            if c.columns[..n].iter().any(|p| p.name.eq_ignore_ascii_case(&col.name)) {
                 cov!(ctx, 0xbad7410b598c9ce4);
                 return Err(format!("column \"{}\" specified more than once", col.name));
             }
@@ -755,7 +731,7 @@ impl Session {
         self.cat.add_table(TableMeta {
             name: c.name.clone(),
             temporary: c.temporary,
-            columns: cols,
+            columns: Arc::new(cols),
             checks,
             foreign_keys: fks,
             rows: vec![],
@@ -901,7 +877,7 @@ impl Session {
                     cov!(ctx, 0x8882410b56e082e9);
                     return Err(format!("column \"{}\" already exists", c.name));
                 }
-                t.columns.push(ColumnMeta {
+                Arc::make_mut(&mut t.columns).push(ColumnMeta {
                     name: c.name.clone(),
                     ty: c.ty,
                     not_null: false,
@@ -936,7 +912,7 @@ impl Session {
                     cov!(ctx, 0x80a6410b5675aa96);
                     return Err(format!("cannot drop column \"{name}\": used by an index"));
                 }
-                t.columns.remove(pos);
+                Arc::make_mut(&mut t.columns).remove(pos);
                 for row in &mut t.rows {
                     row.remove(pos);
                 }
@@ -952,7 +928,7 @@ impl Session {
                 let pos = t
                     .column_index(old)
                     .ok_or_else(|| format!("column \"{old}\" does not exist"))?;
-                t.columns[pos].name = new.clone();
+                Arc::make_mut(&mut t.columns)[pos].name = new.clone();
                 Ok(0)
             }
             AlterTableAction::RenameTo(new) => {
@@ -972,9 +948,9 @@ impl Session {
                 let pos = t
                     .column_index(name)
                     .ok_or_else(|| format!("column \"{name}\" does not exist"))?;
-                t.columns[pos].ty = *ty;
+                Arc::make_mut(&mut t.columns)[pos].ty = *ty;
                 for row in &mut t.rows {
-                    row[pos] = row[pos].coerce_to(*ty);
+                    row[pos] = std::mem::replace(&mut row[pos], Value::Null).coerce_to(*ty);
                 }
                 Ok(0)
             }
@@ -1222,10 +1198,11 @@ impl Session {
             return Err(format!("cannot insert into view \"{}\"", i.table));
         }
         // BEFORE triggers run before the rows are built and may alter the
-        // table, so the statement keeps the columns it started with. The
-        // rows are read through the catalog and need no copy.
-        let (name, columns) = match self.cat.table(&i.table) {
-            Some(t) => (t.name.clone(), t.columns.clone()),
+        // table, so the statement keeps the columns it started with: it
+        // shares the list, and an ALTER TABLE copies it on write. The rows
+        // are read through the catalog and need no copy.
+        let columns = match self.cat.table(&i.table) {
+            Some(t) => Arc::clone(&t.columns),
             None => return Err(format!("relation \"{}\" does not exist", i.table)),
         };
 
@@ -1292,7 +1269,7 @@ impl Session {
             }
             // Build the full row: defaults then provided values, coerced.
             let mut row: Row = Vec::with_capacity(columns.len());
-            for col in &columns {
+            for col in columns.iter() {
                 match &col.default {
                     Some(e) => {
                         let mut eenv = EvalEnv { cols: &vec![], row: &[], ctx, subquery: None };
@@ -1305,7 +1282,7 @@ impl Session {
                 let pos = positions[vi];
                 row[pos] = v.coerce_to(columns[pos].ty);
             }
-            match self.validate_row(ctx, &name, &row) {
+            match self.validate_row(ctx, &i.table, &row) {
                 Ok(()) => {}
                 Err(e) => {
                     if i.ignore {
@@ -1342,9 +1319,8 @@ impl Session {
     fn validate_row(&self, ctx: &mut ExecCtx, table: &str, row: &Row) -> Result<(), String> {
         let t = self.cat.table(table).expect("exists");
         // Only CHECK constraints read the row by column name.
-        let bindings: LazyCell<Bindings, _> = LazyCell::new(|| {
-            t.columns.iter().map(|c| (None, c.name.to_ascii_lowercase())).collect()
-        });
+        let bindings: LazyCell<Bindings, _> =
+            LazyCell::new(|| t.columns.iter().map(|c| (None, Catalog::norm(&c.name))).collect());
         for (pos, col) in t.columns.iter().enumerate() {
             if col.not_null && row[pos].is_null() {
                 cov!(ctx, 0x03b2010b5d6afc39);
@@ -1438,11 +1414,13 @@ impl Session {
             .cat
             .table(&u.table)
             .ok_or_else(|| format!("relation \"{}\" does not exist", u.table))?;
-        let bindings: Bindings = table
-            .columns
-            .iter()
-            .map(|c| (Some(u.table.to_ascii_lowercase()), c.name.to_ascii_lowercase()))
-            .collect();
+        let label = Catalog::norm(&u.table);
+        let bindings: Bindings =
+            table.columns.iter().map(|c| (Some(label.clone()), Catalog::norm(&c.name))).collect();
+        // CHECK constraints read the new image by unqualified column name.
+        let check_bindings: LazyCell<Bindings, _> = LazyCell::new(|| {
+            table.columns.iter().map(|c| (None, Catalog::norm(&c.name))).collect()
+        });
         let mut targets = Vec::with_capacity(u.assignments.len());
         for (c, e) in &u.assignments {
             let pos =
@@ -1479,9 +1457,7 @@ impl Session {
                     return Err(format!("null value in column \"{}\" violates not-null", col.name));
                 }
                 if let Some(check) = &col.check {
-                    let cols2: Bindings =
-                        table.columns.iter().map(|c| (None, c.name.to_ascii_lowercase())).collect();
-                    let mut eenv = EvalEnv { cols: &cols2, row, ctx, subquery: None };
+                    let mut eenv = EvalEnv { cols: &check_bindings, row, ctx, subquery: None };
                     let v = eval(check, &mut eenv)?;
                     if !v.is_null() && !v.is_truthy() {
                         cov!(ctx, 0xe58a410b5bd12443);
@@ -1526,11 +1502,9 @@ impl Session {
             .cat
             .table(&d.table)
             .ok_or_else(|| format!("relation \"{}\" does not exist", d.table))?;
-        let bindings: Bindings = table
-            .columns
-            .iter()
-            .map(|c| (Some(d.table.to_ascii_lowercase()), c.name.to_ascii_lowercase()))
-            .collect();
+        let label = Catalog::norm(&d.table);
+        let bindings: Bindings =
+            table.columns.iter().map(|c| (Some(label.clone()), Catalog::norm(&c.name))).collect();
         let mut kept = Vec::with_capacity(table.rows.len());
         let mut deleted = 0usize;
         for row in &table.rows {
@@ -1621,7 +1595,7 @@ impl Session {
                     };
                     // Materialize the CTE as a temporary table visible to the
                     // body statement.
-                    let meta = result_to_table(&cte.name, &rs);
+                    let meta = result_to_table(&cte.name, rs, true);
                     match self.cat.add_table(meta) {
                         Ok(()) => temp_tables.push(cte.name.clone()),
                         Err(e) => {
@@ -2093,28 +2067,30 @@ fn infer_type(v: Option<&Value>) -> DataType {
     }
 }
 
-fn result_to_table(name: &str, rs: &ResultSet) -> TableMeta {
+/// A table holding a query's result (CREATE TABLE AS, a materialized CTE).
+fn result_to_table(name: &str, rs: ResultSet, temporary: bool) -> TableMeta {
+    let columns = rs
+        .columns
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| ColumnMeta {
+            name: if c.is_empty() { format!("column{}", i + 1) } else { c },
+            ty: infer_type(rs.rows.first().and_then(|r| r.get(i))),
+            not_null: false,
+            unique: false,
+            primary_key: false,
+            default: None,
+            check: None,
+            references: None,
+        })
+        .collect();
     TableMeta {
         name: name.to_string(),
-        temporary: true,
-        columns: rs
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ColumnMeta {
-                name: if c.is_empty() { format!("column{}", i + 1) } else { c.clone() },
-                ty: infer_type(rs.rows.first().and_then(|r| r.get(i))),
-                not_null: false,
-                unique: false,
-                primary_key: false,
-                default: None,
-                check: None,
-                references: None,
-            })
-            .collect(),
+        temporary,
+        columns: Arc::new(columns),
         checks: vec![],
         foreign_keys: vec![],
-        rows: rs.rows.clone(),
+        rows: rs.rows,
         analyzed: false,
         clustered: None,
     }

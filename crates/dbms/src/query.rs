@@ -8,12 +8,15 @@
 
 use crate::catalog::Catalog;
 use crate::ctx::ExecCtx;
-use crate::eval::{contains_aggregate, eval, is_aggregate, Bindings, EvalEnv};
+use crate::eval::{
+    contains_aggregate, eval, is_aggregate, is_lowercase_of, upper, Bindings, EvalEnv,
+};
 use crate::profile::Profile;
 use crate::value::{Row, Value};
 use lego_coverage::{cov, site_id};
 use lego_sqlast::ast::*;
 use lego_sqlast::expr::*;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -91,10 +94,25 @@ impl<'a> QueryEnv<'a> {
     }
 }
 
-/// Intermediate relation: bindings + rows.
-struct Rel {
-    cols: Bindings,
-    rows: Vec<Row>,
+/// Intermediate relation: bindings + rows. A scan borrows the stored rows;
+/// joins and subqueries own theirs.
+struct Rel<'a> {
+    cols: Bindings<'a>,
+    rows: Vec<Cow<'a, Row>>,
+}
+
+/// A binding name from an owned column name, lowercased in place.
+fn owned_name(mut name: String) -> Cow<'static, str> {
+    name.make_ascii_lowercase();
+    Cow::Owned(name)
+}
+
+/// Reorder `rows` to the stable order of `keys`, moving them.
+fn sort_rows(rows: Vec<Row>, keys: &[Vec<Value>], items: &[OrderItem]) -> Vec<Row> {
+    let mut idx: Vec<usize> = (0..rows.len()).collect();
+    idx.sort_by(|&a, &b| compare_key_rows(&keys[a], &keys[b], items));
+    let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
+    idx.into_iter().map(|i| slots[i].take().expect("each row once")).collect()
 }
 
 pub fn run_query(env: &QueryEnv, ctx: &mut ExecCtx, q: &Query) -> Result<ResultSet, String> {
@@ -240,13 +258,13 @@ fn run_set_expr(
 // FROM resolution
 // ---------------------------------------------------------------------------
 
-fn base_relation(
-    env: &QueryEnv,
+fn base_relation<'a>(
+    env: &QueryEnv<'a>,
     ctx: &mut ExecCtx,
-    name: &str,
-    alias: Option<&str>,
-) -> Result<Rel, String> {
-    let label = alias.unwrap_or(name).to_ascii_lowercase();
+    name: &'a str,
+    alias: Option<&'a str>,
+) -> Result<Rel<'a>, String> {
+    let label = Catalog::norm(alias.unwrap_or(name));
     if let Some(t) = env.cat.table(name) {
         cov!(ctx, 0x0cf4608cb6d247d3); // seq/index scan dispatch
         if env.prof.check_privileges
@@ -272,9 +290,9 @@ fn base_relation(
             cov!(ctx, 0x12b0a08cb720408c);
         }
         let cols =
-            t.columns.iter().map(|c| (Some(label.clone()), c.name.to_ascii_lowercase())).collect();
+            t.columns.iter().map(|c| (Some(label.clone()), Catalog::norm(&c.name))).collect();
         ctx.charge_rows(t.rows.len())?;
-        return Ok(Rel { cols, rows: t.rows.clone() });
+        return Ok(Rel { cols, rows: t.rows.iter().map(Cow::Borrowed).collect() });
     }
     if let Some(v) = env.cat.view(name) {
         cov!(ctx, 0x1464608cb7376e38);
@@ -290,9 +308,8 @@ fn base_relation(
             if let Some((cols, rows)) = &v.snapshot {
                 // Serve from the materialized snapshot.
                 cov!(ctx, 0x16f1608cb75a21bc);
-                let bind =
-                    cols.iter().map(|c| (Some(label.clone()), c.to_ascii_lowercase())).collect();
-                return Ok(Rel { cols: bind, rows: rows.clone() });
+                let bind = cols.iter().map(|c| (Some(label.clone()), Catalog::norm(c))).collect();
+                return Ok(Rel { cols: bind, rows: rows.iter().map(Cow::Borrowed).collect() });
             }
         }
         let mut sub_env = QueryEnv {
@@ -305,26 +322,27 @@ fn base_relation(
         // PostgreSQL's default security model.
         sub_env.user = "admin";
         let rs = run_query(&sub_env, ctx, &v.query)?;
-        let cols =
-            rs.columns.iter().map(|c| (Some(label.clone()), c.to_ascii_lowercase())).collect();
-        return Ok(Rel { cols, rows: rs.rows });
+        let cols = rs.columns.into_iter().map(|c| (Some(label.clone()), owned_name(c))).collect();
+        return Ok(Rel { cols, rows: rs.rows.into_iter().map(Cow::Owned).collect() });
     }
     cov!(ctx, 0x1b30208cb793cc8c);
     Err(format!("relation \"{name}\" does not exist"))
 }
 
-fn resolve_table_ref(env: &QueryEnv, ctx: &mut ExecCtx, t: &TableRef) -> Result<Rel, String> {
+fn resolve_table_ref<'a>(
+    env: &QueryEnv<'a>,
+    ctx: &mut ExecCtx,
+    t: &'a TableRef,
+) -> Result<Rel<'a>, String> {
     match t {
         TableRef::Named { name, alias } => base_relation(env, ctx, name, alias.as_deref()),
         TableRef::Subquery { query, alias } => {
             cov!(ctx, 0x1ce2a08cb7aad83c);
             let rs = run_query(env, ctx, query)?;
-            let cols = rs
-                .columns
-                .iter()
-                .map(|c| (Some(alias.to_ascii_lowercase()), c.to_ascii_lowercase()))
-                .collect();
-            Ok(Rel { cols, rows: rs.rows })
+            let label = Catalog::norm(alias);
+            let cols =
+                rs.columns.into_iter().map(|c| (Some(label.clone()), owned_name(c))).collect();
+            Ok(Rel { cols, rows: rs.rows.into_iter().map(Cow::Owned).collect() })
         }
         TableRef::Join { left, right, kind, on } => {
             let l = resolve_table_ref(env, ctx, left)?;
@@ -334,14 +352,14 @@ fn resolve_table_ref(env: &QueryEnv, ctx: &mut ExecCtx, t: &TableRef) -> Result<
     }
 }
 
-fn join_rels(
+fn join_rels<'a>(
     env: &QueryEnv,
     ctx: &mut ExecCtx,
-    l: Rel,
-    r: Rel,
+    l: Rel<'a>,
+    r: Rel<'a>,
     kind: JoinKind,
     on: Option<&Expr>,
-) -> Result<Rel, String> {
+) -> Result<Rel<'a>, String> {
     // One path per (strategy, build-side size bucket, probe-side size
     // bucket) — a real planner picks different physical joins by cardinality.
     let bucket = |n: usize| -> u64 {
@@ -357,20 +375,30 @@ fn join_rels(
         site_id!(0x2489608cb812ebfc),
         (kind as u64) << 6 | bucket(l.rows.len()) << 3 | bucket(r.rows.len()),
     );
-    let mut cols = l.cols.clone();
-    cols.extend(r.cols.iter().cloned());
+    let (lw, rw) = (l.cols.len(), r.cols.len());
+    let mut cols = l.cols;
+    cols.extend(r.cols);
     let mut rows = Vec::new();
-    let null_right: Row = vec![Value::Null; r.cols.len()];
-    let null_left: Row = vec![Value::Null; l.cols.len()];
     let mut matched_right = vec![false; r.rows.len()];
     let mut run_subq = |q: &Query, ctx: &mut ExecCtx| -> Result<Vec<Row>, String> {
         run_query(env, ctx, q).map(|rs| rs.rows)
     };
+    let concat = |left: Option<&Row>, right: Option<&Row>| -> Row {
+        let mut row = Vec::with_capacity(lw + rw);
+        match left {
+            Some(l) => row.extend_from_slice(l),
+            None => row.resize(lw, Value::Null),
+        }
+        match right {
+            Some(r) => row.extend_from_slice(r),
+            None => row.resize(lw + rw, Value::Null),
+        }
+        row
+    };
     for lrow in &l.rows {
         let mut matched = false;
         for (ri, rrow) in r.rows.iter().enumerate() {
-            let mut combined = lrow.clone();
-            combined.extend(rrow.iter().cloned());
+            let combined = concat(Some(lrow), Some(rrow));
             let ok = match on {
                 None => true,
                 Some(e) => {
@@ -382,7 +410,7 @@ fn join_rels(
             if ok {
                 matched = true;
                 matched_right[ri] = true;
-                rows.push(combined);
+                rows.push(Cow::Owned(combined));
                 if rows.len() > MAX_INTERMEDIATE_ROWS {
                     cov!(ctx, 0x2a7a208cb86394e4);
                     return Err("join result too large".into());
@@ -391,18 +419,14 @@ fn join_rels(
         }
         if !matched && kind == JoinKind::Left {
             cov!(ctx, 0x2ae6e08cb8695b36);
-            let mut combined = lrow.clone();
-            combined.extend(null_right.iter().cloned());
-            rows.push(combined);
+            rows.push(Cow::Owned(concat(Some(lrow), None)));
         }
     }
     if kind == JoinKind::Right {
         for (ri, rrow) in r.rows.iter().enumerate() {
             if !matched_right[ri] {
                 cov!(ctx, 0x2c65608cb87dc44f);
-                let mut combined = null_left.clone();
-                combined.extend(rrow.iter().cloned());
-                rows.push(combined);
+                rows.push(Cow::Owned(concat(None, Some(rrow))));
             }
         }
     }
@@ -423,7 +447,7 @@ fn run_select(
     cov!(ctx, 0x3220208cb8cb9440);
     // FROM: cross product of the from-list items.
     let mut rel = match sel.from.split_first() {
-        None => Rel { cols: vec![], rows: vec![vec![]] },
+        None => Rel { cols: vec![], rows: vec![Cow::Owned(vec![])] },
         Some((first, rest)) => {
             let mut rel = resolve_table_ref(env, ctx, first)?;
             for t in rest {
@@ -487,9 +511,7 @@ fn run_select(
         if !q.order_by.is_empty() {
             cov!(ctx, 0x3f82e08cb98199ed);
             let keys = order_keys(env, ctx, q, &rel.cols, &rel.rows, &columns, &out_rows)?;
-            let mut idx: Vec<usize> = (0..out_rows.len()).collect();
-            idx.sort_by(|&a, &b| compare_key_rows(&keys[a], &keys[b], &q.order_by));
-            out_rows = idx.into_iter().map(|i| out_rows[i].clone()).collect();
+            out_rows = sort_rows(out_rows, &keys, &q.order_by);
         }
     }
 
@@ -517,15 +539,14 @@ fn project(
         match item {
             SelectItem::Star => {
                 for (_, c) in &rel.cols {
-                    columns.push(c.clone());
+                    columns.push(c.to_string());
                 }
             }
             SelectItem::QualifiedStar(t) => {
-                let tl = t.to_ascii_lowercase();
                 let mut any = false;
                 for (tab, c) in &rel.cols {
-                    if tab.as_deref() == Some(tl.as_str()) {
-                        columns.push(c.clone());
+                    if tab.as_deref().is_some_and(|tab| is_lowercase_of(tab, t)) {
+                        columns.push(c.to_string());
                         any = true;
                     }
                 }
@@ -548,9 +569,8 @@ fn project(
             match item {
                 SelectItem::Star => out.extend(row.iter().cloned()),
                 SelectItem::QualifiedStar(t) => {
-                    let tl = t.to_ascii_lowercase();
                     for (ci, (tab, _)) in rel.cols.iter().enumerate() {
-                        if tab.as_deref() == Some(tl.as_str()) {
+                        if tab.as_deref().is_some_and(|tab| is_lowercase_of(tab, t)) {
                             out.push(row[ci].clone());
                         }
                     }
@@ -596,13 +616,13 @@ fn order_keys(
     ctx: &mut ExecCtx,
     q: &Query,
     src_cols: &Bindings,
-    src_rows: &[Row],
+    src_rows: &[Cow<Row>],
     out_cols: &[String],
     out_rows: &[Row],
 ) -> Result<Vec<Vec<Value>>, String> {
     let n = out_rows.len();
     let mut keys: Vec<Vec<Value>> = vec![Vec::with_capacity(q.order_by.len()); n];
-    let out_bindings: Bindings = out_cols.iter().map(|c| (None, c.to_ascii_lowercase())).collect();
+    let out_bindings: Bindings = out_cols.iter().map(|c| (None, Catalog::norm(c))).collect();
     let mut run_subq = |sq: &Query, ctx: &mut ExecCtx| -> Result<Vec<Row>, String> {
         run_query(env, ctx, sq).map(|rs| rs.rows)
     };
@@ -674,9 +694,7 @@ fn sort_output_rows(
     }
     cov!(ctx, 0x67a7208cbba33e34);
     let keys = order_keys(env, ctx, q, &vec![], &[], &rs.columns, &rs.rows)?;
-    let mut idx: Vec<usize> = (0..rs.rows.len()).collect();
-    idx.sort_by(|&a, &b| compare_key_rows(&keys[a], &keys[b], &q.order_by));
-    rs.rows = idx.into_iter().map(|i| rs.rows[i].clone()).collect();
+    rs.rows = sort_rows(std::mem::take(&mut rs.rows), &keys, &q.order_by);
     Ok(())
 }
 
@@ -748,7 +766,7 @@ fn run_grouped(
                 // to the first row of each group (MySQL's permissive mode).
                 cov!(ctx, 0x7686208cbc6d6fce);
                 for (_, c) in &rel.cols {
-                    columns.push(c.clone());
+                    columns.push(c.to_string());
                 }
             }
         }
@@ -804,8 +822,9 @@ fn eval_agg(
         let mut run_subq = |q: &Query, ctx: &mut ExecCtx| -> Result<Vec<Row>, String> {
             run_query(env, ctx, q).map(|rs| rs.rows)
         };
-        let cols = if row.is_empty() { vec![] } else { rel.cols.clone() };
-        let mut eenv = EvalEnv { cols: &cols, row, ctx, subquery: Some(&mut run_subq) };
+        let no_cols = Bindings::new();
+        let cols = if row.is_empty() { &no_cols } else { &rel.cols };
+        let mut eenv = EvalEnv { cols, row, ctx, subquery: Some(&mut run_subq) };
         return eval(expr, &mut eenv);
     }
     // Mixed expression: recurse structurally, computing aggregate leaves.
@@ -827,7 +846,7 @@ fn eval_agg(
         }
         Expr::Cast { expr, ty } => {
             let v = eval_agg(env, ctx, expr, rel, members)?;
-            Ok(v.cast_to(*ty))
+            Ok(v.coerce_to(*ty))
         }
         _ => Err("unsupported aggregate expression shape".into()),
     }
@@ -858,7 +877,7 @@ fn eval_aggregate_call(
     rel: &Rel,
     members: &[usize],
 ) -> Result<Value, String> {
-    let name = call.name.to_ascii_uppercase();
+    let name = upper(&call.name);
     // Per-(aggregate, group-size bucket) transition function.
     let mut name_code: u64 = 0;
     for b in name.bytes() {
@@ -895,7 +914,7 @@ fn eval_aggregate_call(
         let mut seen = std::collections::HashSet::new();
         values.retain(|v| seen.insert(v.key_repr()));
     }
-    Ok(match name.as_str() {
+    Ok(match &*name {
         "COUNT" => Value::Int(values.len() as i64),
         "SUM" | "AVG" => {
             if values.is_empty() {
@@ -988,7 +1007,7 @@ fn compute_one_window(
         }
     }
 
-    let name = func.name.to_ascii_uppercase();
+    let name = upper(&func.name);
     {
         // Per-window-function entry path.
         let mut name_code: u64 = 0;
@@ -1021,7 +1040,7 @@ fn compute_one_window(
             }
             order.sort_by(|&a, &b| compare_key_rows(&keys[&a], &keys[&b], &spec.order_by));
         }
-        match name.as_str() {
+        match &*name {
             "ROW_NUMBER" => {
                 for (i, &ri) in order.iter().enumerate() {
                     results[ri] = Value::Int(i as i64 + 1);
@@ -1212,7 +1231,7 @@ mod tests {
         cat.add_table(TableMeta {
             name: "t1".into(),
             temporary: false,
-            columns: vec![
+            columns: std::sync::Arc::new(vec![
                 ColumnMeta {
                     name: "v1".into(),
                     ty: DataType::Int,
@@ -1233,7 +1252,7 @@ mod tests {
                     check: None,
                     references: None,
                 },
-            ],
+            ]),
             checks: vec![],
             foreign_keys: vec![],
             rows: vec![

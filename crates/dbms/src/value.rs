@@ -102,8 +102,9 @@ impl Value {
     }
 
     /// Coerce for storage into a column of declared type (type affinity, like
-    /// SQLite/MySQL silently converting on insert).
-    pub fn coerce_to(&self, ty: DataType) -> Value {
+    /// SQLite/MySQL silently converting on insert), and for CAST. Takes the
+    /// value, so text that already fits moves into the result.
+    pub fn coerce_to(self, ty: DataType) -> Value {
         if self.is_null() {
             return Value::Null;
         }
@@ -123,7 +124,7 @@ impl Value {
                 }
             }
             t if t.is_textual() => {
-                let mut s = self.render_text();
+                let mut s = self.into_text();
                 if let DataType::VarChar(n) | DataType::Char(n) = t {
                     // The length counts characters, not bytes.
                     if let Some((cut, _)) = s.char_indices().nth(n as usize) {
@@ -134,27 +135,22 @@ impl Value {
             }
             DataType::Bool => Value::Bool(self.is_truthy()),
             DataType::Blob => match self {
-                Value::Blob(b) => Value::Blob(b.clone()),
-                other => Value::Blob(other.render_text().into_bytes()),
+                Value::Blob(b) => Value::Blob(b),
+                other => Value::Blob(other.into_text().into_bytes()),
             },
             // Temporal types store their textual form.
-            _ => Value::Text(self.render_text()),
+            _ => Value::Text(self.into_text()),
         }
     }
 
-    /// CAST semantics (slightly stricter than storage coercion).
-    pub fn cast_to(&self, ty: DataType) -> Value {
-        self.coerce_to(ty)
-    }
-
-    fn render_text(&self) -> String {
+    fn into_text(self) -> String {
         match self {
             Value::Null => String::new(),
             Value::Int(v) => v.to_string(),
             Value::Float(v) => v.to_string(),
-            Value::Text(s) => s.clone(),
-            Value::Bool(b) => if *b { "1" } else { "0" }.to_string(),
-            Value::Blob(b) => String::from_utf8_lossy(b).into_owned(),
+            Value::Text(s) => s,
+            Value::Bool(b) => if b { "1" } else { "0" }.to_string(),
+            Value::Blob(b) => String::from_utf8_lossy(&b).into_owned(),
         }
     }
 

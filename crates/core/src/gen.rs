@@ -1200,6 +1200,39 @@ mod tests {
         assert!(duplicates >= 100, "prefixes with duplicate columns: {duplicates}");
     }
 
+    /// `visit::table_names` as it was: the mutable walk over a copy of the
+    /// statement.
+    fn table_names_by_clone(stmt: &Statement) -> Vec<String> {
+        struct Collector(Vec<String>);
+        impl lego_sqlast::visit::MutVisitor for Collector {
+            fn table_name(&mut self, name: &mut String) {
+                self.0.push(name.clone());
+            }
+        }
+        let mut c = Collector(vec![]);
+        lego_sqlast::visit::walk_statement_mut(&mut stmt.clone(), &mut c);
+        c.0
+    }
+
+    #[test]
+    fn table_names_match_the_clone_based_reference_on_generated_cases() {
+        let mut names = 0;
+        for dialect in Dialect::ALL {
+            for (n, case) in crate::testutil::generated_cases(dialect).iter().enumerate() {
+                for (i, stmt) in case.statements.iter().enumerate() {
+                    let got = lego_sqlast::visit::table_names(stmt);
+                    assert_eq!(
+                        got,
+                        table_names_by_clone(stmt),
+                        "{dialect:?} case {n} statement {i}: {stmt}"
+                    );
+                    names += got.len();
+                }
+            }
+        }
+        assert!(names >= 10_000, "{names}");
+    }
+
     #[test]
     fn required_columns_follow_table_order_after_a_rename_to_a_taken_name() {
         // `c` takes the name `a`, then the first `a` is renamed `z` and

@@ -3,313 +3,382 @@
 //! The fuzzer needs two views of a statement: read-only structural queries
 //! (which tables does it touch? does it contain a window function?) and a
 //! mutable walk used by the instantiator to rebind identifiers and refill
-//! literals ([`MutVisitor`]).
+//! literals ([`MutVisitor`]). [`Visitor`] is the same walk over a borrowed
+//! statement; one macro body defines both, so they visit the same positions
+//! in the same order.
 
 use crate::ast::*;
-use crate::expr::Expr;
+use crate::expr::{ColumnRef, Expr, FrameBound};
 
-/// Mutable visitor over the names and literals of a statement.
-///
-/// Default methods do nothing, so implementors override only what they need.
-pub trait MutVisitor {
-    /// Every table (or view) name position: definitions and references.
-    fn table_name(&mut self, _name: &mut String) {}
-    /// Every column-name position (column refs, column defs, insert lists…).
-    fn column_name(&mut self, _name: &mut String) {}
-    /// Every full column-reference expression, qualifier included. The
-    /// default delegates to the name hooks, so implementors that only care
-    /// about names keep working unchanged.
-    fn column_ref(&mut self, c: &mut crate::expr::ColumnRef) {
-        if let Some(t) = &mut c.table {
-            self.table_name(t);
-        }
-        self.column_name(&mut c.column);
-    }
-    /// Every literal leaf expression.
-    fn literal(&mut self, _expr: &mut Expr) {}
-}
-
-pub fn walk_expr_mut(expr: &mut Expr, v: &mut dyn MutVisitor) {
-    match expr {
-        Expr::Null | Expr::Bool(_) | Expr::Integer(_) | Expr::Float(_) | Expr::Str(_) => {
-            v.literal(expr)
-        }
-        Expr::Column(c) => v.column_ref(c),
-        Expr::Unary(_, e) => walk_expr_mut(e, v),
-        Expr::Binary(l, _, r) => {
-            walk_expr_mut(l, v);
-            walk_expr_mut(r, v);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            walk_expr_mut(expr, v);
-            walk_expr_mut(pattern, v);
-        }
-        Expr::InList { expr, list, .. } => {
-            walk_expr_mut(expr, v);
-            list.iter_mut().for_each(|e| walk_expr_mut(e, v));
-        }
-        Expr::Between { expr, low, high, .. } => {
-            walk_expr_mut(expr, v);
-            walk_expr_mut(low, v);
-            walk_expr_mut(high, v);
-        }
-        Expr::IsNull { expr, .. } => walk_expr_mut(expr, v),
-        Expr::Case { operand, whens, else_ } => {
-            if let Some(o) = operand {
-                walk_expr_mut(o, v);
-            }
-            for (w, t) in whens {
-                walk_expr_mut(w, v);
-                walk_expr_mut(t, v);
-            }
-            if let Some(e) = else_ {
-                walk_expr_mut(e, v);
-            }
-        }
-        Expr::Func(c) => c.args.iter_mut().for_each(|e| walk_expr_mut(e, v)),
-        Expr::Window { func, spec } => {
-            func.args.iter_mut().for_each(|e| walk_expr_mut(e, v));
-            spec.partition_by.iter_mut().for_each(|e| walk_expr_mut(e, v));
-            spec.order_by.iter_mut().for_each(|o| walk_expr_mut(&mut o.expr, v));
-            if let Some(fr) = &mut spec.frame {
-                if let crate::expr::FrameBound::Preceding(e)
-                | crate::expr::FrameBound::Following(e) = &mut fr.start
-                {
-                    walk_expr_mut(e, v);
+/// Defines a visitor trait and its walkers. `$m` is `mut` for the mutable
+/// set and absent for the read-only one; a name hook receives `&$m $Name`.
+macro_rules! visitor {
+    (
+        $(#[$doc:meta])*
+        $Visitor:ident, $Name:ty,
+        $walk_expr:ident, $walk_query:ident, $walk_set_expr:ident, $walk_select:ident,
+        $walk_table_ref:ident, $walk_statement:ident $(, $m:tt)?
+    ) => {
+        $(#[$doc])*
+        ///
+        /// Default methods do nothing, so implementors override only what
+        /// they need.
+        pub trait $Visitor {
+            /// Every table (or view) name position: definitions and references.
+            fn table_name(&mut self, _name: &$($m)? $Name) {}
+            /// Every column-name position (column refs, column defs, insert
+            /// lists…).
+            fn column_name(&mut self, _name: &$($m)? $Name) {}
+            /// Every full column-reference expression, qualifier included.
+            /// The default delegates to the name hooks, so implementors that
+            /// only care about names keep working unchanged.
+            fn column_ref(&mut self, c: &$($m)? ColumnRef) {
+                if let Some(t) = &$($m)? c.table {
+                    self.table_name(t);
                 }
-                if let Some(
-                    crate::expr::FrameBound::Preceding(e) | crate::expr::FrameBound::Following(e),
-                ) = &mut fr.end
-                {
-                    walk_expr_mut(e, v);
+                self.column_name(&$($m)? c.column);
+            }
+            /// Every literal leaf expression.
+            fn literal(&mut self, _expr: &$($m)? Expr) {}
+        }
+
+        pub fn $walk_expr(expr: &$($m)? Expr, v: &mut dyn $Visitor) {
+            match expr {
+                Expr::Null | Expr::Bool(_) | Expr::Integer(_) | Expr::Float(_) | Expr::Str(_) => {
+                    v.literal(expr)
                 }
-            }
-        }
-        Expr::Cast { expr, .. } => walk_expr_mut(expr, v),
-        Expr::Subquery(q) => walk_query_mut(q, v),
-        Expr::Exists { query, .. } => walk_query_mut(query, v),
-    }
-}
-
-pub fn walk_query_mut(q: &mut Query, v: &mut dyn MutVisitor) {
-    walk_set_expr_mut(&mut q.body, v);
-    q.order_by.iter_mut().for_each(|o| walk_expr_mut(&mut o.expr, v));
-    if let Some(l) = &mut q.limit {
-        walk_expr_mut(l, v);
-    }
-    if let Some(o) = &mut q.offset {
-        walk_expr_mut(o, v);
-    }
-}
-
-fn walk_set_expr_mut(s: &mut SetExpr, v: &mut dyn MutVisitor) {
-    match s {
-        SetExpr::Select(sel) => walk_select_mut(sel, v),
-        SetExpr::SetOp { left, right, .. } => {
-            walk_set_expr_mut(left, v);
-            walk_set_expr_mut(right, v);
-        }
-        SetExpr::Values(rows) => {
-            rows.iter_mut().for_each(|r| r.iter_mut().for_each(|e| walk_expr_mut(e, v)))
-        }
-    }
-}
-
-fn walk_select_mut(sel: &mut Select, v: &mut dyn MutVisitor) {
-    for item in &mut sel.projection {
-        match item {
-            SelectItem::Star => {}
-            SelectItem::QualifiedStar(t) => v.table_name(t),
-            SelectItem::Expr { expr, .. } => walk_expr_mut(expr, v),
-        }
-    }
-    sel.from.iter_mut().for_each(|t| walk_table_ref_mut(t, v));
-    if let Some(w) = &mut sel.where_ {
-        walk_expr_mut(w, v);
-    }
-    sel.group_by.iter_mut().for_each(|e| walk_expr_mut(e, v));
-    if let Some(h) = &mut sel.having {
-        walk_expr_mut(h, v);
-    }
-}
-
-fn walk_table_ref_mut(t: &mut TableRef, v: &mut dyn MutVisitor) {
-    match t {
-        TableRef::Named { name, .. } => v.table_name(name),
-        TableRef::Join { left, right, on, .. } => {
-            walk_table_ref_mut(left, v);
-            walk_table_ref_mut(right, v);
-            if let Some(on) = on {
-                walk_expr_mut(on, v);
-            }
-        }
-        TableRef::Subquery { query, .. } => walk_query_mut(query, v),
-    }
-}
-
-/// Walk every name/literal position of a statement.
-pub fn walk_statement_mut(stmt: &mut Statement, v: &mut dyn MutVisitor) {
-    match stmt {
-        Statement::CreateTable(c) => {
-            v.table_name(&mut c.name);
-            for col in &mut c.columns {
-                v.column_name(&mut col.name);
-                for con in &mut col.constraints {
-                    match con {
-                        ColumnConstraint::Default(e) | ColumnConstraint::Check(e) => {
-                            walk_expr_mut(e, v)
+                Expr::Column(c) => v.column_ref(c),
+                Expr::Unary(_, e) => $walk_expr(e, v),
+                Expr::Binary(l, _, r) => {
+                    $walk_expr(l, v);
+                    $walk_expr(r, v);
+                }
+                Expr::Like { expr, pattern, .. } => {
+                    $walk_expr(expr, v);
+                    $walk_expr(pattern, v);
+                }
+                Expr::InList { expr, list, .. } => {
+                    $walk_expr(expr, v);
+                    for e in list {
+                        $walk_expr(e, v);
+                    }
+                }
+                Expr::Between { expr, low, high, .. } => {
+                    $walk_expr(expr, v);
+                    $walk_expr(low, v);
+                    $walk_expr(high, v);
+                }
+                Expr::IsNull { expr, .. } => $walk_expr(expr, v),
+                Expr::Case { operand, whens, else_ } => {
+                    if let Some(o) = operand {
+                        $walk_expr(o, v);
+                    }
+                    for (w, t) in whens {
+                        $walk_expr(w, v);
+                        $walk_expr(t, v);
+                    }
+                    if let Some(e) = else_ {
+                        $walk_expr(e, v);
+                    }
+                }
+                Expr::Func(c) => {
+                    for e in &$($m)? c.args {
+                        $walk_expr(e, v);
+                    }
+                }
+                Expr::Window { func, spec } => {
+                    for e in &$($m)? func.args {
+                        $walk_expr(e, v);
+                    }
+                    for e in &$($m)? spec.partition_by {
+                        $walk_expr(e, v);
+                    }
+                    for o in &$($m)? spec.order_by {
+                        $walk_expr(&$($m)? o.expr, v);
+                    }
+                    if let Some(fr) = &$($m)? spec.frame {
+                        if let FrameBound::Preceding(e) | FrameBound::Following(e) =
+                            &$($m)? fr.start
+                        {
+                            $walk_expr(e, v);
                         }
-                        ColumnConstraint::References { table, column } => {
-                            v.table_name(table);
-                            if let Some(c) = column {
-                                v.column_name(c);
+                        if let Some(FrameBound::Preceding(e) | FrameBound::Following(e)) =
+                            &$($m)? fr.end
+                        {
+                            $walk_expr(e, v);
+                        }
+                    }
+                }
+                Expr::Cast { expr, .. } => $walk_expr(expr, v),
+                Expr::Subquery(q) => $walk_query(q, v),
+                Expr::Exists { query, .. } => $walk_query(query, v),
+            }
+        }
+
+        pub fn $walk_query(q: &$($m)? Query, v: &mut dyn $Visitor) {
+            $walk_set_expr(&$($m)? q.body, v);
+            for o in &$($m)? q.order_by {
+                $walk_expr(&$($m)? o.expr, v);
+            }
+            if let Some(l) = &$($m)? q.limit {
+                $walk_expr(l, v);
+            }
+            if let Some(o) = &$($m)? q.offset {
+                $walk_expr(o, v);
+            }
+        }
+
+        fn $walk_set_expr(s: &$($m)? SetExpr, v: &mut dyn $Visitor) {
+            match s {
+                SetExpr::Select(sel) => $walk_select(sel, v),
+                SetExpr::SetOp { left, right, .. } => {
+                    $walk_set_expr(left, v);
+                    $walk_set_expr(right, v);
+                }
+                SetExpr::Values(rows) => {
+                    for e in rows.into_iter().flatten() {
+                        $walk_expr(e, v);
+                    }
+                }
+            }
+        }
+
+        fn $walk_select(sel: &$($m)? Select, v: &mut dyn $Visitor) {
+            for item in &$($m)? sel.projection {
+                match item {
+                    SelectItem::Star => {}
+                    SelectItem::QualifiedStar(t) => v.table_name(t),
+                    SelectItem::Expr { expr, .. } => $walk_expr(expr, v),
+                }
+            }
+            for t in &$($m)? sel.from {
+                $walk_table_ref(t, v);
+            }
+            if let Some(w) = &$($m)? sel.where_ {
+                $walk_expr(w, v);
+            }
+            for e in &$($m)? sel.group_by {
+                $walk_expr(e, v);
+            }
+            if let Some(h) = &$($m)? sel.having {
+                $walk_expr(h, v);
+            }
+        }
+
+        fn $walk_table_ref(t: &$($m)? TableRef, v: &mut dyn $Visitor) {
+            match t {
+                TableRef::Named { name, .. } => v.table_name(name),
+                TableRef::Join { left, right, on, .. } => {
+                    $walk_table_ref(left, v);
+                    $walk_table_ref(right, v);
+                    if let Some(on) = on {
+                        $walk_expr(on, v);
+                    }
+                }
+                TableRef::Subquery { query, .. } => $walk_query(query, v),
+            }
+        }
+
+        /// Walk every name/literal position of a statement.
+        pub fn $walk_statement(stmt: &$($m)? Statement, v: &mut dyn $Visitor) {
+            match stmt {
+                Statement::CreateTable(c) => {
+                    v.table_name(&$($m)? c.name);
+                    for col in &$($m)? c.columns {
+                        v.column_name(&$($m)? col.name);
+                        for con in &$($m)? col.constraints {
+                            match con {
+                                ColumnConstraint::Default(e) | ColumnConstraint::Check(e) => {
+                                    $walk_expr(e, v)
+                                }
+                                ColumnConstraint::References { table, column } => {
+                                    v.table_name(table);
+                                    if let Some(c) = column {
+                                        v.column_name(c);
+                                    }
+                                }
+                                _ => {}
                             }
                         }
-                        _ => {}
+                    }
+                    for con in &$($m)? c.constraints {
+                        match con {
+                            TableConstraint::PrimaryKey(cols) | TableConstraint::Unique(cols) => {
+                                for c in cols {
+                                    v.column_name(c);
+                                }
+                            }
+                            TableConstraint::Check(e) => $walk_expr(e, v),
+                            TableConstraint::ForeignKey { columns, ref_table, ref_columns } => {
+                                for c in columns {
+                                    v.column_name(c);
+                                }
+                                v.table_name(ref_table);
+                                for c in ref_columns {
+                                    v.column_name(c);
+                                }
+                            }
+                        }
                     }
                 }
-            }
-            for con in &mut c.constraints {
-                match con {
-                    TableConstraint::PrimaryKey(cols) | TableConstraint::Unique(cols) => {
-                        cols.iter_mut().for_each(|c| v.column_name(c))
-                    }
-                    TableConstraint::Check(e) => walk_expr_mut(e, v),
-                    TableConstraint::ForeignKey { columns, ref_table, ref_columns } => {
-                        columns.iter_mut().for_each(|c| v.column_name(c));
-                        v.table_name(ref_table);
-                        ref_columns.iter_mut().for_each(|c| v.column_name(c));
+                Statement::CreateView(c) => {
+                    v.table_name(&$($m)? c.name);
+                    $walk_query(&$($m)? c.query, v);
+                }
+                Statement::CreateIndex(c) => {
+                    v.table_name(&$($m)? c.table);
+                    for c in &$($m)? c.columns {
+                        v.column_name(c);
                     }
                 }
-            }
-        }
-        Statement::CreateView(c) => {
-            v.table_name(&mut c.name);
-            walk_query_mut(&mut c.query, v);
-        }
-        Statement::CreateIndex(c) => {
-            v.table_name(&mut c.table);
-            c.columns.iter_mut().for_each(|c| v.column_name(c));
-        }
-        Statement::CreateTrigger(c) => {
-            v.table_name(&mut c.table);
-            walk_statement_mut(&mut c.action, v);
-        }
-        Statement::CreateRule(c) => {
-            v.table_name(&mut c.table);
-            if let Some(a) = &mut c.action {
-                walk_statement_mut(a, v);
-            }
-        }
-        Statement::CreateTableAs { name, query } => {
-            v.table_name(name);
-            walk_query_mut(query, v);
-        }
-        Statement::AlterTable(a) => {
-            v.table_name(&mut a.name);
-            match &mut a.action {
-                AlterTableAction::AddColumn(c) => v.column_name(&mut c.name),
-                AlterTableAction::DropColumn(c) => v.column_name(c),
-                AlterTableAction::RenameColumn { old, new } => {
-                    v.column_name(old);
-                    v.column_name(new);
+                Statement::CreateTrigger(c) => {
+                    v.table_name(&$($m)? c.table);
+                    $walk_statement(&$($m)? c.action, v);
                 }
-                AlterTableAction::RenameTo(n) => v.table_name(n),
-                AlterTableAction::AlterColumnType { name, .. } => v.column_name(name),
-            }
-        }
-        Statement::Drop(d) => {
-            if matches!(
-                d.object,
-                crate::kind::ObjectKind::Table
-                    | crate::kind::ObjectKind::View
-                    | crate::kind::ObjectKind::MaterializedView
-            ) {
-                v.table_name(&mut d.name);
-            }
-            if let Some(t) = &mut d.on_table {
-                v.table_name(t);
-            }
-        }
-        Statement::GenericDdl(_) => {}
-        Statement::Select(s) => walk_query_mut(&mut s.query, v),
-        Statement::Insert(i) => {
-            v.table_name(&mut i.table);
-            i.columns.iter_mut().for_each(|c| v.column_name(c));
-            match &mut i.source {
-                InsertSource::Values(rows) => {
-                    rows.iter_mut().for_each(|r| r.iter_mut().for_each(|e| walk_expr_mut(e, v)))
+                Statement::CreateRule(c) => {
+                    v.table_name(&$($m)? c.table);
+                    if let Some(a) = &$($m)? c.action {
+                        $walk_statement(a, v);
+                    }
                 }
-                InsertSource::Query(q) => walk_query_mut(q, v),
-                InsertSource::DefaultValues => {}
-            }
-        }
-        Statement::Update(u) => {
-            v.table_name(&mut u.table);
-            for (c, e) in &mut u.assignments {
-                v.column_name(c);
-                walk_expr_mut(e, v);
-            }
-            if let Some(w) = &mut u.where_ {
-                walk_expr_mut(w, v);
-            }
-        }
-        Statement::Delete(d) => {
-            v.table_name(&mut d.table);
-            if let Some(w) = &mut d.where_ {
-                walk_expr_mut(w, v);
-            }
-        }
-        Statement::With(w) => {
-            for cte in &mut w.ctes {
-                match &mut cte.body {
-                    CteBody::Query(q) => walk_query_mut(q, v),
-                    CteBody::Dml(s) => walk_statement_mut(s, v),
+                Statement::CreateTableAs { name, query } => {
+                    v.table_name(name);
+                    $walk_query(query, v);
                 }
+                Statement::AlterTable(a) => {
+                    v.table_name(&$($m)? a.name);
+                    match &$($m)? a.action {
+                        AlterTableAction::AddColumn(c) => v.column_name(&$($m)? c.name),
+                        AlterTableAction::DropColumn(c) => v.column_name(c),
+                        AlterTableAction::RenameColumn { old, new } => {
+                            v.column_name(old);
+                            v.column_name(new);
+                        }
+                        AlterTableAction::RenameTo(n) => v.table_name(n),
+                        AlterTableAction::AlterColumnType { name, .. } => v.column_name(name),
+                    }
+                }
+                Statement::Drop(d) => {
+                    if matches!(
+                        d.object,
+                        crate::kind::ObjectKind::Table
+                            | crate::kind::ObjectKind::View
+                            | crate::kind::ObjectKind::MaterializedView
+                    ) {
+                        v.table_name(&$($m)? d.name);
+                    }
+                    if let Some(t) = &$($m)? d.on_table {
+                        v.table_name(t);
+                    }
+                }
+                Statement::GenericDdl(_) => {}
+                Statement::Select(s) => $walk_query(&$($m)? s.query, v),
+                Statement::Insert(i) => {
+                    v.table_name(&$($m)? i.table);
+                    for c in &$($m)? i.columns {
+                        v.column_name(c);
+                    }
+                    match &$($m)? i.source {
+                        InsertSource::Values(rows) => {
+                            for e in rows.into_iter().flatten() {
+                                $walk_expr(e, v);
+                            }
+                        }
+                        InsertSource::Query(q) => $walk_query(q, v),
+                        InsertSource::DefaultValues => {}
+                    }
+                }
+                Statement::Update(u) => {
+                    v.table_name(&$($m)? u.table);
+                    for (c, e) in &$($m)? u.assignments {
+                        v.column_name(c);
+                        $walk_expr(e, v);
+                    }
+                    if let Some(w) = &$($m)? u.where_ {
+                        $walk_expr(w, v);
+                    }
+                }
+                Statement::Delete(d) => {
+                    v.table_name(&$($m)? d.table);
+                    if let Some(w) = &$($m)? d.where_ {
+                        $walk_expr(w, v);
+                    }
+                }
+                Statement::With(w) => {
+                    for cte in &$($m)? w.ctes {
+                        match &$($m)? cte.body {
+                            CteBody::Query(q) => $walk_query(q, v),
+                            CteBody::Dml(s) => $walk_statement(s, v),
+                        }
+                    }
+                    $walk_statement(&$($m)? w.body, v);
+                }
+                Statement::Values(rows) => {
+                    for e in rows.into_iter().flatten() {
+                        $walk_expr(e, v);
+                    }
+                }
+                Statement::Truncate { table } => v.table_name(table),
+                Statement::Copy(c) => match &$($m)? c.source {
+                    CopySource::Table { name, columns } => {
+                        v.table_name(name);
+                        for c in columns {
+                            v.column_name(c);
+                        }
+                    }
+                    CopySource::Query(q) => $walk_query(q, v),
+                },
+                Statement::Grant(g) | Statement::Revoke(g) => v.table_name(&$($m)? g.object),
+                Statement::LockTable { table, .. } => v.table_name(table),
+                Statement::Analyze(Some(t)) | Statement::Vacuum { table: Some(t), .. } => {
+                    v.table_name(t)
+                }
+                Statement::Cluster(Some(t)) | Statement::Reindex(Some(t)) => v.table_name(t),
+                Statement::Explain(inner) => $walk_statement(inner, v),
+                Statement::RefreshMatView(n) => v.table_name(n),
+                Statement::Call { args, .. } => {
+                    for e in args {
+                        $walk_expr(e, v);
+                    }
+                }
+                _ => {}
             }
-            walk_statement_mut(&mut w.body, v);
         }
-        Statement::Values(rows) => {
-            rows.iter_mut().for_each(|r| r.iter_mut().for_each(|e| walk_expr_mut(e, v)))
-        }
-        Statement::Truncate { table } => v.table_name(table),
-        Statement::Copy(c) => match &mut c.source {
-            CopySource::Table { name, columns } => {
-                v.table_name(name);
-                columns.iter_mut().for_each(|c| v.column_name(c));
-            }
-            CopySource::Query(q) => walk_query_mut(q, v),
-        },
-        Statement::Grant(g) | Statement::Revoke(g) => v.table_name(&mut g.object),
-        Statement::LockTable { table, .. } => v.table_name(table),
-        Statement::Analyze(Some(t)) | Statement::Vacuum { table: Some(t), .. } => v.table_name(t),
-        Statement::Cluster(Some(t)) | Statement::Reindex(Some(t)) => v.table_name(t),
-        Statement::Explain(inner) => walk_statement_mut(inner, v),
-        Statement::RefreshMatView(n) => v.table_name(n),
-        Statement::Call { args, .. } => args.iter_mut().for_each(|e| walk_expr_mut(e, v)),
-        _ => {}
-    }
+    };
 }
 
+visitor!(
+    /// Mutable visitor over the names and literals of a statement.
+    MutVisitor, String,
+    walk_expr_mut, walk_query_mut, walk_set_expr_mut, walk_select_mut,
+    walk_table_ref_mut, walk_statement_mut, mut
+);
+
+visitor!(
+    /// Read-only visitor over the names and literals of a statement.
+    Visitor, str,
+    walk_expr, walk_query, walk_set_expr, walk_select, walk_table_ref, walk_statement
+);
+
 // ---------------------------------------------------------------------------
-// Read-only structural queries (built on the mutable walker via collectors)
+// Read-only structural queries
 // ---------------------------------------------------------------------------
 
 struct Collector {
     tables: Vec<String>,
 }
 
-impl MutVisitor for Collector {
-    fn table_name(&mut self, name: &mut String) {
-        self.tables.push(name.clone());
+impl Visitor for Collector {
+    fn table_name(&mut self, name: &str) {
+        self.tables.push(name.to_string());
     }
 }
 
-/// All table names mentioned by the statement (definitions and references).
+/// All table names mentioned by the statement (definitions and references),
+/// in walk order.
 pub fn table_names(stmt: &Statement) -> Vec<String> {
     let mut c = Collector { tables: vec![] };
-    let mut s = stmt.clone();
-    walk_statement_mut(&mut s, &mut c);
+    walk_statement(stmt, &mut c);
     c.tables
 }
 

@@ -59,6 +59,15 @@ files=(
   crates/core/src/instantiate.rs
   crates/core/src/gen.rs
   crates/sqlast/src/skeleton.rs
+  # The engine: its coverage decides which cases the fuzzer keeps.
+  crates/dbms/src/engine.rs
+  crates/dbms/src/exec.rs
+  crates/dbms/src/query.rs
+  crates/dbms/src/eval.rs
+  crates/dbms/src/catalog.rs
+  crates/dbms/src/value.rs
+  crates/dbms/src/ctx.rs
+  crates/dbms/src/bugs.rs
 )
 while IFS= read -r f; do files+=("$f"); done \
   < <(find crates/coverage/src crates/sqlsema/src -name '*.rs' | sort)

@@ -14,34 +14,14 @@
 //! Campaign fixtures pin only aggregated statistics, so a change to a
 //! result set that the logic oracles compare could pass them unseen.
 
-use crate::testutil::generated_cases;
+use crate::testutil::{check_pinned, generated_cases, Fnv};
 use lego_dbms::Dbms;
 use lego_sqlast::ast::Statement;
 use lego_sqlast::Dialect;
-use std::collections::HashMap;
 use std::fmt::Write;
-use std::path::Path;
 
 /// Cases per digest line.
 const BLOCK: usize = 250;
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-        Ok(())
-    }
-}
 
 /// The fixture lines of one dialect: `<dialect> exec|query <first>-<last>
 /// <digest>`.
@@ -89,24 +69,7 @@ fn actual_lines(dialect: Dialect) -> Vec<String> {
 }
 
 fn check(dialect: Dialect) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/engine_pin.txt");
-    let text = std::fs::read_to_string(&path).expect("fixture file");
-    let want: HashMap<&str, &str> = text
-        .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| l.rsplit_once(' '))
-        .collect();
-    let lines = actual_lines(dialect);
-    let bad = lines.iter().any(|l| {
-        let (key, digest) = l.rsplit_once(' ').expect("a digest");
-        want.get(key) != Some(&digest)
-    });
-    if bad {
-        panic!(
-            "{dialect:?}: engine output differs from the fixture; actual lines:\n{}",
-            lines.join("\n")
-        );
-    }
+    check_pinned("engine_pin.txt", &format!("{dialect:?}: engine output"), &actual_lines(dialect));
 }
 
 #[test]

@@ -56,6 +56,8 @@ pub mod gen;
 pub mod instantiate;
 pub mod mutation;
 pub mod ngram;
+#[cfg(test)]
+mod parser_pin;
 pub mod pool;
 pub mod reduce;
 pub mod seeds;

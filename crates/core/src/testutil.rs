@@ -5,6 +5,8 @@
 
 use crate::campaign::{run_campaign, Budget, FuzzEngine};
 use lego_sqlast::{Dialect, TestCase};
+use std::collections::HashMap;
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 /// Cases per dialect.
@@ -50,4 +52,43 @@ pub fn generated_cases(dialect: Dialect) -> &'static [Arc<TestCase>] {
         assert!(engine.cases.len() >= GENERATED_CASES, "{dialect:?}: {} cases", engine.cases.len());
         engine.cases
     })
+}
+
+/// An FNV-64 digest fed through `write!`, for the pin fixtures.
+pub struct Fnv(pub u64);
+
+impl Fnv {
+    pub fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Compare `lines` (`<key> <digest>` each) with the lines of the same keys
+/// in `tests/fixtures/<fixture>`, and panic with every actual line, under
+/// `what`, when one differs or is missing.
+pub fn check_pinned(fixture: &str, what: &str, lines: &[String]) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(fixture);
+    let text = std::fs::read_to_string(&path).expect("fixture file");
+    let want: HashMap<&str, &str> = text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .collect();
+    let bad = lines.iter().any(|l| {
+        let (key, digest) = l.rsplit_once(' ').expect("a digest");
+        want.get(key) != Some(&digest)
+    });
+    if bad {
+        panic!("{what} differs from {fixture}; actual lines:\n{}", lines.join("\n"));
+    }
 }

@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn slot_index_stays_in_the_table_and_spreads() {
-        let slots: std::collections::HashSet<usize> =
+        let slots: std::collections::BTreeSet<usize> =
             (0..1000).map(|i| slot_index(&format!("SELECT {i};\n"))).collect();
         assert!(slots.iter().all(|&s| s < 1 << SLOT_BITS));
         assert!(slots.len() > 800, "{} distinct slots for 1000 keys", slots.len());

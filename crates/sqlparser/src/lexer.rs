@@ -1,20 +1,25 @@
 //! SQL lexer.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write};
 
+/// A token. Identifiers and string literals borrow their text from the
+/// source.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Tok {
+pub enum Tok<'a> {
     /// Identifier or keyword (case preserved; keyword matching is
     /// case-insensitive).
-    Ident(String),
+    Ident(&'a str),
     Int(i64),
     Float(f64),
-    Str(String),
+    /// A string literal's value: borrowed, or owned where the literal holds
+    /// a doubled quote.
+    Str(Cow<'a, str>),
     /// Punctuation / operator.
     Sym(&'static str),
 }
 
-impl Tok {
+impl Tok<'_> {
     pub fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Tok::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
@@ -24,7 +29,7 @@ impl Tok {
     }
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => f.write_str(s),
@@ -42,7 +47,16 @@ impl fmt::Display for Tok {
                     write!(f, "{}", v)
                 }
             }
-            Tok::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
+            Tok::Str(s) => {
+                f.write_char('\'')?;
+                for (i, part) in s.split('\'').enumerate() {
+                    if i > 0 {
+                        f.write_str("''")?;
+                    }
+                    f.write_str(part)?;
+                }
+                f.write_char('\'')
+            }
             Tok::Sym(s) => f.write_str(s),
         }
     }
@@ -86,17 +100,19 @@ fn finite(v: f64) -> f64 {
 }
 
 /// Tokenize a SQL script. Comments (`-- …` to end of line) are skipped.
-pub fn lex(input: &str) -> Result<Vec<Tok>, LexError> {
+pub fn lex(input: &str) -> Result<Vec<Tok<'_>>, LexError> {
     Ok(lex_spanned(input)?.0)
 }
 
 /// Tokenize, also returning each token's starting byte offset (same length
 /// as the token vector). The spans let parse errors report a source snippet
 /// alongside their token index.
-pub fn lex_spanned(input: &str) -> Result<(Vec<Tok>, Vec<usize>), LexError> {
+pub fn lex_spanned(input: &str) -> Result<(Vec<Tok<'_>>, Vec<usize>), LexError> {
     let bytes = input.as_bytes();
-    let mut out = Vec::new();
-    let mut spans = Vec::new();
+    // Generated SQL averages more than two bytes per token, so neither
+    // vector grows on it.
+    let mut out = Vec::with_capacity(input.len() / 2 + 1);
+    let mut spans = Vec::with_capacity(input.len() / 2 + 1);
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -115,44 +131,38 @@ pub fn lex_spanned(input: &str) -> Result<(Vec<Tok>, Vec<usize>), LexError> {
             continue;
         }
         if c == '\'' {
+            // A quote byte never occurs inside a multi-byte UTF-8 character,
+            // so the literal's value is the source text between the quotes,
+            // with each doubled quote taken once.
             let start = i;
-            i += 1;
-            let mut s = String::new();
-            loop {
-                match bytes.get(i) {
-                    None => {
-                        return Err(LexError {
-                            offset: start,
-                            token_index: out.len(),
-                            message: "unterminated string".into(),
-                        })
-                    }
-                    Some(b'\'') => {
-                        if bytes.get(i + 1) == Some(&b'\'') {
-                            s.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    Some(&b) if b < 0x80 => {
-                        s.push(b as char);
-                        i += 1;
-                    }
-                    Some(_) => {
-                        // Multi-byte UTF-8 inside a string literal: consume
-                        // the whole character. Byte-at-a-time `b as char`
-                        // would mangle it into Latin-1 and break the
-                        // print→re-lex roundtrip.
-                        let ch = input[i..].chars().next().expect("mid-string char");
-                        s.push(ch);
-                        i += ch.len_utf8();
-                    }
+            let mut piece = i + 1;
+            let mut owned: Option<String> = None;
+            let end = loop {
+                let Some(q) = bytes[i + 1..].iter().position(|&b| b == b'\'').map(|q| i + 1 + q)
+                else {
+                    return Err(LexError {
+                        offset: start,
+                        token_index: out.len(),
+                        message: "unterminated string".into(),
+                    });
+                };
+                if bytes.get(q + 1) != Some(&b'\'') {
+                    break q;
                 }
-            }
+                owned.get_or_insert_with(String::new).push_str(&input[piece..=q]);
+                piece = q + 2;
+                i = q + 1;
+            };
+            let value = match owned {
+                None => Cow::Borrowed(&input[piece..end]),
+                Some(mut s) => {
+                    s.push_str(&input[piece..end]);
+                    Cow::Owned(s)
+                }
+            };
             spans.push(start);
-            out.push(Tok::Str(s));
+            out.push(Tok::Str(value));
+            i = end + 1;
             continue;
         }
         if c.is_ascii_digit() {
@@ -214,7 +224,7 @@ pub fn lex_spanned(input: &str) -> Result<(Vec<Tok>, Vec<usize>), LexError> {
                 }
             }
             spans.push(start);
-            out.push(Tok::Ident(input[start..i].to_string()));
+            out.push(Tok::Ident(&input[start..i]));
             continue;
         }
         if let Some(&sym) = SYMBOLS2.iter().find(|s| input[i..].starts_with(**s)) {

@@ -6,7 +6,7 @@ use lego_coverage::{CovMap, CovRecorder};
 use lego_sqlast::ast::*;
 use lego_sqlast::expr::*;
 use lego_sqlast::kind::DdlVerb;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Record a grammar-rule entry on a tracing parser. Each invocation site
 /// passes its own explicit [`lego_coverage::SiteId`] literal (a fresh random
@@ -39,21 +39,34 @@ impl std::error::Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
 
-pub struct Parser {
-    toks: Vec<Tok>,
+/// Room for the longest keyword the parser dispatches on by `match`
+/// (`CHECKPOINT`, 10 bytes).
+const KW_MAX: usize = 16;
+
+/// `word` in ASCII upper case, in `buf`; empty when `word` is longer than
+/// any dispatched keyword, so that it matches none.
+fn upper<'b>(word: &str, buf: &'b mut [u8; KW_MAX]) -> &'b str {
+    let Some(dst) = buf.get_mut(..word.len()) else { return "" };
+    dst.copy_from_slice(word.as_bytes());
+    dst.make_ascii_uppercase();
+    std::str::from_utf8(dst).expect("the ASCII upper case of a str is a str")
+}
+
+pub struct Parser<'a> {
+    toks: Vec<Tok<'a>>,
     pos: usize,
     /// Grammar-rule coverage recorder; `None` on the (default) untraced
     /// path, which keeps plain parsing allocation- and branch-cheap.
     rules: Option<CovRecorder>,
 }
 
-impl Parser {
-    pub fn new(toks: Vec<Tok>) -> Self {
+impl<'a> Parser<'a> {
+    pub fn new(toks: Vec<Tok<'a>>) -> Self {
         Self { toks, pos: 0, rules: None }
     }
 
     /// A parser that records grammar-rule traversal coverage into `rec`.
-    pub fn with_rules(toks: Vec<Tok>, rec: CovRecorder) -> Self {
+    pub fn with_rules(toks: Vec<Tok<'a>>, rec: CovRecorder) -> Self {
         Self { toks, pos: 0, rules: Some(rec) }
     }
 
@@ -80,19 +93,19 @@ impl Parser {
         self.pos >= self.toks.len()
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.pos)
     }
 
-    fn peek_at(&self, offset: usize) -> Option<&Tok> {
+    fn peek_at(&self, offset: usize) -> Option<&Tok<'a>> {
         self.toks.get(self.pos + offset)
     }
 
-    fn rest(&self) -> &[Tok] {
+    fn rest(&self) -> &[Tok<'a>] {
         &self.toks[self.pos.min(self.toks.len())..]
     }
 
-    fn bump(&mut self) -> Option<Tok> {
+    fn bump(&mut self) -> Option<Tok<'a>> {
         let t = self.toks.get(self.pos).cloned();
         if t.is_some() {
             self.pos += 1;
@@ -103,7 +116,7 @@ impl Parser {
     pub fn error(&self, msg: impl Into<String>) -> ParseError {
         let mut message = msg.into();
         if let Some(t) = self.peek() {
-            message.push_str(&format!(" (at `{}`)", t));
+            let _ = write!(message, " (at `{t}`)");
         }
         ParseError { pos: self.pos, message }
     }
@@ -154,15 +167,19 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> PResult<String> {
+    /// The next token's identifier text, borrowed from the source.
+    fn word(&mut self) -> PResult<&'a str> {
         match self.peek() {
-            Some(Tok::Ident(s)) => {
-                let s = s.clone();
+            Some(&Tok::Ident(s)) => {
                 self.pos += 1;
                 Ok(s)
             }
             _ => Err(self.error("expected identifier")),
         }
+    }
+
+    fn ident(&mut self) -> PResult<String> {
+        self.word().map(str::to_string)
     }
 
     pub fn skip_semicolons(&mut self) {
@@ -173,18 +190,25 @@ impl Parser {
         self.at_end() || self.peek_sym(";")
     }
 
+    /// The tokens up to the statement end, or up to keyword `stop`, printed
+    /// and joined by single spaces (no token prints empty).
+    fn join_tokens(&mut self, stop: Option<&str>) -> String {
+        let mut out = String::new();
+        while !self.at_stmt_end() && !stop.is_some_and(|kw| self.peek_kw(kw)) {
+            if !out.is_empty() {
+                out.push(' ');
+            }
+            let _ = write!(out, "{}", self.toks[self.pos]);
+            self.pos += 1;
+        }
+        out
+    }
+
     /// Join all tokens up to the statement end into one string (generic
     /// argument capture for the statement long tail).
     fn rest_of_statement(&mut self) -> Option<String> {
-        let mut parts: Vec<String> = Vec::new();
-        while !self.at_stmt_end() {
-            parts.push(self.bump().unwrap().to_string());
-        }
-        if parts.is_empty() {
-            None
-        } else {
-            Some(parts.join(" "))
-        }
+        let arg = self.join_tokens(None);
+        (!arg.is_empty()).then_some(arg)
     }
 
     // -- statements ---------------------------------------------------------
@@ -198,11 +222,12 @@ impl Parser {
             let arg = self.rest_of_statement();
             return Ok(Statement::Misc(MiscStmt { kind, arg }));
         }
-        let head = match self.peek() {
-            Some(Tok::Ident(s)) => s.to_ascii_uppercase(),
+        let word = match self.peek() {
+            Some(&Tok::Ident(s)) => s,
             _ => return Err(self.error("expected a statement keyword")),
         };
-        match head.as_str() {
+        let mut buf = [0; KW_MAX];
+        match upper(word, &mut buf) {
             "CREATE" => self.parse_create(),
             "ALTER" => self.parse_alter(),
             "DROP" => self.parse_drop(),
@@ -331,7 +356,7 @@ impl Parser {
                 let channel = self.ident()?;
                 let payload = if self.eat_sym(",") {
                     match self.bump() {
-                        Some(Tok::Str(s)) => Some(s),
+                        Some(Tok::Str(s)) => Some(s.into_owned()),
                         _ => return Err(self.error("expected notify payload string")),
                     }
                 } else {
@@ -348,12 +373,15 @@ impl Parser {
                 self.eat_kw("TABLE");
                 let table = self.ident()?;
                 let mode = if self.eat_kw("IN") {
-                    let mut words = Vec::new();
+                    let mut words = String::new();
                     while !self.peek_kw("MODE") && !self.at_stmt_end() {
-                        words.push(self.ident()?);
+                        if !words.is_empty() {
+                            words.push(' ');
+                        }
+                        words.push_str(self.word()?);
                     }
                     self.expect_kw("MODE")?;
-                    Some(words.join(" "))
+                    Some(words)
                 } else {
                     None
                 };
@@ -368,7 +396,7 @@ impl Parser {
                 let name = self.ident()?;
                 self.expect_kw("IS")?;
                 let text = match self.bump() {
-                    Some(Tok::Str(s)) => s,
+                    Some(Tok::Str(s)) => s.into_owned(),
                     _ => return Err(self.error("expected comment string")),
                 };
                 Ok(Statement::Comment { object, name, text })
@@ -395,7 +423,10 @@ impl Parser {
                 self.expect_kw("VIEW")?;
                 Ok(Statement::RefreshMatView(self.ident()?))
             }
-            other => Err(self.error(format!("unknown statement keyword `{other}`"))),
+            _ => {
+                Err(self
+                    .error(format!("unknown statement keyword `{}`", word.to_ascii_uppercase())))
+            }
         }
     }
 
@@ -657,8 +688,9 @@ impl Parser {
 
     fn parse_data_type(&mut self) -> PResult<DataType> {
         rule!(self, 0xe2d794deb4ffb15e);
-        let name = self.ident()?.to_ascii_uppercase();
-        let ty = match name.as_str() {
+        let name = self.word()?;
+        let mut buf = [0; KW_MAX];
+        let ty = match upper(name, &mut buf) {
             "INT" | "INTEGER" => DataType::Int,
             "BIGINT" => DataType::BigInt,
             "SMALLINT" => DataType::SmallInt,
@@ -701,7 +733,10 @@ impl Parser {
             "TIME" => DataType::Time,
             "TIMESTAMP" => DataType::Timestamp,
             "YEAR" => DataType::Year,
-            other => return Err(self.error(format!("unknown data type `{other}`"))),
+            _ => {
+                let name = name.to_ascii_uppercase();
+                return Err(self.error(format!("unknown data type `{name}`")));
+            }
         };
         // Tolerate MySQL-style attribute noise (`YEAR ZEROFILL ZEROFILL`).
         while self.eat_kw("ZEROFILL") || self.eat_kw("UNSIGNED") || self.eat_kw("SIGNED") {}
@@ -736,7 +771,7 @@ impl Parser {
         let selectv = self.peek_kw("SELECTV");
         if selectv {
             // Rewrite the head token so the query parser sees a plain SELECT.
-            self.toks[self.pos] = Tok::Ident("SELECT".into());
+            self.toks[self.pos] = Tok::Ident("SELECT");
         }
         let mut into: Option<String> = None;
         let query = self.parse_query_with_into(Some(&mut into))?;
@@ -887,10 +922,7 @@ impl Parser {
     fn parse_grant(&mut self, revoke: bool) -> PResult<Statement> {
         rule!(self, 0x8b1dd4deb057206f);
         self.bump(); // GRANT or REVOKE
-        let mut priv_words = Vec::new();
-        while !self.peek_kw("ON") && !self.at_stmt_end() {
-            priv_words.push(self.bump().unwrap().to_string());
-        }
+        let privilege = self.join_tokens(Some("ON"));
         self.expect_kw("ON")?;
         self.eat_kw("TABLE");
         let object = self.ident()?;
@@ -900,7 +932,7 @@ impl Parser {
             self.expect_kw("TO")?;
         }
         let grantee = self.ident()?;
-        let g = GrantStmt { privilege: priv_words.join(" "), object, grantee };
+        let g = GrantStmt { privilege, object, grantee };
         Ok(if revoke { Statement::Revoke(g) } else { Statement::Grant(g) })
     }
 
@@ -915,7 +947,7 @@ impl Parser {
         } else if (self.peek_kw("SESSION") || self.peek_kw("GLOBAL") || self.peek_kw("LOCAL"))
             && matches!(self.peek_at(1), Some(Tok::Ident(_)))
         {
-            scope = Some(self.ident()?.to_ascii_uppercase());
+            scope = Some(self.word()?.to_ascii_uppercase());
         }
         let name = self.ident()?;
         if !self.eat_sym("=") {
@@ -1284,22 +1316,23 @@ impl Parser {
 
     fn parse_primary(&mut self) -> PResult<Expr> {
         rule!(self, 0xd53194dec1de2a81);
-        match self.peek().cloned() {
-            Some(Tok::Int(v)) => {
+        let id = match self.peek() {
+            Some(&Tok::Int(v)) => {
                 self.pos += 1;
-                Ok(Expr::Integer(v))
+                return Ok(Expr::Integer(v));
             }
-            Some(Tok::Float(v)) => {
+            Some(&Tok::Float(v)) => {
                 self.pos += 1;
-                Ok(Expr::Float(v))
+                return Ok(Expr::Float(v));
             }
             Some(Tok::Str(s)) => {
+                let s = s.to_string();
                 self.pos += 1;
-                Ok(Expr::Str(s))
+                return Ok(Expr::Str(s));
             }
             Some(Tok::Sym("(")) => {
                 self.pos += 1;
-                if self.peek_kw("SELECT") || self.peek_kw("VALUES") {
+                return if self.peek_kw("SELECT") || self.peek_kw("VALUES") {
                     let q = self.parse_query()?;
                     self.expect_sym(")")?;
                     Ok(Expr::Subquery(Box::new(q)))
@@ -1307,55 +1340,54 @@ impl Parser {
                     let e = self.parse_expr()?;
                     self.expect_sym(")")?;
                     Ok(e)
-                }
+                };
             }
-            Some(Tok::Ident(id)) => {
-                let upper = id.to_ascii_uppercase();
-                match upper.as_str() {
-                    "NULL" => {
-                        self.pos += 1;
-                        return Ok(Expr::Null);
-                    }
-                    "TRUE" => {
-                        self.pos += 1;
-                        return Ok(Expr::Bool(true));
-                    }
-                    "FALSE" => {
-                        self.pos += 1;
-                        return Ok(Expr::Bool(false));
-                    }
-                    "CASE" => return self.parse_case(),
-                    "CAST" => {
-                        self.pos += 1;
-                        self.expect_sym("(")?;
-                        let e = self.parse_expr()?;
-                        self.expect_kw("AS")?;
-                        let ty = self.parse_data_type()?;
-                        self.expect_sym(")")?;
-                        return Ok(Expr::Cast { expr: Box::new(e), ty });
-                    }
-                    "EXISTS" => {
-                        self.pos += 1;
-                        self.expect_sym("(")?;
-                        let q = self.parse_query()?;
-                        self.expect_sym(")")?;
-                        return Ok(Expr::Exists { query: Box::new(q), negated: false });
-                    }
-                    _ => {}
-                }
+            Some(&Tok::Ident(id)) => id,
+            _ => return Err(self.error("expected expression")),
+        };
+        let mut buf = [0; KW_MAX];
+        match upper(id, &mut buf) {
+            "NULL" => {
                 self.pos += 1;
-                if self.peek_sym("(") {
-                    return self.parse_func_call(id);
-                }
-                if self.peek_sym(".") && matches!(self.peek_at(1), Some(Tok::Ident(_))) {
-                    self.pos += 1;
-                    let col = self.ident()?;
-                    return Ok(Expr::Column(ColumnRef::qualified(id, col)));
-                }
-                Ok(Expr::Column(ColumnRef::bare(id)))
+                return Ok(Expr::Null);
             }
-            _ => Err(self.error("expected expression")),
+            "TRUE" => {
+                self.pos += 1;
+                return Ok(Expr::Bool(true));
+            }
+            "FALSE" => {
+                self.pos += 1;
+                return Ok(Expr::Bool(false));
+            }
+            "CASE" => return self.parse_case(),
+            "CAST" => {
+                self.pos += 1;
+                self.expect_sym("(")?;
+                let e = self.parse_expr()?;
+                self.expect_kw("AS")?;
+                let ty = self.parse_data_type()?;
+                self.expect_sym(")")?;
+                return Ok(Expr::Cast { expr: Box::new(e), ty });
+            }
+            "EXISTS" => {
+                self.pos += 1;
+                self.expect_sym("(")?;
+                let q = self.parse_query()?;
+                self.expect_sym(")")?;
+                return Ok(Expr::Exists { query: Box::new(q), negated: false });
+            }
+            _ => {}
         }
+        self.pos += 1;
+        if self.peek_sym("(") {
+            return self.parse_func_call(id.to_string());
+        }
+        if self.peek_sym(".") && matches!(self.peek_at(1), Some(Tok::Ident(_))) {
+            self.pos += 1;
+            let col = self.ident()?;
+            return Ok(Expr::Column(ColumnRef::qualified(id, col)));
+        }
+        Ok(Expr::Column(ColumnRef::bare(id)))
     }
 
     fn parse_case(&mut self) -> PResult<Expr> {

@@ -1162,6 +1162,14 @@ impl Session {
             return Ok(());
         }
         cov!(ctx, 0x249f810b5f2aab6e);
+        // A BEFORE trigger may drop or alter the table, while the statement
+        // goes on with rows built against the column list it read. Hold that
+        // list (an ALTER TABLE then copies it on write, and a recreated table
+        // has another), and fail the statement unless the table still has it.
+        let read = match timing {
+            TriggerTiming::Before => self.cat.table(table).map(|t| Arc::clone(&t.columns)),
+            TriggerTiming::After => None,
+        };
         for t in trigs {
             let fires = if t.def.for_each_row { affected.min(MAX_TRIGGER_FIRES) } else { 1 };
             if affected > MAX_TRIGGER_FIRES && t.def.for_each_row {
@@ -1174,6 +1182,14 @@ impl Session {
                 if ctx.crashed() {
                     return Ok(());
                 }
+            }
+        }
+        if let Some(columns) = read {
+            if !self.cat.table(table).is_some_and(|t| Arc::ptr_eq(&t.columns, &columns)) {
+                cov!(ctx, 0x8367e58f67d22ef3);
+                return Err(format!(
+                    "relation \"{table}\" was dropped or altered by a BEFORE trigger"
+                ));
             }
         }
         Ok(())
@@ -1197,10 +1213,10 @@ impl Session {
             cov!(ctx, 0x1e09c10b5ed12611);
             return Err(format!("cannot insert into view \"{}\"", i.table));
         }
-        // BEFORE triggers run before the rows are built and may alter the
-        // table, so the statement keeps the columns it started with: it
-        // shares the list, and an ALTER TABLE copies it on write. The rows
-        // are read through the catalog and need no copy.
+        // BEFORE triggers run before the rows are built, so the statement
+        // keeps the columns it started with; `fire_triggers` fails it if a
+        // trigger dropped or altered the table. The rows are read through
+        // the catalog and need no copy.
         let columns = match self.cat.table(&i.table) {
             Some(t) => Arc::clone(&t.columns),
             None => return Err(format!("relation \"{}\" does not exist", i.table)),

@@ -282,6 +282,75 @@ fn before_trigger_errors_abort_the_statement() {
     assert!(!r.errors.is_empty());
 }
 
+/// Run `sql` on MariaDB: no crash, and the statement at `stmt` (0-based)
+/// fails because a BEFORE trigger dropped or altered its table.
+fn fails_after_its_before_trigger(sql: &str, stmt: usize) -> lego_dbms::ExecReport {
+    let r = run(Dialect::MariaDb, sql);
+    assert!(matches!(r.outcome, Outcome::Ok), "outcome: {:?}", r.outcome);
+    assert_eq!(r.stmt_errors, vec![stmt], "errors: {:?}", r.errors);
+    assert!(r.errors[0].contains("dropped or altered by a BEFORE trigger"), "{:?}", r.errors);
+    r
+}
+
+#[test]
+fn a_before_insert_trigger_that_drops_its_table_fails_the_insert() {
+    fails_after_its_before_trigger(
+        "CREATE TABLE t (a INT);\n\
+         CREATE TRIGGER tg BEFORE INSERT ON t FOR EACH ROW DROP TABLE t;\n\
+         INSERT INTO t VALUES (1);",
+        2,
+    );
+}
+
+#[test]
+fn a_before_update_trigger_that_drops_its_table_fails_the_update() {
+    fails_after_its_before_trigger(
+        "CREATE TABLE t (a INT);\n\
+         INSERT INTO t VALUES (1);\n\
+         CREATE TRIGGER tg BEFORE UPDATE ON t FOR EACH ROW DROP TABLE t;\n\
+         UPDATE t SET a = 2;",
+        3,
+    );
+}
+
+#[test]
+fn a_before_delete_trigger_that_drops_its_table_fails_the_delete() {
+    fails_after_its_before_trigger(
+        "CREATE TABLE t (a INT);\n\
+         INSERT INTO t VALUES (1);\n\
+         CREATE TRIGGER tg BEFORE DELETE ON t FOR EACH ROW DROP TABLE t;\n\
+         DELETE FROM t;",
+        3,
+    );
+}
+
+#[test]
+fn a_before_insert_trigger_that_adds_a_column_fails_the_insert() {
+    // The row used to be stored one column short, and the UPDATE indexed
+    // past it.
+    let r = fails_after_its_before_trigger(
+        "CREATE TABLE t (a INT);\n\
+         CREATE TRIGGER tg BEFORE INSERT ON t FOR EACH ROW ALTER TABLE t ADD COLUMN b INT;\n\
+         INSERT INTO t VALUES (1);\n\
+         UPDATE t SET b = 5;",
+        2,
+    );
+    assert_eq!(r.statements_executed, 4);
+}
+
+#[test]
+fn a_before_insert_trigger_that_drops_a_column_fails_the_insert() {
+    // The row used to be stored one column too wide, with no error.
+    let r = fails_after_its_before_trigger(
+        "CREATE TABLE t (a INT, b INT);\n\
+         CREATE TRIGGER tg BEFORE INSERT ON t FOR EACH ROW ALTER TABLE t DROP COLUMN b;\n\
+         INSERT INTO t VALUES (1, 2);\n\
+         SELECT * FROM t;",
+        2,
+    );
+    assert_eq!(r.last_rows, 0);
+}
+
 // -- transactions ------------------------------------------------------------------
 
 #[test]

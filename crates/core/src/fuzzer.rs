@@ -218,8 +218,15 @@ pub struct LegoStats {
 
 impl LegoFuzzer {
     pub fn new(dialect: Dialect, cfg: Config) -> Self {
+        Self::with_corpus(dialect, cfg, initial_corpus(dialect))
+    }
+
+    /// Start from a caller-supplied seed corpus instead of the built-in one
+    /// (e.g. a corpus reloaded via [`crate::corpus_io::load_corpus`]).
+    pub fn with_corpus(dialect: Dialect, cfg: Config, corpus: Vec<TestCase>) -> Self {
+        let kinds = dialect.supported_kinds();
         let starters: Vec<StmtKind> =
-            dialect.supported_kinds().into_iter().filter(|k| k.is_sequence_starter()).collect();
+            kinds.iter().copied().filter(|k| k.is_sequence_starter()).collect();
         let mut fz = Self {
             dialect,
             rng: SmallRng::seed_from_u64(cfg.rng_seed),
@@ -230,48 +237,31 @@ impl LegoFuzzer {
             queue: VecDeque::new(),
             synth_queue: VecDeque::new(),
             schedule_tick: 0,
-            kinds: dialect.supported_kinds(),
+            kinds,
             executed_ngrams: NgramSet::new(),
             pending_origin: Origin::Seed,
             tel: Telemetry::disabled(),
             stats: LegoStats::default(),
             cfg,
         };
-        for case in initial_corpus(dialect) {
-            fz.queue.push_back(Pending { case: Arc::new(case), origin: Origin::Seed });
-        }
-        fz.push_special_pack();
+        // The dialect "special features" templates (rule-coverage mode
+        // only) ride behind the seed corpus so the baseline seeds still
+        // execute first.
+        let pack =
+            if fz.cfg.rule_cov { crate::special::special_templates(dialect) } else { vec![] };
+        fz.queue.extend(
+            corpus
+                .into_iter()
+                .chain(pack)
+                .map(|case| Pending { case: Arc::new(case), origin: Origin::Seed }),
+        );
         fz
-    }
-
-    /// Queue the dialect "special features" templates (rule-coverage mode
-    /// only). They ride behind the mundane corpus so the baseline seeds
-    /// still execute first.
-    fn push_special_pack(&mut self) {
-        if !self.cfg.rule_cov {
-            return;
-        }
-        for case in crate::special::special_templates(self.dialect) {
-            self.queue.push_back(Pending { case: Arc::new(case), origin: Origin::Seed });
-        }
     }
 
     /// Convenience constructor for the LEGO- ablation (§ V-D).
     pub fn lego_minus(dialect: Dialect, mut cfg: Config) -> Self {
         cfg.sequence_oriented = false;
         Self::new(dialect, cfg)
-    }
-
-    /// Start from a caller-supplied seed corpus instead of the built-in one
-    /// (e.g. a corpus reloaded via [`crate::corpus_io::load_corpus`]).
-    pub fn with_corpus(dialect: Dialect, cfg: Config, corpus: Vec<TestCase>) -> Self {
-        let mut fz = Self::new(dialect, cfg);
-        fz.queue.clear();
-        for case in corpus {
-            fz.queue.push_back(Pending { case: Arc::new(case), origin: Origin::Seed });
-        }
-        fz.push_special_pack();
-        fz
     }
 
     pub fn affinity_count(&self) -> usize {
@@ -953,6 +943,37 @@ impl FuzzEngine for LegoFuzzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `with_corpus` used to build the engine with the built-in corpus,
+    /// clear the queue and queue the given corpus and the special pack; its
+    /// queue and RNG are still what that path gave.
+    #[test]
+    fn with_corpus_queues_what_replacing_the_built_in_corpus_gave() {
+        let corpus = || {
+            ["CREATE TABLE t (a INT);\nSELECT a FROM t;", "BEGIN;\nCOMMIT;"]
+                .map(|s| lego_sqlparser::parse_script(s).unwrap())
+                .to_vec()
+        };
+        let queued = |fz: &LegoFuzzer| -> Vec<(TestCase, Origin)> {
+            fz.queue.iter().map(|p| ((*p.case).clone(), p.origin)).collect()
+        };
+        for dialect in Dialect::ALL {
+            for rule_cov in [false, true] {
+                let cfg = Config { rule_cov, ..Config::default() };
+                let mut old = LegoFuzzer::new(dialect, cfg.clone());
+                old.queue.clear();
+                let pack =
+                    if rule_cov { crate::special::special_templates(dialect) } else { vec![] };
+                for case in corpus().into_iter().chain(pack) {
+                    old.queue.push_back(Pending { case: Arc::new(case), origin: Origin::Seed });
+                }
+                let mut new = LegoFuzzer::with_corpus(dialect, cfg, corpus());
+                assert_eq!(queued(&new), queued(&old), "{dialect:?}, rule_cov {rule_cov}");
+                assert_eq!(new.kinds, old.kinds);
+                assert_eq!(new.rng.gen::<u64>(), old.rng.gen::<u64>());
+            }
+        }
+    }
 
     #[test]
     fn lego_produces_cases_immediately() {

@@ -190,7 +190,7 @@ mod tests {
             );
             // Probes are plain WHERE selects.
             let last = case.statements.last().unwrap();
-            if let Statement::Select(s) = last {
+            if let Statement::Select(s) = &**last {
                 assert!(s.query.order_by.is_empty());
             }
         }

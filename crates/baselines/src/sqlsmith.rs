@@ -62,8 +62,8 @@ impl FuzzEngine for SqlsmithFuzzer {
         let select =
             Statement::Select(SelectStmt { query: Box::new(query), variant: SelectVariant::Plain });
         let mut statements = self.prologue.statements.clone();
-        statements.push(select);
-        Arc::new(TestCase::new(statements))
+        statements.push(Arc::new(select));
+        Arc::new(TestCase::shared(statements))
     }
 
     fn feedback(&mut self, case: &Arc<TestCase>, _report: &ExecReport, new_coverage: bool) {
@@ -71,7 +71,7 @@ impl FuzzEngine for SqlsmithFuzzer {
             // Record only the generated query — SQLsmith test cases are
             // single statements (paper § V-C, Table II footnote).
             if let Some(q) = case.statements.last() {
-                self.corpus.push(Arc::new(TestCase::new(vec![q.clone()])));
+                self.corpus.push(Arc::new(TestCase::shared(vec![Arc::clone(q)])));
             }
         }
     }

@@ -51,7 +51,7 @@ fn actual_lines(dialect: Dialect) -> Vec<String> {
         db.recycle(r.coverage);
         let _ = write!(query, "#{n}");
         for stmt in &case.statements {
-            if let Statement::Select(s) = stmt {
+            if let Statement::Select(s) = &**stmt {
                 let rs = db.run_query(&s.query);
                 let _ = write!(query, " {:?}", rs.map(|rs| (rs.columns, rs.rows)));
             }

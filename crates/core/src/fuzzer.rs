@@ -308,8 +308,9 @@ impl LegoFuzzer {
     /// substitution / insertion / deletion mutants. (They are *executed*
     /// later by the campaign loop; affinity analysis happens in `feedback`
     /// for the ones that hit new branches.) Each mutant is spliced from the
-    /// borrowed seed, copying every statement it keeps once, and the prefix
-    /// schema grows by one statement per position.
+    /// borrowed seed and shares every statement it keeps with it, until the
+    /// validator rewrites one; the prefix schema grows by one statement per
+    /// position.
     fn sequence_mutants(&mut self, seed: &TestCase) -> Vec<(TestCase, Origin)> {
         let stmts = &seed.statements;
         let mut out = Vec::new();
@@ -379,7 +380,7 @@ impl LegoFuzzer {
             None => {
                 // Pool still empty (feedback not yet processed): re-inject a
                 // built-in seed.
-                Arc::new(initial_corpus(self.dialect)[0].clone())
+                Arc::new(crate::seeds::corpus(self.dialect)[0].clone())
             }
         };
         if self.cfg.seq_mutation {
@@ -480,14 +481,19 @@ impl LegoFuzzer {
     }
 }
 
-/// A case holding `stmts` with `stmts[at..at + remove]` replaced by `insert`:
-/// one copy of each statement kept, in a vector of the final length.
-fn splice(stmts: &[Statement], at: usize, remove: usize, insert: Option<Statement>) -> TestCase {
+/// A case holding `stmts` with `stmts[at..at + remove]` replaced by `insert`,
+/// sharing each statement it keeps, in a vector of the final length.
+fn splice(
+    stmts: &[Arc<Statement>],
+    at: usize,
+    remove: usize,
+    insert: Option<Statement>,
+) -> TestCase {
     let mut out = Vec::with_capacity(stmts.len() - remove + usize::from(insert.is_some()));
     out.extend_from_slice(&stmts[..at]);
-    out.extend(insert);
+    out.extend(insert.map(Arc::new));
     out.extend_from_slice(&stmts[at + remove..]);
-    TestCase::new(out)
+    TestCase::shared(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -554,8 +560,9 @@ struct FuzzerSnapshot {
     stats: Vec<usize>,
 }
 
-fn stmt_to_sql(stmt: &Statement) -> String {
-    TestCase::new(vec![stmt.clone()]).to_sql()
+/// A statement as [`TestCase::to_sql`] renders it.
+fn stmt_to_sql(stmt: &Arc<Statement>) -> String {
+    format!("{stmt};\n")
 }
 
 fn parse_case(sql: &str) -> Result<TestCase, String> {
@@ -567,7 +574,7 @@ fn parse_stmt(sql: &str) -> Result<Statement, String> {
     if case.statements.len() != 1 {
         return Err(format!("expected one statement, got {}", case.statements.len()));
     }
-    Ok(case.statements.remove(0))
+    Ok(Arc::unwrap_or_clone(case.statements.remove(0)))
 }
 
 fn kind_from_code(code: u64) -> Result<StmtKind, String> {
@@ -859,8 +866,8 @@ impl FuzzEngine for LegoFuzzer {
         if case.len() > self.cfg.max_case_len {
             let mid = case.len() / 2;
             let overlap = 2.min(mid);
-            let first = TestCase::new(case.statements[..(mid + overlap)].to_vec());
-            let mut second = TestCase::new(case.statements[(mid - overlap)..].to_vec());
+            let first = TestCase::shared(case.statements[..(mid + overlap)].to_vec());
+            let mut second = TestCase::shared(case.statements[(mid - overlap)..].to_vec());
             fix_case(&mut second, &mut self.rng);
             self.pool.add(Arc::new(first), mid + overlap);
             self.pool.add(Arc::new(second), case.len() - mid + overlap);
@@ -943,6 +950,7 @@ impl FuzzEngine for LegoFuzzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
 
     /// `with_corpus` used to build the engine with the built-in corpus,
     /// clear the queue and queue the given corpus and the special pack; its
@@ -1031,7 +1039,7 @@ mod tests {
                 let kind = fz.random_kind(Some(current));
                 let stmt = gen_statement(kind, &schema, fz.dialect, &mut fz.rng);
                 let mut q1 = seed.clone();
-                q1.statements[i] = stmt;
+                q1.statements[i] = Arc::new(stmt);
                 fix_case(&mut q1, &mut fz.rng);
                 if fz.cfg.sema {
                     sema_repair(&mut q1, fz.dialect);
@@ -1042,7 +1050,7 @@ mod tests {
                 let kind = fz.random_kind(None);
                 let stmt = gen_statement(kind, &schema, fz.dialect, &mut fz.rng);
                 let mut q2 = seed.clone();
-                q2.statements.insert(i + 1, stmt);
+                q2.statements.insert(i + 1, Arc::new(stmt));
                 fix_case(&mut q2, &mut fz.rng);
                 if fz.cfg.sema {
                     sema_repair(&mut q2, fz.dialect);
@@ -1095,6 +1103,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn mutants_share_the_statements_they_keep_with_the_seed() {
+        // No literals, so the data refill never rewrites a kept statement,
+        // and every name resolves, so the validator rewrites one only where
+        // the new or deleted statement changed what it refers to. A kept
+        // statement is then the seed's own `Arc`, or a rewritten copy.
+        let seed = lego_sqlparser::parse_script(
+            "CREATE TABLE t (a INT, b INT); CREATE TABLE u (c INT); SELECT a, b FROM t; \
+             SELECT c FROM u WHERE c IS NULL; UPDATE t SET a = b; DELETE FROM u;",
+        )
+        .unwrap();
+        let (mut kept, mut shared) = (0usize, 0usize);
+        for cfg in [Config::default(), Config { sequence_oriented: false, ..Config::default() }] {
+            let mut fz = LegoFuzzer::new(Dialect::Postgres, cfg);
+            for n in 0..200 {
+                fz.rng = SmallRng::seed_from_u64(n);
+                let mut mutants = fz.sequence_mutants(&seed).into_iter();
+                for i in 0..seed.len() {
+                    let mut expect = |origin: Origin, at: usize, shift: isize| {
+                        let (mutant, got) = mutants.next().expect("a mutant");
+                        assert_eq!(got, origin);
+                        for (j, stmt) in seed.statements.iter().enumerate() {
+                            let k = match j.cmp(&at) {
+                                Ordering::Less => j,
+                                Ordering::Equal if shift <= 0 => continue,
+                                _ => j.wrapping_add_signed(shift),
+                            };
+                            let copy = &mutant.statements[k];
+                            kept += 1;
+                            if Arc::ptr_eq(copy, stmt) {
+                                shared += 1;
+                            } else {
+                                assert!(j > at || j == at && shift > 0, "{origin:?} at {at}");
+                                assert_ne!(copy, stmt, "{origin:?} at {at}: an unchanged copy");
+                            }
+                        }
+                    };
+                    expect(Origin::Substitution, i, 0);
+                    if fz.cfg.sequence_oriented {
+                        expect(Origin::Insertion, i + 1, 1);
+                    }
+                    expect(Origin::Deletion, i, -1);
+                }
+                assert!(mutants.next().is_none());
+            }
+        }
+        // 27,960 of 31,200 when written.
+        assert!(shared * 5 > kept * 4, "{shared} of {kept} kept statements shared");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use lego_sqlast::kind::{DdlVerb, ObjectKind, StandaloneKind, StmtKind};
 use lego_sqlast::Dialect;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// A lightweight model of the schema produced by a statement prefix.
 #[derive(Clone, Debug, Default)]
@@ -194,10 +195,10 @@ impl SchemaModel {
     }
 
     /// Build the model for a whole statement prefix.
-    pub fn of_statements(stmts: &[Statement]) -> Self {
+    pub fn of_statements<S: Borrow<Statement>>(stmts: &[S]) -> Self {
         let mut m = Self::new();
         for s in stmts {
-            m.observe(s);
+            m.observe(s.borrow());
         }
         m
     }
@@ -1181,7 +1182,7 @@ mod tests {
             for (n, case) in crate::testutil::generated_cases(dialect).iter().enumerate() {
                 let (mut new, mut old) = (SchemaModel::new(), ListSchema::default());
                 for (i, stmt) in case.statements.iter().enumerate() {
-                    if let Statement::AlterTable(a) = stmt {
+                    if let Statement::AlterTable(a) = &**stmt {
                         match a.action {
                             A::AddColumn(_) => alters[0] += 1,
                             A::DropColumn(_) => alters[1] += 1,

@@ -2,16 +2,22 @@
 //! (paper § III-B, the three-step AST synthesis / concatenation / validation
 //! pipeline).
 
-use crate::gen::{gen_literal, gen_literal_not_null, gen_statement, SchemaModel, TableModel};
-use lego_sqlast::ast::{CreateView, Insert, InsertSource, Statement};
+use crate::gen::{
+    gen_literal, gen_literal_not_null, gen_statement, ColumnModel, SchemaModel, TableModel,
+};
+use lego_sqlast::ast::{ColumnConstraint, CreateView, Insert, InsertSource, Statement};
 use lego_sqlast::expr::{ColumnRef, DataType, Expr};
 use lego_sqlast::skeleton::{structure_key, Rebinder};
-use lego_sqlast::visit::{walk_query_mut, walk_statement_mut, MutVisitor};
+use lego_sqlast::visit::{
+    walk_query, walk_query_mut, walk_statement, walk_statement_mut, MutVisitor, Visitor,
+};
 use lego_sqlast::{Dialect, StmtKind, TestCase};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The global AST-structure library: type-matched statement skeletons
 /// harvested from every retained seed ("LEGO parses each of its statements to
@@ -19,27 +25,54 @@ use std::collections::{BTreeMap, HashSet};
 #[derive(Clone, Debug, Default)]
 pub struct AstLibrary {
     /// Buckets in kind order, which is kind-code order.
-    by_kind: BTreeMap<StmtKind, Vec<Statement>>,
+    by_kind: BTreeMap<StmtKind, Vec<Arc<Statement>>>,
     keys: HashSet<u64>,
+    /// The statements whose key is already in `keys`, by identity: a mutant
+    /// shares most statements with its seed, so most statements of a
+    /// retained case were keyed with an earlier one. Holding each `Arc`
+    /// keeps its address from being reused. Never iterated, not
+    /// checkpointed: a restored library only keys some statements again.
+    keyed: HashSet<ById>,
     per_kind_cap: usize,
+}
+
+/// A statement compared and hashed by address.
+#[derive(Clone, Debug)]
+struct ById(Arc<Statement>);
+
+impl PartialEq for ById {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for ById {}
+
+impl Hash for ById {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Arc::as_ptr(&self.0).hash(state)
+    }
 }
 
 impl AstLibrary {
     pub fn new() -> Self {
-        Self { by_kind: BTreeMap::new(), keys: HashSet::new(), per_kind_cap: 32 }
+        Self { per_kind_cap: 32, ..Self::default() }
     }
 
     /// Harvest the structures of a retained test case. Structural duplicates
     /// (same skeleton) are ignored so the library stays non-repetitive.
     pub fn add_case(&mut self, case: &TestCase) {
         for stmt in &case.statements {
+            if !self.keyed.insert(ById(Arc::clone(stmt))) {
+                continue;
+            }
             let key = structure_key(stmt);
             if !self.keys.insert(key) {
                 continue;
             }
             let bucket = self.by_kind.entry(stmt.kind()).or_default();
             if bucket.len() < self.per_kind_cap {
-                bucket.push(stmt.clone());
+                bucket.push(Arc::clone(stmt));
             }
         }
     }
@@ -51,14 +84,17 @@ impl AstLibrary {
     /// per-kind cap are still remembered).
     pub fn from_parts(buckets: Vec<(StmtKind, Vec<Statement>)>, dedup_keys: Vec<u64>) -> Self {
         Self {
-            by_kind: buckets.into_iter().collect(),
+            by_kind: buckets
+                .into_iter()
+                .map(|(kind, stmts)| (kind, stmts.into_iter().map(Arc::new).collect()))
+                .collect(),
             keys: dedup_keys.into_iter().collect(),
-            per_kind_cap: 32,
+            ..Self::new()
         }
     }
 
     /// Buckets sorted by kind code, for deterministic serialization.
-    pub fn buckets_sorted(&self) -> Vec<(StmtKind, &[Statement])> {
+    pub fn buckets_sorted(&self) -> Vec<(StmtKind, &[Arc<Statement>])> {
         self.by_kind.iter().map(|(k, stmts)| (*k, stmts.as_slice())).collect()
     }
 
@@ -69,13 +105,13 @@ impl AstLibrary {
         v
     }
 
-    /// Pick a random type-matched structure.
-    pub fn pick(&self, kind: StmtKind, rng: &mut SmallRng) -> Option<Statement> {
+    /// Pick a random type-matched structure, shared with the library.
+    pub fn pick(&self, kind: StmtKind, rng: &mut SmallRng) -> Option<Arc<Statement>> {
         self.by_kind.get(&kind).and_then(|v| {
             if v.is_empty() {
                 None
             } else {
-                Some(v[rng.gen_range(0..v.len())].clone())
+                Some(Arc::clone(&v[rng.gen_range(0..v.len())]))
             }
         })
     }
@@ -99,11 +135,20 @@ impl AstLibrary {
 /// * column references are rebound to columns of the referenced tables,
 /// * INSERT row widths are fixed up against the target table,
 /// * literals are occasionally re-randomized (data refill).
+///
+/// Copy on write: a statement the case shares with others (its seed, the
+/// library) is copied only when a repair step writes to it, which
+/// [`writes`] decides without writing. A statement the case owns alone is
+/// repaired in place.
 pub fn fix_case(case: &mut TestCase, rng: &mut SmallRng) {
     let mut schema = SchemaModel::new();
     let mut mentions = Vec::new();
     for stmt in &mut case.statements {
-        fix_statement(stmt, &schema, &mut mentions, rng);
+        if let Some(owned) = Arc::get_mut(stmt) {
+            fix_statement(owned, &schema, &mut mentions, rng);
+        } else if writes(stmt, &schema, &mut mentions, rng) {
+            fix_statement(Arc::make_mut(stmt), &schema, &mut mentions, rng);
+        }
         schema.observe(stmt);
     }
 }
@@ -112,6 +157,9 @@ pub fn fix_case(case: &mut TestCase, rng: &mut SmallRng) {
 /// [`fix_statement`] repair: a whole statement, or the query of a CREATE
 /// VIEW or CREATE TABLE AS.
 type Walk<'a> = dyn FnMut(&mut dyn MutVisitor) + 'a;
+
+/// The read-only walk over the same positions as a [`Walk`].
+type ReadWalk<'a> = dyn FnMut(&mut dyn Visitor) + 'a;
 
 /// `mentions` is scratch space for [`rebind_references`], kept across the
 /// statements of a case.
@@ -132,7 +180,7 @@ fn fix_statement(
             let own = c.name.clone();
             for col in &mut c.columns {
                 for con in &mut col.constraints {
-                    if let lego_sqlast::ast::ColumnConstraint::References { table, .. } = con {
+                    if let ColumnConstraint::References { table, .. } = con {
                         if !schema.has_table(table) {
                             *table = schema
                                 .random_table(rng)
@@ -177,8 +225,8 @@ fn fix_statement(
                 // An explicit column list must still cover every required
                 // column, or the implicit NULLs violate NOT NULL.
                 if !columns.is_empty() {
-                    for req in tm.columns.iter().filter(|c| c.required) {
-                        if !columns.iter().any(|c| req.is(c)) {
+                    for req in &tm.columns {
+                        if lacks(columns, req) {
                             columns.push(req.name.clone());
                         }
                     }
@@ -186,6 +234,194 @@ fn fix_statement(
             }
             fix_rows(tm, columns, rows, rng);
         }
+    }
+}
+
+/// Would [`fix_statement`] write to `stmt`? Decided by reading it, with the
+/// same decision per name and literal as the repair makes: when no step
+/// writes, `rng` is advanced past the draws the repair would have made (the
+/// data refill's draw per literal, none of which fired); otherwise `rng` is
+/// left as it was, for the repair to draw from.
+///
+/// The decisions take two walks, one over the table names and literals and
+/// one over the columns, and the INSERT fix-up reads the rows.
+fn writes(
+    stmt: &Statement,
+    schema: &SchemaModel,
+    mentions: &mut Vec<usize>,
+    rng: &mut SmallRng,
+) -> bool {
+    let mut probe = rng.clone();
+    let writes = match stmt {
+        Statement::CreateTable(c) => {
+            schema.has_table(&c.name)
+                || c.columns.iter().flat_map(|col| &col.constraints).any(|con| {
+                    matches!(con, ColumnConstraint::References { table, .. }
+                        if !schema.has_table(table))
+                })
+        }
+        Statement::CreateTableAs { name, query }
+        | Statement::CreateView(CreateView { name, query, .. }) => {
+            schema.has_table(name)
+                || references_write(&mut |v| walk_query(query, v), schema, mentions, &mut probe)
+        }
+        _ => {
+            references_write(&mut |v| walk_statement(stmt, v), schema, mentions, &mut probe)
+                || insert_writes(stmt, schema)
+        }
+    };
+    if !writes {
+        *rng = probe;
+    }
+    writes
+}
+
+/// Steps 2–4 of [`fix_statement`], read only: does a table, column or
+/// self-join reference need rebinding, or does the data refill fire? Draws
+/// the refill's decisions from `rng`.
+fn references_write(
+    walk: &mut ReadWalk,
+    schema: &SchemaModel,
+    mentions: &mut Vec<usize>,
+    rng: &mut SmallRng,
+) -> bool {
+    mentions.clear();
+    let mut tables = TablesAndLiterals { schema, mentions, rng, writes: false };
+    walk(&mut tables);
+    if tables.writes {
+        return true;
+    }
+    let pool = column_pool(schema, mentions);
+    let self_joined = self_joined(schema, mentions);
+    if pool == 0 && self_joined.is_none() {
+        return false;
+    }
+    let mut columns = ColumnsAndQualifiers { schema, mentions, pool, self_joined, writes: false };
+    walk(&mut columns);
+    columns.writes
+}
+
+/// The first read-only walk of [`references_write`]: step 2 over the table
+/// names, noting their mentions as the repair would, and step 4 over the
+/// literals.
+struct TablesAndLiterals<'a> {
+    schema: &'a SchemaModel,
+    mentions: &'a mut Vec<usize>,
+    rng: &'a mut SmallRng,
+    writes: bool,
+}
+
+impl Visitor for TablesAndLiterals<'_> {
+    fn table_name(&mut self, t: &str) {
+        if rebinds_table(self.schema, t) {
+            self.writes = true;
+        } else {
+            self.mentions.extend(mention(self.schema, t));
+        }
+    }
+    fn literal(&mut self, l: &Expr) {
+        if !self.writes {
+            self.writes = refill_type(l, self.rng).is_some();
+        }
+    }
+}
+
+/// The second read-only walk of [`references_write`]: steps 3 and 3b over
+/// the column references.
+struct ColumnsAndQualifiers<'a> {
+    schema: &'a SchemaModel,
+    mentions: &'a [usize],
+    pool: usize,
+    self_joined: Option<&'a TableModel>,
+    writes: bool,
+}
+
+impl Visitor for ColumnsAndQualifiers<'_> {
+    fn column_name(&mut self, c: &str) {
+        self.writes |= self.pool > 0 && rebinds_column(self.schema, self.mentions, c);
+    }
+    fn column_ref(&mut self, c: &ColumnRef) {
+        self.writes |= self.self_joined.is_some_and(|tm| qualifies(tm, c));
+        self.column_name(&c.column);
+    }
+}
+
+/// Step 5 of [`fix_statement`], read only: does an INSERT's column list or
+/// one of its rows need fixing?
+fn insert_writes(stmt: &Statement, schema: &SchemaModel) -> bool {
+    let Statement::Insert(Insert { table, columns, source: InsertSource::Values(rows), .. }) = stmt
+    else {
+        return false;
+    };
+    let Some(tm) = schema.table(table) else {
+        return false;
+    };
+    if !columns.is_empty()
+        && (columns.iter().any(|c| tm.column(c).is_none())
+            || tm.columns.iter().any(|req| lacks(columns, req)))
+    {
+        return true;
+    }
+    let width = row_width(tm, columns);
+    rows.iter().enumerate().any(|(r, row)| {
+        row.len() != width
+            || row.iter().enumerate().any(|(i, value)| {
+                let slot = slot_at(tm, columns, i);
+                slot.rejects(value) || slot.unique && stored_before(&rows[..r], i, value, slot.ty)
+            })
+    })
+}
+
+/// Step 2's decision for a table name: is it unknown, with a table in the
+/// schema to rebind it to?
+fn rebinds_table(schema: &SchemaModel, t: &str) -> bool {
+    !schema.has_table(t) && !schema.tables.is_empty()
+}
+
+/// The schema table a table name refers to (its index in `schema.tables`).
+fn mention(schema: &SchemaModel, t: &str) -> Option<usize> {
+    schema.tables.iter().position(|tm| tm.name.eq_ignore_ascii_case(t))
+}
+
+/// The number of columns step 3 draws from: those of every mention.
+fn column_pool(schema: &SchemaModel, mentions: &[usize]) -> usize {
+    mentions.iter().map(|&i| schema.tables[i].columns.len()).sum()
+}
+
+/// Step 3's decision for a column name (when the pool is not empty): is it
+/// in none of the mentioned tables? Parameters (`$n`) stay.
+fn rebinds_column(schema: &SchemaModel, mentions: &[usize], c: &str) -> bool {
+    !c.starts_with('$') && mentions.iter().all(|&i| schema.tables[i].column(c).is_none())
+}
+
+/// Step 3b's table: of the tables mentioned more than once, the one whose
+/// name sorts first in lower case.
+fn self_joined<'s>(schema: &'s SchemaModel, mentions: &[usize]) -> Option<&'s TableModel> {
+    mentions
+        .iter()
+        .enumerate()
+        .filter(|&(n, i)| mentions[..n].contains(i))
+        .map(|(_, &i)| &schema.tables[i])
+        .min_by(|a, b| cmp_lowercase(&a.name, &b.name))
+}
+
+/// Step 3b's decision for a column reference: is it a bare reference to a
+/// column of the self-joined table `tm`?
+fn qualifies(tm: &TableModel, c: &ColumnRef) -> bool {
+    c.table.is_none() && tm.column(&c.column).is_some()
+}
+
+/// Step 4's decision for a literal: draws whether to refill it, and gives
+/// the type of its new value when it is refilled (never for NULL).
+fn refill_type(l: &Expr, rng: &mut SmallRng) -> Option<DataType> {
+    if !rng.gen_bool(0.3) {
+        return None;
+    }
+    match l {
+        Expr::Integer(_) | Expr::Float(_) => Some(DataType::Int),
+        Expr::Str(_) => Some(DataType::Text),
+        Expr::Bool(_) => Some(DataType::Bool),
+        _ => None,
     }
 }
 
@@ -205,28 +441,27 @@ fn rebind_references(
     mentions.clear();
     walk(&mut Rebinder {
         on_table: |t: &mut String| {
-            if !schema.has_table(t) {
+            if rebinds_table(schema, t) {
                 if let Some(existing) = schema.random_table(rng) {
                     *t = existing.name.clone();
                 }
             }
-            mentions.extend(schema.tables.iter().position(|tm| tm.name.eq_ignore_ascii_case(t)));
+            mentions.extend(mention(schema, t));
         },
         on_column: |_: &mut String| {},
         on_literal: |_: &mut Expr| {},
     });
-    let tables = || mentions.iter().map(|&i| &schema.tables[i]);
 
     // 3. Rebind column references to columns of the tables now referenced:
     //    a draw from the columns of every mention, in mention order.
-    let pool: usize = tables().map(|t| t.columns.len()).sum();
+    let pool = column_pool(schema, mentions);
     if pool > 0 {
         walk(&mut Rebinder {
             on_table: |_: &mut String| {},
             on_column: |c: &mut String| {
-                if !c.starts_with('$') && tables().all(|t| t.column(c).is_none()) {
+                if rebinds_column(schema, mentions, c) {
                     let mut k = rng.gen_range(0..pool);
-                    for t in tables() {
+                    for t in mentions.iter().map(|&i| &schema.tables[i]) {
                         if let Some(col) = t.columns.get(k) {
                             *c = col.name.clone();
                             break;
@@ -241,15 +476,8 @@ fn rebind_references(
 
     // 3b. Self-joins without aliases make every bare column reference
     //     ambiguous; qualify them with the table name (qualified lookup
-    //     resolves to the first join side). Of the tables mentioned more
-    //     than once, the one whose name sorts first in lower case.
-    let self_joined = mentions
-        .iter()
-        .enumerate()
-        .filter(|&(n, i)| mentions[..n].contains(i))
-        .map(|(_, &i)| &schema.tables[i])
-        .min_by(|a, b| cmp_lowercase(&a.name, &b.name));
-    if let Some(tm) = self_joined {
+    //     resolves to the first join side).
+    if let Some(tm) = self_joined(schema, mentions) {
         walk(&mut Qualify(tm));
     }
 }
@@ -259,7 +487,7 @@ struct Qualify<'a>(&'a TableModel);
 
 impl MutVisitor for Qualify<'_> {
     fn column_ref(&mut self, c: &mut ColumnRef) {
-        if c.table.is_none() && self.0.column(&c.column).is_some() {
+        if qualifies(self.0, c) {
             c.table = Some(self.0.name.clone());
         }
     }
@@ -277,17 +505,17 @@ fn refill_literals(walk: &mut Walk, rng: &mut SmallRng) {
         on_table: |_: &mut String| {},
         on_column: |_: &mut String| {},
         on_literal: |l: &mut Expr| {
-            if rng.gen_bool(0.3) {
-                let ty = match l {
-                    Expr::Integer(_) | Expr::Float(_) => DataType::Int,
-                    Expr::Str(_) => DataType::Text,
-                    Expr::Bool(_) => DataType::Bool,
-                    _ => return,
-                };
+            if let Some(ty) = refill_type(l, rng) {
                 *l = gen_literal(ty, rng);
             }
         },
     });
+}
+
+/// Step 5's decision for a column of the target table: is it required, and
+/// missing from an INSERT's explicit column list?
+fn lacks(columns: &[String], req: &ColumnModel) -> bool {
+    req.required && !columns.iter().any(|c| req.is(c))
 }
 
 /// Per-position metadata of an INSERT's effective column list (explicit or
@@ -297,6 +525,36 @@ struct Slot {
     ty: DataType,
     not_null: bool,
     unique: bool,
+}
+
+impl Slot {
+    /// Does the column reject `value` outright (a NULL into NOT NULL)?
+    fn rejects(&self, value: &Expr) -> bool {
+        self.not_null && matches!(value, Expr::Null)
+    }
+}
+
+/// The number of values an INSERT into `tm` with `columns` gives each row.
+fn row_width(tm: &TableModel, columns: &[String]) -> usize {
+    if columns.is_empty() {
+        tm.columns.len()
+    } else {
+        columns.len()
+    }
+}
+
+/// The slot of the `i`th value of a row (see [`row_width`]).
+fn slot_at(tm: &TableModel, columns: &[String], i: usize) -> Slot {
+    let (name, ty) = match columns.get(i) {
+        Some(c) => (c.as_str(), tm.column(c).map_or(DataType::Int, |col| col.ty)),
+        None => (tm.columns[i].name.as_str(), tm.columns[i].ty),
+    };
+    Slot { ty, not_null: tm.is_not_null(name), unique: tm.is_unique(name) }
+}
+
+/// Did one of the `earlier` rows store `value` at position `i`?
+fn stored_before(earlier: &[Vec<Expr>], i: usize, value: &Expr, ty: DataType) -> bool {
+    earlier.iter().any(|prev| i < prev.len() && same_stored(&prev[i], value, ty))
 }
 
 /// Fit each VALUES row to the `columns` of an INSERT into `tm` (the whole
@@ -309,14 +567,8 @@ struct Slot {
 /// checks passed its column, so a row being dropped is cut to the values
 /// it stored, and is removed at the end.
 fn fix_rows(tm: &TableModel, columns: &[String], rows: &mut Vec<Vec<Expr>>, rng: &mut SmallRng) {
-    let width = if columns.is_empty() { tm.columns.len() } else { columns.len() };
-    let slot_at = |i: usize| {
-        let (name, ty) = match columns.get(i) {
-            Some(c) => (c.as_str(), tm.column(c).map_or(DataType::Int, |col| col.ty)),
-            None => (tm.columns[i].name.as_str(), tm.columns[i].ty),
-        };
-        Slot { ty, not_null: tm.is_not_null(name), unique: tm.is_unique(name) }
-    };
+    let width = row_width(tm, columns);
+    let slot_at = |i: usize| slot_at(tm, columns, i);
     for r in 0..rows.len() {
         let (earlier, rest) = rows.split_at_mut(r);
         let row = &mut rest[0];
@@ -329,13 +581,12 @@ fn fix_rows(tm: &TableModel, columns: &[String], rows: &mut Vec<Vec<Expr>>, rng:
                 gen_literal(slot.ty, rng)
             });
         }
-        let stored_before = |i: usize, value: &Expr, ty: DataType| {
-            earlier.iter().any(|prev| i < prev.len() && same_stored(&prev[i], value, ty))
-        };
+        let stored_before =
+            |i: usize, value: &Expr, ty: DataType| stored_before(earlier, i, value, ty);
         let mut stored = width;
         for (i, value) in row.iter_mut().enumerate() {
             let slot = slot_at(i);
-            if slot.not_null && matches!(value, Expr::Null) {
+            if slot.rejects(value) {
                 *value = gen_literal_not_null(slot.ty, rng);
             }
             if slot.unique {
@@ -421,7 +672,7 @@ pub fn instantiate(
             rng,
         );
         schema.observe(&ct);
-        statements.push(ct);
+        statements.push(Arc::new(ct));
         // …and populate it, so data-dependent statements downstream are
         // exercised on real rows rather than empty relations.
         if !seq.contains(&StmtKind::Other(lego_sqlast::kind::StandaloneKind::Insert)) {
@@ -431,7 +682,7 @@ pub fn instantiate(
                 dialect,
                 rng,
             );
-            statements.push(ins);
+            statements.push(Arc::new(ins));
         }
     }
     for &kind in seq {
@@ -439,12 +690,12 @@ pub fn instantiate(
             // "Because of the randomness in selecting structures, one SQL
             // Type Sequence will be instantiated multiple times."
             Some(s) if rng.gen_bool(0.8) => s,
-            _ => gen_statement(kind, &schema, dialect, rng),
+            _ => Arc::new(gen_statement(kind, &schema, dialect, rng)),
         };
         schema.observe(&stmt);
         statements.push(stmt);
     }
-    let mut case = TestCase::new(statements);
+    let mut case = TestCase::shared(statements);
     fix_case(&mut case, rng);
     case
 }
@@ -683,14 +934,14 @@ mod tests {
                 for (i, stmt) in case.statements.iter().enumerate() {
                     let seed = (n as u64) << 16 | i as u64;
                     let what = format!("{dialect:?} case {n} statement {i}");
-                    let mut shouted = stmt.clone();
+                    let mut shouted = (**stmt).clone();
                     rebind(
                         &mut shouted,
                         |t| t.make_ascii_uppercase(),
                         |c| c.make_ascii_uppercase(),
                         |_l| {},
                     );
-                    let mut mixed = stmt.clone();
+                    let mut mixed = (**stmt).clone();
                     let upper = std::cell::Cell::new(false);
                     let alternate = |name: &mut String| {
                         if upper.replace(!upper.get()) {
@@ -918,6 +1169,255 @@ mod tests {
         for_each_generated_statement(|stmt, _schema, _seed, what| {
             assert_eq!(structure_key(stmt), reference_structure_key(stmt), "{what}: {stmt}");
         });
+    }
+
+    /// `fix_case` as it was before statements were shared: every statement
+    /// repaired in place by walks that write (so any statement the case
+    /// shares is copied). The reference the copy-on-write version must
+    /// reproduce output for output and draw for draw.
+    fn clone_based_fix_case(case: &mut TestCase, rng: &mut SmallRng) {
+        let mut schema = SchemaModel::new();
+        let mut mentions = Vec::new();
+        for stmt in &mut case.statements {
+            clone_based_fix_statement(Arc::make_mut(stmt), &schema, &mut mentions, rng);
+            schema.observe(stmt);
+        }
+    }
+
+    fn clone_based_fix_statement(
+        stmt: &mut Statement,
+        schema: &SchemaModel,
+        mentions: &mut Vec<usize>,
+        rng: &mut SmallRng,
+    ) {
+        match stmt {
+            Statement::CreateTable(c) => {
+                if schema.has_table(&c.name) {
+                    c.name = schema.fresh_table_name(rng);
+                }
+                let own = c.name.clone();
+                for col in &mut c.columns {
+                    for con in &mut col.constraints {
+                        if let ColumnConstraint::References { table, .. } = con {
+                            if !schema.has_table(table) {
+                                *table = schema
+                                    .random_table(rng)
+                                    .map(|t| t.name.clone())
+                                    .unwrap_or_else(|| own.clone());
+                            }
+                        }
+                    }
+                }
+                return;
+            }
+            Statement::CreateTableAs { name, query }
+            | Statement::CreateView(CreateView { name, query, .. }) => {
+                if schema.has_table(name) {
+                    *name = schema.fresh_table_name(rng);
+                }
+                clone_based_rebind_references(
+                    &mut |v| walk_query_mut(query, v),
+                    schema,
+                    mentions,
+                    rng,
+                );
+                clone_based_refill_literals(&mut |v| walk_query_mut(query, v), rng);
+                return;
+            }
+            _ => {}
+        }
+        clone_based_rebind_references(&mut |v| walk_statement_mut(stmt, v), schema, mentions, rng);
+        clone_based_refill_literals(&mut |v| walk_statement_mut(stmt, v), rng);
+        if let Statement::Insert(Insert {
+            table,
+            columns,
+            source: InsertSource::Values(rows),
+            ..
+        }) = stmt
+        {
+            if let Some(tm) = schema.table(table) {
+                if !columns.is_empty() {
+                    columns.retain(|c| tm.column(c).is_some());
+                    if !columns.is_empty() {
+                        for req in tm.columns.iter().filter(|c| c.required) {
+                            if !columns.iter().any(|c| req.is(c)) {
+                                columns.push(req.name.clone());
+                            }
+                        }
+                    }
+                }
+                fix_rows(tm, columns, rows, rng);
+            }
+        }
+    }
+
+    fn clone_based_rebind_references(
+        walk: &mut Walk,
+        schema: &SchemaModel,
+        mentions: &mut Vec<usize>,
+        rng: &mut SmallRng,
+    ) {
+        mentions.clear();
+        walk(&mut Rebinder {
+            on_table: |t: &mut String| {
+                if !schema.has_table(t) {
+                    if let Some(existing) = schema.random_table(rng) {
+                        *t = existing.name.clone();
+                    }
+                }
+                mentions
+                    .extend(schema.tables.iter().position(|tm| tm.name.eq_ignore_ascii_case(t)));
+            },
+            on_column: |_: &mut String| {},
+            on_literal: |_: &mut Expr| {},
+        });
+        let tables = || mentions.iter().map(|&i| &schema.tables[i]);
+        let pool: usize = tables().map(|t| t.columns.len()).sum();
+        if pool > 0 {
+            walk(&mut Rebinder {
+                on_table: |_: &mut String| {},
+                on_column: |c: &mut String| {
+                    if !c.starts_with('$') && tables().all(|t| t.column(c).is_none()) {
+                        let mut k = rng.gen_range(0..pool);
+                        for t in tables() {
+                            if let Some(col) = t.columns.get(k) {
+                                *c = col.name.clone();
+                                break;
+                            }
+                            k -= t.columns.len();
+                        }
+                    }
+                },
+                on_literal: |_: &mut Expr| {},
+            });
+        }
+        let self_joined = mentions
+            .iter()
+            .enumerate()
+            .filter(|&(n, i)| mentions[..n].contains(i))
+            .map(|(_, &i)| &schema.tables[i])
+            .min_by(|a, b| cmp_lowercase(&a.name, &b.name));
+        if let Some(tm) = self_joined {
+            struct Qualify<'a>(&'a TableModel);
+            impl MutVisitor for Qualify<'_> {
+                fn column_ref(&mut self, c: &mut ColumnRef) {
+                    if c.table.is_none() && self.0.column(&c.column).is_some() {
+                        c.table = Some(self.0.name.clone());
+                    }
+                }
+            }
+            walk(&mut Qualify(tm));
+        }
+    }
+
+    fn clone_based_refill_literals(walk: &mut Walk, rng: &mut SmallRng) {
+        walk(&mut Rebinder {
+            on_table: |_: &mut String| {},
+            on_column: |_: &mut String| {},
+            on_literal: |l: &mut Expr| {
+                if rng.gen_bool(0.3) {
+                    let ty = match l {
+                        Expr::Integer(_) | Expr::Float(_) => DataType::Int,
+                        Expr::Str(_) => DataType::Text,
+                        Expr::Bool(_) => DataType::Bool,
+                        _ => return,
+                    };
+                    *l = gen_literal(ty, rng);
+                }
+            },
+        });
+    }
+
+    /// Each generated case as a list of shared statements, as generated,
+    /// without its first statement (so later ones lose what they refer
+    /// to) and followed by itself (so its creations collide).
+    fn generated_variants(dialect: Dialect) -> impl Iterator<Item = (String, Vec<Arc<Statement>>)> {
+        crate::testutil::generated_cases(dialect).iter().enumerate().flat_map(move |(n, case)| {
+            let s = &case.statements;
+            [
+                (format!("{dialect:?} case {n}"), s.clone()),
+                (format!("{dialect:?} case {n} without its head"), s[1.min(s.len())..].to_vec()),
+                (format!("{dialect:?} case {n} twice"), [&s[..], &s[..]].concat()),
+            ]
+        })
+    }
+
+    /// Copies of `stmts` that nothing else holds.
+    fn owned(stmts: &[Arc<Statement>]) -> TestCase {
+        TestCase::new(stmts.iter().map(|s| (**s).clone()).collect())
+    }
+
+    #[test]
+    fn fix_case_matches_its_clone_based_reference_on_generated_cases() {
+        // Once with every statement also held by the generated case, so
+        // each takes the read-only decision, and once with every statement
+        // owned alone, so each is repaired in place.
+        let (mut decided, mut copied) = (0usize, 0usize);
+        for dialect in Dialect::ALL {
+            for (n, (what, stmts)) in generated_variants(dialect).enumerate() {
+                let seed = n as u64;
+                let mut want = owned(&stmts);
+                let mut rng = SmallRng::seed_from_u64(seed);
+                clone_based_fix_case(&mut want, &mut rng);
+                let want_next: u64 = rng.gen();
+                for alone in [false, true] {
+                    let mut got =
+                        if alone { owned(&stmts) } else { TestCase::shared(stmts.clone()) };
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    fix_case(&mut got, &mut rng);
+                    let what = format!("{what}, owned alone: {alone}\n{}", owned(&stmts));
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(rng.gen::<u64>(), want_next, "{what}");
+                    if !alone {
+                        decided += stmts.len();
+                        copied += got
+                            .statements
+                            .iter()
+                            .zip(&stmts)
+                            .filter(|(a, b)| !Arc::ptr_eq(a, b))
+                            .count();
+                    }
+                }
+            }
+        }
+        // Both answers of the decision are exercised.
+        assert!(copied > decided / 20 && copied < decided / 2, "{copied} of {decided} copied");
+    }
+
+    /// `add_case` as it was before it skipped the statements already keyed.
+    fn unskipped_add_case(lib: &mut AstLibrary, case: &TestCase) {
+        for stmt in &case.statements {
+            let key = structure_key(stmt);
+            if !lib.keys.insert(key) {
+                continue;
+            }
+            let bucket = lib.by_kind.entry(stmt.kind()).or_default();
+            if bucket.len() < lib.per_kind_cap {
+                bucket.push(Arc::clone(stmt));
+            }
+        }
+    }
+
+    #[test]
+    fn library_skips_keyed_statements_without_changing_buckets_or_keys() {
+        for dialect in Dialect::ALL {
+            let (mut lib, mut reference) = (AstLibrary::new(), AstLibrary::new());
+            let mut statements = 0;
+            for case in crate::testutil::generated_cases(dialect) {
+                lib.add_case(case);
+                unskipped_add_case(&mut reference, case);
+                statements += case.len();
+            }
+            assert_eq!(lib.keys_sorted(), reference.keys_sorted(), "{dialect:?}");
+            let (got, want) = (lib.buckets_sorted(), reference.buckets_sorted());
+            assert_eq!(got.len(), want.len(), "{dialect:?}");
+            for ((kind, got), (_, want)) in got.iter().zip(&want) {
+                assert_eq!(got.len(), want.len(), "{dialect:?} {kind:?}");
+                assert!(got.iter().zip(*want).all(|(a, b)| Arc::ptr_eq(a, b)), "{dialect:?}");
+            }
+            // Most statements of the cases are shared, so most are skipped.
+            assert!(lib.keyed.len() * 2 < statements, "{} of {statements}", lib.keyed.len());
+        }
     }
 
     #[test]

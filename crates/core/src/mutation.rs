@@ -6,11 +6,12 @@ use crate::gen::{gen_expr, gen_literal, ColumnModel, SchemaModel};
 use crate::instantiate::fix_case;
 use lego_sqlast::ast::*;
 use lego_sqlast::expr::*;
-use lego_sqlast::skeleton::rebind;
+use lego_sqlast::skeleton::{inspect, rebind};
 use lego_sqlast::{Dialect, TestCase};
 use lego_sqlsema::Sema;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Apply one random within-statement mutation to a random statement of the
 /// case; the result keeps the exact same SQL Type Sequence.
@@ -19,7 +20,8 @@ pub fn conventional_mutate(case: &TestCase, rng: &mut SmallRng) -> TestCase {
 }
 
 /// Apply up to `stack` within-statement mutations (SQUIRREL stacks several
-/// structure/data edits per generated input).
+/// structure/data edits per generated input). The mutant shares the seed's
+/// statements; only a mutated one, or one the validator rewrites, is copied.
 pub fn conventional_mutate_stacked(case: &TestCase, rng: &mut SmallRng, stack: usize) -> TestCase {
     let mut out = case.clone();
     if out.statements.is_empty() {
@@ -31,7 +33,7 @@ pub fn conventional_mutate_stacked(case: &TestCase, rng: &mut SmallRng, stack: u
         let schema = SchemaModel::of_statements(&out.statements[..idx]);
         let cols = schema.random_table(rng).map_or(&[][..], |t| &t.columns);
         let before = out.statements[idx].kind();
-        mutate_statement(&mut out.statements[idx], cols, rng);
+        mutate_statement(Arc::make_mut(&mut out.statements[idx]), cols, rng);
         debug_assert_eq!(
             out.statements[idx].kind(),
             before,
@@ -68,25 +70,30 @@ fn defined_relation(stmt: &Statement) -> Option<&str> {
 ///
 /// Deterministic by construction (no RNG draws), which keeps `--sema`
 /// campaigns replay-identical. Returns the number of rewritten references.
+/// A statement is copied (if shared) only when it holds such a reference.
 pub fn sema_repair(case: &mut TestCase, dialect: Dialect) -> usize {
     let mut binder = Sema::new(dialect).binder();
     let mut repaired = 0usize;
     for stmt in &mut case.statements {
         if let Some(target) = binder.first_relation_in_scope() {
             let defined = defined_relation(stmt).map(str::to_owned);
-            rebind(
-                stmt,
-                |t: &mut String| {
-                    if defined.as_deref() != Some(t.as_str())
-                        && binder.relation_definitely_absent(t)
-                    {
-                        *t = target.to_owned();
-                        repaired += 1;
-                    }
-                },
-                |_c| {},
-                |_l| {},
-            );
+            let dangling =
+                |t: &str| defined.as_deref() != Some(t) && binder.relation_definitely_absent(t);
+            let mut any = false;
+            inspect(stmt, |t| any |= dangling(t), |_c| {}, |_l| {});
+            if any {
+                rebind(
+                    Arc::make_mut(stmt),
+                    |t: &mut String| {
+                        if dangling(t) {
+                            *t = target.to_owned();
+                            repaired += 1;
+                        }
+                    },
+                    |_c| {},
+                    |_l| {},
+                );
+            }
         }
         binder.step(stmt);
     }
@@ -381,7 +388,7 @@ mod tests {
             let idx = rng.gen_range(0..out.statements.len());
             let schema = SchemaModel::of_statements(&out.statements[..idx]);
             let cols = schema.random_table(rng).map(|t| t.columns.clone()).unwrap_or_default();
-            mutate_statement(&mut out.statements[idx], &cols, rng);
+            mutate_statement(Arc::make_mut(&mut out.statements[idx]), &cols, rng);
         }
         fix_case(&mut out, rng);
         out
@@ -403,6 +410,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `sema_repair` as it was before statements were shared: every
+    /// statement rebound by a walk that writes (so any statement the case
+    /// shares is copied).
+    fn clone_based_sema_repair(case: &mut TestCase, dialect: Dialect) -> usize {
+        let mut binder = Sema::new(dialect).binder();
+        let mut repaired = 0usize;
+        for stmt in &mut case.statements {
+            let stmt = Arc::make_mut(stmt);
+            if let Some(target) = binder.first_relation_in_scope() {
+                let defined = defined_relation(stmt).map(str::to_owned);
+                rebind(
+                    stmt,
+                    |t: &mut String| {
+                        if defined.as_deref() != Some(t.as_str())
+                            && binder.relation_definitely_absent(t)
+                        {
+                            *t = target.to_owned();
+                            repaired += 1;
+                        }
+                    },
+                    |_c| {},
+                    |_l| {},
+                );
+            }
+            binder.step(stmt);
+        }
+        repaired
+    }
+
+    #[test]
+    fn sema_repair_matches_its_clone_based_reference_on_generated_cases() {
+        // Each generated case, and the case without its first statement (so
+        // later ones lose what they refer to); once with every statement
+        // also held by the generated case, and once owned alone.
+        let (mut shared, mut copied) = (0usize, 0usize);
+        for dialect in Dialect::ALL {
+            for (n, case) in crate::testutil::generated_cases(dialect).iter().enumerate() {
+                let s = &case.statements;
+                for stmts in [&s[..], &s[1.min(s.len())..]] {
+                    let owned = || TestCase::new(stmts.iter().map(|s| (**s).clone()).collect());
+                    let mut want = owned();
+                    let want_n = clone_based_sema_repair(&mut want, dialect);
+                    for alone in [false, true] {
+                        let mut got =
+                            if alone { owned() } else { TestCase::shared(stmts.to_vec()) };
+                        let got_n = sema_repair(&mut got, dialect);
+                        let what = format!("{dialect:?} case {n}, owned alone: {alone}\n{want}");
+                        assert_eq!(got, want, "{what}");
+                        assert_eq!(got_n, want_n, "{what}");
+                        if !alone {
+                            shared += stmts.len();
+                            copied += got
+                                .statements
+                                .iter()
+                                .zip(stmts)
+                                .filter(|(a, b)| !Arc::ptr_eq(a, b))
+                                .count();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(copied > 0 && copied * 4 < shared, "{copied} of {shared} copied");
     }
 
     #[test]

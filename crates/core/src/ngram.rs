@@ -294,7 +294,7 @@ impl SeqKeySet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::{BTreeSet, HashSet};
 
     fn kinds() -> Vec<StmtKind> {
         StmtKind::all()
@@ -338,7 +338,7 @@ mod tests {
         // Drive both sets with the same deterministic key stream and check
         // they agree on membership and size at every step.
         let mut set = NgramSet::new();
-        let mut reference = HashSet::new();
+        let mut reference = BTreeSet::new();
         let all = kinds();
         let mut x = 0x9e37_79b9u64;
         for _ in 0..20_000 {
@@ -431,7 +431,7 @@ mod tests {
     fn seq_key_set_matches_hashset_reference() {
         let all = kinds();
         let mut set = SeqKeySet::new();
-        let mut reference = HashSet::new();
+        let mut reference = BTreeSet::new();
         let mut x = 0xdead_beefu64;
         for _ in 0..20_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

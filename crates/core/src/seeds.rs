@@ -5,16 +5,38 @@
 //! INSERT → … → SELECT), so everything beyond them must be *discovered*.
 
 use lego_sqlast::{Dialect, TestCase};
+use std::sync::OnceLock;
 
-/// The default seed corpus for a dialect, already parsed.
+/// The default seed corpus for a dialect, already parsed. The cases share
+/// their statements with every other copy handed out in the process.
 pub fn initial_corpus(dialect: Dialect) -> Vec<TestCase> {
-    seed_scripts(dialect)
-        .iter()
-        .map(|s| {
-            lego_sqlparser::parse_script(s)
-                .unwrap_or_else(|e| panic!("bad built-in seed for {dialect:?}: {e}\n{s}"))
-        })
-        .collect()
+    corpus(dialect).to_vec()
+}
+
+/// The parsed seed corpus of a dialect, parsed once per process.
+pub(crate) fn corpus(dialect: Dialect) -> &'static [TestCase] {
+    static CORPUS: [OnceLock<Vec<TestCase>>; 4] = [const { OnceLock::new() }; 4];
+    parsed_once(&CORPUS, dialect, seed_scripts, "built-in seed")
+}
+
+/// The scripts `scripts` gives for `dialect`, parsed on the first call for
+/// the dialect and kept in its slot of `table`.
+pub(crate) fn parsed_once(
+    table: &'static [OnceLock<Vec<TestCase>>; 4],
+    dialect: Dialect,
+    scripts: fn(Dialect) -> Vec<&'static str>,
+    what: &str,
+) -> &'static [TestCase] {
+    let slot = Dialect::ALL.iter().position(|&d| d == dialect).expect("every dialect is in ALL");
+    table[slot].get_or_init(|| {
+        scripts(dialect)
+            .iter()
+            .map(|s| {
+                lego_sqlparser::parse_script(s)
+                    .unwrap_or_else(|e| panic!("bad {what} for {dialect:?}: {e}\n{s}"))
+            })
+            .collect()
+    })
 }
 
 /// The raw seed scripts (public so tests and docs can show them).

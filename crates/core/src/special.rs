@@ -11,6 +11,7 @@
 //! that pay off.
 
 use lego_sqlast::{Dialect, TestCase};
+use std::sync::OnceLock;
 
 /// The raw template scripts for a dialect (public so tests and docs can
 /// show them). Order is fixed — the campaign queue is deterministic.
@@ -62,15 +63,11 @@ pub fn special_scripts(dialect: Dialect) -> Vec<&'static str> {
     scripts
 }
 
-/// The parsed template pack for a dialect.
+/// The parsed template pack for a dialect, parsed once per process; the
+/// cases share their statements with every other copy handed out.
 pub fn special_templates(dialect: Dialect) -> Vec<TestCase> {
-    special_scripts(dialect)
-        .iter()
-        .map(|s| {
-            lego_sqlparser::parse_script(s)
-                .unwrap_or_else(|e| panic!("bad special template for {dialect:?}: {e}\n{s}"))
-        })
-        .collect()
+    static PACK: [OnceLock<Vec<TestCase>>; 4] = [const { OnceLock::new() }; 4];
+    crate::seeds::parsed_once(&PACK, dialect, special_scripts, "special template").to_vec()
 }
 
 #[cfg(test)]

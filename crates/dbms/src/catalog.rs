@@ -98,8 +98,11 @@ pub struct Catalog {
     pub tables: BTreeMap<String, TableMeta>,
     pub views: BTreeMap<String, ViewMeta>,
     pub indexes: BTreeMap<String, IndexMeta>,
-    pub triggers: BTreeMap<String, TriggerMeta>,
-    pub rules: BTreeMap<String, RuleMeta>,
+    /// Definitions are shared: firing a trigger or rule holds its `Arc`
+    /// while the action runs (and may drop the definition), instead of a
+    /// copy of it.
+    pub triggers: BTreeMap<String, Arc<TriggerMeta>>,
+    pub rules: BTreeMap<String, Arc<RuleMeta>>,
     pub generic: BTreeMap<(ObjectKind, String), GenericObject>,
     pub users: BTreeMap<String, UserMeta>,
     pub sequences_values: BTreeMap<String, i64>,
@@ -186,14 +189,18 @@ impl Catalog {
         self.indexes.values().filter(|ix| ix.table.eq_ignore_ascii_case(table)).collect()
     }
 
-    pub fn triggers_on(&self, table: &str, event: lego_sqlast::ast::DmlEvent) -> Vec<&TriggerMeta> {
+    pub fn triggers_on(
+        &self,
+        table: &str,
+        event: lego_sqlast::ast::DmlEvent,
+    ) -> Vec<&Arc<TriggerMeta>> {
         self.triggers
             .values()
             .filter(|t| t.def.table.eq_ignore_ascii_case(table) && t.def.event == event)
             .collect()
     }
 
-    pub fn rules_on(&self, table: &str, event: lego_sqlast::ast::DmlEvent) -> Vec<&RuleMeta> {
+    pub fn rules_on(&self, table: &str, event: lego_sqlast::ast::DmlEvent) -> Vec<&Arc<RuleMeta>> {
         self.rules
             .values()
             .filter(|r| r.def.table.eq_ignore_ascii_case(table) && r.def.event == event)

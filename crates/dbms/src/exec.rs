@@ -828,7 +828,7 @@ impl Session {
             cov!(ctx, 0x927dc10b5768340a);
             return Err(format!("trigger \"{}\" already exists", t.name));
         }
-        self.cat.triggers.insert(key, TriggerMeta { def: t.clone() });
+        self.cat.triggers.insert(key, Arc::new(TriggerMeta { def: t.clone() }));
         Ok(0)
     }
 
@@ -848,7 +848,7 @@ impl Session {
             return Err(format!("rule \"{}\" already exists", r.name));
         }
         cov!(ctx, 0x8ea9c10b5734192c);
-        self.cat.rules.insert(key, RuleMeta { def: r.clone() });
+        self.cat.rules.insert(key, Arc::new(RuleMeta { def: r.clone() }));
         Ok(0)
     }
 
@@ -1089,41 +1089,42 @@ impl Session {
 
     // -- DML ------------------------------------------------------------------
 
+    /// The rules on `table` for `event`, when one of them is an INSTEAD
+    /// rule: the statement then runs their actions ([`rule_actions`])
+    /// instead of itself. Otherwise the actions run here, in addition to the
+    /// statement.
     fn rewrite_by_rules(
         &mut self,
         ctx: &mut ExecCtx,
         table: &str,
         event: DmlEvent,
-    ) -> Result<Option<Vec<Statement>>, String> {
+    ) -> Result<Option<Vec<Arc<RuleMeta>>>, String> {
         if !self.prof.has_rules {
             return Ok(None);
         }
-        let rules: Vec<RuleMeta> = self.cat.rules_on(table, event).into_iter().cloned().collect();
+        let rules: Vec<Arc<RuleMeta>> =
+            self.cat.rules_on(table, event).into_iter().cloned().collect();
         if rules.is_empty() {
             return Ok(None);
         }
         cov!(ctx, 0x3193810b5fdab469);
         let mut instead = false;
-        let mut actions = Vec::new();
         for r in &rules {
             if r.def.instead {
                 cov!(ctx, 0x30f1c10b5fd23050);
                 instead = true;
             }
-            match &r.def.action {
-                Some(a) => actions.push((**a).clone()),
-                None => {
-                    // DO INSTEAD NOTHING swallows the statement.
-                    cov!(ctx, 0x2f06410b5fb7fa19);
-                }
+            if r.def.action.is_none() {
+                // DO INSTEAD NOTHING swallows the statement.
+                cov!(ctx, 0x2f06410b5fb7fa19);
             }
         }
         if instead {
-            Ok(Some(actions))
+            Ok(Some(rules))
         } else {
             // Non-INSTEAD rules run in addition to the original statement.
-            for a in actions {
-                self.exec_nested(ctx, &a)?;
+            for a in rule_actions(&rules) {
+                self.exec_nested(ctx, a)?;
             }
             Ok(None)
         }
@@ -1151,7 +1152,7 @@ impl Session {
         if !self.prof.has_triggers || affected == 0 {
             return Ok(());
         }
-        let trigs: Vec<TriggerMeta> = self
+        let trigs: Vec<Arc<TriggerMeta>> = self
             .cat
             .triggers_on(table, event)
             .into_iter()
@@ -1198,11 +1199,11 @@ impl Session {
     fn exec_insert(&mut self, ctx: &mut ExecCtx, i: &Insert) -> Result<usize, String> {
         cov!(ctx, 0x2029c10b5eee0c77);
         self.check_privilege(ctx, &i.table, "INSERT")?;
-        if let Some(actions) = self.rewrite_by_rules(ctx, &i.table, DmlEvent::Insert)? {
+        if let Some(rules) = self.rewrite_by_rules(ctx, &i.table, DmlEvent::Insert)? {
             cov!(ctx, 0x20cb810b5ef69090);
             let mut n = 0;
-            for a in actions {
-                n += self.exec_nested(ctx, &a)?;
+            for a in rule_actions(&rules) {
+                n += self.exec_nested(ctx, a)?;
                 if ctx.crashed() {
                     return Ok(n);
                 }
@@ -1418,11 +1419,11 @@ impl Session {
     fn exec_update(&mut self, ctx: &mut ExecCtx, u: &Update) -> Result<usize, String> {
         cov!(ctx, 0xf3c5410b5c929498);
         self.check_privilege(ctx, &u.table, "UPDATE")?;
-        if let Some(actions) = self.rewrite_by_rules(ctx, &u.table, DmlEvent::Update)? {
+        if let Some(rules) = self.rewrite_by_rules(ctx, &u.table, DmlEvent::Update)? {
             cov!(ctx, 0xf2b5c10b5c842efd);
             let mut n = 0;
-            for a in actions {
-                n += self.exec_nested(ctx, &a)?;
+            for a in rule_actions(&rules) {
+                n += self.exec_nested(ctx, a)?;
             }
             return Ok(n);
         }
@@ -1506,11 +1507,11 @@ impl Session {
     fn exec_delete(&mut self, ctx: &mut ExecCtx, d: &Delete) -> Result<usize, String> {
         cov!(ctx, 0xdf97c10b5b804bc7);
         self.check_privilege(ctx, &d.table, "DELETE")?;
-        if let Some(actions) = self.rewrite_by_rules(ctx, &d.table, DmlEvent::Delete)? {
+        if let Some(rules) = self.rewrite_by_rules(ctx, &d.table, DmlEvent::Delete)? {
             cov!(ctx, 0xe039810b5b88cfe0);
             let mut n = 0;
-            for a in actions {
-                n += self.exec_nested(ctx, &a)?;
+            for a in rule_actions(&rules) {
+                n += self.exec_nested(ctx, a)?;
             }
             return Ok(n);
         }
@@ -1966,6 +1967,11 @@ impl Session {
             }
         }
     }
+}
+
+/// The actions of `rules`, in order (DO NOTHING has none).
+fn rule_actions(rules: &[Arc<RuleMeta>]) -> impl Iterator<Item = &Statement> {
+    rules.iter().filter_map(|r| r.def.action.as_deref())
 }
 
 /// Does running `cur` directly after `prev` exercise a distinct interaction

@@ -17,6 +17,7 @@ use crate::{plain_select, LogicBug, OracleKind, OracleOutcome};
 use lego_dbms::Dbms;
 use lego_sqlast::ast::{Query, SelectItem, SetExpr, Statement};
 use lego_sqlast::{Dialect, Expr, TestCase};
+use std::sync::Arc;
 
 pub(crate) fn check(
     cross: &mut [Dbms],
@@ -24,7 +25,7 @@ pub(crate) fn check(
     case: &TestCase,
     out: &mut OracleOutcome,
 ) {
-    let neutral: Vec<&Statement> =
+    let neutral: Vec<&Arc<Statement>> =
         case.statements.iter().filter(|s| neutral_statement(s)).collect();
     if !neutral.iter().any(|s| plain_select(s).is_some()) {
         return;
@@ -47,7 +48,7 @@ pub(crate) fn check(
         });
         let mut statuses = Vec::with_capacity(cross.len());
         for db in cross.iter_mut() {
-            let rep = db.execute_case(&TestCase::new(vec![(*stmt).clone()]));
+            let rep = db.execute_case(&TestCase::shared(vec![Arc::clone(stmt)]));
             out.execs += rep.statements_executed.max(1);
             statuses.push(rep.crash().is_none() && rep.errors.is_empty());
             db.recycle(rep.coverage);

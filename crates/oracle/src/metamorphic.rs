@@ -19,6 +19,7 @@ use lego_dbms::{Dbms, ResultSet};
 use lego_sqlast::ast::Query;
 use lego_sqlast::rewrite::{norec_rewrite, tlp_partition};
 use lego_sqlast::{Dialect, TestCase};
+use std::sync::Arc;
 
 pub(crate) fn check(
     db: &mut Dbms,
@@ -45,7 +46,7 @@ pub(crate) fn check(
         // statement has a single-kind type trace, so the sequence-pattern
         // crash oracle cannot fire on cases the campaign already ran clean —
         // but stop replaying if the instance dies anyway.
-        let rep = db.execute_case(&TestCase::new(vec![stmt.clone()]));
+        let rep = db.execute_case(&TestCase::shared(vec![Arc::clone(stmt)]));
         out.execs += rep.statements_executed.max(1);
         let crashed = rep.crash().is_some();
         db.recycle(rep.coverage);

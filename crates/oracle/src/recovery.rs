@@ -141,7 +141,7 @@ impl RecoveryOracle {
         }
         let case_sql = case.to_sql();
         let k = Self::crash_point(&case_sql, case.statements.len());
-        let prefix = TestCase::new(case.statements[..k].to_vec());
+        let prefix = TestCase::shared(case.statements[..k].to_vec());
 
         self.live.reset();
         if self.live.wal_attach(&self.wal_path).is_err() {

@@ -11,7 +11,9 @@
 use crate::{LogicBug, OracleSuite};
 use lego_sqlast::expr::Expr;
 use lego_sqlast::skeleton::rebind;
+use lego_sqlast::visit::{walk_statement, Visitor};
 use lego_sqlast::TestCase;
+use std::sync::Arc;
 
 /// Shrink a failing test case while `still_fails` holds. Returns the reduced
 /// case and the number of candidate evaluations spent (the campaign charges
@@ -59,28 +61,26 @@ pub fn reduce_with(
     }
 
     // Phase 2: literal simplification — canonicalize literals one statement
-    // at a time, keeping changes that preserve the failure.
+    // at a time, keeping changes that preserve the failure. A candidate
+    // shares every statement but the one it simplifies.
     for i in 0..current.len() {
-        let mut candidate = current.clone();
         let mut changed = false;
-        rebind(
-            &mut candidate.statements[i],
-            |_t| {},
-            |_c| {},
-            |l| {
-                let simple = match l {
-                    Expr::Integer(v) if *v != 0 && *v != 1 => Some(Expr::Integer(1)),
-                    Expr::Float(_) => Some(Expr::Integer(1)),
-                    Expr::Str(s) if !s.is_empty() && s != "x" => Some(Expr::Str("x".into())),
-                    _ => None,
-                };
-                if let Some(sv) = simple {
-                    *l = sv;
-                    changed = true;
-                }
-            },
+        walk_statement(
+            &current.statements[i],
+            &mut Literals(|l: &Expr| changed |= simplified(l).is_some()),
         );
         if changed {
+            let mut candidate = current.clone();
+            rebind(
+                Arc::make_mut(&mut candidate.statements[i]),
+                |_t| {},
+                |_c| {},
+                |l| {
+                    if let Some(sv) = simplified(l) {
+                        *l = sv;
+                    }
+                },
+            );
             evals += 1;
             if still_fails(&candidate) {
                 current = candidate;
@@ -89,6 +89,25 @@ pub fn reduce_with(
     }
 
     (current, evals)
+}
+
+/// Phase 2's canonical form of a literal, or `None` when it already is one.
+fn simplified(l: &Expr) -> Option<Expr> {
+    match l {
+        Expr::Integer(v) if *v != 0 && *v != 1 => Some(Expr::Integer(1)),
+        Expr::Float(_) => Some(Expr::Integer(1)),
+        Expr::Str(s) if !s.is_empty() && s != "x" => Some(Expr::Str("x".into())),
+        _ => None,
+    }
+}
+
+/// A read-only visitor over the literals of a statement.
+struct Literals<F: FnMut(&Expr)>(F);
+
+impl<F: FnMut(&Expr)> Visitor for Literals<F> {
+    fn literal(&mut self, expr: &Expr) {
+        (self.0)(expr)
+    }
 }
 
 /// Shrink a logic-bug reproducer: a candidate survives iff the oracle suite

@@ -28,6 +28,8 @@ pub use dialect::Dialect;
 pub use expr::*;
 pub use kind::{DdlVerb, ObjectKind, StmtCategory, StmtKind};
 
+use std::sync::Arc;
+
 /// Commonly used items.
 pub mod prelude {
     pub use crate::ast::{Query, Statement};
@@ -40,13 +42,23 @@ pub mod prelude {
 ///
 /// The paper (Fig. 1): "a test case is an input for a DBMS, and it always
 /// consists of a sequence of SQL statements."
+///
+/// Statements are shared: a mutant keeps its seed's statements as `Arc`s,
+/// and whatever rewrites one copies it first (`Arc::make_mut`). Cloning a
+/// case therefore copies no statement. Equality and `Debug` look through
+/// the `Arc`s.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TestCase {
-    pub statements: Vec<Statement>,
+    pub statements: Vec<Arc<Statement>>,
 }
 
 impl TestCase {
     pub fn new(statements: Vec<Statement>) -> Self {
+        Self::shared(statements.into_iter().map(Arc::new).collect())
+    }
+
+    /// A case of statements that other cases may hold too.
+    pub fn shared(statements: Vec<Arc<Statement>>) -> Self {
         Self { statements }
     }
 

@@ -9,7 +9,7 @@
 
 use crate::ast::Statement;
 use crate::expr::Expr;
-use crate::visit::{walk_statement_mut, MutVisitor};
+use crate::visit::{walk_statement, walk_statement_mut, MutVisitor, Visitor};
 use std::fmt::{self, Write};
 
 /// Replace identifiers with canonical `$tN` / `$cN` placeholders, preserving
@@ -115,6 +115,46 @@ where
     fn literal(&mut self, expr: &mut Expr) {
         (self.on_literal)(expr)
     }
+}
+
+/// The read-only twin of [`Rebinder`]: a [`Visitor`] that shows every
+/// identifier and literal to caller-supplied closures.
+pub struct Inspector<T, C, L>
+where
+    T: FnMut(&str),
+    C: FnMut(&str),
+    L: FnMut(&Expr),
+{
+    pub on_table: T,
+    pub on_column: C,
+    pub on_literal: L,
+}
+
+impl<T, C, L> Visitor for Inspector<T, C, L>
+where
+    T: FnMut(&str),
+    C: FnMut(&str),
+    L: FnMut(&Expr),
+{
+    fn table_name(&mut self, name: &str) {
+        (self.on_table)(name)
+    }
+    fn column_name(&mut self, name: &str) {
+        (self.on_column)(name)
+    }
+    fn literal(&mut self, expr: &Expr) {
+        (self.on_literal)(expr)
+    }
+}
+
+/// Show a statement's identifiers and literals to an [`Inspector`].
+pub fn inspect<T, C, L>(stmt: &Statement, on_table: T, on_column: C, on_literal: L)
+where
+    T: FnMut(&str),
+    C: FnMut(&str),
+    L: FnMut(&Expr),
+{
+    walk_statement(stmt, &mut Inspector { on_table, on_column, on_literal });
 }
 
 /// Apply a rebinder to a statement in place.

@@ -126,7 +126,7 @@ fn parse_script_inner(
 pub fn parse_statement(sql: &str) -> Result<Statement, ParseError> {
     let tc = parse_script(sql)?;
     match tc.statements.len() {
-        1 => Ok(tc.statements.into_iter().next().unwrap()),
+        1 => Ok(std::sync::Arc::unwrap_or_clone(tc.statements.into_iter().next().unwrap())),
         n => Err(ParseError { pos: 0, message: format!("expected 1 statement, found {n}") }),
     }
 }

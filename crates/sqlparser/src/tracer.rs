@@ -3,6 +3,7 @@
 use crate::parse_script_traced;
 use lego_coverage::{CovMap, CovRecorder, MAP_SIZE};
 use lego_sqlast::Statement;
+use std::borrow::Borrow;
 use std::fmt::Write;
 
 /// log2 of the number of cache slots.
@@ -54,13 +55,14 @@ impl RuleTracer {
     /// The rule map that `parse_script_traced(&TestCase::to_sql(), ..)`
     /// returns for a case of these statements, or `None` where that parse
     /// fails.
-    pub fn trace(&mut self, statements: &[Statement]) -> Option<&CovMap> {
+    pub fn trace<S: Borrow<Statement>>(&mut self, statements: &[S]) -> Option<&CovMap> {
         if self.slots.is_empty() {
             self.slots.resize_with(1 << SLOT_BITS, Slot::default);
         }
         let map = self.map.get_or_insert_with(CovMap::new);
         map.clear();
         for stmt in statements {
+            let stmt = stmt.borrow();
             self.key.clear();
             writeln!(self.key, "{stmt};").expect("writing to a String cannot fail");
             let slot = &mut self.slots[slot_index(&self.key)];
@@ -113,7 +115,8 @@ mod tests {
     use lego_sqlast::TestCase;
 
     fn statements(sql: &str) -> Vec<Statement> {
-        parse_script(sql).unwrap_or_else(|e| panic!("{sql:?}: {e}")).statements
+        let case = parse_script(sql).unwrap_or_else(|e| panic!("{sql:?}: {e}"));
+        case.statements.into_iter().map(std::sync::Arc::unwrap_or_clone).collect()
     }
 
     /// The whole-case reference: print the case, parse it traced.
@@ -168,7 +171,7 @@ mod tests {
     #[test]
     fn an_empty_case_traces_to_an_empty_map() {
         let mut tracer = RuleTracer::new();
-        assert_eq!(tracer.trace(&[]).map(CovMap::edge_count), Some(0));
+        assert_eq!(tracer.trace::<Statement>(&[]).map(CovMap::edge_count), Some(0));
     }
 
     #[test]

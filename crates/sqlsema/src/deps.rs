@@ -21,6 +21,7 @@ use lego_sqlast::{
 };
 
 use crate::binder::norm;
+use std::borrow::Borrow;
 
 /// The namespace a symbol lives in. `Relation` merges tables and views:
 /// query resolution does not distinguish them, and most cross-statement
@@ -319,8 +320,8 @@ pub struct DepGraph {
 }
 
 impl DepGraph {
-    pub fn build(stmts: &[Statement]) -> DepGraph {
-        let syms: Vec<StmtSyms> = stmts.iter().map(stmt_syms).collect();
+    pub fn build<S: Borrow<Statement>>(stmts: &[S]) -> DepGraph {
+        let syms: Vec<StmtSyms> = stmts.iter().map(|s| stmt_syms(s.borrow())).collect();
         let mut deps = Vec::with_capacity(syms.len());
         for i in 0..syms.len() {
             let mut d: Vec<usize> = syms[i]

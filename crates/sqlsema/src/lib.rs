@@ -35,6 +35,7 @@ pub use deps::{plausible_sequence, DepGraph, Sym, SymNs};
 use lego_dbms::faults::Faults;
 use lego_dbms::Profile;
 use lego_sqlast::{Dialect, Statement};
+use std::borrow::Borrow;
 
 /// The analyzer's classification of a single statement.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -118,8 +119,8 @@ impl Sema {
 
     /// Classify every statement of `stmts`, threading the abstract state
     /// through the whole sequence.
-    pub fn check_sequence(&self, stmts: &[Statement]) -> SeqReport {
+    pub fn check_sequence<S: Borrow<Statement>>(&self, stmts: &[S]) -> SeqReport {
         let mut b = self.binder();
-        SeqReport { verdicts: stmts.iter().map(|s| b.step(s)).collect() }
+        SeqReport { verdicts: stmts.iter().map(|s| b.step(s.borrow())).collect() }
     }
 }

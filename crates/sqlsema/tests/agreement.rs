@@ -52,7 +52,8 @@ fn check_agreement(dialect: Dialect, stmts: &[Statement]) -> Vec<Verdict> {
 
 fn agree_script(dialect: Dialect, sql: &str) -> Vec<Verdict> {
     let case = lego_sqlparser::parse_script(sql).expect("test script must parse");
-    check_agreement(dialect, &case.statements)
+    let stmts: Vec<Statement> = case.statements.iter().map(|s| (**s).clone()).collect();
+    check_agreement(dialect, &stmts)
 }
 
 // -- deterministic rule pins -------------------------------------------------

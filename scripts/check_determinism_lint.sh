@@ -58,6 +58,14 @@ files=(
   crates/core/src/checkpoint.rs
   crates/core/src/instantiate.rs
   crates/core/src/gen.rs
+  crates/core/src/pool.rs
+  crates/core/src/affinity.rs
+  crates/core/src/ngram.rs
+  crates/core/src/reduce.rs
+  crates/core/src/seeds.rs
+  crates/core/src/special.rs
+  crates/sqlast/src/lib.rs
+  crates/sqlast/src/visit.rs
   crates/sqlast/src/skeleton.rs
   # The engine: its coverage decides which cases the fuzzer keeps.
   crates/dbms/src/engine.rs

@@ -37,7 +37,7 @@ proptest! {
         let sql = format!("{stmt};");
         let parsed = parse_script(&sql)
             .map_err(|e| TestCaseError::fail(format!("parse {sql:?}: {e}")))?;
-        prop_assert_eq!(&parsed.statements[0], &stmt, "round-trip mismatch for {}", sql);
+        prop_assert_eq!(&*parsed.statements[0], &stmt, "round-trip mismatch for {}", sql);
     }
 
     /// Executing any generated script never panics and always yields a

@@ -10,8 +10,7 @@
 
 use crate::{LogicBug, OracleSuite};
 use lego_sqlast::expr::Expr;
-use lego_sqlast::skeleton::rebind;
-use lego_sqlast::visit::{walk_statement, Visitor};
+use lego_sqlast::skeleton::{inspect, rebind};
 use lego_sqlast::TestCase;
 use std::sync::Arc;
 
@@ -65,10 +64,7 @@ pub fn reduce_with(
     // shares every statement but the one it simplifies.
     for i in 0..current.len() {
         let mut changed = false;
-        walk_statement(
-            &current.statements[i],
-            &mut Literals(|l: &Expr| changed |= simplified(l).is_some()),
-        );
+        inspect(&current.statements[i], |_t| {}, |_c| {}, |l| changed |= simplified(l).is_some());
         if changed {
             let mut candidate = current.clone();
             rebind(
@@ -98,15 +94,6 @@ fn simplified(l: &Expr) -> Option<Expr> {
         Expr::Float(_) => Some(Expr::Integer(1)),
         Expr::Str(s) if !s.is_empty() && s != "x" => Some(Expr::Str("x".into())),
         _ => None,
-    }
-}
-
-/// A read-only visitor over the literals of a statement.
-struct Literals<F: FnMut(&Expr)>(F);
-
-impl<F: FnMut(&Expr)> Visitor for Literals<F> {
-    fn literal(&mut self, expr: &Expr) {
-        (self.0)(expr)
     }
 }
 

@@ -119,15 +119,15 @@ where
 
 /// The read-only twin of [`Rebinder`]: a [`Visitor`] that shows every
 /// identifier and literal to caller-supplied closures.
-pub struct Inspector<T, C, L>
+struct Inspector<T, C, L>
 where
     T: FnMut(&str),
     C: FnMut(&str),
     L: FnMut(&Expr),
 {
-    pub on_table: T,
-    pub on_column: C,
-    pub on_literal: L,
+    on_table: T,
+    on_column: C,
+    on_literal: L,
 }
 
 impl<T, C, L> Visitor for Inspector<T, C, L>
@@ -147,7 +147,8 @@ where
     }
 }
 
-/// Show a statement's identifiers and literals to an [`Inspector`].
+/// Show a statement's identifiers and literals to closures, in the order
+/// [`rebind`] visits them.
 pub fn inspect<T, C, L>(stmt: &Statement, on_table: T, on_column: C, on_literal: L)
 where
     T: FnMut(&str),

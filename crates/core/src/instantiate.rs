@@ -1328,18 +1328,117 @@ mod tests {
         });
     }
 
-    /// Each generated case as a list of shared statements, as generated,
+    /// Each generated case as a list of shared statements: as generated,
     /// without its first statement (so later ones lose what they refer
-    /// to) and followed by itself (so its creations collide).
+    /// to), followed by itself (so its creations collide), and edited so
+    /// that every step has work: column references unqualified (self-joins
+    /// need qualifying), INSERT rows doubled and followed by a row of NULLs
+    /// (UNIQUE and NOT NULL columns need new values), explicit INSERT
+    /// column lists without their first column and its values (required
+    /// columns go missing) or with a parameter and a value added (a name
+    /// no table has, which only the column-list fix-up removes), and each
+    /// CREATE TABLE referencing a table that does not exist (a generated
+    /// table has no REFERENCES of its own).
     fn generated_variants(dialect: Dialect) -> impl Iterator<Item = (String, Vec<Arc<Statement>>)> {
+        struct Unqualify;
+        impl MutVisitor for Unqualify {
+            fn column_ref(&mut self, c: &mut ColumnRef) {
+                c.table = None;
+            }
+        }
+        let edited = |stmts: &[Arc<Statement>], edit: fn(&mut Statement)| -> Vec<Arc<Statement>> {
+            stmts
+                .iter()
+                .map(|s| {
+                    let mut s = (**s).clone();
+                    edit(&mut s);
+                    Arc::new(s)
+                })
+                .collect()
+        };
         crate::testutil::generated_cases(dialect).iter().enumerate().flat_map(move |(n, case)| {
             let s = &case.statements;
+            let what = |variant: &str| format!("{dialect:?} case {n}{variant}");
             [
-                (format!("{dialect:?} case {n}"), s.clone()),
-                (format!("{dialect:?} case {n} without its head"), s[1.min(s.len())..].to_vec()),
-                (format!("{dialect:?} case {n} twice"), [&s[..], &s[..]].concat()),
+                (what(""), s.clone()),
+                (what(" without its head"), s[1.min(s.len())..].to_vec()),
+                (what(" twice"), [&s[..], &s[..]].concat()),
+                (what(" unqualified"), edited(s, |s| walk_statement_mut(s, &mut Unqualify))),
+                (
+                    what(" with doubled and NULL rows"),
+                    edited(s, |s| {
+                        if let Statement::Insert(Insert {
+                            source: InsertSource::Values(rows),
+                            ..
+                        }) = s
+                        {
+                            let nulls = rows.first().map(|r| vec![Expr::Null; r.len()]);
+                            rows.extend(rows.clone());
+                            rows.extend(nulls);
+                        }
+                    }),
+                ),
+                (
+                    what(" without the first INSERT column"),
+                    named_inserts(s, |columns, rows| {
+                        columns.remove(0);
+                        rows.iter_mut().for_each(|r| drop(r.remove(0)));
+                    }),
+                ),
+                (
+                    what(" with a parameter INSERT column"),
+                    named_inserts(s, |columns, rows| {
+                        columns.push("$1".into());
+                        rows.iter_mut().for_each(|r| r.push(Expr::Null));
+                    }),
+                ),
+                (
+                    what(" referencing a missing table"),
+                    edited(s, |s| {
+                        if let Statement::CreateTable(c) = s {
+                            if let Some(col) = c.columns.first_mut() {
+                                col.constraints.push(ColumnConstraint::References {
+                                    table: "missing".into(),
+                                    column: None,
+                                });
+                            }
+                        }
+                    }),
+                ),
             ]
         })
+    }
+
+    /// `stmts` with each INSERT whose rows fill every column of its table
+    /// (in the schema of its prefix) given the explicit list of those
+    /// columns, then edited by `edit`; a generated INSERT names none.
+    fn named_inserts(
+        stmts: &[Arc<Statement>],
+        edit: fn(&mut Vec<String>, &mut Vec<Vec<Expr>>),
+    ) -> Vec<Arc<Statement>> {
+        let mut schema = SchemaModel::new();
+        let mut out = Vec::with_capacity(stmts.len());
+        for stmt in stmts {
+            let mut s = (**stmt).clone();
+            if let Statement::Insert(Insert {
+                table,
+                columns,
+                source: InsertSource::Values(rows),
+                ..
+            }) = &mut s
+            {
+                if let Some(tm) = schema.table(table) {
+                    let width = tm.columns.len();
+                    if columns.is_empty() && width > 1 && rows.iter().all(|r| r.len() == width) {
+                        columns.extend(tm.columns.iter().map(|c| c.name.clone()));
+                        edit(columns, rows);
+                    }
+                }
+            }
+            schema.observe(stmt);
+            out.push(Arc::new(s));
+        }
+        out
     }
 
     /// Copies of `stmts` that nothing else holds.

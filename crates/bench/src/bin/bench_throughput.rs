@@ -55,8 +55,14 @@ fn run_telemetry(cli: &Cli, tag: &str, workers: usize) -> (Telemetry, Option<Tel
     if cli.telemetry.is_none() && !cli.heartbeat {
         return (Telemetry::profile_only(), None);
     }
-    let path = cli.telemetry.as_ref().map(|p| Path::new(p).with_extension(format!("{tag}.jsonl")));
-    let guard = telemetry_to(path.as_deref(), cli.heartbeat, workers, DEFAULT_SEED);
+    let guard = build_monitored(MonitorOpts {
+        event_log: cli
+            .telemetry
+            .as_ref()
+            .map(|p| Path::new(p).with_extension(format!("{tag}.jsonl"))),
+        workers,
+        ..MonitorOpts::from_cli(cli, DEFAULT_SEED)
+    });
     (guard.tel.clone(), Some(guard))
 }
 
@@ -87,7 +93,7 @@ fn print_profile(label: &str, profile: &Option<StageProfile>) {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["UNITS"], &[&["--workers", "--telemetry", "--heartbeat"]]);
     let units: usize = cli.arg(0, "UNITS", 200_000);
     let workers = cli.workers.max(2);
     let dialect = Dialect::Postgres;

@@ -5,11 +5,13 @@
 //! SQLancer / SQLsmith / SQUIRREL on average): LEGO first everywhere, with
 //! SQLsmith the strongest baseline on PostgreSQL.
 //!
-//! Usage: `fig9_coverage [UNITS] [--workers N]` — the fuzzer×dialect cells
-//! run across a worker pool; results are identical for any worker count.
+//! Usage: `fig9_coverage [UNITS] [--workers N] [--telemetry PATH]
+//! [--heartbeat] [--serve ADDR] [--trace PATH] [--plot-data PATH]
+//! [--plot-every MS]` — the fuzzer×dialect cells run across a worker pool;
+//! results are identical for any worker count.
 
 use lego::campaign::{Budget, CampaignSpec};
-use lego_bench::grid::{run_grid, Cli};
+use lego_bench::grid::{run_grid, Cli, MONITOR};
 use lego_bench::*;
 use lego_sqlast::Dialect;
 use serde::Serialize;
@@ -26,7 +28,7 @@ struct Fig9Cell {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["UNITS"], &[&["--workers"], MONITOR]);
     let units: usize = cli.arg(0, "UNITS", DAY_BUDGET_UNITS);
     println!(
         "Figure 9 — branches covered in one budgeted campaign ({units} units ~ 24h, {} workers)\n",

@@ -2,12 +2,14 @@
 //! trade off against each other on MariaDB — synthesis cap per affinity,
 //! conventional mutants per seed, and non-adjacent affinities.
 //!
-//! Usage: `knob_ablation [UNITS] [--workers N]` — one grid cell per knob
-//! setting; results are identical for any worker count.
+//! Usage: `knob_ablation [UNITS] [--workers N] [--telemetry PATH]
+//! [--heartbeat] [--serve ADDR] [--trace PATH] [--plot-data PATH]
+//! [--plot-every MS]` — one grid cell per knob setting; results are
+//! identical for any worker count.
 
 use lego::campaign::{run_engine, Budget, CampaignSpec};
 use lego::fuzzer::{Config, LegoFuzzer};
-use lego_bench::grid::{run_grid, Cli};
+use lego_bench::grid::{run_grid, Cli, MONITOR};
 use lego_bench::*;
 use lego_sqlast::Dialect;
 use serde::Serialize;
@@ -25,7 +27,7 @@ struct Row {
 type Mutation = Box<dyn Fn(&mut Config) + Send + Sync>;
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["UNITS"], &[&["--workers"], MONITOR]);
     let units: usize = cli.arg(0, "UNITS", DAY_BUDGET_UNITS / 2);
     println!("Design-knob ablation on MariaDB ({units} units per cell, {} workers)\n", cli.workers);
 

@@ -13,9 +13,13 @@
 //! lego_cli bugs  [pg|mysql|maria|comdb2]
 //! ```
 //!
-//! `--seed` takes decimal or `0x` hex. A flag given without its value, a
-//! numeric flag whose value does not parse, or an unknown `--fuzzer` exits
-//! with status 2 before any campaign starts.
+//! Every subcommand parses its arguments with [`lego_bench::grid::Cli`];
+//! `replay`, `reduce` and `bugs` take no flags. `--seed` takes decimal or
+//! `0x` hex. A flag the subcommand does not take, one positional argument
+//! too many, a flag given without its value, a numeric flag whose value
+//! does not parse, `--checkpoint-every 0`, an unknown `--fuzzer`, or
+//! `--corpus` with another fuzzer than LEGO exits with status 2 before any
+//! campaign starts.
 //!
 //! `--telemetry PATH` (or `LEGO_TELEMETRY`) streams structured events to
 //! `PATH` as JSONL and writes metrics exports next to it; `--heartbeat`
@@ -79,16 +83,14 @@ use lego::corpus_io::{load_corpus, save_corpus};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::oracle::OracleKind;
 use lego::reduce::reduce_case;
-use lego::OracleConfig;
-use lego_baselines::{engine_by_name, ENGINE_NAMES};
-use lego_bench::grid::parse_oracles;
+use lego_baselines::engine_by_name;
+use lego_bench::grid::{Cli, MONITOR};
+use lego_bench::{build_monitored, MonitorOpts};
 use lego_dbms::faults::Faults;
 use lego_dbms::{bugs, Dbms};
 use lego_sqlast::Dialect;
-use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::str::FromStr;
 
 fn dialect_of(arg: &str) -> Option<Dialect> {
     match arg {
@@ -107,201 +109,41 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// The value after the flag `args[i]`, converted by `parse`. A missing
-/// value (the flag is last, or another `--flag` follows it) or an
-/// unconvertible one is reported, naming the flag and the value, and gives
-/// `None`.
-fn flag_value<T>(
-    args: &[String],
-    i: usize,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> Option<T> {
-    let flag = &args[i];
-    let Some(value) = args.get(i + 1).filter(|v| !v.starts_with("--")) else {
-        eprintln!("{flag} needs a value");
-        return None;
-    };
-    parse(value).map_err(|e| eprintln!("{flag} {value}: {e}")).ok()
-}
-
-fn path(s: &str) -> Result<PathBuf, String> {
-    Ok(PathBuf::from(s))
-}
-
-fn text(s: &str) -> Result<String, String> {
-    Ok(s.to_string())
-}
-
-fn number<T: FromStr>(s: &str) -> Result<T, String>
-where
-    T::Err: Display,
-{
-    s.parse().map_err(|e: T::Err| e.to_string())
-}
-
-/// A seed in decimal or `0x` hex.
-fn seed_value(s: &str) -> Result<u64, String> {
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    }
-    .map_err(|e| format!("{e} (expected decimal or 0x hex)"))
-}
-
-fn fuzzer_name(s: &str) -> Result<String, String> {
-    if ENGINE_NAMES.contains(&s) {
-        Ok(s.to_string())
-    } else {
-        Err(format!("unknown fuzzer (known: {})", ENGINE_NAMES.join(", ")))
-    }
-}
+/// The flags of `lego_cli fuzz`, besides [`MONITOR`].
+const FUZZ_FLAGS: &[&str] = &[
+    "--fuzzer",
+    "--units",
+    "--seed",
+    "--out",
+    "--corpus",
+    "--oracles",
+    "--wal-dir",
+    "--rule-cov",
+    "--sema",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--resume",
+];
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("reduce") => cmd_reduce(&args[1..]),
-        Some("bugs") => cmd_bugs(&args[1..]),
+    let mut args = std::env::args().skip(1);
+    let subcommand = args.next();
+    let script = &["DIALECT", "SCRIPT"];
+    match subcommand.as_deref() {
+        Some("fuzz") => cmd_fuzz(Cli::parse_from(args, &["DIALECT"], &[FUZZ_FLAGS, MONITOR])),
+        Some("replay") => cmd_replay(&Cli::parse_from(args, script, &[]).positional),
+        Some("reduce") => cmd_reduce(&Cli::parse_from(args, script, &[]).positional),
+        Some("bugs") => cmd_bugs(&Cli::parse_from(args, &["DIALECT"], &[]).positional),
         _ => usage(),
     }
 }
 
-fn cmd_fuzz(args: &[String]) -> ExitCode {
-    let Some(dialect) = args.first().and_then(|a| dialect_of(a)) else {
+fn cmd_fuzz(cli: Cli) -> ExitCode {
+    let Some(dialect) = cli.positional.first().and_then(|a| dialect_of(a)) else {
         return usage();
     };
-    let mut fuzzer = "LEGO".to_string();
-    let mut units = 400_000usize;
-    let mut seed = 0x1e60u64;
-    let mut out: Option<PathBuf> = None;
-    let mut corpus_dir: Option<PathBuf> = None;
-    let mut telemetry: Option<PathBuf> =
-        std::env::var("LEGO_TELEMETRY").ok().filter(|p| !p.is_empty()).map(PathBuf::from);
-    let mut heartbeat = false;
-    let mut oracles = OracleConfig::disabled();
-    let mut wal_dir: Option<PathBuf> =
-        std::env::var("LEGO_WAL_DIR").ok().filter(|p| !p.is_empty()).map(PathBuf::from);
-    let mut serve: Option<String> = std::env::var("LEGO_SERVE").ok().filter(|a| !a.is_empty());
-    let mut trace: Option<PathBuf> =
-        std::env::var("LEGO_TRACE").ok().filter(|p| !p.is_empty()).map(PathBuf::from);
-    let mut plot_data: Option<PathBuf> = None;
-    let mut plot_every_ms = 1000u64;
-    let mut checkpoint_dir: Option<PathBuf> = None;
-    let mut checkpoint_every: Option<usize> = None;
-    let mut resume_dir: Option<PathBuf> = None;
-    let mut rule_cov = false;
-    let mut sema = false;
-    let mut i = 1;
-    while i + 1 < args.len() + 1 {
-        match args.get(i).map(String::as_str) {
-            Some("--fuzzer") => {
-                let Some(v) = flag_value(args, i, fuzzer_name) else { return ExitCode::from(2) };
-                fuzzer = v;
-                i += 2;
-            }
-            Some("--units") => {
-                let Some(v) = flag_value(args, i, number) else { return ExitCode::from(2) };
-                units = v;
-                i += 2;
-            }
-            Some("--seed") => {
-                let Some(v) = flag_value(args, i, seed_value) else { return ExitCode::from(2) };
-                seed = v;
-                i += 2;
-            }
-            Some("--out") => {
-                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
-                out = Some(v);
-                i += 2;
-            }
-            Some("--corpus") => {
-                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
-                corpus_dir = Some(v);
-                i += 2;
-            }
-            Some("--telemetry") => {
-                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
-                telemetry = Some(v);
-                i += 2;
-            }
-            Some("--serve") => {
-                let Some(v) = flag_value(args, i, text) else { return ExitCode::from(2) };
-                serve = Some(v);
-                i += 2;
-            }
-            Some("--trace") => {
-                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
-                trace = Some(v);
-                i += 2;
-            }
-            Some("--plot-data") => {
-                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
-                plot_data = Some(v);
-                i += 2;
-            }
-            Some("--plot-every") => {
-                let Some(v) = flag_value(args, i, number::<u64>) else { return ExitCode::from(2) };
-                plot_every_ms = v.max(10);
-                i += 2;
-            }
-            Some("--checkpoint") => {
-                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
-                checkpoint_dir = Some(v);
-                i += 2;
-            }
-            Some("--checkpoint-every") => {
-                let Some(v) = flag_value(args, i, number) else { return ExitCode::from(2) };
-                checkpoint_every = Some(v);
-                i += 2;
-            }
-            Some("--resume") => {
-                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
-                resume_dir = Some(v);
-                i += 2;
-            }
-            Some("--heartbeat") => {
-                heartbeat = true;
-                i += 1;
-            }
-            Some("--rule-cov") => {
-                rule_cov = true;
-                i += 1;
-            }
-            Some("--sema") => {
-                sema = true;
-                i += 1;
-            }
-            Some("--oracles") => {
-                oracles = OracleConfig::all();
-                i += 1;
-            }
-            Some(spec) if spec.starts_with("--oracles=") => {
-                match parse_oracles(&spec["--oracles=".len()..]) {
-                    Ok(cfg) => oracles = cfg,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 1;
-            }
-            Some("--wal-dir") => {
-                let Some(v) = flag_value(args, i, path) else { return ExitCode::from(2) };
-                wal_dir = Some(v);
-                i += 2;
-            }
-            Some(spec) if spec.starts_with("--wal-dir=") => {
-                wal_dir = Some(PathBuf::from(&spec["--wal-dir=".len()..]));
-                i += 1;
-            }
-            Some(other) => {
-                eprintln!("unknown flag {other}");
-                return usage();
-            }
-            None => break,
-        }
-    }
+    let (fuzzer, units, seed, rule_cov, sema, oracles) =
+        (&cli.fuzzer, cli.units, cli.seed, cli.rule_cov, cli.sema, cli.oracles);
     // Hidden smoke-test hooks: `LEGO_PLANT_FAULT=wal-drop-last` plants the
     // torn-write fault so scripts/check_durability.sh can validate the whole
     // detect→dedup→reduce→artifact pipeline against a binary that is
@@ -325,30 +167,38 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     if !planted.is_empty() {
         eprintln!("WARNING: planted fault '{planted}' active (LEGO_PLANT_FAULT)");
     }
-    println!("fuzzing {} with {fuzzer} for {units} units (seed {seed})…", dialect.name());
-    let mut engine: Box<dyn FuzzEngine> = match &corpus_dir {
-        Some(dir) if fuzzer == "LEGO" => {
-            let (corpus, skipped) = load_corpus(dir).expect("load corpus");
-            if !skipped.is_empty() {
-                eprintln!("skipped {} unparseable corpus files", skipped.len());
-            }
-            println!("resuming from {} seeds in {}", corpus.len(), dir.display());
-            let cfg = Config { rng_seed: seed, rule_cov, sema, ..Config::default() };
-            Box::new(LegoFuzzer::with_corpus(dialect, cfg, corpus))
-        }
-        Some(_) => {
+    let corpus = match &cli.corpus {
+        Some(_) if fuzzer != "LEGO" => {
             eprintln!("--corpus is only supported for the LEGO engine");
             return ExitCode::from(2);
+        }
+        Some(dir) => match load_corpus(dir) {
+            Ok((corpus, skipped)) => {
+                if !skipped.is_empty() {
+                    eprintln!("skipped {} unparseable corpus files", skipped.len());
+                }
+                Some((dir, corpus))
+            }
+            Err(e) => {
+                eprintln!("cannot load corpus from {}: {e}", dir.display());
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
+    println!("fuzzing {} with {fuzzer} for {units} units (seed {seed})…", dialect.name());
+    let cfg = Config { rng_seed: seed, rule_cov, sema, ..Config::default() };
+    let mut engine: Box<dyn FuzzEngine> = match corpus {
+        Some((dir, corpus)) => {
+            println!("resuming from {} seeds in {}", corpus.len(), dir.display());
+            Box::new(LegoFuzzer::with_corpus(dialect, cfg, corpus))
         }
         // The engine-side rule_cov/sema switches (special seed pack,
         // rule-novelty boosting, dependency-aware mutation repair) are
         // LEGO-only; baselines still get the campaign-side rule map,
         // corpus-admission widening, and static skip/conformance checks.
-        None if (rule_cov || sema) && fuzzer == "LEGO" => {
-            let cfg = Config { rng_seed: seed, rule_cov, sema, ..Config::default() };
-            Box::new(LegoFuzzer::new(dialect, cfg))
-        }
-        None => engine_by_name(&fuzzer, dialect, seed),
+        None if (rule_cov || sema) && fuzzer == "LEGO" => Box::new(LegoFuzzer::new(dialect, cfg)),
+        None => engine_by_name(fuzzer, dialect, seed),
     };
     if rule_cov {
         println!("grammar-rule coverage feedback enabled");
@@ -372,8 +222,8 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
         }
         println!("correctness oracles enabled: {}", kinds.join(", "));
         if oracles.recovery {
-            if let Some(dir) = &wal_dir {
-                println!("recovery-oracle WAL directory: {}", dir.display());
+            if let Some(dir) = &cli.wal_dir {
+                println!("recovery-oracle WAL directory: {dir}");
             }
         }
     }
@@ -384,7 +234,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     // defaults to the recorded one, and the campaign refuses any setting
     // that differs from the checkpoint's record.
     let mut ckpt = CheckpointCfg::disabled();
-    if let Some(dir) = &resume_dir {
+    if let Some(dir) = &cli.resume {
         let resume = match load_campaign_checkpoint(dir) {
             Ok(r) => r,
             Err(e) => {
@@ -398,28 +248,22 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
             dir.display(),
             resume.workers[0].units
         );
-        ckpt.every_units = checkpoint_every.unwrap_or(resume.meta.every_units);
-        ckpt.dir = Some(checkpoint_dir.clone().unwrap_or_else(|| dir.clone()));
+        ckpt.every_units = cli.checkpoint_every.unwrap_or(resume.meta.every_units);
+        ckpt.dir = Some(cli.checkpoint.clone().unwrap_or_else(|| dir.clone()));
         ckpt.resume = Some(resume);
-    } else if let Some(dir) = checkpoint_dir {
-        ckpt.every_units = checkpoint_every.unwrap_or((units / 10).max(1));
-        ckpt.dir = Some(dir);
+    } else if let Some(dir) = &cli.checkpoint {
+        ckpt.every_units = cli.checkpoint_every.unwrap_or((units / 10).max(1));
+        ckpt.dir = Some(dir.clone());
     }
-    let mut guard = lego_bench::build_monitored(lego_bench::MonitorOpts {
-        event_log: telemetry,
-        heartbeat,
+    let mut guard = build_monitored(MonitorOpts {
         workers: 1,
-        seed,
-        serve,
-        trace,
-        plot_data,
-        plot_every_ms,
         run_name: format!("fuzz_{}", dialect.name()),
+        ..MonitorOpts::from_cli(&cli, seed)
     });
     let spec = CampaignSpec {
         oracles,
         checkpoint: ckpt,
-        wal_dir,
+        wal_dir: cli.wal_dir.as_ref().map(PathBuf::from),
         rule_cov,
         sema,
         faults,
@@ -488,8 +332,8 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
             );
         }
     }
-    if let Some(dir) = out {
-        std::fs::create_dir_all(&dir).expect("create out dir");
+    if let Some(dir) = &cli.out {
+        std::fs::create_dir_all(dir).expect("create out dir");
         let report = serde_json::to_string_pretty(&stats).expect("serialize");
         std::fs::write(dir.join("campaign.json"), report).expect("write campaign.json");
         for bug in &stats.bugs {
@@ -590,7 +434,11 @@ fn cmd_reduce(args: &[String]) -> ExitCode {
 }
 
 fn cmd_bugs(args: &[String]) -> ExitCode {
-    let filter = args.first().and_then(|a| dialect_of(a));
+    let filter = args.first().map(|a| dialect_of(a));
+    if filter == Some(None) {
+        return usage();
+    }
+    let filter = filter.flatten();
     for bug in bugs::manifest() {
         if let Some(d) = filter {
             if bug.dialect != d {

@@ -5,12 +5,14 @@
 //! increasing it also loses bugs to performance degradation. Expected shape:
 //! a peak at LEN = 5.
 //!
-//! Usage: `len_ablation [UNITS] [SEEDS] [--workers N]` — one grid cell per
-//! (LEN, seed) pair; results are identical for any worker count.
+//! Usage: `len_ablation [UNITS] [SEEDS] [--workers N] [--telemetry PATH]
+//! [--heartbeat] [--serve ADDR] [--trace PATH] [--plot-data PATH]
+//! [--plot-every MS]` — one grid cell per (LEN, seed) pair; results are
+//! identical for any worker count.
 
 use lego::campaign::{run_engine, Budget, CampaignSpec};
 use lego::fuzzer::{Config, LegoFuzzer};
-use lego_bench::grid::{run_grid, Cli};
+use lego_bench::grid::{run_grid, Cli, MONITOR};
 use lego_bench::*;
 use lego_sqlast::Dialect;
 use serde::Serialize;
@@ -25,7 +27,7 @@ struct Row {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["UNITS", "SEEDS"], &[&["--workers"], MONITOR]);
     let units: usize = cli.arg(0, "UNITS", CONTINUOUS_BUDGET_UNITS);
     let seeds: usize = cli.arg(1, "SEEDS", 2);
     println!(

@@ -5,15 +5,21 @@
 //! test cases which have the SQL Type Sequence CREATE RULE → NOTIFY → COPY →
 //! WITH to do regression test". Replay any file with
 //! `lego_cli replay <dbms> <file>`.
+//!
+//! Usage: `make_regression_corpus [OUT]` — OUT defaults to
+//! `corpus/regression`.
 
 use lego::reduce::reduce_case;
+use lego_bench::grid::Cli;
 use lego_dbms::{bugs, Dbms};
 use lego_sqlast::{Dialect, TestCase};
 use std::path::PathBuf;
 
 fn main() {
-    let out = std::env::args()
-        .nth(1)
+    let cli = Cli::parse(&["OUT"], &[]);
+    let out = cli
+        .positional
+        .first()
         .map(PathBuf::from)
         .unwrap_or_else(|| lego_bench::results_dir().join("../corpus/regression"));
     std::fs::create_dir_all(&out).expect("create corpus dir");

@@ -5,9 +5,17 @@
 //! deduplicated bugs, grouped by DBMS / component / bug type with their
 //! identifiers — the same layout as the paper's Table I, which reports 102
 //! bugs (PostgreSQL 6, MySQL 21, MariaDB 42, Comdb2 33) and 22 CVEs.
+//!
+//! Usage: `table1_bugs [UNITS] [SEEDS] [--workers N] [--oracles[=LIST]]
+//! [--wal-dir DIR] [--telemetry PATH] [--heartbeat] [--serve ADDR]
+//! [--trace PATH] [--plot-data PATH] [--plot-every MS]` — the DBMS×seed
+//! cells run across a worker pool; results are identical for any worker
+//! count. `--oracles` adds an oracle-check tally; with
+//! `--oracles=…,recovery` each cell journals to its own subdirectory of
+//! `--wal-dir`.
 
 use lego::campaign::{Budget, CampaignSpec};
-use lego_bench::grid::{run_grid, Cli};
+use lego_bench::grid::{run_grid, Cli, MONITOR};
 use lego_bench::*;
 use lego_dbms::bugs;
 use lego_sqlast::Dialect;
@@ -23,7 +31,7 @@ struct Found {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["UNITS", "SEEDS"], &[&["--workers", "--oracles", "--wal-dir"], MONITOR]);
     let units: usize = cli.arg(0, "UNITS", CONTINUOUS_BUDGET_UNITS);
     let seeds: usize = cli.arg(1, "SEEDS", 3);
     println!(

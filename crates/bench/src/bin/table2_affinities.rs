@@ -4,9 +4,14 @@
 //! Paper totals: SQLancer 770, SQUIRREL 119, LEGO 3707 — the expected shape
 //! is LEGO ≫ SQLancer > SQUIRREL, with SQLsmith excluded because its
 //! generated test cases contain a single statement.
+//!
+//! Usage: `table2_affinities [UNITS] [--workers N] [--telemetry PATH]
+//! [--heartbeat] [--serve ADDR] [--trace PATH] [--plot-data PATH]
+//! [--plot-every MS]` — the fuzzer×dialect cells run across a worker pool;
+//! results are identical for any worker count.
 
 use lego::campaign::{Budget, CampaignSpec};
-use lego_bench::grid::{run_grid, Cli};
+use lego_bench::grid::{run_grid, Cli, MONITOR};
 use lego_bench::*;
 use lego_sqlast::Dialect;
 use serde::Serialize;
@@ -21,7 +26,7 @@ struct Row {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["UNITS"], &[&["--workers"], MONITOR]);
     let units: usize = cli.arg(0, "UNITS", DAY_BUDGET_UNITS);
     println!(
         "Table II — type-affinities in generated seeds ({units} units, {} workers)\n",

@@ -5,11 +5,13 @@
 //! (2 / 11 / 32 / 7). Expected shape: LEGO ≫ SQUIRREL > SQLancer = SQLsmith
 //! = 0, with SQUIRREL's finds confined to MySQL/MariaDB.
 //!
-//! Usage: `table3_bugs [UNITS] [--workers N]` — the fuzzer×dialect cells run
-//! across a worker pool; results are identical for any worker count.
+//! Usage: `table3_bugs [UNITS] [--workers N] [--telemetry PATH]
+//! [--heartbeat] [--serve ADDR] [--trace PATH] [--plot-data PATH]
+//! [--plot-every MS]` — the fuzzer×dialect cells run across a worker pool;
+//! results are identical for any worker count.
 
 use lego::campaign::{Budget, CampaignSpec};
-use lego_bench::grid::{run_grid, Cli};
+use lego_bench::grid::{run_grid, Cli, MONITOR};
 use lego_bench::*;
 use lego_sqlast::Dialect;
 use serde::Serialize;
@@ -27,7 +29,7 @@ struct Cell {
 const FUZZER_ORDER: [&str; 4] = ["SQLancer", "SQLsmith", "SQUIRREL", "LEGO"];
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["UNITS"], &[&["--workers"], MONITOR]);
     let units: usize = cli.arg(0, "UNITS", DAY_BUDGET_UNITS);
     println!(
         "Table III — bugs triggered in one budgeted campaign ({units} units, {} workers)\n",

@@ -7,18 +7,19 @@
 //! its headroom.
 //!
 //! Usage: `table4_ablation [UNITS] [SEEDS] [--workers N] [--rule-cov]
-//! [--sema]` — the dialect×seed×variant cells run across a worker pool;
-//! results are identical for any worker count. With `--rule-cov` a third
-//! variant (LEGO plus grammar-rule coverage feedback) joins the grid and the
-//! table gains its branch and rule-edge columns — the ablation recipe from
-//! EXPERIMENTS.md §rule-coverage. With `--sema` a variant running the static
-//! sequence analyzer joins instead/as well, adding branch, static-reject and
-//! skipped-statement columns — the ablation recipe from EXPERIMENTS.md
-//! §static-analysis.
+//! [--sema] [--telemetry PATH] [--heartbeat] [--serve ADDR] [--trace PATH]
+//! [--plot-data PATH] [--plot-every MS]` — the dialect×seed×variant cells
+//! run across a worker pool; results are identical for any worker count.
+//! With `--rule-cov` a third variant (LEGO plus grammar-rule coverage
+//! feedback) joins the grid and the table gains its branch and rule-edge
+//! columns — the ablation recipe from EXPERIMENTS.md §rule-coverage. With
+//! `--sema` a variant running the static sequence analyzer joins
+//! instead/as well, adding branch, static-reject and skipped-statement
+//! columns — the ablation recipe from EXPERIMENTS.md §static-analysis.
 
 use lego::campaign::{run_engine, Budget, CampaignSpec};
 use lego::fuzzer::{Config, LegoFuzzer};
-use lego_bench::grid::{run_grid, Cli};
+use lego_bench::grid::{run_grid, Cli, MONITOR};
 use lego_bench::*;
 use lego_sqlast::Dialect;
 use serde::Serialize;
@@ -60,7 +61,7 @@ struct Row {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["UNITS", "SEEDS"], &[&["--workers", "--rule-cov", "--sema"], MONITOR]);
     let units: usize = cli.arg(0, "UNITS", DAY_BUDGET_UNITS);
     let seeds: u64 = cli.arg(1, "SEEDS", 3);
     let mut variant_list = vec![Variant::Minus, Variant::Lego];

@@ -6,8 +6,13 @@
 //! un-started cell from a shared counter, and results come back in cell
 //! order — so the printed tables and JSON reports are byte-identical to a
 //! serial run regardless of scheduling.
+//!
+//! [`Cli`] is the one command-line parser of `lego_cli` and every
+//! experiment binary.
 
+use lego_baselines::ENGINE_NAMES;
 use std::fmt::Display;
+use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -83,12 +88,16 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Command line shared by the experiment binaries: positional arguments plus
-/// optional flags (any position). A flag's value follows it (`--flag V`) or
-/// is joined to it (`--flag=V`). A value that is missing (another `--flag`
-/// in its place counts as missing) or does not parse, here or in a
-/// positional argument ([`Cli::arg`]), exits with status 2 before any
-/// campaign starts.
+/// Command line of `lego_cli` and the experiment binaries: positional
+/// arguments plus optional flags (any position). Each binary names the
+/// positional arguments and the flags it reads ([`Cli::parse`]); any other
+/// flag, a misspelt one, or one positional argument too many exits with
+/// status 2 before any campaign starts. So does a value that is missing
+/// (another `--flag` in its place counts as missing) or does not parse,
+/// here or in a positional argument ([`Cli::arg`]). A flag's value follows
+/// it (`--flag V`) or is joined to it (`--flag=V`); a switch takes none.
+/// An environment fallback below applies only to a binary that takes the
+/// flag.
 ///
 /// - `--workers N` — grid thread count (at least 1); falls back to
 ///   `LEGO_WORKERS`, then to the machine's parallelism.
@@ -110,11 +119,23 @@ pub fn default_workers() -> usize {
 ///   export written at exit; falls back to `LEGO_TRACE`.
 /// - `--plot-data PATH` — AFL-style `plot_data.csv` destination (default
 ///   `results/<bin>/plot_data.csv` when serving).
-/// - `--plot-every MS` — time-series sample cadence (default 1000 ms).
+/// - `--plot-every MS` — time-series sample cadence (default 1000 ms, at
+///   least 10).
 /// - `--rule-cov` — grammar-rule coverage feedback (second virgin map over
 ///   parser rule→rule edges; rule novelty widens corpus admission).
 /// - `--sema` — static sequence analyzer (pre-execution validity skip,
 ///   dependency-aware mutation, analyzer-vs-engine conformance oracle).
+/// - `--fuzzer NAME` — the engine of a `lego_cli fuzz` run, one of
+///   [`ENGINE_NAMES`] (default `LEGO`).
+/// - `--units N` — its unit budget (default [`crate::DAY_BUDGET_UNITS`]).
+/// - `--seed S` — its RNG seed, decimal or `0x` hex (default
+///   [`crate::DEFAULT_SEED`]).
+/// - `--out DIR` — where it writes `campaign.json`, the reproducers and
+///   the retained corpus.
+/// - `--corpus DIR` — a saved corpus it starts from.
+/// - `--checkpoint DIR`, `--checkpoint-every N` (at least 1), `--resume DIR`
+///   — where it checkpoints, how often, and the checkpoint it resumes.
+#[derive(Default)]
 pub struct Cli {
     /// Positional arguments, flags removed, program name excluded.
     pub positional: Vec<String>,
@@ -138,7 +159,19 @@ pub struct Cli {
     pub rule_cov: bool,
     /// Static sequence analyzer (`--sema`).
     pub sema: bool,
+    pub fuzzer: String,
+    pub units: usize,
+    pub seed: u64,
+    pub out: Option<PathBuf>,
+    pub corpus: Option<PathBuf>,
+    pub checkpoint: Option<PathBuf>,
+    pub checkpoint_every: Option<usize>,
+    pub resume: Option<PathBuf>,
 }
+
+/// The flags of the telemetry and monitoring plane ([`crate::MonitorOpts`]).
+pub const MONITOR: &[&str] =
+    &["--telemetry", "--heartbeat", "--serve", "--trace", "--plot-data", "--plot-every"];
 
 /// The names an `--oracles=LIST` value may hold.
 pub const ORACLE_NAMES: [&str; 6] = ["tlp", "norec", "differential", "diff", "recovery", "all"];
@@ -178,77 +211,129 @@ pub fn parse_oracles(spec: &str) -> Result<lego::OracleConfig, String> {
 }
 
 impl Cli {
-    /// The process arguments; exits with status 2 on a bad value.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| refuse(&e))
+    /// The process arguments of a binary that takes the positional
+    /// arguments named in `positional` (any of them may be left out) and
+    /// the flags in `flags`; exits with status 2 on any other argument or
+    /// a bad value.
+    pub fn parse(positional: &[&str], flags: &[&[&str]]) -> Self {
+        Self::parse_from(std::env::args().skip(1), positional, flags)
     }
 
-    fn from_args(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let mut positional = Vec::new();
-        let mut workers = None;
-        let mut telemetry = None;
-        let mut heartbeat = false;
-        let mut oracles = lego::OracleConfig::disabled();
-        let mut wal_dir = None;
-        let mut serve = None;
-        let mut trace = None;
-        let mut plot_data = None;
-        let mut plot_every_ms = 1000;
-        let mut rule_cov = false;
-        let mut sema = false;
+    /// [`Cli::parse`] over `args`, the arguments after a subcommand, say.
+    pub fn parse_from(
+        args: impl Iterator<Item = String>,
+        positional: &[&str],
+        flags: &[&[&str]],
+    ) -> Self {
+        Self::from_args(args, positional, flags).unwrap_or_else(|e| refuse(&e))
+    }
+
+    fn from_args(
+        args: impl Iterator<Item = String>,
+        positional: &[&str],
+        flags: &[&[&str]],
+    ) -> Result<Self, String> {
+        let accepts = |flag: &str| flags.iter().any(|group| group.contains(&flag));
+        let takes = || {
+            let mut words = positional.to_vec();
+            words.extend(flags.iter().copied().flatten());
+            format!("takes: {}", words.join(" "))
+        };
+        let mut cli = Cli {
+            plot_every_ms: 1000,
+            fuzzer: "LEGO".to_string(),
+            units: crate::DAY_BUDGET_UNITS,
+            seed: crate::DEFAULT_SEED,
+            ..Cli::default()
+        };
         let mut args = args.peekable();
         while let Some(a) = args.next() {
+            if !a.starts_with("--") {
+                if cli.positional.len() == positional.len() {
+                    return Err(format!("unexpected argument {a} ({})", takes()));
+                }
+                cli.positional.push(a);
+                continue;
+            }
             let (flag, joined) = match a.split_once('=') {
-                Some((flag, v)) if flag.starts_with("--") => (flag, Some(v.to_string())),
-                _ => (a.as_str(), None),
+                Some((flag, v)) => (flag, Some(v.to_string())),
+                None => (a.as_str(), None),
             };
+            let unknown = || format!("unknown flag {flag} ({})", takes());
             let mut value = || {
                 joined
                     .clone()
                     .or_else(|| args.next_if(|v| !v.starts_with("--")))
                     .ok_or_else(|| format!("{flag} needs a value"))
             };
+            let switch = || match &joined {
+                None => Ok(true),
+                Some(_) => Err(format!("{flag} takes no value")),
+            };
             match flag {
+                _ if !accepts(flag) => return Err(unknown()),
                 "--workers" => match number(flag, value()?)? {
                     0 => return Err("--workers 0: need at least one worker".to_string()),
-                    n => workers = Some(n),
+                    n => cli.workers = n,
                 },
-                "--telemetry" => telemetry = Some(value()?),
-                "--heartbeat" => heartbeat = true,
+                "--telemetry" => cli.telemetry = Some(value()?),
+                "--heartbeat" => cli.heartbeat = switch()?,
                 "--oracles" => {
-                    oracles = match joined.as_deref() {
+                    cli.oracles = match joined.as_deref() {
                         Some(spec) => parse_oracles(spec)?,
                         None => lego::OracleConfig::all(),
                     }
                 }
-                "--wal-dir" => wal_dir = Some(value()?),
-                "--serve" => serve = Some(value()?),
-                "--trace" => trace = Some(value()?),
-                "--plot-data" => plot_data = Some(value()?),
-                "--plot-every" => plot_every_ms = number::<u64>(flag, value()?)?.max(10),
-                "--rule-cov" => rule_cov = true,
-                "--sema" => sema = true,
-                _ => positional.push(a),
+                "--wal-dir" => cli.wal_dir = Some(value()?),
+                "--serve" => cli.serve = Some(value()?),
+                "--trace" => cli.trace = Some(value()?),
+                "--plot-data" => cli.plot_data = Some(value()?),
+                "--plot-every" => cli.plot_every_ms = number::<u64>(flag, value()?)?.max(10),
+                "--rule-cov" => cli.rule_cov = switch()?,
+                "--sema" => cli.sema = switch()?,
+                "--fuzzer" => {
+                    cli.fuzzer = value()?;
+                    if !ENGINE_NAMES.contains(&cli.fuzzer.as_str()) {
+                        return Err(format!(
+                            "{flag} {}: unknown fuzzer (known: {})",
+                            cli.fuzzer,
+                            ENGINE_NAMES.join(", ")
+                        ));
+                    }
+                }
+                "--units" => cli.units = number(flag, value()?)?,
+                "--seed" => {
+                    let v = value()?;
+                    cli.seed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+                        Some(hex) => u64::from_str_radix(hex, 16),
+                        None => v.parse(),
+                    }
+                    .map_err(|e| format!("{flag} {v}: {e} (expected decimal or 0x hex)"))?
+                }
+                "--out" => cli.out = Some(value()?.into()),
+                "--corpus" => cli.corpus = Some(value()?.into()),
+                "--checkpoint" => cli.checkpoint = Some(value()?.into()),
+                "--checkpoint-every" => match number(flag, value()?)? {
+                    0 => return Err("--checkpoint-every 0: need at least one unit".to_string()),
+                    n => cli.checkpoint_every = Some(n),
+                },
+                "--resume" => cli.resume = Some(value()?.into()),
+                // A flag some binary lists that this parser does not know.
+                _ => return Err(unknown()),
             }
         }
-        Ok(Self {
-            positional,
-            workers: workers.unwrap_or_else(default_workers),
-            telemetry: telemetry
-                .or_else(|| std::env::var("LEGO_TELEMETRY").ok())
-                .filter(|p| !p.is_empty()),
-            heartbeat,
-            oracles,
-            wal_dir: wal_dir
-                .or_else(|| std::env::var("LEGO_WAL_DIR").ok())
-                .filter(|p| !p.is_empty()),
-            serve: serve.or_else(|| std::env::var("LEGO_SERVE").ok()).filter(|a| !a.is_empty()),
-            trace: trace.or_else(|| std::env::var("LEGO_TRACE").ok()).filter(|p| !p.is_empty()),
-            plot_data: plot_data.filter(|p| !p.is_empty()),
-            plot_every_ms,
-            rule_cov,
-            sema,
-        })
+        // `--workers 0` is refused, so 0 here means the flag was not given.
+        if cli.workers == 0 {
+            cli.workers = default_workers();
+        }
+        let env = |flag: &str, var: &str| accepts(flag).then(|| std::env::var(var).ok()).flatten();
+        let nonempty = |v: Option<String>| v.filter(|s| !s.is_empty());
+        cli.telemetry = nonempty(cli.telemetry.or_else(|| env("--telemetry", "LEGO_TELEMETRY")));
+        cli.wal_dir = nonempty(cli.wal_dir.or_else(|| env("--wal-dir", "LEGO_WAL_DIR")));
+        cli.serve = nonempty(cli.serve.or_else(|| env("--serve", "LEGO_SERVE")));
+        cli.trace = nonempty(cli.trace.or_else(|| env("--trace", "LEGO_TRACE")));
+        cli.plot_data = nonempty(cli.plot_data);
+        Ok(cli)
     }
 
     /// Positional argument `i`, called `name` in the error, parsed; `default`
@@ -287,7 +372,8 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
-        Cli::from_args(args.iter().map(|a| a.to_string()))
+        let flags: &[&str] = &["--workers", "--oracles", "--wal-dir", "--rule-cov", "--sema"];
+        Cli::from_args(args.iter().map(|a| a.to_string()), &["UNITS", "SEEDS"], &[flags, MONITOR])
     }
 
     #[test]
@@ -451,6 +537,24 @@ mod tests {
         let err = cli.try_arg::<usize>(0, "UNITS", 7).expect_err("3e3 is not a unit count");
         assert!(err.contains("UNITS 3e3"), "{err}");
         assert!(cli.try_arg::<u64>(1, "SEEDS", 3).is_err());
+    }
+
+    #[test]
+    fn cli_refuses_arguments_the_binary_does_not_take() {
+        let fig9 = |args: &[&str]| {
+            Cli::from_args(args.iter().map(|a| a.to_string()), &["UNITS"], &[&["--workers"]])
+        };
+        for (args, needle) in [
+            (&["2000", "--sema"][..], "unknown flag --sema"),
+            (&["2000", "--rule-cv"], "unknown flag --rule-cv"),
+            (&["2000", "7"], "unexpected argument 7"),
+        ] {
+            let err = fig9(args).err().unwrap_or_else(|| panic!("{args:?} accepted"));
+            assert!(err.contains(needle) && err.contains("UNITS --workers"), "{args:?}: {err}");
+        }
+        let err = parse(&["--sema=yes"]).err().expect("a switch takes no value");
+        assert!(err.contains("--sema takes no value"), "{err}");
+        assert_eq!(fig9(&["2000", "--workers", "2"]).unwrap().workers, 2);
     }
 
     #[test]

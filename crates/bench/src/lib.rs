@@ -121,8 +121,8 @@ impl TelemetryGuard {
     }
 }
 
-/// Everything the monitoring plane needs to know, decoupled from the CLI so
-/// binaries with bespoke flag handling can fill it directly.
+/// Everything the monitoring plane needs to know. [`MonitorOpts::from_cli`]
+/// fills it from the command line; a binary overrides what it sets per run.
 pub struct MonitorOpts {
     pub event_log: Option<PathBuf>,
     pub heartbeat: bool,
@@ -141,23 +141,7 @@ pub struct MonitorOpts {
 }
 
 impl MonitorOpts {
-    /// Monitoring disabled: event log + heartbeat only (the pre-monitoring
-    /// telemetry surface).
-    pub fn quiet(event_log: Option<&Path>, heartbeat: bool, workers: usize, seed: u64) -> Self {
-        Self {
-            event_log: event_log.map(Path::to_path_buf),
-            heartbeat,
-            workers,
-            seed,
-            serve: None,
-            trace: None,
-            plot_data: None,
-            plot_every_ms: 1000,
-            run_name: run_name_from_arg0(),
-        }
-    }
-
-    /// Fill from the shared experiment CLI flags.
+    /// Fill from the command-line flags.
     pub fn from_cli(cli: &grid::Cli, seed: u64) -> Self {
         Self {
             event_log: cli.telemetry.as_deref().map(PathBuf::from),
@@ -201,17 +185,6 @@ fn run_name_from_arg0() -> String {
 /// under `results/bugs/<dialect>/`.
 pub fn build_telemetry(cli: &grid::Cli, seed: u64) -> TelemetryGuard {
     build_monitored(MonitorOpts::from_cli(cli, seed))
-}
-
-/// [`build_telemetry`] without the CLI: explicit event-log path and
-/// heartbeat switch, monitoring plane off.
-pub fn telemetry_to(
-    event_log: Option<&Path>,
-    heartbeat: bool,
-    workers: usize,
-    seed: u64,
-) -> TelemetryGuard {
-    build_monitored(MonitorOpts::quiet(event_log, heartbeat, workers, seed))
 }
 
 /// Assemble the full telemetry + monitoring plane described by `opts`.

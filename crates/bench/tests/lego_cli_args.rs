@@ -1,7 +1,8 @@
 //! Argument handling of `lego_cli` and of the experiment binaries: a value
-//! that is missing or does not parse is an error that names the argument
-//! and the value, reported before any campaign starts, never a silent
-//! fall-back to the default.
+//! that is missing or does not parse, and a flag or positional argument the
+//! binary does not read, is an error that names the argument, reported
+//! before any campaign starts, never a silent fall-back to the default or a
+//! silently ignored argument.
 
 use lego_baselines::ENGINE_NAMES;
 use std::process::{Command, Output};
@@ -53,6 +54,7 @@ fn unparsable_numeric_values_are_refused() {
         ("--seed", "0x5eedz"),
         ("--seed", "seven"),
         ("--checkpoint-every", "1k"),
+        ("--checkpoint-every", "0"),
         ("--plot-every", "fast"),
     ] {
         assert_refused(&cli(&["fuzz", "pg", flag, value]), &[flag, value]);
@@ -101,6 +103,52 @@ fn experiment_binaries_refuse_values_that_do_not_parse() {
 }
 
 #[test]
+fn arguments_a_binary_does_not_read_are_refused() {
+    let fig9 = env!("CARGO_BIN_EXE_fig9_coverage");
+    let table1 = env!("CARGO_BIN_EXE_table1_bugs");
+    let table2 = env!("CARGO_BIN_EXE_table2_affinities");
+    let table4 = env!("CARGO_BIN_EXE_table4_ablation");
+    let throughput = env!("CARGO_BIN_EXE_bench_throughput");
+    let lego_cli = env!("CARGO_BIN_EXE_lego_cli");
+    let rows: [(&str, &[&str], &str); 9] = [
+        // A flag the binary does not read.
+        (fig9, &["2000", "--sema"], "--sema"),
+        (table2, &["2000", "--oracles"], "--oracles"),
+        (table1, &["2000", "1", "--rule-cov"], "--rule-cov"),
+        (table4, &["2000", "1", "--oracles"], "--oracles"),
+        (throughput, &["2000", "--serve", "127.0.0.1:0"], "--serve"),
+        (lego_cli, &["fuzz", "pg", "--workers", "2"], "--workers"),
+        (lego_cli, &["replay", "pg", "x.sql", "--oracles"], "--oracles"),
+        // A misspelt flag.
+        (table4, &["2000", "1", "--rule-cv"], "--rule-cv"),
+        // One positional argument too many.
+        (fig9, &["2000", "7"], "7"),
+    ];
+    for (bin, args, needle) in rows {
+        assert_refused(&run(bin, args), &[needle]);
+    }
+}
+
+#[test]
+fn a_corpus_directory_that_cannot_be_read_is_an_error() {
+    let dir = std::env::temp_dir()
+        .join(format!("lego_cli_args_no_corpus_{}", std::process::id()))
+        .display()
+        .to_string();
+    let out = cli(&["fuzz", "pg", "--units", "200", "--corpus", &dir]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains(&dir) && !err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn a_corpus_for_another_fuzzer_is_refused_before_any_output() {
+    let dir = std::env::temp_dir().display().to_string();
+    let out = cli(&["fuzz", "pg", "--fuzzer", "SQUIRREL", "--corpus", &dir]);
+    assert_refused(&out, &["--corpus", "LEGO"]);
+}
+
+#[test]
 fn an_unknown_fuzzer_is_refused_with_the_known_names() {
     let out = cli(&["fuzz", "pg", "--fuzzer", "AFL"]);
     let mut needles = vec!["--fuzzer", "AFL"];
@@ -110,12 +158,12 @@ fn an_unknown_fuzzer_is_refused_with_the_known_names() {
 
 #[test]
 fn an_unknown_or_empty_oracle_name_is_refused_with_the_known_names() {
-    let fig9 = env!("CARGO_BIN_EXE_fig9_coverage");
+    let table1 = env!("CARGO_BIN_EXE_table1_bugs");
     for spec in ["--oracles=tpl", "--oracles=tlp,nroec", "--oracles=", "--oracles=tlp,,norec"] {
         let mut needles = vec![spec];
         needles.extend(lego_bench::grid::ORACLE_NAMES);
         assert_refused(&cli(&["fuzz", "pg", "--units", "200", spec]), &needles);
-        assert_refused(&run(fig9, &["2000", spec]), &needles);
+        assert_refused(&run(table1, &["2000", spec]), &needles);
     }
 }
 

@@ -17,9 +17,9 @@
 //! `replay`, `reduce` and `bugs` take no flags. `--seed` takes decimal or
 //! `0x` hex. A flag the subcommand does not take, one positional argument
 //! too many, a flag given without its value, a numeric flag whose value
-//! does not parse, `--checkpoint-every 0`, an unknown `--fuzzer`, or
-//! `--corpus` with another fuzzer than LEGO exits with status 2 before any
-//! campaign starts.
+//! does not parse, `--checkpoint-every 0`, an empty `--out`, an unknown
+//! `--fuzzer`, or `--corpus` with another fuzzer than LEGO exits with
+//! status 2 before any campaign starts.
 //!
 //! `--telemetry PATH` (or `LEGO_TELEMETRY`) streams structured events to
 //! `PATH` as JSONL and writes metrics exports next to it; `--heartbeat`
@@ -48,7 +48,9 @@
 //! A `fuzz --out DIR` run writes `campaign.json`, one reduced reproducer per
 //! bug, and the retained seed corpus under `DIR/corpus/`; a later run with
 //! `--corpus DIR/corpus` resumes from it (the paper's continuous-fuzzing
-//! workflow).
+//! workflow). `DIR` is created before the campaign starts: a path that
+//! cannot be a directory exits with status 1 and runs no campaign, and so
+//! does any later write that fails.
 //!
 //! `--rule-cov` adds the grammar-rule coverage dimension: every non-aborted
 //! case is traced through the instrumented grammar and cases that
@@ -77,7 +79,7 @@
 //! recorded; `--checkpoint-every` on `--resume` defaults to the recorded
 //! cadence and must match it.
 
-use lego::campaign::{run_engine, Budget, CampaignSpec, FuzzEngine};
+use lego::campaign::{run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};
 use lego::corpus_io::{load_corpus, save_corpus};
 use lego::fuzzer::{Config, LegoFuzzer};
@@ -88,9 +90,10 @@ use lego_bench::grid::{Cli, MONITOR};
 use lego_bench::{build_monitored, MonitorOpts};
 use lego_dbms::faults::Faults;
 use lego_dbms::{bugs, Dbms};
-use lego_sqlast::Dialect;
-use std::path::PathBuf;
+use lego_sqlast::{Dialect, TestCase};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn dialect_of(arg: &str) -> Option<Dialect> {
     match arg {
@@ -186,6 +189,12 @@ fn cmd_fuzz(cli: Cli) -> ExitCode {
         },
         None => None,
     };
+    if let Some(dir) = &cli.out {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create output directory {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+    }
     println!("fuzzing {} with {fuzzer} for {units} units (seed {seed})…", dialect.name());
     let cfg = Config { rng_seed: seed, rule_cov, sema, ..Config::default() };
     let mut engine: Box<dyn FuzzEngine> = match corpus {
@@ -333,27 +342,40 @@ fn cmd_fuzz(cli: Cli) -> ExitCode {
         }
     }
     if let Some(dir) = &cli.out {
-        std::fs::create_dir_all(dir).expect("create out dir");
-        let report = serde_json::to_string_pretty(&stats).expect("serialize");
-        std::fs::write(dir.join("campaign.json"), report).expect("write campaign.json");
-        for bug in &stats.bugs {
-            let name = bug.crash.identifier.replace([' ', '#', '/'], "_").to_ascii_lowercase();
-            std::fs::write(dir.join(format!("{name}.sql")), &bug.reduced_sql)
-                .expect("write reproducer");
+        match write_out(dir, &stats, &engine.corpus()) {
+            Ok(n) => println!("reports + {n}-seed corpus written to {}", dir.display()),
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
         }
-        for lb in &stats.logic_bugs {
-            let name = format!(
-                "logic_{}_{:016x}",
-                lb.bug.oracle.name().to_ascii_lowercase(),
-                lb.fingerprint()
-            );
-            std::fs::write(dir.join(format!("{name}.sql")), &lb.reduced_sql)
-                .expect("write logic-bug reproducer");
-        }
-        let n = save_corpus(&dir.join("corpus"), &engine.corpus()).expect("save corpus");
-        println!("reports + {n}-seed corpus written to {}", dir.display());
     }
     ExitCode::SUCCESS
+}
+
+/// Write a campaign's report, its reproducers and its retained corpus to
+/// `dir`; returns the number of corpus seeds written.
+fn write_out(dir: &Path, stats: &CampaignStats, corpus: &[Arc<TestCase>]) -> Result<usize, String> {
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
+    };
+    write("campaign.json", &serde_json::to_string_pretty(stats).expect("serialize"))?;
+    for bug in &stats.bugs {
+        let name = bug.crash.identifier.replace([' ', '#', '/'], "_").to_ascii_lowercase();
+        write(&format!("{name}.sql"), &bug.reduced_sql)?;
+    }
+    for lb in &stats.logic_bugs {
+        let name = format!(
+            "logic_{}_{:016x}",
+            lb.bug.oracle.name().to_ascii_lowercase(),
+            lb.fingerprint()
+        );
+        write(&format!("{name}.sql"), &lb.reduced_sql)?;
+    }
+    let corpus_dir = dir.join("corpus");
+    save_corpus(&corpus_dir, corpus)
+        .map_err(|e| format!("cannot save the corpus to {}: {e}", corpus_dir.display()))
 }
 
 fn cmd_replay(args: &[String]) -> ExitCode {

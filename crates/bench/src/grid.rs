@@ -310,7 +310,10 @@ impl Cli {
                     }
                     .map_err(|e| format!("{flag} {v}: {e} (expected decimal or 0x hex)"))?
                 }
-                "--out" => cli.out = Some(value()?.into()),
+                "--out" => match value()? {
+                    v if v.is_empty() => return Err("--out needs a directory path".to_string()),
+                    v => cli.out = Some(v.into()),
+                },
                 "--corpus" => cli.corpus = Some(value()?.into()),
                 "--checkpoint" => cli.checkpoint = Some(value()?.into()),
                 "--checkpoint-every" => match number(flag, value()?)? {

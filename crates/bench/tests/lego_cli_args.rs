@@ -142,6 +142,25 @@ fn a_corpus_directory_that_cannot_be_read_is_an_error() {
 }
 
 #[test]
+fn an_output_path_that_cannot_be_a_directory_is_an_error_before_the_campaign() {
+    let file = std::env::temp_dir().join(format!("lego_cli_args_out_file_{}", std::process::id()));
+    std::fs::write(&file, "not a directory").expect("write the blocking file");
+    let path = file.display().to_string();
+    let out = cli(&["fuzz", "pg", "--units", "200", "--out", &path]);
+    let _ = std::fs::remove_file(&file);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains(&path) && !err.contains("panicked"), "{err}");
+    assert!(stdout(&out).is_empty(), "a campaign started: {}", stdout(&out));
+}
+
+#[test]
+fn an_empty_output_path_is_refused() {
+    assert_refused(&cli(&["fuzz", "pg", "--units", "200", "--out", ""]), &["--out"]);
+    assert_refused(&cli(&["fuzz", "pg", "--units", "200", "--out="]), &["--out"]);
+}
+
+#[test]
 fn a_corpus_for_another_fuzzer_is_refused_before_any_output() {
     let dir = std::env::temp_dir().display().to_string();
     let out = cli(&["fuzz", "pg", "--fuzzer", "SQUIRREL", "--corpus", &dir]);

@@ -15,7 +15,9 @@ use crate::checkpoint::CHECKPOINT_VERSION;
 use crate::gen::{gen_statement, SchemaModel};
 use crate::instantiate::{fix_case, instantiate, AstLibrary};
 use crate::mutation::{conventional_mutate_stacked, sema_repair};
-use crate::ngram::{gram2_at, gram3_at, pack2, pack3, seq_len, unpack_seq, NgramSet};
+use crate::ngram::{
+    gram2_at, gram3_at, pack2, pack3, pack_seq, seq_len, with_unpacked_seq, NgramSet,
+};
 use crate::pool::SeedPool;
 use crate::seeds::initial_corpus;
 use crate::synthesis::{plausible_key, SequenceStore};
@@ -160,13 +162,37 @@ struct Pending {
     origin: Origin,
 }
 
-/// One synthesis-queue slot: a synthesized sequence and the copies still to
-/// instantiate from it. Instantiation is deferred to schedule time, so a
-/// dropped or superseded sequence costs nothing and the novelty filter gets
-/// a second look with the n-grams executed since enqueue.
+/// One synthesis-queue slot: a synthesized sequence, as its packed key, and
+/// the copies still to instantiate from it. Instantiation is deferred to
+/// schedule time, so a dropped or superseded sequence costs nothing and the
+/// novelty filter gets a second look with the n-grams executed since enqueue.
 struct SynthJob {
-    seq: Vec<StmtKind>,
+    key: u128,
     left: usize,
+}
+
+/// The n-gram that makes a synthesized sequence worth executing.
+#[derive(Clone, Copy, PartialEq)]
+enum NewGram {
+    /// A type pair no executed case holds.
+    Pair,
+    /// Only a type triple no executed case holds, over known pairs.
+    Triple,
+}
+
+/// Whether the packed sequence `key` would execute a type 2-gram or 3-gram
+/// that no executed case has, and which; `None` if it would only re-cover
+/// known interactions (§ II C3). The probes read n-gram keys straight out
+/// of the packed sequence, with no decode.
+fn offers_new_ngram(executed: &NgramSet, key: u128) -> Option<NewGram> {
+    let len = seq_len(key);
+    if (0..len - 1).any(|i| !executed.contains(gram2_at(key, i))) {
+        Some(NewGram::Pair)
+    } else if len >= 3 && (0..len - 2).any(|i| !executed.contains(gram3_at(key, i))) {
+        Some(NewGram::Triple)
+    } else {
+        None
+    }
 }
 
 /// The LEGO fuzzing engine (and, with `sequence_oriented = false`, LEGO-).
@@ -422,29 +448,21 @@ impl LegoFuzzer {
                     continue;
                 }
                 // Queue only sequences that would execute at least one type
-                // 2-gram or 3-gram never executed before; the rest re-cover
-                // known interactions and are skipped to keep seeds cheap
-                // (§ II C3). The probes read n-gram keys straight out of the
-                // packed sequence — no decode on the skip path.
-                let len = seq_len(key);
-                let has_new_pair =
-                    (0..len - 1).any(|i| !self.executed_ngrams.contains(gram2_at(key, i)));
-                let has_new_ngram = has_new_pair
-                    || (len >= 3
-                        && (0..len - 2).any(|i| !self.executed_ngrams.contains(gram3_at(key, i))));
-                if !has_new_ngram {
+                // 2-gram or 3-gram never executed before; the rest are
+                // skipped to keep seeds cheap.
+                let Some(gram) = offers_new_ngram(&self.executed_ngrams, key) else {
                     self.stats.sequences_skipped_covered += 1;
                     continue;
-                }
+                };
                 if self.synth_queue.len() >= QUEUE_CAP {
                     self.stats.queue_dropped += 1;
                     continue;
                 }
                 // New pairs justify multiple structural variations; new
                 // triples over known pairs get one shot.
-                let left = if has_new_pair { INSTANTIATIONS_PER_SEQ } else { 1 };
+                let left = if gram == NewGram::Pair { INSTANTIATIONS_PER_SEQ } else { 1 };
                 scheduled += left as u64;
-                self.synth_queue.push_back(SynthJob { seq: unpack_seq(key), left });
+                self.synth_queue.push_back(SynthJob { key, left });
             }
             self.tel.emit(|| Event::SynthesisStep {
                 t1: t1.name(),
@@ -460,17 +478,15 @@ impl LegoFuzzer {
     /// queue are discarded here without ever paying for AST generation.
     fn pop_synth(&mut self) -> Option<Pending> {
         loop {
-            let SynthJob { seq, left } = self.synth_queue.front_mut()?;
-            let still_new = seq
-                .windows(2)
-                .any(|w| !self.executed_ngrams.contains(pack2(w[0], w[1])))
-                || seq.windows(3).any(|w| !self.executed_ngrams.contains(pack3(w[0], w[1], w[2])));
-            if !still_new {
+            let SynthJob { key, left } = self.synth_queue.front_mut()?;
+            if offers_new_ngram(&self.executed_ngrams, *key).is_none() {
                 self.stats.sequences_skipped_covered += 1;
                 self.synth_queue.pop_front();
                 continue;
             }
-            let case = instantiate(seq, &self.library, self.dialect, &mut self.rng);
+            let case = with_unpacked_seq(*key, |seq| {
+                instantiate(seq, &self.library, self.dialect, &mut self.rng)
+            });
             self.stats.cases_instantiated += 1;
             *left -= 1;
             if *left == 0 {
@@ -662,7 +678,10 @@ impl LegoFuzzer {
             synth_jobs: self
                 .synth_queue
                 .iter()
-                .map(|j| JobCk { seq: j.seq.iter().map(|k| k.code()).collect(), left: j.left })
+                .map(|j| JobCk {
+                    seq: with_unpacked_seq(j.key, |seq| seq.iter().map(|k| k.code()).collect()),
+                    left: j.left,
+                })
                 .collect(),
             executed_ngrams: self.executed_ngrams.sorted_keys(),
             stats: vec![
@@ -752,7 +771,16 @@ impl LegoFuzzer {
             if seq.len() < 2 || left == 0 {
                 return Err("malformed synthesis job in snapshot".to_string());
             }
-            self.synth_queue.push_back(SynthJob { seq, left });
+            // LEN is at most MAX_PACKED_SEQ, so this also keeps the key's
+            // lanes within its 128 bits.
+            if seq.len() > self.cfg.max_seq_len {
+                return Err(format!(
+                    "checkpointed synthesis job has {} statements, more than LEN = {}",
+                    seq.len(),
+                    self.cfg.max_seq_len
+                ));
+            }
+            self.synth_queue.push_back(SynthJob { key: pack_seq(&seq), left });
         }
         self.executed_ngrams = NgramSet::new();
         for key in get(v, "executed_ngrams")?

@@ -326,8 +326,8 @@ fn gen_window_expr(cols: &[ColumnModel], rng: &mut SmallRng) -> Expr {
         None
     };
     Expr::Window {
-        func: FuncCall::new(name, args),
-        spec: WindowSpec {
+        func: Box::new(FuncCall::new(name, args)),
+        spec: Box::new(WindowSpec {
             partition_by: if rng.gen_bool(0.3) && !cols.is_empty() {
                 vec![Expr::col(cols[rng.gen_range(0..cols.len())].name.clone())]
             } else {
@@ -335,7 +335,7 @@ fn gen_window_expr(cols: &[ColumnModel], rng: &mut SmallRng) -> Expr {
             },
             order_by: vec![OrderItem { expr: order_col, desc: rng.gen_bool(0.3) }],
             frame,
-        },
+        }),
     }
 }
 

@@ -268,8 +268,8 @@ fn mutate_query(q: &mut Query, cols: &[ColumnModel], rng: &mut SmallRng) -> bool
                     let args = if wf == "LEAD" { vec![gen_expr(cols, rng, 0)] } else { vec![] };
                     sel.projection.push(SelectItem::Expr {
                         expr: Expr::Window {
-                            func: FuncCall::new(wf, args),
-                            spec: WindowSpec {
+                            func: Box::new(FuncCall::new(wf, args)),
+                            spec: Box::new(WindowSpec {
                                 partition_by: vec![],
                                 order_by: vec![OrderItem {
                                     expr: Expr::col(
@@ -278,7 +278,7 @@ fn mutate_query(q: &mut Query, cols: &[ColumnModel], rng: &mut SmallRng) -> bool
                                     desc: false,
                                 }],
                                 frame: None,
-                            },
+                            }),
                         },
                         alias: None,
                     });

@@ -23,6 +23,7 @@
 //! checkpoint serialization of the set is canonical without re-deriving the
 //! old `Vec<Vec<u16>>` sort.
 
+use lego_sqlast::kind::{DdlVerb, ObjectKind};
 use lego_sqlast::StmtKind;
 
 /// Pack a bigram of type codes. Keys never collide with trigram keys
@@ -65,7 +66,7 @@ pub fn unpack(key: u64) -> Vec<u16> {
 /// SplitMix64 finalizer — bijective, so distinct keys never alias before
 /// the table mask is applied.
 #[inline]
-fn mix(mut x: u64) -> u64 {
+pub(crate) fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
@@ -166,8 +167,8 @@ pub const MAX_PACKED_SEQ: usize = 8;
 /// a `u128`, lane `i` holding `code+1` of statement `i`. The +1 bias keeps
 /// every key nonzero and distinguishes `[A]` from `[A, pad]`, so packing is
 /// injective over all lengths. [`crate::synthesis::SequenceStore`] uses these
-/// keys for duplicate suppression — Algorithm 3 probes its `seen` set once
-/// per explored node, and hashing a `u128` beats SipHash over a `Vec`.
+/// keys for duplicate suppression — Algorithm 3 probes its index once per
+/// explored node, and hashing a `u128` beats SipHash over a `Vec`.
 #[inline]
 pub fn pack_seq(seq: &[StmtKind]) -> u128 {
     debug_assert!(!seq.is_empty() && seq.len() <= MAX_PACKED_SEQ);
@@ -185,15 +186,24 @@ pub fn seq_len(key: u128) -> usize {
 }
 
 /// Decode a [`pack_seq`] key back into kinds (checkpoint serialization and
-/// deferred-job materialization; the hot paths stay packed).
-pub fn unpack_seq(mut key: u128) -> Vec<StmtKind> {
-    let mut v = Vec::with_capacity(seq_len(key));
+/// tests; the hot paths stay packed).
+pub fn unpack_seq(key: u128) -> Vec<StmtKind> {
+    with_unpacked_seq(key, <[StmtKind]>::to_vec)
+}
+
+/// Decode a [`pack_seq`] key on the stack and pass the kinds to `f`, with no
+/// allocation (a deferred synthesis job decodes once per instantiation).
+pub fn with_unpacked_seq<R>(mut key: u128, f: impl FnOnce(&[StmtKind]) -> R) -> R {
+    // Any kind fills the lanes past the key's length; `f` never sees them.
+    let mut buf = [StmtKind::Ddl(DdlVerb::Create, ObjectKind::Table); MAX_PACKED_SEQ];
+    let mut len = 0;
     while key != 0 {
         let lane = (key & 0xffff) as u16;
-        v.push(StmtKind::from_code(lane - 1).expect("packed lane within alphabet"));
+        buf[len] = StmtKind::from_code(lane - 1).expect("packed lane within alphabet");
+        len += 1;
         key >>= 16;
     }
-    v
+    f(&buf[..len])
 }
 
 /// The [`pack2`] key of the bigram starting at statement `i` of a packed
@@ -208,87 +218,6 @@ pub fn gram2_at(seq: u128, i: usize) -> u64 {
 #[inline]
 pub fn gram3_at(seq: u128, i: usize) -> u64 {
     gram2_at(seq, i) | (((seq >> ((i + 2) * 16)) & 0xffff) as u64)
-}
-
-/// Open-addressing set of [`pack_seq`] keys — the `u128` twin of
-/// [`NgramSet`], same probing scheme, the two 64-bit halves folded through
-/// SplitMix64.
-#[derive(Clone, Debug)]
-pub struct SeqKeySet {
-    slots: Vec<u128>,
-    mask: usize,
-    len: usize,
-}
-
-impl Default for SeqKeySet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SeqKeySet {
-    pub fn new() -> Self {
-        Self { slots: vec![0u128; 1024], mask: 1023, len: 0 }
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn index(&self, key: u128) -> usize {
-        mix(key as u64 ^ mix((key >> 64) as u64)) as usize & self.mask
-    }
-
-    /// Insert a packed sequence key; returns `true` if it was new.
-    pub fn insert(&mut self, key: u128) -> bool {
-        debug_assert_ne!(key, 0, "packed sequence keys are never 0");
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let mut i = self.index(key);
-        loop {
-            let slot = self.slots[i];
-            if slot == key {
-                return false;
-            }
-            if slot == 0 {
-                self.slots[i] = key;
-                self.len += 1;
-                return true;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    #[inline]
-    pub fn contains(&self, key: u128) -> bool {
-        let mut i = self.index(key);
-        loop {
-            let slot = self.slots[i];
-            if slot == key {
-                return true;
-            }
-            if slot == 0 {
-                return false;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let doubled = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![0u128; doubled]);
-        self.mask = doubled - 1;
-        self.len = 0;
-        for k in old.into_iter().filter(|&k| k != 0) {
-            self.insert(k);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -425,41 +354,5 @@ mod tests {
         let short = vec![all[0], all[3]];
         assert_eq!(seq_len(pack_seq(&short)), 2);
         assert_eq!(unpack_seq(pack_seq(&short)), short);
-    }
-
-    #[test]
-    fn seq_key_set_matches_hashset_reference() {
-        let all = kinds();
-        let mut set = SeqKeySet::new();
-        let mut reference = BTreeSet::new();
-        let mut x = 0xdead_beefu64;
-        for _ in 0..20_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let len = 1 + (x >> 60) as usize % MAX_PACKED_SEQ;
-            let seq: Vec<StmtKind> =
-                (0..len).map(|i| all[((x >> (i * 7)) as usize) % all.len()]).collect();
-            let key = pack_seq(&seq);
-            assert_eq!(set.insert(key), reference.insert(key));
-            assert_eq!(set.len(), reference.len());
-        }
-        for &k in &reference {
-            assert!(set.contains(k));
-        }
-    }
-
-    #[test]
-    fn seq_key_set_default_is_usable() {
-        let all = kinds();
-        let mut set = SeqKeySet::default();
-        assert!(!set.contains(pack_seq(&[all[0]])));
-        // More keys than the initial table holds at 7/8 load, so it grows.
-        let keys: Vec<u128> =
-            all.iter().flat_map(|&a| all[..5].iter().map(move |&b| pack_seq(&[a, b]))).collect();
-        assert!(keys.len() * 8 > 1024 * 7);
-        for &k in &keys {
-            assert!(set.insert(k));
-        }
-        assert_eq!(set.len(), keys.len());
-        assert!(keys.iter().all(|&k| set.contains(k)));
     }
 }

@@ -11,12 +11,13 @@
 //! sequences per campaign the per-node `Vec` allocation and SipHash of the
 //! obvious `Vec<StmtKind>` representation were the entire cost. Appending a
 //! statement type is one shift-or, duplicate probes hit an open-addressing
-//! set, and a recorded sequence is a single `u128` push.
+//! index over `S`, and a recorded sequence is a single `u128` push plus one
+//! 8-byte index slot: each key is kept once, in `S`.
 
 use std::ops::ControlFlow;
 
 use crate::affinity::AffinityMap;
-use crate::ngram::{pack_seq, unpack_seq, SeqKeySet, MAX_PACKED_SEQ};
+use crate::ngram::{mix, pack_seq, unpack_seq, MAX_PACKED_SEQ};
 use lego_sqlast::StmtKind;
 
 /// The synthesized-sequence store: `S`, `PS`, and the length limit `LEN`.
@@ -31,11 +32,11 @@ pub struct SequenceStore {
     /// appends on every explored node, and the SipHash per append was
     /// measurable in campaign profiles.
     ps: Vec<Vec<u32>>,
-    /// Every sequence ever recorded; duplicate suppression, so
-    /// re-discovering an affinity (or reaching the same sequence through two
-    /// synthesis paths) never re-instantiates it. Probed once per explored
-    /// node — the hottest loop of the feedback stage.
-    seen: SeqKeySet,
+    /// Hash index over `seqs`; duplicate suppression, so re-discovering an
+    /// affinity (or reaching the same sequence through two synthesis paths)
+    /// never re-instantiates it. Probed once per explored node — the hottest
+    /// loop of the feedback stage.
+    index: SeqIndex,
     max_len: usize,
     /// Global cap on stored sequences (state-explosion guard, § II C1).
     /// [`Self::on_new_affinity`] clamps every walk to the free room, so a
@@ -111,7 +112,7 @@ impl SequenceStore {
         Self {
             seqs: Vec::new(),
             ps: vec![Vec::new(); StmtKind::COUNT * (max_len + 1)],
-            seen: SeqKeySet::new(),
+            index: SeqIndex::new(),
             max_len,
             cap: 200_000,
             truncated: 0,
@@ -136,15 +137,21 @@ impl SequenceStore {
         self.seqs.iter().map(|&k| unpack_seq(k)).collect()
     }
 
+    /// Whether `key` is a recorded sequence.
+    #[inline]
+    fn contains(&self, key: u128) -> bool {
+        self.index.contains(&self.seqs, key)
+    }
+
     /// Record a sequence given its packed key, length, and final type;
     /// returns `true` if it was genuinely new. Callers on the synthesis walk
-    /// pre-prune via `seen`, so a duplicate here is only possible from
-    /// `new`/`from_parts` replays. Every caller keeps the store under the
-    /// cap: the walk through its clamped limit, `from_parts` by checking the
-    /// list length first.
+    /// pre-prune via [`Self::contains`], so a duplicate here is only possible
+    /// from `new`/`from_parts` replays. Every caller keeps the store under
+    /// the cap: the walk through its clamped limit, `from_parts` by checking
+    /// the list length first.
     fn record(&mut self, key: u128, len: usize, last: StmtKind) -> bool {
         debug_assert!(self.seqs.len() < self.cap, "record past the store's cap");
-        if !self.seen.insert(key) {
+        if !self.index.insert(&self.seqs, key) {
             return false;
         }
         let idx = self.seqs.len() as u32;
@@ -214,7 +221,7 @@ impl SequenceStore {
                 // record time, and later edges re-explore via their own
                 // `on_new_affinity` call), so a seen node's subtree is seen
                 // too — descending it can only rediscover duplicates.
-                if self.seen.contains(key) {
+                if self.contains(key) {
                     continue;
                 }
                 if self.record(key, level + 1, t2) {
@@ -247,7 +254,7 @@ impl SequenceStore {
             let child = key | ((next.code() as u128 + 1) << (level * 16));
             // Same closure pruning as `walk`: a seen node's subtree holds
             // only duplicates, skip the descent.
-            if self.seen.contains(child) {
+            if self.contains(child) {
                 continue;
             }
             self.list_seq(level + 1, next, child, map, limit, out)?;
@@ -259,6 +266,87 @@ impl SequenceStore {
             }
         }
         ControlFlow::Continue(())
+    }
+}
+
+/// The hash index over [`SequenceStore`]'s `seqs`: open addressing with
+/// linear probing over a power-of-two table, grown at 7/8 load. A slot holds
+/// the upper 32 bits of its key's hash over the key's position in `seqs`
+/// plus one; 0 is an empty slot. A probe reads `seqs` only where the hash
+/// bits match, so each key is stored once, in `seqs`, and a slot costs 8
+/// bytes instead of a second 16-byte copy. Positions fit in 32 bits: the
+/// store's cap is 200,000.
+#[derive(Clone, Debug)]
+struct SeqIndex {
+    slots: Vec<u64>,
+    mask: usize,
+}
+
+/// The slot bits that hold the key's hash.
+const HASH_BITS: u64 = !(u32::MAX as u64);
+
+impl SeqIndex {
+    fn new() -> Self {
+        Self { slots: vec![0; 1024], mask: 1023 }
+    }
+
+    #[inline]
+    fn hash(key: u128) -> u64 {
+        mix(key as u64 ^ mix((key >> 64) as u64))
+    }
+
+    /// Whether `key` is one of `seqs`.
+    #[inline]
+    fn contains(&self, seqs: &[u128], key: u128) -> bool {
+        self.empty_slot(seqs, key, Self::hash(key)).is_none()
+    }
+
+    /// Index `key` as `seqs[seqs.len()]`, the position the caller pushes it
+    /// to next, unless `seqs` holds it already; returns `true` if it was new.
+    fn insert(&mut self, seqs: &[u128], key: u128) -> bool {
+        debug_assert_ne!(key, 0, "packed sequence keys are never 0");
+        if (seqs.len() + 1) * 8 > self.slots.len() * 7 {
+            self.grow(seqs);
+        }
+        let hash = Self::hash(key);
+        let Some(i) = self.empty_slot(seqs, key, hash) else {
+            return false;
+        };
+        self.slots[i] = (hash & HASH_BITS) | (seqs.len() as u64 + 1);
+        true
+    }
+
+    /// The empty slot where `key` (of hash `hash`) belongs, or `None` if
+    /// `seqs` holds it.
+    #[inline]
+    fn empty_slot(&self, seqs: &[u128], key: u128, hash: u64) -> Option<usize> {
+        let mut i = hash as usize & self.mask;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return Some(i);
+            }
+            if slot & HASH_BITS == hash & HASH_BITS && seqs[(slot as u32 - 1) as usize] == key {
+                return None;
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// Double the table and index `seqs` again; its keys are distinct, so
+    /// each takes the first empty slot of its probe.
+    fn grow(&mut self, seqs: &[u128]) {
+        let doubled = self.slots.len() * 2;
+        self.slots = vec![0; doubled];
+        self.mask = doubled - 1;
+        for (pos, &key) in seqs.iter().enumerate() {
+            let hash = Self::hash(key);
+            let mut i = hash as usize & self.mask;
+            while self.slots[i] != 0 {
+                i = (i + 1) & self.mask;
+            }
+            self.slots[i] = (hash & HASH_BITS) | (pos as u64 + 1);
+        }
     }
 }
 
@@ -418,6 +506,33 @@ mod tests {
         assert!(err(vec![vec![CT]; 200_001]).contains("cap"));
     }
 
+    #[test]
+    fn index_matches_a_btreeset_reference_across_growths() {
+        // Keys over a 4-type alphabet repeat often, keys over the whole
+        // alphabet rarely; probes of both kinds come before every record.
+        let all = StmtKind::all();
+        let mut store = SequenceStore::new(MAX_PACKED_SEQ, &[]);
+        let mut reference = std::collections::BTreeSet::new();
+        let mut x = 0xdead_beefu64;
+        for _ in 0..20_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let alphabet = if x & 1 == 0 { 4 } else { all.len() };
+            let len = 1 + (x >> 60) as usize % MAX_PACKED_SEQ;
+            let seq: Vec<StmtKind> =
+                (0..len).map(|i| all[((x >> (i * 7)) as usize) % alphabet]).collect();
+            let key = pack_seq(&seq);
+            assert_eq!(store.contains(key), reference.contains(&key));
+            assert_eq!(store.record(key, len, seq[len - 1]), reference.insert(key));
+            assert_eq!(store.len(), reference.len());
+        }
+        assert!(store.index.slots.len() >= 1024 << 3, "the stream must grow the index");
+        assert!(reference.iter().all(|&k| store.contains(k)));
+        assert_eq!(
+            store.seqs.iter().copied().collect::<std::collections::BTreeSet<_>>(),
+            reference
+        );
+    }
+
     /// The walk as it was before `on_new_affinity` clamped its limit to the
     /// store's free room: once the store fills, it keeps visiting nodes and
     /// `record` refuses each one, adding 1 to `truncated` per node. Kept as
@@ -445,7 +560,7 @@ mod tests {
                         return out;
                     }
                     let key = prefix | (t2_lane << (level * 16));
-                    if s.seen.contains(key) {
+                    if s.contains(key) {
                         continue;
                     }
                     if record(s, key, level + 1, t2) {
@@ -475,7 +590,7 @@ mod tests {
                     return;
                 }
                 let child = key | ((next.code() as u128 + 1) << (level * 16));
-                if s.seen.contains(child) {
+                if s.contains(child) {
                     continue;
                 }
                 list_seq(s, level + 1, next, child, map, limit, out);
@@ -490,14 +605,14 @@ mod tests {
         }
 
         fn record(s: &mut SequenceStore, key: u128, len: usize, last: StmtKind) -> bool {
-            if s.seen.contains(key) {
+            if s.contains(key) {
                 return false;
             }
             if s.seqs.len() >= s.cap {
                 s.truncated += 1;
                 return false;
             }
-            s.seen.insert(key);
+            s.index.insert(&s.seqs, key);
             let row = s.ps_row(last, len);
             s.ps[row].push(s.seqs.len() as u32);
             s.seqs.push(key);

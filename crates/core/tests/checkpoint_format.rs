@@ -175,3 +175,21 @@ fn checkpointed_sequence_longer_than_len_is_rejected() {
         assert!(err.contains("LEN"), "error should name the length limit: {err}");
     }
 }
+
+#[test]
+fn checkpointed_synthesis_job_longer_than_len_is_rejected() {
+    // A queued job is restored as a packed key: one past LEN would
+    // instantiate a sequence no store holds, one past the packed width would
+    // overflow the key's shift.
+    assert!(SNAPSHOT.contains("\"synth_jobs\":[{"));
+    for len in [Config::default().max_seq_len + 1, MAX_PACKED_SEQ + 1] {
+        let long = vec!["5"; len].join(",");
+        let poisoned = SNAPSHOT.replacen(
+            "\"synth_jobs\":[",
+            &format!("\"synth_jobs\":[{{\"seq\":[{long}],\"left\":1}},"),
+            1,
+        );
+        let err = restore(&poisoned).unwrap_err();
+        assert!(err.contains("LEN"), "error should name the length limit: {err}");
+    }
+}

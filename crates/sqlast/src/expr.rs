@@ -349,7 +349,7 @@ pub enum Expr {
     IsNull { expr: Box<Expr>, negated: bool },
     Case { operand: Option<Box<Expr>>, whens: Vec<(Expr, Expr)>, else_: Option<Box<Expr>> },
     Func(FuncCall),
-    Window { func: FuncCall, spec: WindowSpec },
+    Window { func: Box<FuncCall>, spec: Box<WindowSpec> },
     Cast { expr: Box<Expr>, ty: DataType },
     Subquery(Box<crate::ast::Query>),
     Exists { query: Box<crate::ast::Query>, negated: bool },
@@ -481,8 +481,8 @@ mod tests {
     #[test]
     fn window_rendering() {
         let w = Expr::Window {
-            func: FuncCall::new("LEAD", vec![Expr::Bool(true)]),
-            spec: WindowSpec {
+            func: Box::new(FuncCall::new("LEAD", vec![Expr::Bool(true)])),
+            spec: Box::new(WindowSpec {
                 partition_by: vec![],
                 order_by: vec![OrderItem { expr: Expr::col("v1"), desc: false }],
                 frame: Some(FrameClause {
@@ -490,11 +490,31 @@ mod tests {
                     start: FrameBound::Preceding(Box::new(Expr::int(1))),
                     end: Some(FrameBound::Following(Box::new(Expr::int(16)))),
                 }),
-            },
+            }),
         };
         assert_eq!(
             w.to_string(),
             "LEAD(TRUE) OVER (ORDER BY v1 RANGE BETWEEN 1 PRECEDING AND 16 FOLLOWING)"
+        );
+    }
+
+    #[test]
+    fn window_debug_text_is_pinned() {
+        // Campaign fingerprints and structure keys print `Debug`; boxing the
+        // window call and spec must not change the text.
+        let w = Expr::Window {
+            func: Box::new(FuncCall::star("RANK")),
+            spec: Box::new(WindowSpec {
+                partition_by: vec![Expr::col("v0")],
+                order_by: vec![OrderItem { expr: Expr::int(1), desc: true }],
+                frame: None,
+            }),
+        };
+        assert_eq!(
+            format!("{w:?}"),
+            "Window { func: FuncCall { name: \"RANK\", args: [], distinct: false, star: true }, \
+             spec: WindowSpec { partition_by: [Column(ColumnRef { table: None, column: \"v0\" })], \
+             order_by: [OrderItem { expr: Integer(1), desc: true }], frame: None } }"
         );
     }
 

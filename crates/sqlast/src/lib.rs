@@ -30,6 +30,15 @@ pub use kind::{DdlVerb, ObjectKind, StmtCategory, StmtKind};
 
 use std::sync::Arc;
 
+// Every literal, column reference and predicate is an `Expr`, and every
+// statement of the pool, the AST library and each mutant holds many, so the
+// widest variant sets what all of them cost. A rare wide variant (a window
+// call, say) must be boxed.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Expr>() <= 56);
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Statement>() <= 112);
+
 /// Commonly used items.
 pub mod prelude {
     pub use crate::ast::{Query, Statement};

@@ -525,7 +525,10 @@ mod tests {
         })));
         if let SetExpr::Select(sel) = &mut q.body {
             sel.projection = vec![SelectItem::Expr {
-                expr: Expr::Window { func: FuncCall::star("RANK"), spec: WindowSpec::default() },
+                expr: Expr::Window {
+                    func: Box::new(FuncCall::star("RANK")),
+                    spec: Box::new(WindowSpec::default()),
+                },
                 alias: None,
             }];
         }

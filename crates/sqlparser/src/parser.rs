@@ -1427,7 +1427,7 @@ impl<'a> Parser<'a> {
         self.expect_sym(")")?;
         if self.eat_kw("OVER") {
             let spec = self.parse_window_spec()?;
-            return Ok(Expr::Window { func: call, spec });
+            return Ok(Expr::Window { func: Box::new(call), spec: Box::new(spec) });
         }
         Ok(Expr::Func(call))
     }

@@ -64,7 +64,13 @@ files=(
   crates/core/src/reduce.rs
   crates/core/src/seeds.rs
   crates/core/src/special.rs
+  # The AST: its printing and walks key the library and the fingerprints.
   crates/sqlast/src/lib.rs
+  crates/sqlast/src/ast.rs
+  crates/sqlast/src/expr.rs
+  crates/sqlast/src/kind.rs
+  crates/sqlast/src/dialect.rs
+  crates/sqlast/src/rewrite.rs
   crates/sqlast/src/visit.rs
   crates/sqlast/src/skeleton.rs
   # The engine: its coverage decides which cases the fuzzer keeps.

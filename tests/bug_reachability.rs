@@ -56,12 +56,12 @@ fn stmt_for(
                 Structural::WindowFunction => simple_select(
                     vec![SelectItem::Expr {
                         expr: Expr::Window {
-                            func: FuncCall::new("LEAD", vec![Expr::col(col.clone())]),
-                            spec: WindowSpec {
+                            func: Box::new(FuncCall::new("LEAD", vec![Expr::col(col.clone())])),
+                            spec: Box::new(WindowSpec {
                                 partition_by: vec![],
                                 order_by: vec![OrderItem { expr: Expr::col(col), desc: false }],
                                 frame: None,
-                            },
+                            }),
                         },
                         alias: None,
                     }],

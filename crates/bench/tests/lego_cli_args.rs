@@ -155,6 +155,19 @@ fn an_output_path_that_cannot_be_a_directory_is_an_error_before_the_campaign() {
 }
 
 #[test]
+fn a_report_that_cannot_be_written_is_an_error() {
+    // A directory where `campaign.json` should go makes the write fail.
+    let dir =
+        std::env::temp_dir().join(format!("lego_cli_args_out_blocked_{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("campaign.json")).expect("create the blocking directory");
+    let out = cli(&["fuzz", "pg", "--units", "200", "--out", &dir.display().to_string()]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("campaign.json") && !err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn an_empty_output_path_is_refused() {
     assert_refused(&cli(&["fuzz", "pg", "--units", "200", "--out", ""]), &["--out"]);
     assert_refused(&cli(&["fuzz", "pg", "--units", "200", "--out="]), &["--out"]);

@@ -193,7 +193,7 @@ pub fn unpack_seq(key: u128) -> Vec<StmtKind> {
 
 /// Decode a [`pack_seq`] key on the stack and pass the kinds to `f`, with no
 /// allocation (a deferred synthesis job decodes once per instantiation).
-pub fn with_unpacked_seq<R>(mut key: u128, f: impl FnOnce(&[StmtKind]) -> R) -> R {
+pub(crate) fn with_unpacked_seq<R>(mut key: u128, f: impl FnOnce(&[StmtKind]) -> R) -> R {
     // Any kind fills the lanes past the key's length; `f` never sees them.
     let mut buf = [StmtKind::Ddl(DdlVerb::Create, ObjectKind::Table); MAX_PACKED_SEQ];
     let mut len = 0;

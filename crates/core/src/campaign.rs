@@ -11,7 +11,7 @@
 use crate::affinity::corpus_affinities;
 use crate::checkpoint::{
     self, CheckpointCfg, CheckpointMeta, FindingCk, LogicFindingCk, SnapCk, WorkerCheckpoint,
-    WorkerResume, CHECKPOINT_VERSION,
+    CHECKPOINT_VERSION,
 };
 use crate::checks::{OracleRuntime, SemaRuntime};
 use lego_coverage::{CoverageSink, GlobalCoverage};
@@ -645,7 +645,7 @@ enum Curve {
     /// Worker of N: a sparse snapshot of its local map once it passes
     /// `i·slice/snapshots` units, for `i` in `1..=snapshots`. The join
     /// unions the workers' i-th snapshots pairwise.
-    Shards { snaps: Vec<(usize, Vec<(usize, u8)>)>, next: usize, snapshots: usize },
+    Shards { snaps: Vec<SnapCk>, next: usize, snapshots: usize },
 }
 
 impl Curve {
@@ -659,7 +659,7 @@ impl Curve {
             }
             Curve::Shards { snaps, next, snapshots } => {
                 while *next <= *snapshots && units >= slice * *next / *snapshots {
-                    snaps.push((units, cov.to_sparse()));
+                    snaps.push(SnapCk { units, coverage: cov.to_sparse() });
                     *next += 1;
                 }
             }
@@ -672,7 +672,7 @@ impl Curve {
             Curve::Points { points, .. } => points.push((units, cov.edges_covered())),
             Curve::Shards { snaps, next, snapshots } => {
                 while *next <= *snapshots {
-                    snaps.push((units, cov.to_sparse()));
+                    snaps.push(SnapCk { units, coverage: cov.to_sparse() });
                     *next += 1;
                 }
             }
@@ -770,7 +770,7 @@ impl<'a> Worker<'a> {
 
     /// Apply one worker's checkpoint: engine state, maps, re-derived
     /// findings and counters.
-    fn restore(&mut self, engine: &mut dyn FuzzEngine, w: &WorkerResume) -> Result<(), String> {
+    fn restore(&mut self, engine: &mut dyn FuzzEngine, w: &WorkerCheckpoint) -> Result<(), String> {
         engine.restore(&w.engine)?;
         self.cov = GlobalCoverage::from_sparse(&w.coverage);
         if let Some((rules, _)) = self.rules.as_mut() {
@@ -991,13 +991,7 @@ impl<'a> Worker<'a> {
             .ok_or_else(|| format!("engine '{}' does not support checkpointing", engine.name()))?;
         let (next_snapshot, curve, snaps) = match &self.curve {
             Curve::Points { points, next, .. } => (*next, points.clone(), Vec::new()),
-            Curve::Shards { snaps, next, .. } => {
-                let snaps = snaps
-                    .iter()
-                    .map(|(u, cov)| SnapCk { units: *u, coverage: checkpoint::sparse_out(cov) })
-                    .collect();
-                (*next, Vec::new(), snaps)
-            }
+            Curve::Shards { snaps, next, .. } => (*next, Vec::new(), snaps.clone()),
         };
         let sema = self.sema.as_ref();
         let ck = WorkerCheckpoint {
@@ -1014,12 +1008,8 @@ impl<'a> Worker<'a> {
             since_sync: self.since_sync,
             curve,
             snaps,
-            coverage: checkpoint::sparse_out(&self.cov.to_sparse()),
-            rule_coverage: self
-                .rules
-                .as_ref()
-                .map(|(r, _)| checkpoint::sparse_out(&r.to_sparse()))
-                .unwrap_or_default(),
+            coverage: self.cov.to_sparse(),
+            rule_coverage: self.rules.as_ref().map(|(r, _)| r.to_sparse()).unwrap_or_default(),
             seen_stacks: sorted_pairs(&self.seen_stacks),
             bugs: self
                 .bugs
@@ -1136,8 +1126,8 @@ fn assemble(
                 let mut x = 0usize;
                 for out in survivors() {
                     let Curve::Shards { snaps, .. } = &out.curve else { unreachable!("N workers") };
-                    x += snaps[i].0;
-                    merged.union_sparse(&snaps[i].1);
+                    x += snaps[i].units;
+                    merged.union_sparse(&snaps[i].coverage);
                 }
                 curve.push((x, merged.edges_covered()));
             }

@@ -8,9 +8,14 @@
 //!
 //! Two constraints shape the format:
 //!
-//! * The vendored `serde` is serialize-only, so the write side uses derived
-//!   [`serde::Serialize`] but the read side hand-walks a
-//!   [`serde_json::Value`] tree (see the helpers at the bottom).
+//! * The vendored `serde` is serialize-only. Each file is therefore one
+//!   record struct (`meta.json` a [`CheckpointMeta`], a worker file a
+//!   [`WorkerCheckpoint`], its embedded engine snapshot the fuzzer's
+//!   `FuzzerSnapshot`) that derives [`serde::Serialize`] to write and is read
+//!   back through the crate-private `FromJson` trait, which `from_json!`
+//!   implements from the same field names. The reader looks up exactly the
+//!   keys the writer emits, names the key in every error, and adds nothing to
+//!   the bytes on disk.
 //! * `SmallRng` state cannot be extracted, so checkpoints use a *reseed
 //!   barrier*: at every checkpoint boundary the engine draws one `u64`,
 //!   reseeds itself from it, and records the value. An uninterrupted run
@@ -70,7 +75,7 @@ impl CheckpointCfg {
 
 /// Campaign-level configuration recorded once per checkpoint directory, so
 /// `--resume` can validate (and a human can reconstruct) the run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct CheckpointMeta {
     pub version: u64,
     pub fuzzer: String,
@@ -92,7 +97,7 @@ pub struct CheckpointMeta {
 }
 
 /// One worker's (or the serial loop's) complete persisted state.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct WorkerCheckpoint {
     pub version: u64,
     pub worker: usize,
@@ -115,10 +120,10 @@ pub struct WorkerCheckpoint {
     /// Local-shard snapshots so far (worker loop; empty for serial).
     pub snaps: Vec<SnapCk>,
     /// Sparse dump of the coverage accumulator.
-    pub coverage: Vec<(usize, u64)>,
+    pub coverage: Vec<(usize, u8)>,
     /// Sparse dump of the grammar-rule coverage accumulator (empty when the
     /// campaign ran without `rule_cov`).
-    pub rule_coverage: Vec<(usize, u64)>,
+    pub rule_coverage: Vec<(usize, u8)>,
     /// Crash dedup state: `(stack_hash, first_exec)`, hash-sorted.
     pub seen_stacks: Vec<(u64, usize)>,
     pub bugs: Vec<FindingCk>,
@@ -146,15 +151,15 @@ pub struct WorkerCheckpoint {
 }
 
 /// One coverage-curve snapshot of a worker's local shard.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SnapCk {
     pub units: usize,
-    pub coverage: Vec<(usize, u64)>,
+    pub coverage: Vec<(usize, u8)>,
 }
 
 /// A crash finding, stored as its reproducers; the `CrashReport` itself is
 /// re-derived on resume by replaying `case_sql`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FindingCk {
     pub first_exec: usize,
     pub case_sql: String,
@@ -163,17 +168,12 @@ pub struct FindingCk {
 
 /// A logic-bug finding; the `LogicBug` is re-derived on resume by replaying
 /// `case_sql` through the oracle suite and matching `fingerprint`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct LogicFindingCk {
     pub first_exec: usize,
     pub fingerprint: u64,
     pub case_sql: String,
     pub reduced_sql: String,
-}
-
-/// Sparse-dump helper: widen the `u8` bucket bits for serialization.
-pub fn sparse_out(entries: &[(usize, u8)]) -> Vec<(usize, u64)> {
-    entries.iter().map(|&(i, v)| (i, v as u64)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -209,47 +209,15 @@ pub fn write_worker(dir: &Path, ck: &WorkerCheckpoint) -> io::Result<PathBuf> {
 }
 
 // ---------------------------------------------------------------------------
-// Read side (hand-rolled over serde_json::Value)
+// Read side
 // ---------------------------------------------------------------------------
 
-/// Parsed per-worker checkpoint, ready for the campaign runner to apply.
-#[derive(Clone, Debug)]
-pub struct WorkerResume {
-    pub worker: usize,
-    pub seq: usize,
-    pub units: usize,
-    pub execs: usize,
-    pub stmts_ok: usize,
-    pub stmts_err: usize,
-    pub cases_aborted: usize,
-    pub next_snapshot: usize,
-    pub next_ckpt: usize,
-    pub since_sync: usize,
-    pub curve: Vec<(usize, usize)>,
-    pub snaps: Vec<(usize, Vec<(usize, u8)>)>,
-    pub coverage: Vec<(usize, u8)>,
-    /// Grammar-rule coverage shard (empty for rule-cov-off runs).
-    pub rule_coverage: Vec<(usize, u8)>,
-    pub seen_stacks: Vec<(u64, usize)>,
-    pub bugs: Vec<FindingCk>,
-    pub logic_bugs: Vec<LogicFindingCk>,
-    pub oracle_seen: Vec<(u64, usize)>,
-    pub oracle_checks: usize,
-    /// Static-analysis counters and state (zero/empty for sema-off runs).
-    pub sema_rejects: usize,
-    pub sema_skipped_stmts: usize,
-    pub sema_audit: usize,
-    pub sema_seen: Vec<(u64, usize)>,
-    pub sema_findings: Vec<LogicFindingCk>,
-    pub engine: String,
-}
-
-/// A complete, consistent checkpoint set: one [`WorkerResume`] per worker,
-/// all at the same sequence number.
+/// A complete, consistent checkpoint set: one [`WorkerCheckpoint`] per
+/// worker, all at the same sequence number.
 #[derive(Clone, Debug)]
 pub struct CampaignResume {
     pub meta: CheckpointMeta,
-    pub workers: Vec<WorkerResume>,
+    pub workers: Vec<WorkerCheckpoint>,
 }
 
 /// Load the latest checkpoint set *complete across all workers* from `dir`.
@@ -258,10 +226,11 @@ pub struct CampaignResume {
 /// for worker 0 but only 1-3 for worker 1; the consistent resume point is
 /// the minimum over workers of each worker's maximum sequence number.
 pub fn load_campaign_checkpoint(dir: &Path) -> Result<CampaignResume, String> {
-    let path = meta_path(dir);
-    let src =
-        std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let meta = parse_meta(&src).map_err(|e| format!("{}: {e}", path.display()))?;
+    let meta_file = meta_path(dir);
+    let meta: CheckpointMeta = read_file(&meta_file)?;
+    if meta.workers == 0 {
+        return Err(format!("{}: workers is 0", meta_file.display()));
+    }
     let mut seq = usize::MAX;
     for w in 0..meta.workers {
         let newest = (1..)
@@ -273,192 +242,177 @@ pub fn load_campaign_checkpoint(dir: &Path) -> Result<CampaignResume, String> {
     let mut workers = Vec::with_capacity(meta.workers);
     for w in 0..meta.workers {
         let path = worker_path(dir, w, seq);
-        let src =
-            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let parsed = parse_worker(&src).map_err(|e| format!("{}: {e}", path.display()))?;
-        if parsed.worker != w {
-            return Err(format!("{}: worker field is {}", path.display(), parsed.worker));
+        let ck: WorkerCheckpoint = read_file(&path)?;
+        if ck.worker != w {
+            return Err(format!("{}: worker field is {}", path.display(), ck.worker));
         }
-        workers.push(parsed);
+        // A worker of N pushes one shard snapshot per step of
+        // `next_snapshot` from 1, and the join indexes every worker's i-th
+        // snapshot: a mismatch would index past the end.
+        if meta.workers > 1 && ck.next_snapshot != ck.snaps.len() + 1 {
+            return Err(format!(
+                "{}: next_snapshot is {} but snaps holds {} snapshots",
+                path.display(),
+                ck.next_snapshot,
+                ck.snaps.len()
+            ));
+        }
+        workers.push(ck);
     }
     Ok(CampaignResume { meta, workers })
 }
 
-/// Require `v`'s `version` field to be [`CHECKPOINT_VERSION`].
-pub(crate) fn check_version(v: &serde_json::Value) -> Result<(), String> {
-    let version = get_u64(v, "version")?;
+/// [`read`] the record in the file at `path`, naming the file on error.
+fn read_file<T: FromJson>(path: &Path) -> Result<T, String> {
+    let src = std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    read(&src).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Parse one checkpoint record. Its `version` is checked before any other
+/// field, so a file of another version is refused as such rather than for
+/// a layout it does not share.
+pub(crate) fn read<T: FromJson>(src: &str) -> Result<T, String> {
+    let v = serde_json::from_str(src).map_err(|e| e.to_string())?;
+    let version: u64 = field(&v, "version")?;
     if version != CHECKPOINT_VERSION {
         return Err(format!(
             "checkpoint format version {version}, but this build reads only version \
              {CHECKPOINT_VERSION}"
         ));
     }
-    Ok(())
+    T::from_json(&v)
 }
 
-fn parse_meta(src: &str) -> Result<CheckpointMeta, String> {
-    let v = serde_json::from_str(src).map_err(|e| e.to_string())?;
-    check_version(&v)?;
-    let flags = get(&v, "oracles")?
-        .as_array()
-        .filter(|a| a.len() == 4)
-        .ok_or("oracles must be a 4-element array")?;
-    let flag = |i: usize| flags[i].as_bool().ok_or("oracle flag must be a bool");
-    Ok(CheckpointMeta {
-        version: CHECKPOINT_VERSION,
-        fuzzer: get_string(&v, "fuzzer")?,
-        dialect: get_string(&v, "dialect")?,
-        budget_units: get_usize(&v, "budget_units")?,
-        snapshots: get_usize(&v, "snapshots")?,
-        workers: get_usize(&v, "workers")?,
-        sync_every: get_usize(&v, "sync_every")?,
-        every_units: get_usize(&v, "every_units")?,
-        oracles: (flag(0)?, flag(1)?, flag(2)?, flag(3)?),
-        rule_cov: get_bool(&v, "rule_cov")?,
-        sema: get_bool(&v, "sema")?,
-    })
+/// A value read back from the JSON its [`Serialize`] impl wrote. The vendored
+/// `serde` cannot deserialize, so this is the one decoder of checkpoints.
+pub(crate) trait FromJson: Sized {
+    fn from_json(v: &serde_json::Value) -> Result<Self, String>;
 }
 
-fn parse_worker(src: &str) -> Result<WorkerResume, String> {
-    let v = serde_json::from_str(src).map_err(|e| e.to_string())?;
-    check_version(&v)?;
-    let snaps = get(&v, "snaps")?
-        .as_array()
-        .ok_or("snaps must be an array")?
-        .iter()
-        .map(|s| Ok((get_usize(s, "units")?, sparse_in(get(s, "coverage")?)?)))
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(WorkerResume {
-        worker: get_usize(&v, "worker")?,
-        seq: get_usize(&v, "seq")?,
-        units: get_usize(&v, "units")?,
-        execs: get_usize(&v, "execs")?,
-        stmts_ok: get_usize(&v, "stmts_ok")?,
-        stmts_err: get_usize(&v, "stmts_err")?,
-        cases_aborted: get_usize(&v, "cases_aborted")?,
-        next_snapshot: get_usize(&v, "next_snapshot")?,
-        next_ckpt: get_usize(&v, "next_ckpt")?,
-        since_sync: get_usize(&v, "since_sync")?,
-        curve: pairs_usize(get(&v, "curve")?)?,
-        snaps,
-        coverage: sparse_in(get(&v, "coverage")?)?,
-        rule_coverage: sparse_in(get(&v, "rule_coverage")?)?,
-        seen_stacks: pairs_u64_usize(get(&v, "seen_stacks")?)?,
-        bugs: findings_in(get(&v, "bugs")?)?,
-        logic_bugs: logic_findings_in(get(&v, "logic_bugs")?)?,
-        oracle_seen: pairs_u64_usize(get(&v, "oracle_seen")?)?,
-        oracle_checks: get_usize(&v, "oracle_checks")?,
-        sema_rejects: get_usize(&v, "sema_rejects")?,
-        sema_skipped_stmts: get_usize(&v, "sema_skipped_stmts")?,
-        sema_audit: get_usize(&v, "sema_audit")?,
-        sema_seen: pairs_u64_usize(get(&v, "sema_seen")?)?,
-        sema_findings: logic_findings_in(get(&v, "sema_findings")?)?,
-        engine: get_string(&v, "engine")?,
-    })
+/// Read the object `v`'s field `key`; every error names the key.
+pub(crate) fn field<T: FromJson>(v: &serde_json::Value, key: &str) -> Result<T, String> {
+    let obj = v.as_object().ok_or("expected an object")?;
+    let x = obj.get(key).ok_or_else(|| format!("missing field '{key}'"))?;
+    T::from_json(x).map_err(|e| format!("field '{key}': {e}"))
 }
 
-fn findings_in(v: &serde_json::Value) -> Result<Vec<FindingCk>, String> {
-    v.as_array()
-        .ok_or("bugs must be an array")?
-        .iter()
-        .map(|b| {
-            Ok(FindingCk {
-                first_exec: get_usize(b, "first_exec")?,
-                case_sql: get_string(b, "case_sql")?,
-                reduced_sql: get_string(b, "reduced_sql")?,
-            })
-        })
-        .collect()
+/// Implement [`FromJson`] for a struct with named fields, reading each field
+/// from the key of the same name, which is the key the derived `Serialize`
+/// writes. The struct literal makes the compiler reject a list that leaves
+/// a field out.
+macro_rules! from_json {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::checkpoint::FromJson for $ty {
+            fn from_json(v: &::serde_json::Value) -> Result<Self, String> {
+                Ok($ty { $($field: $crate::checkpoint::field(v, stringify!($field))?),* })
+            }
+        }
+    };
+}
+pub(crate) use from_json;
+
+macro_rules! from_json_uint {
+    ($($ty:ty),*) => {$(
+        impl FromJson for $ty {
+            fn from_json(v: &serde_json::Value) -> Result<Self, String> {
+                v.as_u64()
+                    .and_then(|n| <$ty>::try_from(n).ok())
+                    .ok_or_else(|| format!("expected an integer in 0..={}", <$ty>::MAX))
+            }
+        }
+    )*};
+}
+from_json_uint!(u8, u16, u64, usize);
+
+impl FromJson for bool {
+    fn from_json(v: &serde_json::Value) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "expected a bool".to_string())
+    }
 }
 
-fn logic_findings_in(v: &serde_json::Value) -> Result<Vec<LogicFindingCk>, String> {
-    v.as_array()
-        .ok_or("logic_bugs must be an array")?
-        .iter()
-        .map(|b| {
-            Ok(LogicFindingCk {
-                first_exec: get_usize(b, "first_exec")?,
-                fingerprint: get_u64(b, "fingerprint")?,
-                case_sql: get_string(b, "case_sql")?,
-                reduced_sql: get_string(b, "reduced_sql")?,
-            })
-        })
-        .collect()
+impl FromJson for String {
+    fn from_json(v: &serde_json::Value) -> Result<Self, String> {
+        v.as_str().map(str::to_string).ok_or_else(|| "expected a string".to_string())
+    }
 }
 
-fn sparse_in(v: &serde_json::Value) -> Result<Vec<(usize, u8)>, String> {
-    pair_array(v)?
-        .iter()
-        .map(|(a, b)| {
-            let bits =
-                b.as_u64().filter(|&x| x <= u8::MAX as u64).ok_or("bucket bits out of range")?;
-            Ok((a.as_usize().ok_or("edge index must be an integer")?, bits as u8))
-        })
-        .collect()
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &serde_json::Value) -> Result<Self, String> {
+        v.as_array()
+            .ok_or("expected an array")?
+            .iter()
+            .enumerate()
+            .map(|(i, x)| T::from_json(x).map_err(|e| format!("[{i}]: {e}")))
+            .collect()
+    }
 }
 
-// --- generic Value helpers, shared with the engine restore path -----------
-
-pub(crate) fn get<'a>(
-    v: &'a serde_json::Value,
-    key: &str,
-) -> Result<&'a serde_json::Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn from_json(v: &serde_json::Value) -> Result<Self, String> {
+        match v.as_array() {
+            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+            _ => Err("expected a 2-element array".to_string()),
+        }
+    }
 }
 
-pub(crate) fn get_u64(v: &serde_json::Value, key: &str) -> Result<u64, String> {
-    get(v, key)?.as_u64().ok_or_else(|| format!("field '{key}' must be a u64"))
+impl<A: FromJson, B: FromJson, C: FromJson, D: FromJson> FromJson for (A, B, C, D) {
+    fn from_json(v: &serde_json::Value) -> Result<Self, String> {
+        match v.as_array() {
+            Some([a, b, c, d]) => {
+                Ok((A::from_json(a)?, B::from_json(b)?, C::from_json(c)?, D::from_json(d)?))
+            }
+            _ => Err("expected a 4-element array".to_string()),
+        }
+    }
 }
 
-pub(crate) fn get_usize(v: &serde_json::Value, key: &str) -> Result<usize, String> {
-    get(v, key)?.as_usize().ok_or_else(|| format!("field '{key}' must be an integer"))
-}
+from_json!(CheckpointMeta {
+    version,
+    fuzzer,
+    dialect,
+    budget_units,
+    snapshots,
+    workers,
+    sync_every,
+    every_units,
+    oracles,
+    rule_cov,
+    sema,
+});
 
-fn get_bool(v: &serde_json::Value, key: &str) -> Result<bool, String> {
-    get(v, key)?.as_bool().ok_or_else(|| format!("field '{key}' must be a bool"))
-}
+from_json!(WorkerCheckpoint {
+    version,
+    worker,
+    seq,
+    units,
+    execs,
+    stmts_ok,
+    stmts_err,
+    cases_aborted,
+    next_snapshot,
+    next_ckpt,
+    since_sync,
+    curve,
+    snaps,
+    coverage,
+    rule_coverage,
+    seen_stacks,
+    bugs,
+    logic_bugs,
+    oracle_seen,
+    oracle_checks,
+    sema_rejects,
+    sema_skipped_stmts,
+    sema_audit,
+    sema_seen,
+    sema_findings,
+    engine,
+});
 
-pub(crate) fn get_string(v: &serde_json::Value, key: &str) -> Result<String, String> {
-    Ok(get(v, key)?.as_str().ok_or_else(|| format!("field '{key}' must be a string"))?.to_string())
-}
-
-/// An array of 2-element arrays, the JSON shape of `Vec<(A, B)>`.
-fn pair_array(
-    v: &serde_json::Value,
-) -> Result<Vec<(&serde_json::Value, &serde_json::Value)>, String> {
-    v.as_array()
-        .ok_or("expected an array of pairs")?
-        .iter()
-        .map(|p| {
-            let p = p.as_array().filter(|a| a.len() == 2).ok_or("expected a 2-element array")?;
-            Ok((&p[0], &p[1]))
-        })
-        .collect()
-}
-
-pub(crate) fn pairs_usize(v: &serde_json::Value) -> Result<Vec<(usize, usize)>, String> {
-    pair_array(v)?
-        .iter()
-        .map(|(a, b)| {
-            Ok((
-                a.as_usize().ok_or("pair element must be an integer")?,
-                b.as_usize().ok_or("pair element must be an integer")?,
-            ))
-        })
-        .collect()
-}
-
-pub(crate) fn pairs_u64_usize(v: &serde_json::Value) -> Result<Vec<(u64, usize)>, String> {
-    pair_array(v)?
-        .iter()
-        .map(|(a, b)| {
-            Ok((
-                a.as_u64().ok_or("pair element must be a u64")?,
-                b.as_usize().ok_or("pair element must be an integer")?,
-            ))
-        })
-        .collect()
-}
+from_json!(SnapCk { units, coverage });
+from_json!(FindingCk { first_exec, case_sql, reduced_sql });
+from_json!(LogicFindingCk { first_exec, fingerprint, case_sql, reduced_sql });
 
 #[cfg(test)]
 mod tests {
@@ -480,7 +434,7 @@ mod tests {
             stmts_ok: 60,
             stmts_err: 17,
             cases_aborted: 2,
-            next_snapshot: 3,
+            next_snapshot: 2,
             next_ckpt: 2000,
             since_sync: 5,
             curve: vec![(0, 0), (500, 42)],
@@ -493,40 +447,30 @@ mod tests {
                 case_sql: "SELECT 1;".into(),
                 reduced_sql: "SELECT 1;".into(),
             }],
-            logic_bugs: vec![],
+            logic_bugs: vec![LogicFindingCk {
+                first_exec: 13,
+                fingerprint: u64::MAX - 1,
+                case_sql: "SELECT 2;\nSELECT 3;".into(),
+                reduced_sql: "SELECT 2;".into(),
+            }],
             oracle_seen: vec![(42, 7)],
             oracle_checks: 9,
             sema_rejects: 4,
             sema_skipped_stmts: 12,
             sema_audit: 3,
             sema_seen: vec![(77, 5)],
-            sema_findings: vec![],
+            sema_findings: vec![LogicFindingCk {
+                first_exec: 21,
+                fingerprint: 1 << 63,
+                case_sql: "COMMIT;".into(),
+                reduced_sql: "COMMIT;".into(),
+            }],
             engine: "{\"rng_reseed\":18446744073709551615}".into(),
         }
     }
 
-    #[test]
-    fn worker_checkpoint_roundtrips() {
-        let ck = sample_worker(1, 2);
-        let json = serde_json::to_string(&ck).unwrap();
-        let back = parse_worker(&json).unwrap();
-        assert_eq!(back.worker, 1);
-        assert_eq!(back.seq, 2);
-        assert_eq!(back.units, 1234);
-        assert_eq!(back.coverage, vec![(3, 1u8), (70_000, 255u8)]);
-        assert_eq!(back.seen_stacks, vec![(u64::MAX - 3, 11)]);
-        assert_eq!(back.snaps, vec![(500, vec![(9, 3u8)])]);
-        assert_eq!(back.bugs[0].case_sql, "SELECT 1;");
-        // The embedded engine snapshot survives as an exact string, u64
-        // precision included.
-        let engine = serde_json::from_str(&back.engine).unwrap();
-        assert_eq!(engine.get("rng_reseed").unwrap().as_u64(), Some(u64::MAX));
-    }
-
-    #[test]
-    fn load_picks_latest_complete_sequence() {
-        let dir = tmpdir("latest");
-        let meta = CheckpointMeta {
+    fn sample_meta() -> CheckpointMeta {
+        CheckpointMeta {
             version: CHECKPOINT_VERSION,
             fuzzer: "LEGO".into(),
             dialect: "Postgres".into(),
@@ -535,10 +479,25 @@ mod tests {
             workers: 2,
             sync_every: 16,
             every_units: 2_000,
-            oracles: (false, true, false, false),
+            oracles: (false, true, false, true),
             rule_cov: true,
             sema: true,
-        };
+        }
+    }
+
+    #[test]
+    fn worker_checkpoint_roundtrips() {
+        // The embedded engine snapshot survives as an exact string, u64
+        // precision included, and each `u8` bucket as its digits.
+        let ck = sample_worker(1, 2);
+        let back: WorkerCheckpoint = read(&serde_json::to_string(&ck).unwrap()).unwrap();
+        assert_eq!(back, ck);
+    }
+
+    #[test]
+    fn load_picks_latest_complete_sequence() {
+        let dir = tmpdir("latest");
+        let meta = sample_meta();
         write_meta(&dir, &meta).unwrap();
         // Worker 0 reached seq 3; worker 1 only seq 2 — the consistent
         // resume point is seq 2.
@@ -548,30 +507,15 @@ mod tests {
             }
         }
         let resume = load_campaign_checkpoint(&dir).unwrap();
-        assert_eq!(resume.meta.workers, 2);
-        assert_eq!(resume.meta.oracles, (false, true, false, false));
-        assert_eq!(resume.workers.len(), 2);
-        assert!(resume.workers.iter().all(|w| w.seq == 2));
+        assert_eq!(resume.meta, meta);
+        assert_eq!(resume.workers, vec![sample_worker(0, 2), sample_worker(1, 2)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_worker_files_are_an_error() {
         let dir = tmpdir("missing");
-        let meta = CheckpointMeta {
-            version: CHECKPOINT_VERSION,
-            fuzzer: "LEGO".into(),
-            dialect: "Postgres".into(),
-            budget_units: 1,
-            snapshots: 1,
-            workers: 2,
-            sync_every: 16,
-            every_units: 1,
-            oracles: (false, false, false, false),
-            rule_cov: false,
-            sema: false,
-        };
-        write_meta(&dir, &meta).unwrap();
+        write_meta(&dir, &sample_meta()).unwrap();
         write_worker(&dir, &sample_worker(0, 1)).unwrap();
         let err = load_campaign_checkpoint(&dir).unwrap_err();
         assert!(err.contains("worker 1"), "{err}");
@@ -582,7 +526,7 @@ mod tests {
     fn version_mismatch_is_rejected() {
         let mut ck = sample_worker(0, 1);
         ck.version = 999;
-        let err = parse_worker(&serde_json::to_string(&ck).unwrap()).unwrap_err();
+        let err = read::<WorkerCheckpoint>(&serde_json::to_string(&ck).unwrap()).unwrap_err();
         assert!(err.contains("version 999") && err.contains("version 6"), "{err}");
     }
 }

@@ -5,7 +5,7 @@
 //! checkpoint by replaying the stored reproducers.
 
 use crate::campaign::{CampaignSpec, LogicBugFinding};
-use crate::checkpoint::{LogicFindingCk, WorkerResume};
+use crate::checkpoint::{LogicFindingCk, WorkerCheckpoint};
 use lego_coverage::CovMap;
 use lego_dbms::{Dbms, ExecReport, Outcome};
 use lego_observe::{Event, Stage, Telemetry};
@@ -96,7 +96,7 @@ impl OracleRuntime {
     /// checkpoint. Findings are re-derived by replaying each stored case
     /// through the suite and matching its fingerprint; those replays are
     /// bookkeeping, so `checks` is overwritten with the recorded count.
-    pub(crate) fn restore(&mut self, w: &WorkerResume) -> Result<(), String> {
+    pub(crate) fn restore(&mut self, w: &WorkerCheckpoint) -> Result<(), String> {
         if !w.logic_bugs.is_empty() {
             let suite = self
                 .suite
@@ -300,7 +300,7 @@ impl SemaRuntime {
     /// Restore counters, dedup state and findings from a checkpoint. The
     /// findings are re-derived by replaying each case through the analyzer
     /// and the reset engine `db` and matching the stored fingerprint.
-    pub(crate) fn restore(&mut self, db: &mut Dbms, w: &WorkerResume) -> Result<(), String> {
+    pub(crate) fn restore(&mut self, db: &mut Dbms, w: &WorkerCheckpoint) -> Result<(), String> {
         let dialect = db.dialect();
         self.findings = w
             .sema_findings

@@ -11,7 +11,7 @@
 
 use crate::affinity::AffinityMap;
 use crate::campaign::FuzzEngine;
-use crate::checkpoint::CHECKPOINT_VERSION;
+use crate::checkpoint::{from_json, CHECKPOINT_VERSION};
 use crate::gen::{gen_statement, SchemaModel};
 use crate::instantiate::{fix_case, instantiate, AstLibrary};
 use crate::mutation::{conventional_mutate_stacked, sema_repair};
@@ -576,6 +576,29 @@ struct FuzzerSnapshot {
     stats: Vec<usize>,
 }
 
+from_json!(SeedCk { sql, cost, scheduled });
+from_json!(PendingCk { sql, origin });
+from_json!(BucketCk { kind, stmts });
+from_json!(JobCk { seq, left });
+from_json!(FuzzerSnapshot {
+    version,
+    name,
+    cfg,
+    rng_reseed,
+    schedule_tick,
+    pending_origin,
+    pool,
+    affinities,
+    seqs,
+    store_truncated,
+    library,
+    library_keys,
+    queue,
+    synth_jobs,
+    executed_ngrams,
+    stats,
+});
+
 /// A statement as [`TestCase::to_sql`] renders it.
 fn stmt_to_sql(stmt: &Arc<Statement>) -> String {
     format!("{stmt};\n")
@@ -593,50 +616,12 @@ fn parse_stmt(sql: &str) -> Result<Statement, String> {
     Ok(Arc::unwrap_or_clone(case.statements.remove(0)))
 }
 
-fn kind_from_code(code: u64) -> Result<StmtKind, String> {
-    u16::try_from(code)
-        .ok()
-        .and_then(StmtKind::from_code)
-        .ok_or_else(|| format!("unknown statement-kind code {code}"))
+fn kind_from_code(code: u16) -> Result<StmtKind, String> {
+    StmtKind::from_code(code).ok_or_else(|| format!("unknown statement-kind code {code}"))
 }
 
-fn pending_out(q: &VecDeque<Pending>) -> Vec<PendingCk> {
-    q.iter()
-        .map(|p| PendingCk { sql: p.case.to_sql(), origin: p.origin.name().to_string() })
-        .collect()
-}
-
-fn pending_in(v: &serde_json::Value, key: &str) -> Result<VecDeque<Pending>, String> {
-    crate::checkpoint::get(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("field '{key}' must be an array"))?
-        .iter()
-        .map(|p| {
-            Ok(Pending {
-                case: Arc::new(parse_case(&crate::checkpoint::get_string(p, "sql")?)?),
-                origin: Origin::from_name(&crate::checkpoint::get_string(p, "origin")?)?,
-            })
-        })
-        .collect()
-}
-
-/// Parse a JSON array of kind codes.
-fn codes_in(seq: &serde_json::Value) -> Result<Vec<StmtKind>, String> {
-    seq.as_array()
-        .ok_or("sequence must be an array")?
-        .iter()
-        .map(|c| kind_from_code(c.as_u64().ok_or("kind code must be an integer")?))
-        .collect()
-}
-
-/// Parse a JSON array of arrays of kind codes.
-fn code_seqs_in(v: &serde_json::Value, key: &str) -> Result<Vec<Vec<StmtKind>>, String> {
-    crate::checkpoint::get(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("field '{key}' must be an array"))?
-        .iter()
-        .map(codes_in)
-        .collect()
+fn kinds_from_codes(codes: &[u16]) -> Result<Vec<StmtKind>, String> {
+    codes.iter().map(|&c| kind_from_code(c)).collect()
 }
 
 impl LegoFuzzer {
@@ -674,7 +659,11 @@ impl LegoFuzzer {
                 })
                 .collect(),
             library_keys: self.library.keys_sorted(),
-            queue: pending_out(&self.queue),
+            queue: self
+                .queue
+                .iter()
+                .map(|p| PendingCk { sql: p.case.to_sql(), origin: p.origin.name().to_string() })
+                .collect(),
             synth_jobs: self
                 .synth_queue
                 .iter()
@@ -697,78 +686,61 @@ impl LegoFuzzer {
         }
     }
 
-    /// Apply a parsed snapshot. `self` must have been constructed with the
+    /// Apply a read snapshot. `self` must have been constructed with the
     /// same dialect and config as the engine that produced it.
-    fn apply_snapshot(&mut self, v: &serde_json::Value) -> Result<(), String> {
-        use crate::checkpoint::{check_version, get, get_string, get_u64, get_usize};
-        check_version(v).map_err(|e| format!("engine snapshot: {e}"))?;
-        let name = get_string(v, "name")?;
-        if name != self.name() {
+    fn apply_snapshot(&mut self, snap: FuzzerSnapshot) -> Result<(), String> {
+        if snap.name != self.name() {
             return Err(format!(
-                "snapshot is for engine '{name}', this engine is '{}'",
+                "snapshot is for engine '{}', this engine is '{}'",
+                snap.name,
                 self.name()
             ));
         }
-        let cfg = get_string(v, "cfg")?;
         let own_cfg = serde_json::to_string(&self.cfg).expect("config serialize");
-        if cfg != own_cfg {
+        if snap.cfg != own_cfg {
             return Err(format!(
-                "snapshot config does not match this engine's config:\n  snapshot: {cfg}\n  engine:   {own_cfg}"
+                "snapshot config does not match this engine's config:\n  snapshot: {}\n  engine:   {own_cfg}",
+                snap.cfg
             ));
         }
-        self.rng = SmallRng::seed_from_u64(get_u64(v, "rng_reseed")?);
-        self.schedule_tick = get_usize(v, "schedule_tick")?;
-        self.pending_origin = Origin::from_name(&get_string(v, "pending_origin")?)?;
-        let seeds = get(v, "pool")?
-            .as_array()
-            .ok_or("field 'pool' must be an array")?
-            .iter()
-            .map(|s| {
-                Ok((
-                    parse_case(&get_string(s, "sql")?)?,
-                    get_usize(s, "cost")?,
-                    get_usize(s, "scheduled")?,
-                ))
-            })
+        self.rng = SmallRng::seed_from_u64(snap.rng_reseed);
+        self.schedule_tick = snap.schedule_tick;
+        self.pending_origin = Origin::from_name(&snap.pending_origin)?;
+        let seeds = snap
+            .pool
+            .into_iter()
+            .map(|s| Ok((parse_case(&s.sql)?, s.cost, s.scheduled)))
             .collect::<Result<Vec<_>, String>>()?;
         self.pool = SeedPool::from_parts(seeds);
         self.affinities = AffinityMap::new();
-        for (a, b) in crate::checkpoint::pairs_u64_usize(get(v, "affinities")?)? {
-            self.affinities.insert(kind_from_code(a)?, kind_from_code(b as u64)?);
+        for (a, b) in snap.affinities {
+            self.affinities.insert(kind_from_code(a)?, kind_from_code(b)?);
         }
-        self.store = SequenceStore::from_parts(
-            self.cfg.max_seq_len,
-            code_seqs_in(v, "seqs")?,
-            get_usize(v, "store_truncated")?,
-        )?;
-        let buckets = get(v, "library")?
-            .as_array()
-            .ok_or("field 'library' must be an array")?
-            .iter()
+        let seqs = snap.seqs.iter().map(|s| kinds_from_codes(s)).collect::<Result<_, String>>()?;
+        self.store = SequenceStore::from_parts(self.cfg.max_seq_len, seqs, snap.store_truncated)?;
+        let buckets = snap
+            .library
+            .into_iter()
             .map(|b| {
-                let kind = kind_from_code(get_u64(b, "kind")?)?;
-                let stmts = get(b, "stmts")?
-                    .as_array()
-                    .ok_or("field 'stmts' must be an array")?
-                    .iter()
-                    .map(|s| parse_stmt(s.as_str().ok_or("statement must be a string")?))
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok((kind, stmts))
+                let stmts = b.stmts.iter().map(|s| parse_stmt(s)).collect::<Result<_, String>>()?;
+                Ok((kind_from_code(b.kind)?, stmts))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let keys = get(v, "library_keys")?
-            .as_array()
-            .ok_or("field 'library_keys' must be an array")?
-            .iter()
-            .map(|k| k.as_u64().ok_or_else(|| "library key must be a u64".to_string()))
-            .collect::<Result<Vec<_>, String>>()?;
-        self.library = AstLibrary::from_parts(buckets, keys);
-        self.queue = pending_in(v, "queue")?;
+        self.library = AstLibrary::from_parts(buckets, snap.library_keys);
+        self.queue = snap
+            .queue
+            .into_iter()
+            .map(|p| {
+                Ok(Pending {
+                    case: Arc::new(parse_case(&p.sql)?),
+                    origin: Origin::from_name(&p.origin)?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
         self.synth_queue = VecDeque::new();
-        for job in get(v, "synth_jobs")?.as_array().ok_or("field 'synth_jobs' must be an array")? {
-            let seq = codes_in(get(job, "seq")?)?;
-            let left = get_usize(job, "left")?;
-            if seq.len() < 2 || left == 0 {
+        for job in snap.synth_jobs {
+            let seq = kinds_from_codes(&job.seq)?;
+            if seq.len() < 2 || job.left == 0 {
                 return Err("malformed synthesis job in snapshot".to_string());
             }
             // LEN is at most MAX_PACKED_SEQ, so this also keeps the key's
@@ -780,21 +752,14 @@ impl LegoFuzzer {
                     self.cfg.max_seq_len
                 ));
             }
-            self.synth_queue.push_back(SynthJob { key: pack_seq(&seq), left });
+            self.synth_queue.push_back(SynthJob { key: pack_seq(&seq), left: job.left });
         }
         self.executed_ngrams = NgramSet::new();
-        for key in get(v, "executed_ngrams")?
-            .as_array()
-            .ok_or("field 'executed_ngrams' must be an array")?
-        {
-            let key = key.as_u64().ok_or("packed n-gram key must be a u64")?;
+        for key in snap.executed_ngrams {
             // Validate against the alphabet: every embedded code must
             // decode, and re-packing must reproduce the key (rejects e.g. a
             // hole in the middle lane).
-            let kinds = crate::ngram::unpack(key)
-                .into_iter()
-                .map(|c| kind_from_code(c as u64))
-                .collect::<Result<Vec<_>, String>>()?;
+            let kinds = kinds_from_codes(&crate::ngram::unpack(key))?;
             let repacked = match kinds[..] {
                 [a, b] => pack2(a, b),
                 [a, b, c] => pack3(a, b, c),
@@ -805,22 +770,18 @@ impl LegoFuzzer {
             }
             self.executed_ngrams.insert(key);
         }
-        let stats = get(v, "stats")?.as_array().ok_or("field 'stats' must be an array")?;
-        if stats.len() != 8 {
-            return Err(format!("expected 8 stats counters, got {}", stats.len()));
-        }
-        let counter = |i: usize| -> Result<usize, String> {
-            stats[i].as_usize().ok_or_else(|| "stats counter must be an integer".to_string())
+        let [a, b, c, d, e, f, g, h] = snap.stats[..] else {
+            return Err(format!("expected 8 stats counters, got {}", snap.stats.len()));
         };
         self.stats = LegoStats {
-            affinities_found: counter(0)?,
-            sequences_synthesized: counter(1)?,
-            cases_instantiated: counter(2)?,
-            sequences_skipped_covered: counter(3)?,
-            queue_dropped: counter(4)?,
-            seq_mutants: counter(5)?,
-            conventional_mutants: counter(6)?,
-            rule_boosted: counter(7)?,
+            affinities_found: a,
+            sequences_synthesized: b,
+            cases_instantiated: c,
+            sequences_skipped_covered: d,
+            queue_dropped: e,
+            seq_mutants: f,
+            conventional_mutants: g,
+            rule_boosted: h,
         };
         Ok(())
     }
@@ -840,9 +801,9 @@ impl FuzzEngine for LegoFuzzer {
     }
 
     fn restore(&mut self, snapshot: &str) -> Result<(), String> {
-        let v = serde_json::from_str(snapshot)
-            .map_err(|e| format!("engine snapshot is not valid JSON: {e}"))?;
-        self.apply_snapshot(&v)
+        let snap =
+            crate::checkpoint::read(snapshot).map_err(|e| format!("engine snapshot: {e}"))?;
+        self.apply_snapshot(snap)
     }
 
     fn next_case(&mut self) -> Arc<TestCase> {

@@ -10,9 +10,10 @@
 //! `cargo run -q -p lego --example dump_snapshot` and then
 //! `cargo run -q -p lego --example dump_resume_stream` (each example's doc
 //! gives the redirect). Every other version is refused, on the engine
-//! snapshot, on `meta.json` and on each worker checkpoint alike.
+//! snapshot, on `meta.json` and on each worker checkpoint alike, and so is a
+//! record with any key missing or of the wrong type.
 
-use lego::campaign::{run_engine, Budget, CampaignSpec, FuzzEngine};
+use lego::campaign::{run, Budget, CampaignSpec, FuzzEngine, ParallelOpts};
 use lego::checkpoint::{
     load_campaign_checkpoint, meta_path, worker_path, CheckpointCfg, CHECKPOINT_VERSION,
 };
@@ -20,6 +21,9 @@ use lego::fuzzer::{Config, LegoFuzzer};
 use lego::ngram::MAX_PACKED_SEQ;
 use lego::observe::Telemetry;
 use lego_sqlast::Dialect;
+use serde_json::Value;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, UnwindSafe};
 use std::path::{Path, PathBuf};
 
 const SNAPSHOT: &str = include_str!("fixtures/engine_snapshot.json");
@@ -59,16 +63,20 @@ fn assert_refuses(err: &str, version: u64) {
     );
 }
 
-/// A checkpoint directory written by a short plain campaign.
-fn written_checkpoint(tag: &str) -> PathBuf {
+/// A checkpoint directory written by a short plain campaign on `workers`
+/// default-config LEGO engines.
+fn written_checkpoint(tag: &str, workers: usize) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lego_ckfmt_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = CampaignSpec {
+        parallel: ParallelOpts { workers, ..ParallelOpts::default() },
         checkpoint: CheckpointCfg { every_units: 750, dir: Some(dir.clone()), resume: None },
         ..CampaignSpec::new(Dialect::Postgres, Budget::units(3_000))
     };
-    let mut engine = LegoFuzzer::new(Dialect::Postgres, Config::default());
-    run_engine(&spec, &Telemetry::disabled(), &mut engine).expect("checkpointed campaign");
+    run(&spec, &Telemetry::disabled(), |_| {
+        Box::new(LegoFuzzer::new(Dialect::Postgres, Config::default()))
+    })
+    .expect("checkpointed campaign");
     dir
 }
 
@@ -124,7 +132,7 @@ fn older_snapshot_versions_are_rejected() {
 
 #[test]
 fn older_meta_versions_are_rejected() {
-    let dir = written_checkpoint("meta");
+    let dir = written_checkpoint("meta", 1);
     load_campaign_checkpoint(&dir).expect("the written checkpoint loads");
     stamp(&meta_path(&dir), OLD);
     let err = load_campaign_checkpoint(&dir).unwrap_err();
@@ -135,7 +143,7 @@ fn older_meta_versions_are_rejected() {
 
 #[test]
 fn older_worker_checkpoint_versions_are_rejected() {
-    let dir = written_checkpoint("worker");
+    let dir = written_checkpoint("worker", 1);
     let seq = load_campaign_checkpoint(&dir).expect("the written checkpoint loads").workers[0].seq;
     let path = worker_path(&dir, 0, seq);
     stamp(&path, OLD);
@@ -192,4 +200,191 @@ fn checkpointed_synthesis_job_longer_than_len_is_rejected() {
         let err = restore(&poisoned).unwrap_err();
         assert!(err.contains("LEN"), "error should name the length limit: {err}");
     }
+}
+
+/// The keys of `meta.json`, of a worker checkpoint and of the engine snapshot
+/// it embeds.
+const META_KEYS: [&str; 11] = [
+    "version",
+    "fuzzer",
+    "dialect",
+    "budget_units",
+    "snapshots",
+    "workers",
+    "sync_every",
+    "every_units",
+    "oracles",
+    "rule_cov",
+    "sema",
+];
+const WORKER_KEYS: [&str; 26] = [
+    "version",
+    "worker",
+    "seq",
+    "units",
+    "execs",
+    "stmts_ok",
+    "stmts_err",
+    "cases_aborted",
+    "next_snapshot",
+    "next_ckpt",
+    "since_sync",
+    "curve",
+    "snaps",
+    "coverage",
+    "rule_coverage",
+    "seen_stacks",
+    "bugs",
+    "logic_bugs",
+    "oracle_seen",
+    "oracle_checks",
+    "sema_rejects",
+    "sema_skipped_stmts",
+    "sema_audit",
+    "sema_seen",
+    "sema_findings",
+    "engine",
+];
+const ENGINE_KEYS: [&str; 16] = [
+    "version",
+    "name",
+    "cfg",
+    "rng_reseed",
+    "schedule_tick",
+    "pending_origin",
+    "pool",
+    "affinities",
+    "seqs",
+    "store_truncated",
+    "library",
+    "library_keys",
+    "queue",
+    "synth_jobs",
+    "executed_ngrams",
+    "stats",
+];
+
+/// `v` as compact JSON.
+fn to_json(v: &Value, out: &mut String) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Number(n) => out.push_str(n),
+        Value::String(s) => serde::write_json_string(s, out),
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                to_json(item, out);
+            }
+            out.push(']');
+        }
+        Value::Object(map) => {
+            out.push('{');
+            for (i, (k, item)) in map.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                serde::write_json_string(k, out);
+                out.push(':');
+                to_json(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// The record `src` with its top-level `key` set to `value`, or dropped.
+fn edited(src: &str, key: &str, value: Option<Value>) -> String {
+    let Ok(Value::Object(mut map)) = serde_json::from_str(src) else {
+        panic!("a checkpoint record is a JSON object");
+    };
+    match value {
+        Some(value) => map.insert(key.to_string(), value),
+        None => map.remove(key),
+    };
+    let mut out = String::new();
+    to_json(&Value::Object(map), &mut out);
+    out
+}
+
+/// Require the record `src` to hold exactly `keys`.
+fn assert_keys(src: &str, keys: &[&str]) {
+    let Ok(Value::Object(map)) = serde_json::from_str(src) else {
+        panic!("a checkpoint record is a JSON object");
+    };
+    let mut want = keys.to_vec();
+    want.sort_unstable();
+    assert_eq!(map.keys().map(String::as_str).collect::<Vec<_>>(), want, "the record's keys");
+}
+
+/// The record `src` without `key`, then with an object in its place.
+fn malformed(src: &str, key: &str) -> [(&'static str, String); 2] {
+    [
+        ("without", edited(src, key, None)),
+        ("with an object for", edited(src, key, Some(Value::Object(BTreeMap::new())))),
+    ]
+}
+
+/// `attempt` must return an error containing `want`, not panic.
+fn assert_refused<T>(
+    case: &str,
+    want: &str,
+    attempt: impl FnOnce() -> Result<T, String> + UnwindSafe,
+) {
+    match catch_unwind(attempt) {
+        Ok(Ok(_)) => panic!("{case}: accepted"),
+        Ok(Err(err)) => assert!(err.contains(want), "{case}: the error should name {want}: {err}"),
+        Err(_) => panic!("{case}: panicked"),
+    }
+}
+
+#[test]
+fn every_missing_or_mistyped_key_is_refused_by_name() {
+    let dir = written_checkpoint("keys", 2);
+    let resume = load_campaign_checkpoint(&dir).expect("the written checkpoint loads");
+    let engine = resume.workers[0].engine.clone();
+    restore(&engine).expect("the written engine snapshot restores");
+    let worker = worker_path(&dir, 0, resume.workers[0].seq);
+    let mut cases = 0;
+    for (path, keys) in [(meta_path(&dir), &META_KEYS[..]), (worker.clone(), &WORKER_KEYS[..])] {
+        let src = std::fs::read_to_string(&path).unwrap();
+        assert_keys(&src, keys);
+        for key in keys {
+            for (how, bad) in malformed(&src, key) {
+                std::fs::write(&path, bad).unwrap();
+                let case = format!("{} {how} '{key}'", path.display());
+                assert_refused(&case, &format!("'{key}'"), || load_campaign_checkpoint(&dir));
+                cases += 1;
+            }
+        }
+        std::fs::write(&path, src).unwrap();
+    }
+    assert_keys(&engine, &ENGINE_KEYS);
+    for key in ENGINE_KEYS {
+        for (how, bad) in malformed(&engine, key) {
+            let case = format!("engine snapshot {how} '{key}'");
+            assert_refused(&case, &format!("'{key}'"), || restore(&bad));
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 106);
+
+    // A worker of two whose next snapshot index disagrees with the shard
+    // snapshots it holds would index past them when the campaign joins.
+    let src = std::fs::read_to_string(&worker).unwrap();
+    std::fs::write(&worker, edited(&src, "next_snapshot", Some(Value::Number("99".into()))))
+        .unwrap();
+    let name = worker.file_name().unwrap().to_string_lossy().into_owned();
+    assert_refused("next_snapshot 99", &name, || load_campaign_checkpoint(&dir));
+    std::fs::write(&worker, src).unwrap();
+
+    // A record of no workers resumes nothing.
+    let meta = std::fs::read_to_string(meta_path(&dir)).unwrap();
+    std::fs::write(meta_path(&dir), edited(&meta, "workers", Some(Value::Number("0".into()))))
+        .unwrap();
+    assert_refused("workers 0", "meta.json", || load_campaign_checkpoint(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
 }

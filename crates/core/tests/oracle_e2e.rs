@@ -11,66 +11,20 @@
 //!    shape into exactly one report, and
 //! 3. reduce the reproducer to at most 3 statements.
 
-use lego::campaign::{run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
+mod common;
+
+use common::{Replay, VARIANT_A, VARIANT_B};
+use lego::campaign::{run_engine, Budget, CampaignSpec, CampaignStats};
 use lego::oracle::OracleKind;
 use lego::OracleConfig;
 use lego_dbms::faults::Faults;
 use lego_observe::Telemetry;
-use lego_sqlast::{Dialect, TestCase};
-use std::sync::Arc;
+use lego_sqlast::Dialect;
 
 /// The planted wrong-result fault.
 fn where_fault() -> Faults {
     Faults { where_drops_last_row: true, ..Faults::default() }
 }
-
-/// Deterministic replay engine: cycles through a fixed case list. The cases
-/// share one SELECT skeleton (same tables/columns/operators, different
-/// literals) so every oracle finding has the same fingerprint, but each case
-/// adds a fresh statement kind so each gains new coverage and is
-/// oracle-checked.
-struct Replay {
-    cases: Vec<Arc<TestCase>>,
-    next: usize,
-}
-
-impl Replay {
-    fn new(scripts: &[&str]) -> Self {
-        let cases = scripts
-            .iter()
-            .map(|s| Arc::new(lego_sqlparser::parse_script(s).expect("replay SQL parses")))
-            .collect();
-        Self { cases, next: 0 }
-    }
-}
-
-impl FuzzEngine for Replay {
-    fn name(&self) -> &'static str {
-        "replay"
-    }
-    fn next_case(&mut self) -> Arc<TestCase> {
-        let case = Arc::clone(&self.cases[self.next % self.cases.len()]);
-        self.next += 1;
-        case
-    }
-    fn feedback(&mut self, _case: &Arc<TestCase>, _report: &lego_dbms::ExecReport, _new: bool) {}
-    fn corpus(&self) -> Vec<Arc<TestCase>> {
-        self.cases.clone()
-    }
-}
-
-/// Two literal variants of the same buggy query shape, plus noise
-/// statements for the reducer to strip. The second case updates rows so it
-/// reaches engine branches the first did not (UPDATE path) and is therefore
-/// corpus-accepted and checked too.
-const VARIANT_A: &str = "CREATE TABLE t (a INT, b INT);
-INSERT INTO t VALUES (1, 10), (2, 20), (3, 30);
-SELECT * FROM t WHERE a > 1;";
-
-const VARIANT_B: &str = "CREATE TABLE t (a INT, b INT);
-INSERT INTO t VALUES (5, 50), (6, 60), (7, 70);
-UPDATE t SET b = 0 WHERE a = 5;
-SELECT * FROM t WHERE a > 5;";
 
 /// A 400-unit PostgreSQL campaign with the given oracles and faults.
 fn oracle_campaign(engine: &mut Replay, oracles: OracleConfig, faults: Faults) -> CampaignStats {

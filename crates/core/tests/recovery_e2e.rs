@@ -11,13 +11,16 @@
 //!    (the divergence class, not the case text, is the bug's identity), and
 //! 3. reduce the reproducer to at most 3 statements.
 
-use lego::campaign::{run_engine, Budget, CampaignSpec, FuzzEngine};
+mod common;
+
+use common::{Replay, VARIANT_A, VARIANT_B};
+use lego::campaign::{run_engine, Budget, CampaignSpec};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::{Event, MemorySink, Telemetry};
 use lego::oracle::{OracleKind, OracleSuite};
 use lego::OracleConfig;
 use lego_dbms::faults::Faults;
-use lego_sqlast::{Dialect, TestCase};
+use lego_sqlast::Dialect;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -33,48 +36,6 @@ fn wal_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
-
-/// Deterministic replay engine: cycles through a fixed case list (the
-/// oracle-e2e idiom — each case reaches new engine branches, so each is
-/// corpus-accepted and oracle-checked).
-struct Replay {
-    cases: Vec<Arc<TestCase>>,
-    next: usize,
-}
-
-impl Replay {
-    fn new(scripts: &[&str]) -> Self {
-        let cases = scripts
-            .iter()
-            .map(|s| Arc::new(lego_sqlparser::parse_script(s).expect("replay SQL parses")))
-            .collect();
-        Self { cases, next: 0 }
-    }
-}
-
-impl FuzzEngine for Replay {
-    fn name(&self) -> &'static str {
-        "replay"
-    }
-    fn next_case(&mut self) -> Arc<TestCase> {
-        let case = Arc::clone(&self.cases[self.next % self.cases.len()]);
-        self.next += 1;
-        case
-    }
-    fn feedback(&mut self, _case: &Arc<TestCase>, _report: &lego_dbms::ExecReport, _new: bool) {}
-    fn corpus(&self) -> Vec<Arc<TestCase>> {
-        self.cases.clone()
-    }
-}
-
-const VARIANT_A: &str = "CREATE TABLE t (a INT, b INT);
-INSERT INTO t VALUES (1, 10), (2, 20), (3, 30);
-SELECT * FROM t WHERE a > 1;";
-
-const VARIANT_B: &str = "CREATE TABLE t (a INT, b INT);
-INSERT INTO t VALUES (5, 50), (6, 60), (7, 70);
-UPDATE t SET b = 0 WHERE a = 5;
-SELECT * FROM t WHERE a > 5;";
 
 fn run_recovery_campaign(dir: &Path, tel: &Telemetry, faults: Faults) -> lego::CampaignStats {
     let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);

@@ -9,49 +9,18 @@
 //! `SemaDivergence` finding — deduplicated by fingerprint and delta-debugged
 //! like every other logic bug.
 
-use lego::campaign::{run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
+mod common;
+
+use common::Replay;
+use lego::campaign::{run_engine, Budget, CampaignSpec, CampaignStats};
 use lego::observe::Telemetry;
 use lego_dbms::faults::Faults;
-use lego_dbms::ExecReport;
 use lego_oracle::OracleKind;
-use lego_sqlast::{Dialect, TestCase};
-use std::sync::Arc;
-
-/// Hands out a fixed cycle of hand-written cases — no RNG, no corpus — so
-/// the campaign sees exactly the fixtures below, repeatedly.
-struct Fixtures {
-    cases: Vec<Arc<TestCase>>,
-    next: usize,
-}
-
-impl Fixtures {
-    fn new(scripts: &[&str]) -> Self {
-        let cases = scripts
-            .iter()
-            .map(|sql| Arc::new(lego_sqlparser::parse_script(sql).expect("fixture must parse")))
-            .collect();
-        Self { cases, next: 0 }
-    }
-}
-
-impl FuzzEngine for Fixtures {
-    fn name(&self) -> &'static str {
-        "fixtures"
-    }
-    fn next_case(&mut self) -> Arc<TestCase> {
-        let case = self.cases[self.next % self.cases.len()].clone();
-        self.next += 1;
-        case
-    }
-    fn feedback(&mut self, _case: &Arc<TestCase>, _report: &ExecReport, _new_coverage: bool) {}
-    fn corpus(&self) -> Vec<Arc<TestCase>> {
-        self.cases.clone()
-    }
-}
+use lego_sqlast::Dialect;
 
 /// A 2,000-unit PostgreSQL campaign with the analyzer on and `faults`
 /// planted.
-fn sema_campaign(engine: &mut Fixtures, faults: Faults) -> CampaignStats {
+fn sema_campaign(engine: &mut Replay, faults: Faults) -> CampaignStats {
     let spec = CampaignSpec {
         sema: true,
         faults,
@@ -65,7 +34,7 @@ fn planted_overacceptance_yields_exactly_one_reduced_divergence_finding() {
     // Two healthy fixtures plus the divergent one, which the cycle serves
     // many times over the budget — the fingerprint dedup must collapse every
     // repeat (and the padding statements must not split the identity).
-    let mut engine = Fixtures::new(&[
+    let mut engine = Replay::new(&[
         "CREATE TABLE t0 (c0 INT); INSERT INTO t0 (c0) VALUES (1); COMMIT; SELECT c0 FROM t0;",
         "CREATE TABLE t1 (c0 INT); SELECT c0 FROM t1;",
         "CREATE TABLE t2 (c0 INT); INSERT INTO t2 (c0) VALUES (7); COMMIT; SELECT c0 FROM t2;",
@@ -102,7 +71,7 @@ fn healthy_analyzer_reports_no_divergence_on_the_same_fixtures() {
     // No fault: the analyzer honestly rejects the bare COMMITs, so the
     // cases are skipped (or audited and found to *agree*: the analyzer said
     // Reject and the engine erred) and no finding appears.
-    let mut engine = Fixtures::new(&[
+    let mut engine = Replay::new(&[
         "CREATE TABLE t0 (c0 INT); INSERT INTO t0 (c0) VALUES (1); COMMIT; SELECT c0 FROM t0;",
         "CREATE TABLE t1 (c0 INT); SELECT c0 FROM t1;",
     ]);

@@ -18,13 +18,13 @@ use lego_sqlast::visit;
 use lego_sqlast::Dialect;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::LazyCell;
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
 /// Memory-safety bug classes from Table I.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize)]
 pub enum BugType {
     /// Buffer overflow.
     Bof,
@@ -76,7 +76,7 @@ impl BugType {
 }
 
 /// Structural predicate on the final statement of a pattern.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum Structural {
     Any,
     WindowFunction,
@@ -156,7 +156,7 @@ impl Structural {
 }
 
 /// Database-state predicate checked when the pattern completes.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum StateReq {
     Any,
     TriggerExists,
@@ -208,7 +208,7 @@ pub struct OracleState {
 }
 
 /// How hard a bug is to reach (drives Table I vs Table III dynamics).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum Depth {
     /// Pattern occurs in initial-seed type sequences; reachable by
     /// within-statement mutation alone (the 11 bugs SQUIRREL also finds).
@@ -250,7 +250,7 @@ impl BugSpec {
 }
 
 /// A synthetic crash, deduplicatable by call stack like the paper does.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct CrashReport {
     pub bug_id: u32,
     pub identifier: String,

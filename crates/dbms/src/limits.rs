@@ -9,10 +9,10 @@
 //! limits are deterministic functions of the case, so two runs at the same
 //! seed abort the same cases at the same points.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Why a case was aborted mid-execution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum AbortReason {
     /// The case executed more statements than [`Limits::max_statements`]
     /// (trigger/rule cascades count toward the same budget).
@@ -40,7 +40,7 @@ impl AbortReason {
 /// `LEN = 5` sequences and ≤1024-row tables stay orders of magnitude below
 /// them), so they only fire on pathological cases — which must never be
 /// retained in the corpus.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct Limits {
     /// Maximum statements executed per case, including trigger and rule
     /// cascades (paper anecdote: a 945-statement seed; default 2048).

@@ -1,10 +1,10 @@
 //! Per-DBMS feature profiles and component taxonomy.
 
 use lego_sqlast::Dialect;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Source components, matching the "Component" column of the paper's Table I.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize)]
 pub enum Component {
     Parser,
     Rewriter,

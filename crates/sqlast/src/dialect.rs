@@ -9,10 +9,10 @@
 //! DESIGN.md.
 
 use crate::kind::{DdlVerb, ObjectKind, StandaloneKind, StmtKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One of the four evaluated DBMS dialects.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize)]
 pub enum Dialect {
     Postgres,
     MySql,

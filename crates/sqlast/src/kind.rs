@@ -5,11 +5,11 @@
 //! CREATE VIEW are two types." We model a type either as a (DDL verb, object
 //! kind) pair or as a standalone kind (SELECT, NOTIFY, COPY, …).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// DDL verbs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize)]
 pub enum DdlVerb {
     Create,
     Alter,
@@ -31,7 +31,7 @@ impl DdlVerb {
 macro_rules! object_kinds {
     ($( $variant:ident => $name:literal ),+ $(,)?) => {
         /// Kinds of schema objects a DDL statement can target.
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize)]
         pub enum ObjectKind {
             $( $variant, )+
         }
@@ -102,7 +102,7 @@ object_kinds! {
 macro_rules! standalone_kinds {
     ($( $variant:ident => ($name:literal, $cat:ident) ),+ $(,)?) => {
         /// Statement kinds that are not (verb, object) DDL pairs.
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize)]
         pub enum StandaloneKind {
             $( $variant, )+
         }
@@ -302,7 +302,7 @@ standalone_kinds! {
 
 /// Coarse classification of statement types (paper § II: DDL / DQL / DML /
 /// DCL plus transaction control and utility statements).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize)]
 pub enum StmtCategory {
     Ddl,
     Dql,
@@ -313,7 +313,7 @@ pub enum StmtCategory {
 }
 
 /// A SQL statement type — the alphabet of SQL Type Sequences.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize)]
 pub enum StmtKind {
     Ddl(DdlVerb, ObjectKind),
     Other(StandaloneKind),

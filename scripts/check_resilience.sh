@@ -4,7 +4,8 @@
 # require the resumed outcome to be byte-identical to the uninterrupted run
 # (timing fields stripped, mirroring CampaignStats::deterministic_json).
 # Also validates that CheckpointWritten telemetry was emitted, and that a
-# checkpoint stamped with the previous format version is refused.
+# checkpoint stamped with the previous format version, or holding an object
+# where the coverage map belongs, is refused.
 #
 # Usage: scripts/check_resilience.sh [path-to-lego_cli]
 #        (default: target/release/lego_cli — build with
@@ -72,6 +73,27 @@ if ! grep -q "version $old" "$work/old.err" || ! grep -q "version $current" "$wo
   exit 1
 fi
 
+# 5. A malformed record is refused by name, not by a panic: put the version
+#    back, drop the checkpoints the resume of step 3 wrote, replace the first
+#    one's `coverage` with an object, and require the resume to exit 1 with
+#    an error naming the key.
+jq ".version = $current" "$work/ckpt/meta.json" > "$work/meta.cur"
+mv "$work/meta.cur" "$work/ckpt/meta.json"
+find "$work/ckpt" -name 'worker*_ckpt*.json' ! -name '*_ckpt0001.json' -delete
+ck="$work/ckpt/worker00_ckpt0001.json"
+jq -c '.coverage = {}' "$ck" > "$work/bad.json"
+mv "$work/bad.json" "$ck"
+status=0
+"$cli" fuzz pg --units "$units" --seed "$seed" --resume "$work/ckpt" \
+  >/dev/null 2>"$work/bad.err" || status=$?
+if [[ "$status" -ne 1 ]] || ! grep -q "'coverage'" "$work/bad.err" \
+  || grep -q panicked "$work/bad.err"; then
+  echo "check_resilience: an object for coverage should exit 1 naming 'coverage'" \
+    "(exit $status):" >&2
+  cat "$work/bad.err" >&2
+  exit 1
+fi
+
 execs=$(jq -r '.execs' "$work/full/campaign.json")
 echo "check_resilience: OK (resume byte-identical across $execs cases, $wrote checkpoints;" \
-  "version-$old checkpoint refused)"
+  "version-$old checkpoint and malformed coverage refused)"

@@ -1,7 +1,7 @@
 //! Criterion group for the feedback-stage hot paths — the operations that
 //! run once per executed case and used to dominate campaign wall time:
-//! n-gram memory probes, affinity analysis, coverage classification
-//! (sparse walk vs word scan), and the parallel coverage-sync publish.
+//! n-gram memory probes, affinity analysis, coverage classification, and
+//! the parallel coverage-sync publish.
 //!
 //! `scripts/check_bench_gate.sh` does not consume these numbers (it gates
 //! on the end-to-end profile in `results/BENCH_throughput.json`); this group
@@ -83,31 +83,14 @@ fn bench_affinity(c: &mut Criterion) {
 
 fn bench_classify(c: &mut Criterion) {
     let sparse_run = run_of(300, 2654435761);
-    let dense_run = run_of(20_000, 0x9e3779b97f4a7c15);
     let mut warm = GlobalCoverage::new();
     warm.merge(&sparse_run);
-    c.bench_function("feedback/merge_sparse_300_edges_warm", |b| {
+    c.bench_function("feedback/merge_300_edges_warm", |b| {
         // The steady-state path: the run is already covered, merge must
         // answer "nothing new" as fast as possible.
         b.iter(|| {
             let mut g = warm.clone();
-            g.merge_sparse(black_box(&sparse_run))
-        })
-    });
-    let mut warm_dense = GlobalCoverage::new();
-    warm_dense.merge(&dense_run);
-    c.bench_function("feedback/merge_words_dense_warm", |b| {
-        b.iter(|| {
-            let mut g = warm_dense.clone();
-            g.merge_words(black_box(&dense_run))
-        })
-    });
-    let shard = warm_dense.clone();
-    c.bench_function("feedback/union_with_dense_shard", |b| {
-        b.iter(|| {
-            let mut g = GlobalCoverage::new();
-            g.union_with(black_box(&shard));
-            g.edges_covered()
+            g.merge(black_box(&sparse_run))
         })
     });
 }

@@ -70,14 +70,17 @@
 //! analyzer. Off by default; with the flag absent the campaign is
 //! byte-identical to previous releases.
 //!
-//! `--checkpoint DIR` persists the complete campaign state to `DIR` every
-//! `--checkpoint-every N` units (default: a tenth of the budget); a later
-//! `--resume DIR` with the *same* seed and flags continues the interrupted
-//! campaign and produces the byte-identical deterministic report of an
-//! uninterrupted run. The campaign refuses a resume whose fuzzer, dialect,
-//! budget, oracles, `--rule-cov` or `--sema` differ from what the checkpoint
-//! recorded; `--checkpoint-every` on `--resume` defaults to the recorded
-//! cadence and must match it.
+//! `--checkpoint DIR` persists the campaign state to `DIR` every
+//! `--checkpoint-every N` units (default: a tenth of the budget): `DIR`
+//! holds `meta.json` and `worker00.json`, which each checkpoint overwrites.
+//! A fresh campaign first removes the `worker00.json` an earlier one left.
+//! A later `--resume DIR` with the *same* seed and flags continues from
+//! the last checkpoint and produces the byte-identical deterministic report
+//! of an uninterrupted run. The campaign refuses a resume whose fuzzer,
+//! dialect, budget, oracles, `--rule-cov` or `--sema` differ from what the
+//! checkpoint recorded, and a directory written by a build with another
+//! checkpoint format version; `--checkpoint-every` on `--resume` defaults
+//! to the recorded cadence and must match it.
 
 use lego::campaign::{run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};

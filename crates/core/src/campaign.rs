@@ -10,8 +10,7 @@
 
 use crate::affinity::corpus_affinities;
 use crate::checkpoint::{
-    self, CheckpointCfg, CheckpointMeta, FindingCk, LogicFindingCk, SnapCk, WorkerCheckpoint,
-    CHECKPOINT_VERSION,
+    self, CheckpointCfg, CheckpointMeta, FindingCk, SnapCk, WorkerCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::checks::{OracleRuntime, SemaRuntime};
 use lego_coverage::{CoverageSink, GlobalCoverage};
@@ -23,7 +22,7 @@ use lego_sqlast::{Dialect, TestCase};
 use lego_sqlparser::RuleTracer;
 use lego_sqlsema::SeqReport;
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -321,21 +320,29 @@ fn triage_crash(
 
 /// Re-derive full [`BugFinding`]s from checkpointed reproducers by replaying
 /// each stored case through the isolated executor on `db`. Fails loudly if a
-/// stored crash no longer reproduces (the environment changed under the
-/// checkpoint). Replay executions are bookkeeping, not campaign work —
-/// nothing is charged to the unit budget.
+/// stored crash no longer reproduces, or replays as a crash with another
+/// stack (the environment changed under the checkpoint). Replay executions
+/// are bookkeeping, not campaign work — nothing is charged to the unit
+/// budget.
 fn rebuild_bugs(db: &mut Dbms, findings: &[FindingCk]) -> Result<Vec<BugFinding>, String> {
     let dialect = db.dialect();
     findings
         .iter()
         .map(|f| {
-            let case = lego_sqlparser::parse_script(&f.case_sql)
-                .map_err(|e| format!("checkpointed crash case re-parse: {e:?}"))?;
+            let case = f.case("crash")?;
             db.reset();
             let report = execute_case_isolated(db, dialect, &case);
             let crash = report.crash().cloned().ok_or_else(|| {
                 format!("checkpointed crash no longer reproduces: {}", f.case_sql)
             })?;
+            if crash.stack_hash() != f.fingerprint {
+                return Err(format!(
+                    "checkpointed crash {:#x} replays as crash {:#x}: {}",
+                    f.fingerprint,
+                    crash.stack_hash(),
+                    f.case_sql
+                ));
+            }
             Ok(BugFinding {
                 crash,
                 first_exec: f.first_exec,
@@ -452,7 +459,8 @@ impl CampaignSpec {
     }
 
     /// Check a resume against the record the checkpoint was taken under,
-    /// then write this campaign's record when it persists checkpoints.
+    /// then start the checkpoint directory when the campaign persists
+    /// checkpoints.
     fn begin(&self, fuzzer: &str) -> Result<(), String> {
         let want = self.meta(fuzzer);
         if let Some(got) = self.checkpoint.resume.as_ref().map(|r| &r.meta) {
@@ -481,7 +489,7 @@ impl CampaignSpec {
             );
         }
         if let Some(dir) = &self.checkpoint.dir {
-            checkpoint::write_meta(dir, &want)
+            checkpoint::write_meta(dir, &want, self.checkpoint.resume.is_some())
                 .map_err(|e| format!("write checkpoint meta: {e}"))?;
         }
         Ok(())
@@ -625,7 +633,9 @@ fn run_worker(
     engine.attach_telemetry(tel.clone());
     let mut worker = Worker::new(spec, tel, index, sinks);
     if let Some(resume) = &spec.checkpoint.resume {
-        worker.restore(engine, &resume.workers[index])?;
+        worker
+            .restore(engine, &resume.workers[index])
+            .map_err(|e| format!("{}: {e}", checkpoint::worker_file(index)))?;
     }
     while worker.units < worker.slice {
         let case = tel.time(Stage::Generation, || engine.next_case());
@@ -637,30 +647,29 @@ fn run_worker(
 }
 
 /// A worker's coverage-over-time samples — one of the differences between
-/// one worker and N that the report can see.
+/// one worker and N that the report can see. The next threshold follows
+/// from the samples taken, so a checkpoint stores only the samples.
 enum Curve {
     /// One worker: `(units, edges)` of the campaign map every `every` units
     /// (at most one point per case), plus a closing point.
-    Points { points: Vec<(usize, usize)>, next: usize, every: usize },
+    Points { points: Vec<(usize, usize)>, every: usize },
     /// Worker of N: a sparse snapshot of its local map once it passes
     /// `i·slice/snapshots` units, for `i` in `1..=snapshots`. The join
     /// unions the workers' i-th snapshots pairwise.
-    Shards { snaps: Vec<SnapCk>, next: usize, snapshots: usize },
+    Shards { snaps: Vec<SnapCk>, snapshots: usize },
 }
 
 impl Curve {
     fn sample(&mut self, units: usize, slice: usize, cov: &GlobalCoverage) {
         match self {
-            Curve::Points { points, next, every } => {
-                if units >= *next {
+            Curve::Points { points, every } => {
+                if units >= every.saturating_mul(points.len()) {
                     points.push((units, cov.edges_covered()));
-                    *next += *every;
                 }
             }
-            Curve::Shards { snaps, next, snapshots } => {
-                while *next <= *snapshots && units >= slice * *next / *snapshots {
+            Curve::Shards { snaps, snapshots } => {
+                while snaps.len() < *snapshots && units >= slice * (snaps.len() + 1) / *snapshots {
                     snaps.push(SnapCk { units, coverage: cov.to_sparse() });
-                    *next += 1;
                 }
             }
         }
@@ -670,10 +679,9 @@ impl Curve {
     fn close(&mut self, units: usize, cov: &GlobalCoverage) {
         match self {
             Curve::Points { points, .. } => points.push((units, cov.edges_covered())),
-            Curve::Shards { snaps, next, snapshots } => {
-                while *next <= *snapshots {
+            Curve::Shards { snaps, snapshots } => {
+                while snaps.len() < *snapshots {
                     snaps.push(SnapCk { units, coverage: cov.to_sparse() });
-                    *next += 1;
                 }
             }
         }
@@ -699,7 +707,8 @@ struct Worker<'a> {
     /// Rule virgin map and tracer; `None` without `rule_cov`, so that path
     /// touches no extra state.
     rules: Option<(GlobalCoverage, RuleTracer)>,
-    seen_stacks: HashMap<u64, usize>,
+    /// Stack hashes of `bugs`.
+    seen_stacks: HashSet<u64>,
     bugs: Vec<BugFinding>,
     oracle: OracleRuntime,
     sema: Option<SemaRuntime>,
@@ -710,6 +719,8 @@ struct Worker<'a> {
     stmts_err: usize,
     cases_aborted: usize,
     since_sync: usize,
+    /// The next checkpoint boundary, in units (`usize::MAX` without
+    /// checkpoints).
     next_ckpt: usize,
     ckpt_seq: usize,
 }
@@ -730,12 +741,10 @@ impl<'a> Worker<'a> {
         let curve = match sinks {
             None => Curve::Points {
                 points: Vec::with_capacity(budget.snapshots + 1),
-                next: 0,
                 every: (budget.units / budget.snapshots.max(1)).max(1),
             },
             Some(_) => Curve::Shards {
                 snaps: Vec::with_capacity(budget.snapshots),
-                next: 1,
                 snapshots: budget.snapshots.max(1),
             },
         };
@@ -748,7 +757,7 @@ impl<'a> Worker<'a> {
             db,
             cov: GlobalCoverage::new(),
             rules: spec.rule_cov.then(|| (GlobalCoverage::new(), RuleTracer::new())),
-            seen_stacks: HashMap::new(),
+            seen_stacks: HashSet::new(),
             bugs: Vec::new(),
             oracle: OracleRuntime::new(spec, index),
             sema: spec.sema.then(|| SemaRuntime::new(spec)),
@@ -759,11 +768,7 @@ impl<'a> Worker<'a> {
             stmts_err: 0,
             cases_aborted: 0,
             since_sync: 0,
-            next_ckpt: if spec.checkpoint.active() {
-                spec.checkpoint.every_units
-            } else {
-                usize::MAX
-            },
+            next_ckpt: next_boundary(0, spec.checkpoint.every_units),
             ckpt_seq: 0,
         }
     }
@@ -776,19 +781,15 @@ impl<'a> Worker<'a> {
         if let Some((rules, _)) = self.rules.as_mut() {
             *rules = GlobalCoverage::from_sparse(&w.rule_coverage);
         }
-        self.seen_stacks = w.seen_stacks.iter().copied().collect();
         self.bugs = rebuild_bugs(&mut self.db, &w.bugs)?;
+        self.seen_stacks = w.bugs.iter().map(|f| f.fingerprint).collect();
         self.oracle.restore(w)?;
         if let Some(srt) = self.sema.as_mut() {
             srt.restore(&mut self.db, w)?;
         }
         match &mut self.curve {
-            Curve::Points { points, next, .. } => {
-                (*points, *next) = (w.curve.clone(), w.next_snapshot)
-            }
-            Curve::Shards { snaps, next, .. } => {
-                (*snaps, *next) = (w.snaps.clone(), w.next_snapshot)
-            }
+            Curve::Points { points, .. } => *points = w.curve.clone(),
+            Curve::Shards { snaps, .. } => *snaps = w.snaps.clone(),
         }
         self.units = w.units;
         self.execs = w.execs;
@@ -796,7 +797,7 @@ impl<'a> Worker<'a> {
         self.stmts_err = w.stmts_err;
         self.cases_aborted = w.cases_aborted;
         self.since_sync = w.since_sync;
-        self.next_ckpt = w.next_ckpt;
+        self.next_ckpt = next_boundary(w.units, self.spec.checkpoint.every_units);
         self.ckpt_seq = w.seq;
         // The shared maps start empty on a resumed campaign; re-seed them
         // with everything this worker had synced. `from_sparse` marked all
@@ -903,8 +904,7 @@ impl<'a> Worker<'a> {
         });
         if let Some(crash) = report.crash() {
             let h = crash.stack_hash();
-            if let std::collections::hash_map::Entry::Vacant(e) = self.seen_stacks.entry(h) {
-                e.insert(exec);
+            if self.seen_stacks.insert(h) {
                 // Triage: minimize the reproducer right away (the reduction
                 // executions are charged to the budget, like a real
                 // campaign's triage time).
@@ -981,17 +981,15 @@ impl<'a> Worker<'a> {
     /// Reseed barrier (state-changing even when nothing is persisted), then
     /// persist the post-barrier state when there is a checkpoint directory.
     fn checkpoint(&mut self, engine: &mut dyn FuzzEngine) -> Result<(), String> {
-        while self.units >= self.next_ckpt {
-            self.next_ckpt += self.spec.checkpoint.every_units;
-        }
+        self.next_ckpt = next_boundary(self.units, self.spec.checkpoint.every_units);
         self.ckpt_seq += 1;
         let engine_snap = engine.checkpoint();
         let Some(dir) = &self.spec.checkpoint.dir else { return Ok(()) };
         let engine_snap = engine_snap
             .ok_or_else(|| format!("engine '{}' does not support checkpointing", engine.name()))?;
-        let (next_snapshot, curve, snaps) = match &self.curve {
-            Curve::Points { points, next, .. } => (*next, points.clone(), Vec::new()),
-            Curve::Shards { snaps, next, .. } => (*next, Vec::new(), snaps.clone()),
+        let (curve, snaps) = match &self.curve {
+            Curve::Points { points, .. } => (points.clone(), Vec::new()),
+            Curve::Shards { snaps, .. } => (Vec::new(), snaps.clone()),
         };
         let sema = self.sema.as_ref();
         let ck = WorkerCheckpoint {
@@ -1003,30 +1001,26 @@ impl<'a> Worker<'a> {
             stmts_ok: self.stmts_ok,
             stmts_err: self.stmts_err,
             cases_aborted: self.cases_aborted,
-            next_snapshot,
-            next_ckpt: self.next_ckpt,
             since_sync: self.since_sync,
             curve,
             snaps,
             coverage: self.cov.to_sparse(),
             rule_coverage: self.rules.as_ref().map(|(r, _)| r.to_sparse()).unwrap_or_default(),
-            seen_stacks: sorted_pairs(&self.seen_stacks),
             bugs: self
                 .bugs
                 .iter()
                 .map(|b| FindingCk {
                     first_exec: b.first_exec,
+                    fingerprint: b.crash.stack_hash(),
                     case_sql: b.case_sql.clone(),
                     reduced_sql: b.reduced_sql.clone(),
                 })
                 .collect(),
             logic_bugs: logic_findings_out(&self.oracle.findings),
-            oracle_seen: sorted_pairs(&self.oracle.seen),
             oracle_checks: self.oracle.checks,
             sema_rejects: sema.map_or(0, |s| s.rejects),
             sema_skipped_stmts: sema.map_or(0, |s| s.skipped_stmts),
             sema_audit: sema.map_or(0, |s| s.audit),
-            sema_seen: sema.map_or_else(Vec::new, |s| sorted_pairs(&s.seen)),
             sema_findings: sema.map_or_else(Vec::new, |s| logic_findings_out(&s.findings)),
             engine: engine_snap,
         };
@@ -1077,6 +1071,15 @@ impl<'a> Worker<'a> {
             sema_skipped_stmts,
             corpus: engine.corpus(),
         }
+    }
+}
+
+/// The first checkpoint boundary past `units`: the next multiple of the
+/// cadence `every`, or never without checkpoints.
+fn next_boundary(units: usize, every: usize) -> usize {
+    match every {
+        0 => usize::MAX,
+        every => (units / every).saturating_add(1).saturating_mul(every),
     }
 }
 
@@ -1192,23 +1195,16 @@ fn merge_findings<T: Clone>(
 }
 
 /// Findings in their checkpoint form (reproducers + fingerprint).
-fn logic_findings_out(findings: &[LogicBugFinding]) -> Vec<LogicFindingCk> {
+fn logic_findings_out(findings: &[LogicBugFinding]) -> Vec<FindingCk> {
     findings
         .iter()
-        .map(|b| LogicFindingCk {
+        .map(|b| FindingCk {
             first_exec: b.first_exec,
             fingerprint: b.fingerprint(),
             case_sql: b.case_sql.clone(),
             reduced_sql: b.reduced_sql.clone(),
         })
         .collect()
-}
-
-/// Hash-map dedup state as a deterministically ordered pair list.
-fn sorted_pairs(m: &HashMap<u64, usize>) -> Vec<(u64, usize)> {
-    let mut v: Vec<(u64, usize)> = m.iter().map(|(&k, &e)| (k, e)).collect();
-    v.sort_unstable();
-    v
 }
 
 /// End-of-campaign telemetry: dump replayable bug artifacts, publish the

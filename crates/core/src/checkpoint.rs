@@ -1,10 +1,17 @@
 //! Campaign checkpoint/resume.
 //!
 //! A long campaign periodically serializes everything its outcome depends on
-//! — engine state (seed pool with costs, affinity map, sequence store, AST
-//! library, queues, RNG), coverage accumulator, crash/logic-bug dedup state,
-//! and loop counters — so an interrupted run can be resumed and produce the
-//! *byte-identical* final report of an uninterrupted run.
+//! that a resume cannot recompute — engine state (seed pool with costs,
+//! affinity map, sequence store, AST library, queues, RNG), coverage
+//! accumulator, findings and loop counters — so an interrupted run can be
+//! resumed and produce the *byte-identical* final report of an
+//! uninterrupted run.
+//!
+//! A checkpoint directory holds `meta.json` and one file per worker,
+//! `worker{NN}.json`, which the worker overwrites at every checkpoint
+//! boundary. Each worker resumes from its own newest checkpoint: a worker
+//! judges novelty against its own maps only, so workers need not stop at
+//! the same boundary.
 //!
 //! Two constraints shape the format:
 //!
@@ -24,13 +31,16 @@
 //!   part of campaign configuration, not an afterthought.
 //!
 //! Heavyweight state round-trips through SQL text: test cases are stored as
-//! scripts and re-parsed, and crash/logic-bug findings store only their
+//! scripts and re-parsed, and findings store only their fingerprint and
 //! reproducers — resume *re-derives* the `CrashReport`/`LogicBug` structures
-//! by replaying the stored SQL, failing loudly if the environment no longer
-//! reproduces them.
+//! by replaying the stored SQL, failing loudly if the replay no longer gives
+//! a finding with the stored fingerprint. The dedup sets are the findings'
+//! fingerprints, the next checkpoint boundary follows from the units spent
+//! and the next curve sample from the samples taken, so none of them is
+//! stored.
 
 use serde::Serialize;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Format version, stamped on `meta.json`, on every worker checkpoint and on
@@ -38,7 +48,7 @@ use std::path::{Path, PathBuf};
 /// it and regenerates the engine-snapshot fixture under `tests/fixtures/`.
 /// Restore accepts exactly this version: checkpoints are short-lived campaign
 /// state, so an older one is refused rather than migrated.
-pub const CHECKPOINT_VERSION: u64 = 6;
+pub const CHECKPOINT_VERSION: u64 = 7;
 
 /// Checkpointing configuration for a resilient campaign run.
 #[derive(Clone, Debug, Default)]
@@ -61,15 +71,6 @@ pub struct CheckpointCfg {
 impl CheckpointCfg {
     pub fn disabled() -> Self {
         Self::default()
-    }
-
-    /// Checkpoint cadence with no persistence (tests, determinism barriers).
-    pub fn every(units: usize) -> Self {
-        Self { every_units: units, dir: None, resume: None }
-    }
-
-    pub fn active(&self) -> bool {
-        self.every_units > 0
     }
 }
 
@@ -96,23 +97,19 @@ pub struct CheckpointMeta {
     pub sema: bool,
 }
 
-/// One worker's (or the serial loop's) complete persisted state.
+/// One worker's (or the serial loop's) persisted state: everything a
+/// resume cannot recompute.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct WorkerCheckpoint {
     pub version: u64,
     pub worker: usize,
-    /// Monotonic checkpoint sequence number for this worker (1-based).
+    /// Checkpoints this worker has taken, this one included.
     pub seq: usize,
     pub units: usize,
     pub execs: usize,
     pub stmts_ok: usize,
     pub stmts_err: usize,
     pub cases_aborted: usize,
-    /// Serial loop: the next curve-snapshot unit threshold. Worker loop: the
-    /// next snapshot *index*.
-    pub next_snapshot: usize,
-    /// Next checkpoint unit threshold (already advanced past `units`).
-    pub next_ckpt: usize,
     /// Cases since the last shard sync (worker loop; 0 for serial).
     pub since_sync: usize,
     /// Coverage curve so far (serial loop; empty for workers).
@@ -124,12 +121,10 @@ pub struct WorkerCheckpoint {
     /// Sparse dump of the grammar-rule coverage accumulator (empty when the
     /// campaign ran without `rule_cov`).
     pub rule_coverage: Vec<(usize, u8)>,
-    /// Crash dedup state: `(stack_hash, first_exec)`, hash-sorted.
-    pub seen_stacks: Vec<(u64, usize)>,
+    /// Crash findings; a crash's fingerprint is its stack hash.
     pub bugs: Vec<FindingCk>,
-    pub logic_bugs: Vec<LogicFindingCk>,
-    /// Oracle fingerprint dedup state: `(fingerprint, first_exec)`, sorted.
-    pub oracle_seen: Vec<(u64, usize)>,
+    /// Correctness-oracle findings (empty without oracles).
+    pub logic_bugs: Vec<FindingCk>,
     pub oracle_checks: usize,
     /// Statements the static analyzer proved invalid (0 without `--sema`).
     pub sema_rejects: usize,
@@ -139,12 +134,8 @@ pub struct WorkerCheckpoint {
     /// Statically-rejected cases seen so far — drives the every-Nth
     /// conformance-audit execution, so it must survive resume exactly.
     pub sema_audit: usize,
-    /// Conformance-divergence dedup state: `(fingerprint, first_exec)`,
-    /// sorted (empty without `--sema`).
-    pub sema_seen: Vec<(u64, usize)>,
-    /// Conformance-divergence findings; re-derived on resume by replaying
-    /// each case through analyzer + engine (empty without `--sema`).
-    pub sema_findings: Vec<LogicFindingCk>,
+    /// Conformance-divergence findings (empty without `--sema`).
+    pub sema_findings: Vec<FindingCk>,
     /// Engine snapshot (`FuzzEngine::checkpoint` payload), embedded as a
     /// JSON string.
     pub engine: String,
@@ -157,23 +148,23 @@ pub struct SnapCk {
     pub coverage: Vec<(usize, u8)>,
 }
 
-/// A crash finding, stored as its reproducers; the `CrashReport` itself is
-/// re-derived on resume by replaying `case_sql`.
+/// A crash, oracle or analyzer finding, stored as its dedup fingerprint and
+/// reproducers. Resume re-derives the `CrashReport` or `LogicBug` by
+/// replaying `case_sql` and refuses a replay whose fingerprint differs.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FindingCk {
-    pub first_exec: usize,
-    pub case_sql: String,
-    pub reduced_sql: String,
-}
-
-/// A logic-bug finding; the `LogicBug` is re-derived on resume by replaying
-/// `case_sql` through the oracle suite and matching `fingerprint`.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct LogicFindingCk {
     pub first_exec: usize,
     pub fingerprint: u64,
     pub case_sql: String,
     pub reduced_sql: String,
+}
+
+impl FindingCk {
+    /// Re-parse the stored case of a `what` finding.
+    pub(crate) fn case(&self, what: &str) -> Result<lego_sqlast::TestCase, String> {
+        lego_sqlparser::parse_script(&self.case_sql)
+            .map_err(|e| format!("checkpointed {what} case re-parse: {e:?}"))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -182,7 +173,11 @@ pub struct LogicFindingCk {
 
 fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, contents)?;
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(contents.as_bytes())?;
+    // The rename replaces a worker's only checkpoint: the new one must be
+    // on disk before the old one goes.
+    file.sync_all()?;
     std::fs::rename(&tmp, path)
 }
 
@@ -190,20 +185,36 @@ pub fn meta_path(dir: &Path) -> PathBuf {
     dir.join("meta.json")
 }
 
-pub fn worker_path(dir: &Path, worker: usize, seq: usize) -> PathBuf {
-    dir.join(format!("worker{worker:02}_ckpt{seq:04}.json"))
+/// The name of worker `worker`'s checkpoint file.
+pub fn worker_file(worker: usize) -> String {
+    format!("worker{worker:02}.json")
 }
 
-/// Write `meta.json` (idempotent; called once at campaign start).
-pub fn write_meta(dir: &Path, meta: &CheckpointMeta) -> io::Result<()> {
+pub fn worker_path(dir: &Path, worker: usize) -> PathBuf {
+    dir.join(worker_file(worker))
+}
+
+/// Start a checkpoint directory: write `meta.json`, after removing the files
+/// of workers `0..workers` unless the campaign resumes from them, so a
+/// campaign that dies before its first checkpoint leaves no file of an
+/// earlier campaign behind to resume from.
+pub fn write_meta(dir: &Path, meta: &CheckpointMeta, resuming: bool) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
+    if !resuming {
+        for w in 0..meta.workers {
+            match std::fs::remove_file(worker_path(dir, w)) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+        }
+    }
     atomic_write(&meta_path(dir), &serde_json::to_string_pretty(meta).expect("meta serialize"))
 }
 
-/// Atomically persist one worker checkpoint.
+/// Atomically replace a worker's checkpoint file with `ck`.
 pub fn write_worker(dir: &Path, ck: &WorkerCheckpoint) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = worker_path(dir, ck.worker, ck.seq);
+    let path = worker_path(dir, ck.worker);
     atomic_write(&path, &serde_json::to_string(ck).expect("checkpoint serialize"))?;
     Ok(path)
 }
@@ -212,50 +223,31 @@ pub fn write_worker(dir: &Path, ck: &WorkerCheckpoint) -> io::Result<PathBuf> {
 // Read side
 // ---------------------------------------------------------------------------
 
-/// A complete, consistent checkpoint set: one [`WorkerCheckpoint`] per
-/// worker, all at the same sequence number.
+/// A campaign's `meta.json` and each worker's newest checkpoint, in worker
+/// order.
 #[derive(Clone, Debug)]
 pub struct CampaignResume {
     pub meta: CheckpointMeta,
     pub workers: Vec<WorkerCheckpoint>,
 }
 
-/// Load the latest checkpoint set *complete across all workers* from `dir`.
-///
-/// Workers checkpoint independently, so the directory can hold e.g. seq 1-4
-/// for worker 0 but only 1-3 for worker 1; the consistent resume point is
-/// the minimum over workers of each worker's maximum sequence number.
+/// Load `meta.json` and the files of workers `0..workers` from `dir`, in
+/// worker order; the first file that is missing or malformed is named in
+/// the error.
 pub fn load_campaign_checkpoint(dir: &Path) -> Result<CampaignResume, String> {
     let meta_file = meta_path(dir);
     let meta: CheckpointMeta = read_file(&meta_file)?;
     if meta.workers == 0 {
         return Err(format!("{}: workers is 0", meta_file.display()));
     }
-    let mut seq = usize::MAX;
+    // Grown one file at a time: `workers` comes from the file, so nothing
+    // is sized from it before each worker's file has been read.
+    let mut workers = Vec::new();
     for w in 0..meta.workers {
-        let newest = (1..)
-            .take_while(|&s| worker_path(dir, w, s).exists())
-            .last()
-            .ok_or_else(|| format!("no checkpoint files for worker {w} in {}", dir.display()))?;
-        seq = seq.min(newest);
-    }
-    let mut workers = Vec::with_capacity(meta.workers);
-    for w in 0..meta.workers {
-        let path = worker_path(dir, w, seq);
+        let path = worker_path(dir, w);
         let ck: WorkerCheckpoint = read_file(&path)?;
         if ck.worker != w {
             return Err(format!("{}: worker field is {}", path.display(), ck.worker));
-        }
-        // A worker of N pushes one shard snapshot per step of
-        // `next_snapshot` from 1, and the join indexes every worker's i-th
-        // snapshot: a mismatch would index past the end.
-        if meta.workers > 1 && ck.next_snapshot != ck.snaps.len() + 1 {
-            return Err(format!(
-                "{}: next_snapshot is {} but snaps holds {} snapshots",
-                path.display(),
-                ck.next_snapshot,
-                ck.snaps.len()
-            ));
         }
         workers.push(ck);
     }
@@ -390,29 +382,23 @@ from_json!(WorkerCheckpoint {
     stmts_ok,
     stmts_err,
     cases_aborted,
-    next_snapshot,
-    next_ckpt,
     since_sync,
     curve,
     snaps,
     coverage,
     rule_coverage,
-    seen_stacks,
     bugs,
     logic_bugs,
-    oracle_seen,
     oracle_checks,
     sema_rejects,
     sema_skipped_stmts,
     sema_audit,
-    sema_seen,
     sema_findings,
     engine,
 });
 
 from_json!(SnapCk { units, coverage });
-from_json!(FindingCk { first_exec, case_sql, reduced_sql });
-from_json!(LogicFindingCk { first_exec, fingerprint, case_sql, reduced_sql });
+from_json!(FindingCk { first_exec, fingerprint, case_sql, reduced_sql });
 
 #[cfg(test)]
 mod tests {
@@ -425,6 +411,12 @@ mod tests {
     }
 
     fn sample_worker(worker: usize, seq: usize) -> WorkerCheckpoint {
+        let finding = |fingerprint, first_exec, sql: &str| FindingCk {
+            first_exec,
+            fingerprint,
+            case_sql: sql.into(),
+            reduced_sql: sql.lines().next().unwrap().into(),
+        };
         WorkerCheckpoint {
             version: CHECKPOINT_VERSION,
             worker,
@@ -434,37 +426,18 @@ mod tests {
             stmts_ok: 60,
             stmts_err: 17,
             cases_aborted: 2,
-            next_snapshot: 2,
-            next_ckpt: 2000,
             since_sync: 5,
             curve: vec![(0, 0), (500, 42)],
             snaps: vec![SnapCk { units: 500, coverage: vec![(9, 3)] }],
             coverage: vec![(3, 1), (70_000, 255)],
             rule_coverage: vec![(17, 1)],
-            seen_stacks: vec![(u64::MAX - 3, 11)],
-            bugs: vec![FindingCk {
-                first_exec: 11,
-                case_sql: "SELECT 1;".into(),
-                reduced_sql: "SELECT 1;".into(),
-            }],
-            logic_bugs: vec![LogicFindingCk {
-                first_exec: 13,
-                fingerprint: u64::MAX - 1,
-                case_sql: "SELECT 2;\nSELECT 3;".into(),
-                reduced_sql: "SELECT 2;".into(),
-            }],
-            oracle_seen: vec![(42, 7)],
+            bugs: vec![finding(u64::MAX - 3, 11, "SELECT 1;")],
+            logic_bugs: vec![finding(u64::MAX - 1, 13, "SELECT 2;\nSELECT 3;")],
             oracle_checks: 9,
             sema_rejects: 4,
             sema_skipped_stmts: 12,
             sema_audit: 3,
-            sema_seen: vec![(77, 5)],
-            sema_findings: vec![LogicFindingCk {
-                first_exec: 21,
-                fingerprint: 1 << 63,
-                case_sql: "COMMIT;".into(),
-                reduced_sql: "COMMIT;".into(),
-            }],
+            sema_findings: vec![finding(1 << 63, 21, "COMMIT;")],
             engine: "{\"rng_reseed\":18446744073709551615}".into(),
         }
     }
@@ -495,12 +468,12 @@ mod tests {
     }
 
     #[test]
-    fn load_picks_latest_complete_sequence() {
-        let dir = tmpdir("latest");
+    fn load_reads_each_workers_newest_checkpoint() {
+        let dir = tmpdir("newest");
         let meta = sample_meta();
-        write_meta(&dir, &meta).unwrap();
-        // Worker 0 reached seq 3; worker 1 only seq 2 — the consistent
-        // resume point is seq 2.
+        write_meta(&dir, &meta, false).unwrap();
+        // Each worker overwrites its one file; worker 0 reached checkpoint 3
+        // and worker 1 only 2, and each resumes from its own.
         for (w, top) in [(0usize, 3usize), (1, 2)] {
             for s in 1..=top {
                 write_worker(&dir, &sample_worker(w, s)).unwrap();
@@ -508,17 +481,31 @@ mod tests {
         }
         let resume = load_campaign_checkpoint(&dir).unwrap();
         assert_eq!(resume.meta, meta);
-        assert_eq!(resume.workers, vec![sample_worker(0, 2), sample_worker(1, 2)]);
+        assert_eq!(resume.workers, vec![sample_worker(0, 3), sample_worker(1, 2)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fresh_campaign_removes_the_worker_files_it_will_write() {
+        let dir = tmpdir("fresh");
+        for w in 0..3 {
+            write_worker(&dir, &sample_worker(w, 1)).unwrap();
+        }
+        write_meta(&dir, &sample_meta(), true).unwrap();
+        assert!((0..3).all(|w| worker_path(&dir, w).exists()), "a resume removes nothing");
+        write_meta(&dir, &sample_meta(), false).unwrap();
+        let left: Vec<bool> = (0..3).map(|w| worker_path(&dir, w).exists()).collect();
+        assert_eq!(left, [false, false, true], "only the files of workers 0..2 go");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_worker_files_are_an_error() {
         let dir = tmpdir("missing");
-        write_meta(&dir, &sample_meta()).unwrap();
+        write_meta(&dir, &sample_meta(), false).unwrap();
         write_worker(&dir, &sample_worker(0, 1)).unwrap();
         let err = load_campaign_checkpoint(&dir).unwrap_err();
-        assert!(err.contains("worker 1"), "{err}");
+        assert!(err.contains("worker01.json"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -527,6 +514,6 @@ mod tests {
         let mut ck = sample_worker(0, 1);
         ck.version = 999;
         let err = read::<WorkerCheckpoint>(&serde_json::to_string(&ck).unwrap()).unwrap_err();
-        assert!(err.contains("version 999") && err.contains("version 6"), "{err}");
+        assert!(err.contains("version 999") && err.contains("version 7"), "{err}");
     }
 }

@@ -5,7 +5,7 @@
 //! checkpoint by replaying the stored reproducers.
 
 use crate::campaign::{CampaignSpec, LogicBugFinding};
-use crate::checkpoint::{LogicFindingCk, WorkerCheckpoint};
+use crate::checkpoint::{FindingCk, WorkerCheckpoint};
 use lego_coverage::CovMap;
 use lego_dbms::{Dbms, ExecReport, Outcome};
 use lego_observe::{Event, Stage, Telemetry};
@@ -15,14 +15,15 @@ use lego_oracle::{
 };
 use lego_sqlast::{Dialect, TestCase};
 use lego_sqlsema::{Sema, SeqReport, Verdict};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Per-worker logic-bug oracle state: the replay suite, fingerprint dedup,
 /// findings, and the check counter. With oracles disabled every call is a
 /// no-op costing one branch, keeping the hot loop unchanged.
 pub(crate) struct OracleRuntime {
     suite: Option<OracleSuite>,
-    pub(crate) seen: HashMap<u64, usize>,
+    /// Fingerprints of `findings`.
+    seen: HashSet<u64>,
     pub(crate) findings: Vec<LogicBugFinding>,
     pub(crate) checks: usize,
 }
@@ -36,7 +37,7 @@ impl OracleRuntime {
             suite.set_faults(spec.faults);
             suite
         });
-        Self { suite, seen: HashMap::new(), findings: Vec::new(), checks: 0 }
+        Self { suite, seen: HashSet::new(), findings: Vec::new(), checks: 0 }
     }
 
     /// Run the configured oracles over one corpus-accepted case. New
@@ -61,8 +62,7 @@ impl OracleRuntime {
         self.checks += out.checks;
         for bug in out.bugs {
             let fp = bug.fingerprint();
-            if let std::collections::hash_map::Entry::Vacant(e) = self.seen.entry(fp) {
-                e.insert(exec);
+            if self.seen.insert(fp) {
                 let durability = bug.oracle == OracleKind::Recovery;
                 let stage = if durability { Stage::Recovery } else { Stage::Oracle };
                 let (reduced, evals) = tel.time(stage, || reduce_logic_bug(case, suite, &bug));
@@ -92,7 +92,7 @@ impl OracleRuntime {
         spent
     }
 
-    /// Restore dedup state, findings and the check counter from a
+    /// Restore findings, their dedup set and the check counter from a
     /// checkpoint. Findings are re-derived by replaying each stored case
     /// through the suite and matching its fingerprint; those replays are
     /// bookkeeping, so `checks` is overwritten with the recorded count.
@@ -106,7 +106,7 @@ impl OracleRuntime {
                 .logic_bugs
                 .iter()
                 .map(|f| {
-                    let case = parse(f, "logic-bug")?;
+                    let case = f.case("logic-bug")?;
                     let out = suite.check_case(&case);
                     let bug = out
                         .bugs
@@ -122,20 +122,14 @@ impl OracleRuntime {
                 })
                 .collect::<Result<_, String>>()?;
         }
-        self.seen = w.oracle_seen.iter().copied().collect();
+        self.seen = w.logic_bugs.iter().map(|f| f.fingerprint).collect();
         self.checks = w.oracle_checks;
         Ok(())
     }
 }
 
-/// Re-parse a checkpointed finding's case.
-fn parse(f: &LogicFindingCk, what: &str) -> Result<TestCase, String> {
-    lego_sqlparser::parse_script(&f.case_sql)
-        .map_err(|e| format!("checkpointed {what} case re-parse: {e:?}"))
-}
-
 /// A re-derived finding with its checkpointed reproducers.
-fn finding(bug: LogicBug, f: &LogicFindingCk) -> LogicBugFinding {
+fn finding(bug: LogicBug, f: &FindingCk) -> LogicBugFinding {
     LogicBugFinding {
         bug,
         first_exec: f.first_exec,
@@ -161,8 +155,8 @@ pub(crate) struct SemaRuntime {
     pub(crate) rejects: usize,
     /// Statements of skipped cases — never attempted on the engine.
     pub(crate) skipped_stmts: usize,
-    /// Divergence fingerprint → first exec.
-    pub(crate) seen: HashMap<u64, usize>,
+    /// Fingerprints of `findings`.
+    seen: HashSet<u64>,
     pub(crate) findings: Vec<LogicBugFinding>,
     /// The report every skipped case feeds back to the engine: zero
     /// statements executed, empty coverage, `Ok` outcome. Built once.
@@ -239,7 +233,7 @@ impl SemaRuntime {
             audit: 0,
             rejects: 0,
             skipped_stmts: 0,
-            seen: HashMap::new(),
+            seen: HashSet::new(),
             findings: Vec::new(),
             skipped: ExecReport {
                 outcome: Outcome::Ok,
@@ -279,10 +273,9 @@ impl SemaRuntime {
         let analyzer_accepted = divergence.1;
         let bug = sema_bug(db.dialect(), case, divergence);
         let fp = bug.fingerprint();
-        let std::collections::hash_map::Entry::Vacant(e) = self.seen.entry(fp) else {
+        if !self.seen.insert(fp) {
             return 0;
-        };
-        e.insert(exec);
+        }
         let sema = &self.sema;
         let (reduced, evals) = tel.time(Stage::Sema, || {
             reduce_with(case, |cand| sema_still_diverges(sema, db, cand, analyzer_accepted))
@@ -297,7 +290,7 @@ impl SemaRuntime {
         evals
     }
 
-    /// Restore counters, dedup state and findings from a checkpoint. The
+    /// Restore counters, findings and their dedup set from a checkpoint. The
     /// findings are re-derived by replaying each case through the analyzer
     /// and the reset engine `db` and matching the stored fingerprint.
     pub(crate) fn restore(&mut self, db: &mut Dbms, w: &WorkerCheckpoint) -> Result<(), String> {
@@ -306,7 +299,7 @@ impl SemaRuntime {
             .sema_findings
             .iter()
             .map(|f| {
-                let case = parse(f, "sema")?;
+                let case = f.case("sema")?;
                 let rep = self.sema.check_sequence(&case.statements);
                 db.reset();
                 let out = db.execute_case(&case);
@@ -326,7 +319,7 @@ impl SemaRuntime {
         self.audit = w.sema_audit;
         self.rejects = w.sema_rejects;
         self.skipped_stmts = w.sema_skipped_stmts;
-        self.seen = w.sema_seen.iter().copied().collect();
+        self.seen = w.sema_findings.iter().map(|f| f.fingerprint).collect();
         Ok(())
     }
 }

@@ -8,7 +8,8 @@
 //!   [`CampaignStats::deterministic_json`];
 //! * **telemetry parity** — on the everything-on cells, a run with events
 //!   and metrics recorded equals the unobserved run;
-//! * **resume identity** — a run resumed from checkpoint 1 equals the
+//! * **resume identity** — a run whose workers all stop right after
+//!   checkpoint 1, resumed from its checkpoint directory, equals the
 //!   uninterrupted run with the same cadence;
 //! * **pinned output** — the FNV-64 digest of each report matches
 //!   `tests/fixtures/campaign_matrix.txt`.
@@ -17,6 +18,9 @@
 //! streams of one serial and one three-worker cell are pinned as well. On a
 //! mismatch the test prints the cell's actual fixture lines.
 
+mod common;
+
+use common::StopsAfterCheckpoint;
 use lego::campaign::ParallelOpts;
 use lego::campaign::{run, run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};
@@ -25,6 +29,7 @@ use lego::observe::{Event, MemorySink, MetricsRegistry, Telemetry};
 use lego::OracleConfig;
 use lego_sqlast::Dialect;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -108,6 +113,20 @@ fn campaign(
     checkpoint: CheckpointCfg,
     wal: &Path,
 ) -> CampaignStats {
+    launch(dialect, f, mode, tel, checkpoint, wal, factory(dialect, f)).expect("campaign completes")
+}
+
+/// One campaign of the cell in the given mode, on the engines `factory`
+/// builds.
+fn launch(
+    dialect: Dialect,
+    f: Features,
+    mode: Mode,
+    tel: &Telemetry,
+    checkpoint: CheckpointCfg,
+    wal: &Path,
+    factory: impl Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
+) -> Result<CampaignStats, String> {
     let workers = if mode == Mode::ThreeWorkers { 3 } else { 1 };
     let spec = CampaignSpec {
         parallel: ParallelOpts { workers, sync_every: SYNC_EVERY },
@@ -118,23 +137,9 @@ fn campaign(
         sema: f.sema,
         ..CampaignSpec::new(dialect, BUDGET)
     };
-    let factory = factory(dialect, f);
-    let out = match mode {
+    match mode {
         Mode::Serial => run_engine(&spec, tel, factory(0).as_mut()),
         Mode::OneWorker | Mode::ThreeWorkers => run(&spec, tel, factory),
-    };
-    out.expect("campaign completes")
-}
-
-/// Delete every checkpoint of `worker` after sequence number `keep`, as if
-/// the campaign had been killed shortly after checkpoint `keep`.
-fn truncate_checkpoints(dir: &Path, worker: usize, keep: usize) {
-    for seq in (keep + 1).. {
-        let path = dir.join(format!("worker{worker:02}_ckpt{seq:04}.json"));
-        if !path.exists() {
-            break;
-        }
-        std::fs::remove_file(&path).unwrap();
     }
 }
 
@@ -224,18 +229,21 @@ fn cell(dialect: Dialect, f: Features) {
             }
         }
 
-        // Checkpointed every CADENCE units, then resumed from checkpoint 1
-        // into a fresh WAL directory.
+        // Checkpointed every CADENCE units; then the same campaign with
+        // every worker stopped right after checkpoint 1 (a panic, or an
+        // error once all three workers died; discarded), resumed from what
+        // it left into a fresh WAL directory.
         let dir = tmpdir(&format!("{tag}_{}_ckpt", mode.name()));
         let every = CheckpointCfg { every_units: CADENCE, dir: Some(dir.clone()), resume: None };
-        let full = campaign(dialect, f, mode, &off, every, &wal_a);
+        let full = campaign(dialect, f, mode, &off, every.clone(), &wal_a);
         check_features(&key, f, &full);
-        let workers = if mode == Mode::ThreeWorkers { 3 } else { 1 };
-        for w in 0..workers {
-            truncate_checkpoints(&dir, w, 1);
-        }
+        let plain = factory(dialect, f);
+        let stops =
+            |w| -> Box<dyn FuzzEngine + Send> { Box::new(StopsAfterCheckpoint::new(plain(w))) };
+        let _ =
+            catch_unwind(AssertUnwindSafe(|| launch(dialect, f, mode, &off, every, &wal_a, stops)));
         let resume = load_campaign_checkpoint(&dir).expect("checkpoint loads");
-        assert!(resume.workers.iter().all(|w| w.seq == 1), "{key}: checkpoint 1 missing");
+        assert!(resume.workers.iter().all(|w| w.seq == 1), "{key}: not stopped at checkpoint 1");
         for wal in [&wal_a, &wal_b] {
             let _ = std::fs::remove_dir_all(wal);
         }

@@ -11,11 +11,13 @@
 //! `cargo run -q -p lego --example dump_resume_stream` (each example's doc
 //! gives the redirect). Every other version is refused, on the engine
 //! snapshot, on `meta.json` and on each worker checkpoint alike, and so is a
-//! record with any key missing or of the wrong type.
+//! record with any key missing or of the wrong type. A directory holds
+//! `meta.json` and one file per worker, however many checkpoints were taken.
 
 use lego::campaign::{run, Budget, CampaignSpec, FuzzEngine, ParallelOpts};
 use lego::checkpoint::{
-    load_campaign_checkpoint, meta_path, worker_path, CheckpointCfg, CHECKPOINT_VERSION,
+    load_campaign_checkpoint, meta_path, worker_path, CampaignResume, CheckpointCfg,
+    CHECKPOINT_VERSION,
 };
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::ngram::MAX_PACKED_SEQ;
@@ -63,20 +65,37 @@ fn assert_refuses(err: &str, version: u64) {
     );
 }
 
-/// A checkpoint directory written by a short plain campaign on `workers`
-/// default-config LEGO engines.
-fn written_checkpoint(tag: &str, workers: usize) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lego_ckfmt_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+/// Checkpoint cadence of [`campaign`]: three checkpoints per worker of two.
+const CADENCE: usize = 500;
+
+/// A short plain campaign on `workers` default-config LEGO engines, with
+/// `checkpoint`.
+fn campaign(dialect: Dialect, workers: usize, checkpoint: CheckpointCfg) -> Result<(), String> {
     let spec = CampaignSpec {
         parallel: ParallelOpts { workers, ..ParallelOpts::default() },
-        checkpoint: CheckpointCfg { every_units: 750, dir: Some(dir.clone()), resume: None },
-        ..CampaignSpec::new(Dialect::Postgres, Budget::units(3_000))
+        checkpoint,
+        ..CampaignSpec::new(dialect, Budget::units(3_000))
     };
-    run(&spec, &Telemetry::disabled(), |_| {
-        Box::new(LegoFuzzer::new(Dialect::Postgres, Config::default()))
-    })
-    .expect("checkpointed campaign");
+    run(&spec, &Telemetry::disabled(), |_| Box::new(LegoFuzzer::new(dialect, Config::default())))
+        .map(drop)
+}
+
+/// Resume [`campaign`] from `resume`.
+fn resumed(dialect: Dialect, resume: CampaignResume) -> Result<(), String> {
+    let workers = resume.meta.workers;
+    campaign(
+        dialect,
+        workers,
+        CheckpointCfg { every_units: CADENCE, dir: None, resume: Some(resume) },
+    )
+}
+
+/// The checkpoint directory [`campaign`] leaves.
+fn written_checkpoint(tag: &str, dialect: Dialect, workers: usize) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("lego_ckfmt_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let every = CheckpointCfg { every_units: CADENCE, dir: Some(dir.clone()), resume: None };
+    campaign(dialect, workers, every).expect("checkpointed campaign");
     dir
 }
 
@@ -132,7 +151,7 @@ fn older_snapshot_versions_are_rejected() {
 
 #[test]
 fn older_meta_versions_are_rejected() {
-    let dir = written_checkpoint("meta", 1);
+    let dir = written_checkpoint("meta", Dialect::Postgres, 1);
     load_campaign_checkpoint(&dir).expect("the written checkpoint loads");
     stamp(&meta_path(&dir), OLD);
     let err = load_campaign_checkpoint(&dir).unwrap_err();
@@ -143,9 +162,9 @@ fn older_meta_versions_are_rejected() {
 
 #[test]
 fn older_worker_checkpoint_versions_are_rejected() {
-    let dir = written_checkpoint("worker", 1);
-    let seq = load_campaign_checkpoint(&dir).expect("the written checkpoint loads").workers[0].seq;
-    let path = worker_path(&dir, 0, seq);
+    let dir = written_checkpoint("worker", Dialect::Postgres, 1);
+    load_campaign_checkpoint(&dir).expect("the written checkpoint loads");
+    let path = worker_path(&dir, 0);
     stamp(&path, OLD);
     let err = load_campaign_checkpoint(&dir).unwrap_err();
     let name = path.file_name().unwrap().to_string_lossy().into_owned();
@@ -217,7 +236,7 @@ const META_KEYS: [&str; 11] = [
     "rule_cov",
     "sema",
 ];
-const WORKER_KEYS: [&str; 26] = [
+const WORKER_KEYS: [&str; 21] = [
     "version",
     "worker",
     "seq",
@@ -226,22 +245,17 @@ const WORKER_KEYS: [&str; 26] = [
     "stmts_ok",
     "stmts_err",
     "cases_aborted",
-    "next_snapshot",
-    "next_ckpt",
     "since_sync",
     "curve",
     "snaps",
     "coverage",
     "rule_coverage",
-    "seen_stacks",
     "bugs",
     "logic_bugs",
-    "oracle_seen",
     "oracle_checks",
     "sema_rejects",
     "sema_skipped_stmts",
     "sema_audit",
-    "sema_seen",
     "sema_findings",
     "engine",
 ];
@@ -343,13 +357,14 @@ fn assert_refused<T>(
 
 #[test]
 fn every_missing_or_mistyped_key_is_refused_by_name() {
-    let dir = written_checkpoint("keys", 2);
+    let dir = written_checkpoint("keys", Dialect::Postgres, 2);
     let resume = load_campaign_checkpoint(&dir).expect("the written checkpoint loads");
     let engine = resume.workers[0].engine.clone();
     restore(&engine).expect("the written engine snapshot restores");
-    let worker = worker_path(&dir, 0, resume.workers[0].seq);
     let mut cases = 0;
-    for (path, keys) in [(meta_path(&dir), &META_KEYS[..]), (worker.clone(), &WORKER_KEYS[..])] {
+    for (path, keys) in
+        [(meta_path(&dir), &META_KEYS[..]), (worker_path(&dir, 0), &WORKER_KEYS[..])]
+    {
         let src = std::fs::read_to_string(&path).unwrap();
         assert_keys(&src, keys);
         for key in keys {
@@ -370,21 +385,63 @@ fn every_missing_or_mistyped_key_is_refused_by_name() {
             cases += 1;
         }
     }
-    assert_eq!(cases, 106);
+    assert_eq!(cases, 96);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    // A worker of two whose next snapshot index disagrees with the shard
-    // snapshots it holds would index past them when the campaign joins.
-    let src = std::fs::read_to_string(&worker).unwrap();
-    std::fs::write(&worker, edited(&src, "next_snapshot", Some(Value::Number("99".into()))))
-        .unwrap();
-    let name = worker.file_name().unwrap().to_string_lossy().into_owned();
-    assert_refused("next_snapshot 99", &name, || load_campaign_checkpoint(&dir));
-    std::fs::write(&worker, src).unwrap();
+/// The names of the files in `dir`, sorted.
+fn files_in(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort_unstable();
+    names
+}
 
-    // A record of no workers resumes nothing.
+#[test]
+fn each_worker_keeps_one_file_however_many_checkpoints_it_takes() {
+    let dir = written_checkpoint("layout", Dialect::Postgres, 2);
+    let resume = load_campaign_checkpoint(&dir).expect("the written checkpoint loads");
+    let seqs: Vec<usize> = resume.workers.iter().map(|w| w.seq).collect();
+    assert!(seqs.iter().all(|&s| s >= 3), "three checkpoints per worker: {seqs:?}");
+    assert_eq!(files_in(&dir), ["meta.json", "worker00.json", "worker01.json"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_crash_finding_whose_replay_has_another_fingerprint_is_refused() {
+    let dir = written_checkpoint("fingerprint", Dialect::MariaDb, 1);
+    let resume = load_campaign_checkpoint(&dir).expect("the written checkpoint loads");
+    let crash = resume.workers[0].bugs.first().expect("the campaign found a crash").fingerprint;
+    resumed(Dialect::MariaDb, resume).expect("the unedited checkpoint resumes");
+
+    let path = worker_path(&dir, 0);
+    let src = std::fs::read_to_string(&path).unwrap();
+    let Ok(Value::Object(map)) = serde_json::from_str(&src) else { panic!("a JSON object") };
+    let Some(Value::Array(mut bugs)) = map.get("bugs").cloned() else { panic!("a bugs array") };
+    let Value::Object(first) = &mut bugs[0] else { panic!("a finding object") };
+    first.insert("fingerprint".into(), Value::Number((crash ^ 1).to_string()));
+    std::fs::write(&path, edited(&src, "bugs", Some(Value::Array(bugs)))).unwrap();
+    let resume = load_campaign_checkpoint(&dir).expect("the edited file is well-formed");
+    let err = resumed(Dialect::MariaDb, resume).expect_err("an edited crash fingerprint");
+    let want =
+        format!("worker00.json: checkpointed crash {:#x} replays as crash {crash:#x}", crash ^ 1);
+    assert!(err.contains(&want), "the error should name the file and both crashes: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_worker_count_the_files_do_not_hold_is_refused() {
+    // A record of no workers resumes nothing; one of more workers than
+    // there are files is refused at the first missing file, and nothing
+    // is sized from the count before that.
+    let dir = written_checkpoint("count", Dialect::Postgres, 1);
     let meta = std::fs::read_to_string(meta_path(&dir)).unwrap();
-    std::fs::write(meta_path(&dir), edited(&meta, "workers", Some(Value::Number("0".into()))))
-        .unwrap();
-    assert_refused("workers 0", "meta.json", || load_campaign_checkpoint(&dir));
+    for (count, want) in [(0, "meta.json"), (u64::MAX, "worker01.json")] {
+        let workers = Some(Value::Number(count.to_string()));
+        std::fs::write(meta_path(&dir), edited(&meta, "workers", workers)).unwrap();
+        assert_refused(&format!("workers {count}"), want, || load_campaign_checkpoint(&dir));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,11 +13,18 @@
 //!    join merges the survivors.
 //!
 //! Plus resume validation: a resume whose settings differ from the ones the
-//! checkpoint recorded is refused with an error naming the setting. (That a
-//! matching resume reproduces the uninterrupted run is pinned by
-//! `campaign_matrix.rs`.) And fault isolation: a faulted campaign leaves a
-//! concurrent fault-free one untouched.
+//! checkpoint recorded is refused with an error naming the setting; workers
+//! that stopped at different checkpoints each resume from their own newest
+//! one; a resume reports none of its checkpoint's crash, oracle or analyzer
+//! findings again; and a fresh campaign that dies before its first
+//! checkpoint leaves no earlier campaign's checkpoint to resume from. (That
+//! a matching resume of every feature set reproduces the uninterrupted run
+//! is pinned by `campaign_matrix.rs`.) And fault isolation: a faulted
+//! campaign leaves a concurrent fault-free one untouched.
 
+mod common;
+
+use common::StopsAfterCheckpoint;
 use lego::campaign::ParallelOpts;
 use lego::campaign::{run, run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};
@@ -27,6 +34,7 @@ use lego_dbms::faults::Faults;
 use lego_dbms::{ExecReport, PANIC_BUG_ID};
 use lego_oracle::OracleConfig;
 use lego_sqlast::{Dialect, TestCase};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 
@@ -317,5 +325,99 @@ fn resume_rejects_every_setting_that_differs_from_the_checkpoint() {
         assert!(err.contains(&format!("{field}=")), "{field}: unhelpful error: {err}");
     }
     run(&resuming, &Telemetry::disabled(), lego).expect("a matching resume is accepted");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A two-worker PostgreSQL campaign on [`lego`] engines, checkpointing to
+/// `dir` at a cadence that does not divide the 3,000-unit slices.
+fn two_workers(dir: &std::path::Path) -> CampaignSpec {
+    CampaignSpec {
+        parallel: ParallelOpts { workers: 2, sync_every: 4 },
+        checkpoint: CheckpointCfg {
+            every_units: 1_100,
+            dir: Some(dir.to_path_buf()),
+            resume: None,
+        },
+        ..CampaignSpec::new(Dialect::Postgres, Budget::units(6_000))
+    }
+}
+
+#[test]
+fn workers_resume_from_their_own_newest_checkpoints() {
+    let dir = tmpdir("uneven");
+    let spec = two_workers(&dir);
+    let full = run(&spec, &Telemetry::disabled(), lego).expect("uninterrupted run completes");
+    // Worker 0 dies right after its checkpoint 1; worker 1 runs its slice
+    // out, checkpointing as it goes.
+    let stops = |w: usize| -> Box<dyn FuzzEngine + Send> {
+        match w {
+            0 => Box::new(StopsAfterCheckpoint::new(lego(w))),
+            _ => lego(w),
+        }
+    };
+    let cut = run(&spec, &Telemetry::disabled(), stops).expect("worker 1 survives");
+    assert_eq!(cut.workers_lost, 1);
+    let resume = load_campaign_checkpoint(&dir).expect("checkpoint loads");
+    let seqs: Vec<usize> = resume.workers.iter().map(|w| w.seq).collect();
+    assert!(seqs[0] == 1 && seqs[1] > 1, "checkpoints taken: {seqs:?}");
+    let resuming = CampaignSpec {
+        checkpoint: CheckpointCfg { every_units: 1_100, dir: None, resume: Some(resume) },
+        ..spec
+    };
+    let resumed = run(&resuming, &Telemetry::disabled(), lego).expect("resume completes");
+    assert_eq!(resumed.deterministic_json(), full.deterministic_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_fresh_campaign_that_dies_before_its_first_checkpoint_leaves_nothing_to_resume() {
+    let dir = tmpdir("stale");
+    let longer = CampaignSpec { parallel: ParallelOpts::default(), ..two_workers(&dir) };
+    run(&longer, &Telemetry::disabled(), lego).expect("the longer campaign completes");
+    load_campaign_checkpoint(&dir).expect("its checkpoint loads");
+    // A shorter campaign in the same directory, whose engine panics at its
+    // first case, writes its own meta.json and dies.
+    let shorter = CampaignSpec { budget: Budget::units(3_000), ..longer };
+    let mut dying = DyingEngine { inner: ScriptedEngine::new(&SCRIPT), dies_at: 0 };
+    let died =
+        catch_unwind(AssertUnwindSafe(|| run_engine(&shorter, &Telemetry::disabled(), &mut dying)));
+    assert!(died.is_err(), "the engine panics at its first case");
+    let err = load_campaign_checkpoint(&dir).expect_err("nothing of the longer campaign resumes");
+    assert!(err.contains("worker00.json"), "the error should name worker00.json: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_resume_reports_no_finding_of_its_checkpoint_twice() {
+    // MariaDB crashes, a planted wrong result and an over-accepting analyzer
+    // fill all three findings lists before checkpoint 1. A resume rebuilds
+    // their dedup sets from the stored fingerprints, so the findings that
+    // recur after it are not reported again.
+    let dir = tmpdir("findings");
+    let spec = CampaignSpec {
+        oracles: OracleConfig::all(),
+        sema: true,
+        faults: Faults { where_drops_last_row: true, overaccept_commit: true, ..Faults::default() },
+        checkpoint: CheckpointCfg { every_units: 1_000, dir: Some(dir.clone()), resume: None },
+        ..CampaignSpec::new(Dialect::MariaDb, Budget::units(8_000))
+    };
+    let maria = |_w: usize| -> Box<dyn FuzzEngine + Send> {
+        Box::new(LegoFuzzer::new(Dialect::MariaDb, Config { sema: true, ..Config::default() }))
+    };
+    let full = run(&spec, &Telemetry::disabled(), maria).expect("uninterrupted run completes");
+    let stops =
+        |w: usize| -> Box<dyn FuzzEngine + Send> { Box::new(StopsAfterCheckpoint::new(maria(w))) };
+    let died = catch_unwind(AssertUnwindSafe(|| run(&spec, &Telemetry::disabled(), stops)));
+    assert!(died.is_err(), "the engine stops after checkpoint 1");
+    let resume = load_campaign_checkpoint(&dir).expect("checkpoint loads");
+    let ck = &resume.workers[0];
+    let lists = [ck.bugs.len(), ck.logic_bugs.len(), ck.sema_findings.len()];
+    assert!(lists.iter().all(|&n| n > 0), "findings at checkpoint 1: {lists:?}");
+    let resuming = CampaignSpec {
+        checkpoint: CheckpointCfg { every_units: 1_000, dir: None, resume: Some(resume) },
+        ..spec
+    };
+    let resumed = run(&resuming, &Telemetry::disabled(), maria).expect("resume completes");
+    assert_eq!(resumed.deterministic_json(), full.deterministic_json());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -20,19 +20,12 @@ pub mod map;
 pub mod recorder;
 pub mod sink;
 
-pub use map::{bucket, bucket_word, CovMap, BUCKET_LUT, MAP_SIZE};
+pub use map::{bucket, CovMap, BUCKET_LUT, MAP_SIZE};
 pub use recorder::{CovRecorder, SiteId};
 pub use sink::CoverageSink;
 
 /// Number of 8-byte words in the virgin map.
 pub const MAP_WORDS: usize = MAP_SIZE / 8;
-
-/// Above this many touched edges, [`GlobalCoverage::merge`] switches from
-/// sparse per-edge classification to the AFL++-style sequential word scan:
-/// the word scan reads all `MAP_WORDS` words but in cache-friendly order and
-/// 8 lanes at a time, which overtakes random-access sparse walks once a run
-/// touches a nontrivial fraction of the map.
-pub const WORD_SCAN_MIN_EDGES: usize = 1024;
 
 /// Corpus-level coverage accounting with AFL hit-count bucketing.
 ///
@@ -74,22 +67,10 @@ impl GlobalCoverage {
     }
 
     /// Merge one execution's map; returns `true` if any new bucket bit (and
-    /// therefore new behaviour) was observed.
-    ///
-    /// Dispatches between the sparse per-edge walk (typical SQL cases touch
-    /// a few hundred edges) and the AFL++-style sequential word scan
-    /// ([`GlobalCoverage::merge_words`]) for dense runs; both compute the
-    /// identical result (pinned by property tests in `tests/word_sparse.rs`).
+    /// therefore new behaviour) was observed. Classifies and compares only
+    /// the edges the run touched: SQL cases touch tens of edges of the
+    /// 65,536, so a walk over the whole map would read mostly zeros.
     pub fn merge(&mut self, run: &CovMap) -> bool {
-        if run.edge_count() >= WORD_SCAN_MIN_EDGES {
-            self.merge_words(run)
-        } else {
-            self.merge_sparse(run)
-        }
-    }
-
-    /// Sparse path: classify and compare only the edges the run touched.
-    pub fn merge_sparse(&mut self, run: &CovMap) -> bool {
         let mut new = false;
         for (i, &raw) in run.iter_nonzero() {
             let b = bucket(raw);
@@ -104,76 +85,6 @@ impl GlobalCoverage {
             }
         }
         new
-    }
-
-    /// Word path: scan the run's raw counts 8 bytes at a time, skip all-zero
-    /// words with one compare, classify nonzero words through the bucket
-    /// LUT, and OR into the virgin map — AFL++'s `has_new_bits` +
-    /// `classify_counts` fused into one pass.
-    pub fn merge_words(&mut self, run: &CovMap) -> bool {
-        let mut new = false;
-        let mut added = 0usize;
-        for (wi, (dst, src)) in
-            self.virgin.chunks_exact_mut(8).zip(run.counts().chunks_exact(8)).enumerate()
-        {
-            let s = u64::from_ne_bytes(src.try_into().expect("8-byte chunk"));
-            if s == 0 {
-                continue;
-            }
-            let c = bucket_word(src);
-            let d = u64::from_ne_bytes((&*dst).try_into().expect("8-byte chunk"));
-            let m = d | c;
-            if m != d {
-                let cls = c.to_ne_bytes();
-                for k in 0..8 {
-                    if dst[k] == 0 && cls[k] != 0 {
-                        added += 1;
-                    }
-                }
-                dst.copy_from_slice(&m.to_ne_bytes());
-                self.dirty[wi >> 6] |= 1u64 << (wi & 63);
-                new = true;
-            }
-        }
-        self.edges_covered += added;
-        new
-    }
-
-    /// Check for novelty without recording it.
-    pub fn would_be_new(&self, run: &CovMap) -> bool {
-        run.iter_nonzero().any(|(i, &raw)| self.virgin[i] & bucket(raw) != bucket(raw))
-    }
-
-    /// Union another accumulator into this one, word at a time.
-    ///
-    /// This is the parallel-campaign sync path: worker shards batch their
-    /// local virgin maps into the shared global every K cases, so the scan
-    /// runs over 8-byte words and skips all-zero source words instead of
-    /// walking individual edges. The operation is commutative and
-    /// idempotent, which makes the merged result independent of worker
-    /// interleaving.
-    pub fn union_with(&mut self, other: &GlobalCoverage) {
-        let mut added = 0usize;
-        for (wi, (dst, src)) in
-            self.virgin.chunks_exact_mut(8).zip(other.virgin.chunks_exact(8)).enumerate()
-        {
-            let s = u64::from_ne_bytes(src.try_into().expect("8-byte chunk"));
-            if s == 0 {
-                continue;
-            }
-            let d = u64::from_ne_bytes((&*dst).try_into().expect("8-byte chunk"));
-            let m = d | s;
-            if m != d {
-                for k in 0..8 {
-                    if dst[k] == 0 && src[k] != 0 {
-                        added += 1;
-                    }
-                }
-                dst.copy_from_slice(&m.to_ne_bytes());
-                self.dirty[wi >> 6] |= 1u64 << (wi & 63);
-            }
-        }
-        self.edges_covered += added;
     }
 
     /// OR a sparse dump into this accumulator (the parallel join unions
@@ -326,7 +237,6 @@ mod tests {
         let m = run_with(&[1, 2, 3]);
         assert!(g.merge(&m));
         assert!(!g.merge(&m));
-        assert!(!g.would_be_new(&m));
     }
 
     #[test]
@@ -336,7 +246,7 @@ mod tests {
         // SQL *sequences* matter.
         let mut g = GlobalCoverage::new();
         g.merge(&run_with(&[10, 20, 30]));
-        assert!(g.would_be_new(&run_with(&[30, 20, 10])));
+        assert!(g.merge(&run_with(&[30, 20, 10])));
     }
 
     #[test]
@@ -358,7 +268,7 @@ mod tests {
         g.merge(&run_with(&[1]));
         g.clear();
         assert_eq!(g.edges_covered(), 0);
-        assert!(g.would_be_new(&run_with(&[1])));
+        assert!(g.merge(&run_with(&[1])));
     }
 
     #[test]
@@ -376,13 +286,14 @@ mod tests {
         b.merge(&runs[1]);
         b.merge(&runs[2]);
         let mut ab = a.clone();
-        ab.union_with(&b);
+        ab.union_sparse(&b.to_sparse());
         let mut ba = b.clone();
-        ba.union_with(&a);
-        for g in [&ab, &ba] {
+        ba.union_sparse(&a.to_sparse());
+        for g in [ab, ba] {
             assert_eq!(g.edges_covered(), serial.edges_covered());
+            assert_eq!(g.to_sparse(), serial.to_sparse());
             for r in &runs {
-                assert!(!g.would_be_new(r));
+                assert!(!g.clone().merge(r));
             }
         }
     }
@@ -391,10 +302,10 @@ mod tests {
     fn union_is_idempotent() {
         let mut a = GlobalCoverage::new();
         a.merge(&run_with(&[5, 6]));
-        let n = a.edges_covered();
-        let snapshot = a.clone();
-        a.union_with(&snapshot);
+        let (n, dump) = (a.edges_covered(), a.to_sparse());
+        a.union_sparse(&dump);
         assert_eq!(a.edges_covered(), n);
+        assert_eq!(a.to_sparse(), dump);
     }
 
     #[test]
@@ -415,10 +326,10 @@ mod tests {
         let entries = g.to_sparse();
         assert!(!entries.is_empty());
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "index-ordered");
-        let back = GlobalCoverage::from_sparse(&entries);
+        let mut back = GlobalCoverage::from_sparse(&entries);
         assert_eq!(back.edges_covered(), g.edges_covered());
         assert_eq!(back.to_sparse(), entries);
-        assert!(!back.would_be_new(&run_with(&[1, 2, 3])));
+        assert!(!back.merge(&run_with(&[1, 2, 3])));
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl CovMap {
         self.touched.iter().map(move |&i| (i as usize, &self.counts[i as usize]))
     }
 
-    /// The raw count array, for word-at-a-time scans (`MAP_SIZE` bytes).
+    /// The raw count array (`MAP_SIZE` bytes).
     pub fn counts(&self) -> &[u8] {
         &self.counts
     }
@@ -109,8 +109,7 @@ pub fn bucket(count: u8) -> u8 {
 }
 
 /// The bucketing function as a 256-entry table — AFL++'s `count_class_lookup`
-/// — so word-at-a-time classification pays one indexed load per byte instead
-/// of a branch tree.
+/// — so classifying a count is one indexed load instead of a branch tree.
 pub static BUCKET_LUT: [u8; 256] = build_bucket_lut();
 
 const fn build_bucket_lut() -> [u8; 256] {
@@ -131,21 +130,6 @@ const fn build_bucket_lut() -> [u8; 256] {
         c += 1;
     }
     lut
-}
-
-/// Classify one 8-lane word of raw counts into bucket classes. A zero word
-/// stays zero, which is what lets virgin-map scans skip untouched regions
-/// with a single compare.
-#[inline]
-pub fn bucket_word(src: &[u8]) -> u64 {
-    debug_assert_eq!(src.len(), 8);
-    let mut cls = [0u8; 8];
-    let mut k = 0;
-    while k < 8 {
-        cls[k] = BUCKET_LUT[src[k] as usize];
-        k += 1;
-    }
-    u64::from_ne_bytes(cls)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   performs zero atomic operations.
 //! * `fetch_or` is commutative and idempotent, so the final sink state is
 //!   the OR of every shard regardless of thread interleaving — the same
-//!   determinism argument the old batched `union_with` made, minus the lock.
+//!   determinism argument the old locked union made, minus the lock.
 //!   Campaign results therefore stay a pure function of (worker seeds,
 //!   worker count), never of scheduling.
 //! * Novelty is still judged against each worker's *local* shard, so the
@@ -45,17 +45,6 @@ impl CoverageSink {
         })
     }
 
-    /// Publish the shard's entire virgin map (resume re-seeding, final
-    /// flush safety). Zero source words are skipped.
-    pub fn publish_all(&self, shard: &GlobalCoverage) {
-        for wi in 0..MAP_WORDS {
-            let w = shard.word(wi);
-            if w != 0 {
-                self.words[wi].fetch_or(w, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Distinct edges currently in the sink (relaxed snapshot; exact once
     /// all workers have flushed).
     pub fn edges_covered(&self) -> usize {
@@ -86,18 +75,18 @@ mod tests {
     }
 
     #[test]
-    fn dirty_publish_matches_full_publish() {
+    fn dirty_publishes_add_up_to_the_whole_map() {
+        // Each publish sends only the words changed since the last one;
+        // together they carry every word of the shard.
         let mut a = GlobalCoverage::new();
-        a.merge(&run_with(&[1, 2, 3, 900]));
-        let sink_dirty = CoverageSink::new();
-        let sink_full = CoverageSink::new();
-        sink_full.publish_all(&a);
-        let published = sink_dirty.publish_dirty(&mut a);
-        assert!(published > 0);
-        let g1 = sink_dirty.into_global();
-        let g2 = sink_full.into_global();
-        assert_eq!(g1.to_sparse(), g2.to_sparse());
-        assert_eq!(g1.edges_covered(), g2.edges_covered());
+        let sink = CoverageSink::new();
+        for sites in [&[1, 2, 3, 900][..], &[3, 4, 65_000], &[1, 2, 3, 900]] {
+            a.merge(&run_with(sites));
+            sink.publish_dirty(&mut a);
+        }
+        let g = sink.into_global();
+        assert_eq!(g.to_sparse(), a.to_sparse());
+        assert_eq!(g.edges_covered(), a.edges_covered());
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Property tests pinning the equivalence of the two coverage
-//! classification paths: the sparse per-edge walk and the AFL++-style
-//! sequential word scan must compute identical results — same novelty
-//! verdict, same virgin map, same edge count — for every possible run, and
-//! the epoch-batched dirty-word publication through [`CoverageSink`] must
-//! collapse to exactly the serial merge.
+//! Property tests of the coverage accumulator's sparse paths: union order
+//! and idempotence, the sparse dump round trip, and the epoch-batched
+//! dirty-word publication through [`CoverageSink`], which must collapse to
+//! exactly the serial merge.
 
 use lego_coverage::{CovMap, CovRecorder, CoverageSink, GlobalCoverage, SiteId};
 use proptest::prelude::*;
@@ -23,9 +21,8 @@ fn state(g: &GlobalCoverage) -> (Vec<(usize, u8)>, usize) {
     (g.to_sparse(), g.edges_covered())
 }
 
-/// Site sequences long enough to push runs past `WORD_SCAN_MIN_EDGES` some
-/// of the time, with a narrowed id range so repeats create high hit counts
-/// (exercising every bucket class).
+/// Site sequences of up to a few thousand hits, with a narrowed id range so
+/// repeats create high hit counts (exercising every bucket class).
 fn sites() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..5_000, 0..2_500)
 }
@@ -34,54 +31,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn word_scan_and_sparse_merge_agree(runs in prop::collection::vec(sites(), 1..6)) {
-        let mut by_words = GlobalCoverage::new();
-        let mut by_edges = GlobalCoverage::new();
-        for s in &runs {
-            let m = run_of(s);
-            let a = by_words.merge_words(&m);
-            let b = by_edges.merge_sparse(&m);
-            prop_assert_eq!(a, b, "novelty verdicts diverged");
-            prop_assert_eq!(state(&by_words), state(&by_edges));
-        }
-    }
-
-    #[test]
-    fn dispatching_merge_matches_both_paths(runs in prop::collection::vec(sites(), 1..6)) {
-        let mut auto = GlobalCoverage::new();
-        let mut sparse = GlobalCoverage::new();
-        for s in &runs {
-            let m = run_of(s);
-            prop_assert_eq!(auto.merge(&m), sparse.merge_sparse(&m));
-        }
-        prop_assert_eq!(state(&auto), state(&sparse));
-    }
-
-    #[test]
-    fn union_with_equals_union_sparse(a in sites(), b in sites()) {
-        let mut left = GlobalCoverage::new();
-        left.merge(&run_of(&a));
-        let mut other = GlobalCoverage::new();
-        other.merge(&run_of(&b));
-
-        let mut by_words = left.clone();
-        by_words.union_with(&other);
-        let mut by_dump = left;
-        by_dump.union_sparse(&other.to_sparse());
-        prop_assert_eq!(state(&by_words), state(&by_dump));
-    }
-
-    #[test]
-    fn union_order_is_irrelevant(a in sites(), b in sites()) {
+    fn union_order_is_irrelevant_and_idempotent(a in sites(), b in sites()) {
         let mut ga = GlobalCoverage::new();
         ga.merge(&run_of(&a));
         let mut gb = GlobalCoverage::new();
         gb.merge(&run_of(&b));
         let mut ab = ga.clone();
-        ab.union_with(&gb);
+        ab.union_sparse(&gb.to_sparse());
         let mut ba = gb;
-        ba.union_with(&ga);
+        ba.union_sparse(&ga.to_sparse());
         prop_assert_eq!(state(&ab), state(&ba));
+        let once = state(&ab);
+        ab.union_sparse(&ga.to_sparse());
+        prop_assert_eq!(state(&ab), once);
     }
 
     #[test]

@@ -18,10 +18,9 @@
 #   3. Hash-order leaks: iterating a HashMap/HashSet observes the random
 #      SipHash bucket order. Any .iter()/.keys()/.values()/.drain()/
 #      into_iter()/`for _ in &m` over a binding declared as a hash
-#      collection must either sort within the next two lines (the
-#      sorted_pairs pattern) or be an order-insensitive rebuild
-#      (`.copied().collect()` into another hash collection, i.e. the
-#      checkpoint-restore pattern).
+#      collection must either sort within the next two lines or be an
+#      order-insensitive rebuild (`.copied().collect()` into another hash
+#      collection).
 #   4. One id per coverage site: every cov!/site_id!/rule! call in
 #      crates/dbms/src and crates/sqlparser/src passes an explicit 64-bit
 #      literal (lego_coverage::site_id!), and no two sites may share one —
@@ -128,7 +127,7 @@ for f in "${files[@]}"; do
     | grep -oE '^[A-Za-z_][A-Za-z0-9_]*' | sort -u || true)
   [[ -n "$names" ]] || continue
   # Pass 2: iteration over those names. Allowed escapes:
-  #   - `sort` on the same line or within the next two (sorted_pairs);
+  #   - `sort` on the same line or within the next two;
   #   - `.copied().collect()` rebuilds (slice -> hash or hash -> hash are
   #     order-insensitive: the destination imposes no order).
   for name in $names; do

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Resilience smoke: drive a real checkpointed campaign through lego_cli,
-# simulate a crash by deleting every checkpoint after the first, resume, and
-# require the resumed outcome to be byte-identical to the uninterrupted run
-# (timing fields stripped, mirroring CampaignStats::deterministic_json).
-# Also validates that CheckpointWritten telemetry was emitted, and that a
-# checkpoint stamped with the previous format version, or holding an object
-# where the coverage map belongs, is refused.
+# Resilience smoke: drive a real checkpointed campaign through lego_cli at a
+# cadence that does not divide the budget, so its last checkpoint falls
+# before the end; resume from the checkpoint directory as the run left it,
+# and require the resumed outcome to be byte-identical to the uninterrupted
+# run (timing fields stripped, mirroring CampaignStats::deterministic_json).
+# Also validates that CheckpointWritten telemetry was emitted, that the
+# directory holds only meta.json and worker00.json however many checkpoints
+# were taken, and that a worker file stamped with the previous format
+# version, or holding an object where the coverage map belongs, is refused.
 #
 # Usage: scripts/check_resilience.sh [path-to-lego_cli]
 #        (default: target/release/lego_cli — build with
@@ -24,26 +26,26 @@ trap 'rm -rf "$work"' EXIT
 
 units=24000
 seed=42
-every=6000
+every=7000
 
-# 1. Uninterrupted reference run, checkpointing every $every units.
+# 1. Uninterrupted reference run, checkpointing every $every units: the
+#    last checkpoint falls at about 21000 units, before the end.
 "$cli" fuzz pg --units "$units" --seed "$seed" \
   --checkpoint "$work/ckpt" --checkpoint-every "$every" \
   --out "$work/full" --telemetry "$work/full.jsonl" >/dev/null
 
-[[ -f "$work/ckpt/meta.json" ]] || { echo "check_resilience: no checkpoint meta written" >&2; exit 1; }
 wrote=$(jq -s 'map(select(.type == "CheckpointWritten")) | length' "$work/full.jsonl")
-[[ "$wrote" -ge 2 ]] || {
-  echo "check_resilience: expected >=2 CheckpointWritten events, saw $wrote" >&2; exit 1; }
+[[ "$wrote" -ge 3 ]] || {
+  echo "check_resilience: expected >=3 CheckpointWritten events, saw $wrote" >&2; exit 1; }
+files=$(cd "$work/ckpt" && ls | tr '\n' ' ')
+[[ "$files" == "meta.json worker00.json " ]] || {
+  echo "check_resilience: expected only meta.json and worker00.json, found: $files" >&2; exit 1; }
 "$(dirname "$0")/check_telemetry.sh" "$work/full.jsonl"
 
-# 2. Simulate a crash right after the first checkpoint: every later
-#    checkpoint file vanishes, as if the process died before writing them.
-find "$work/ckpt" -name 'worker*_ckpt*.json' ! -name '*_ckpt0001.json' -delete
-
-# 3. Resume. Same seed and flags (the campaign refuses any setting that
-#    differs from the checkpoint's record); the deterministic outcome must
-#    match the uninterrupted run byte-for-byte.
+# 2. Resume from the directory as the run left it, as after a crash past
+#    the last checkpoint. Same seed and flags (the campaign refuses any
+#    setting that differs from the checkpoint's record); the deterministic
+#    outcome must match the uninterrupted run byte-for-byte.
 "$cli" fuzz pg --units "$units" --seed "$seed" --resume "$work/ckpt" \
   --out "$work/resumed" >/dev/null
 
@@ -56,44 +58,42 @@ if [[ "$full" != "$resumed" ]]; then
   exit 1
 fi
 
-# 4. Checkpoints have one format version: stamp the previous one on
-#    meta.json and require the resume to fail, naming both versions.
+# 3. Checkpoints have one format version: stamp the previous one on the
+#    worker file (its own `version` is the first key; the embedded engine
+#    snapshot's is escaped) and require the resume to fail, naming the file
+#    and both versions.
+ck="$work/ckpt/worker00.json"
+cp "$ck" "$work/worker00.saved"
 current=$(jq -r '.version' "$work/ckpt/meta.json")
 old=$((current - 1))
-jq ".version = $old" "$work/ckpt/meta.json" > "$work/meta.old"
-mv "$work/meta.old" "$work/ckpt/meta.json"
+sed "s/\"version\":$current/\"version\":$old/" "$work/worker00.saved" > "$ck"
 if "$cli" fuzz pg --units "$units" --seed "$seed" --resume "$work/ckpt" \
   >/dev/null 2>"$work/old.err"; then
   echo "check_resilience: resume accepted a version-$old checkpoint" >&2; exit 1
 fi
-if ! grep -q "version $old" "$work/old.err" || ! grep -q "version $current" "$work/old.err" \
-  || grep -q panicked "$work/old.err"; then
-  echo "check_resilience: version-$old refusal should name versions $old and $current:" >&2
+if ! grep -q "worker00.json" "$work/old.err" || ! grep -q "version $old" "$work/old.err" \
+  || ! grep -q "version $current" "$work/old.err" || grep -q panicked "$work/old.err"; then
+  echo "check_resilience: version-$old refusal should name worker00.json and versions" \
+    "$old and $current:" >&2
   cat "$work/old.err" >&2
   exit 1
 fi
 
-# 5. A malformed record is refused by name, not by a panic: put the version
-#    back, drop the checkpoints the resume of step 3 wrote, replace the first
-#    one's `coverage` with an object, and require the resume to exit 1 with
-#    an error naming the key.
-jq ".version = $current" "$work/ckpt/meta.json" > "$work/meta.cur"
-mv "$work/meta.cur" "$work/ckpt/meta.json"
-find "$work/ckpt" -name 'worker*_ckpt*.json' ! -name '*_ckpt0001.json' -delete
-ck="$work/ckpt/worker00_ckpt0001.json"
-jq -c '.coverage = {}' "$ck" > "$work/bad.json"
-mv "$work/bad.json" "$ck"
+# 4. A malformed record is refused by name, not by a panic: put the worker
+#    file back, replace its `coverage` with an object, and require the
+#    resume to exit 1 with an error naming the key.
+jq -c '.coverage = {}' "$work/worker00.saved" > "$ck"
 status=0
 "$cli" fuzz pg --units "$units" --seed "$seed" --resume "$work/ckpt" \
   >/dev/null 2>"$work/bad.err" || status=$?
 if [[ "$status" -ne 1 ]] || ! grep -q "'coverage'" "$work/bad.err" \
-  || grep -q panicked "$work/bad.err"; then
-  echo "check_resilience: an object for coverage should exit 1 naming 'coverage'" \
-    "(exit $status):" >&2
+  || ! grep -q "worker00.json" "$work/bad.err" || grep -q panicked "$work/bad.err"; then
+  echo "check_resilience: an object for coverage should exit 1 naming worker00.json" \
+    "and 'coverage' (exit $status):" >&2
   cat "$work/bad.err" >&2
   exit 1
 fi
 
 execs=$(jq -r '.execs' "$work/full/campaign.json")
-echo "check_resilience: OK (resume byte-identical across $execs cases, $wrote checkpoints;" \
-  "version-$old checkpoint and malformed coverage refused)"
+echo "check_resilience: OK (resume byte-identical across $execs cases, $wrote checkpoints" \
+  "in one worker file; version-$old checkpoint and malformed coverage refused)"

@@ -76,7 +76,7 @@ fn bench_grid(c: &mut Criterion) {
 
 fn sharded_campaign(workers: usize) -> usize {
     let spec = CampaignSpec {
-        parallel: ParallelOpts { workers, sync_every: 16 },
+        parallel: ParallelOpts { workers },
         ..CampaignSpec::new(Dialect::MariaDb, Budget::units(40_000))
     };
     campaign("LEGO", &spec, 9, &Telemetry::disabled()).branches

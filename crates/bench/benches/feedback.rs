@@ -1,7 +1,6 @@
 //! Criterion group for the feedback-stage hot paths — the operations that
 //! run once per executed case and used to dominate campaign wall time:
-//! n-gram memory probes, affinity analysis, coverage classification, and
-//! the parallel coverage-sync publish.
+//! n-gram memory probes, affinity analysis and coverage classification.
 //!
 //! `scripts/check_bench_gate.sh` does not consume these numbers (it gates
 //! on the end-to-end profile in `results/BENCH_throughput.json`); this group
@@ -13,7 +12,7 @@ use lego::campaign::FuzzEngine;
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::ngram::{pack_window, NgramSet};
 use lego::seeds::initial_corpus;
-use lego_coverage::{CovMap, CovRecorder, CoverageSink, GlobalCoverage, SiteId};
+use lego_coverage::{CovMap, CovRecorder, GlobalCoverage, SiteId};
 use lego_sqlast::{Dialect, StmtKind};
 use std::time::Duration;
 
@@ -95,27 +94,6 @@ fn bench_classify(c: &mut Criterion) {
     });
 }
 
-fn bench_sink(c: &mut Criterion) {
-    let run = run_of(600, 2654435761);
-    c.bench_function("feedback/sink_publish_no_novelty", |b| {
-        // The lock-free fast path a worker hits every epoch without new
-        // coverage: a 128-word dirty-bitmap scan, zero atomic writes.
-        let sink = CoverageSink::new();
-        let mut shard = GlobalCoverage::new();
-        shard.merge(&run);
-        sink.publish_dirty(&mut shard);
-        b.iter(|| black_box(sink.publish_dirty(&mut shard)))
-    });
-    c.bench_function("feedback/sink_publish_fresh_shard", |b| {
-        let sink = CoverageSink::new();
-        b.iter(|| {
-            let mut shard = GlobalCoverage::new();
-            shard.merge(black_box(&run));
-            sink.publish_dirty(&mut shard)
-        })
-    });
-}
-
 fn bench_engine_feedback(c: &mut Criterion) {
     c.bench_function("feedback/lego_feedback_accepted_case", |b| {
         // Full per-case feedback cost on corpus admission: n-gram recording,
@@ -140,6 +118,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_ngram, bench_affinity, bench_classify, bench_sink, bench_engine_feedback
+    targets = bench_ngram, bench_affinity, bench_classify, bench_engine_feedback
 }
 criterion_main!(benches);

@@ -70,7 +70,7 @@ fn profiled(cli: &Cli, tag: &str, units: usize, workers: usize) -> lego::campaig
     let dialect = Dialect::Postgres;
     let (tel, guard) = run_telemetry(cli, tag, workers);
     let spec = CampaignSpec {
-        parallel: ParallelOpts { workers, ..ParallelOpts::default() },
+        parallel: ParallelOpts { workers },
         ..CampaignSpec::new(dialect, Budget::units(units))
     };
     let stats = campaign("LEGO", &spec, DEFAULT_SEED, &tel);

@@ -18,8 +18,8 @@
 //! `0x` hex. A flag the subcommand does not take, one positional argument
 //! too many, a flag given without its value, a numeric flag whose value
 //! does not parse, `--checkpoint-every 0`, an empty `--out`, an unknown
-//! `--fuzzer`, or `--corpus` with another fuzzer than LEGO exits with
-//! status 2 before any campaign starts.
+//! `--fuzzer`, `--corpus` with another fuzzer than LEGO, or `--checkpoint`
+//! together with `--resume` exits with status 2 before any campaign starts.
 //!
 //! `--telemetry PATH` (or `LEGO_TELEMETRY`) streams structured events to
 //! `PATH` as JSONL and writes metrics exports next to it; `--heartbeat`
@@ -75,12 +75,13 @@
 //! holds `meta.json` and `worker00.json`, which each checkpoint overwrites.
 //! A fresh campaign first removes the `worker00.json` an earlier one left.
 //! A later `--resume DIR` with the *same* seed and flags continues from
-//! the last checkpoint and produces the byte-identical deterministic report
-//! of an uninterrupted run. The campaign refuses a resume whose fuzzer,
-//! dialect, budget, oracles, `--rule-cov` or `--sema` differ from what the
-//! checkpoint recorded, and a directory written by a build with another
-//! checkpoint format version; `--checkpoint-every` on `--resume` defaults
-//! to the recorded cadence and must match it.
+//! the last checkpoint, checkpointing into `DIR` again, and produces the
+//! byte-identical deterministic report of an uninterrupted run. The
+//! campaign refuses a resume whose fuzzer, dialect, budget, oracles,
+//! `--rule-cov` or `--sema` differ from what the checkpoint recorded, and a
+//! directory written by a build with another checkpoint format version;
+//! `--checkpoint-every` on `--resume` defaults to the recorded cadence and
+//! must match it.
 
 use lego::campaign::{run_engine, Budget, CampaignSpec, CampaignStats, FuzzEngine};
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};
@@ -148,6 +149,12 @@ fn cmd_fuzz(cli: Cli) -> ExitCode {
     let Some(dialect) = cli.positional.first().and_then(|a| dialect_of(a)) else {
         return usage();
     };
+    if cli.checkpoint.is_some() && cli.resume.is_some() {
+        eprintln!(
+            "--checkpoint cannot be combined with --resume: --resume DIR checkpoints into DIR"
+        );
+        return ExitCode::from(2);
+    }
     let (fuzzer, units, seed, rule_cov, sema, oracles) =
         (&cli.fuzzer, cli.units, cli.seed, cli.rule_cov, cli.sema, cli.oracles);
     // Hidden smoke-test hooks: `LEGO_PLANT_FAULT=wal-drop-last` plants the
@@ -240,11 +247,11 @@ fn cmd_fuzz(cli: Cli) -> ExitCode {
         }
     }
     // Checkpoint/resume wiring. A --resume directory is also where further
-    // checkpoints go (unless --checkpoint overrides it), so a run can be
-    // interrupted and resumed repeatedly. The cadence is part of campaign
-    // configuration (each boundary reseeds the engine RNG): on resume it
-    // defaults to the recorded one, and the campaign refuses any setting
-    // that differs from the checkpoint's record.
+    // checkpoints go, so a run can be interrupted and resumed repeatedly.
+    // The cadence is part of campaign configuration (each boundary reseeds
+    // the engine RNG): on resume it defaults to the recorded one, and the
+    // campaign refuses any setting that differs from the checkpoint's
+    // record.
     let mut ckpt = CheckpointCfg::disabled();
     if let Some(dir) = &cli.resume {
         let resume = match load_campaign_checkpoint(dir) {
@@ -261,7 +268,7 @@ fn cmd_fuzz(cli: Cli) -> ExitCode {
             resume.workers[0].units
         );
         ckpt.every_units = cli.checkpoint_every.unwrap_or(resume.meta.every_units);
-        ckpt.dir = Some(cli.checkpoint.clone().unwrap_or_else(|| dir.clone()));
+        ckpt.dir = Some(dir.clone());
         ckpt.resume = Some(resume);
     } else if let Some(dir) = &cli.checkpoint {
         ckpt.every_units = cli.checkpoint_every.unwrap_or((units / 10).max(1));

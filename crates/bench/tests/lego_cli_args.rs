@@ -181,6 +181,20 @@ fn a_corpus_for_another_fuzzer_is_refused_before_any_output() {
 }
 
 #[test]
+fn a_checkpoint_directory_beside_a_resume_is_refused_before_either_is_read() {
+    // `--resume DIR` checkpoints into DIR; a second directory would get this
+    // campaign's meta.json beside another campaign's worker files. Neither
+    // directory exists, so reading one would fail with status 1 instead.
+    let dir = |tag: &str| {
+        let name = format!("lego_cli_args_{tag}_{}", std::process::id());
+        std::env::temp_dir().join(name).display().to_string()
+    };
+    let (from, into) = (dir("resume_from"), dir("checkpoint_into"));
+    let out = cli(&["fuzz", "pg", "--resume", &from, "--checkpoint", &into]);
+    assert_refused(&out, &["--checkpoint", "--resume"]);
+}
+
+#[test]
 fn an_unknown_fuzzer_is_refused_with_the_known_names() {
     let out = cli(&["fuzz", "pg", "--fuzzer", "AFL"]);
     let mut needles = vec!["--fuzzer", "AFL"];

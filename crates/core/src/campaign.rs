@@ -13,7 +13,7 @@ use crate::checkpoint::{
     self, CheckpointCfg, CheckpointMeta, FindingCk, SnapCk, WorkerCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::checks::{OracleRuntime, SemaRuntime};
-use lego_coverage::{CoverageSink, GlobalCoverage};
+use lego_coverage::GlobalCoverage;
 use lego_dbms::faults::Faults;
 use lego_dbms::{CrashReport, Dbms, ExecReport, PANIC_BUG_ID};
 use lego_observe::{Event, Stage, StageProfile, Telemetry};
@@ -187,8 +187,9 @@ pub struct CampaignStats {
     /// their partial coverage is discarded.
     pub cases_aborted: usize,
     /// Worker threads that died mid-campaign (panicked outside the per-case
-    /// isolation boundary). Their completed work up to the last shard sync is
-    /// merged; their remaining budget slice is forfeited.
+    /// isolation boundary). A dead worker contributes nothing: its findings,
+    /// corpus, coverage and curve points are dropped with its budget slice,
+    /// and only a resume from its checkpoint recovers that work.
     pub workers_lost: usize,
     /// Wall-clock duration of the campaign, in milliseconds. Timing fields
     /// are the only non-deterministic part of the stats; see
@@ -364,20 +365,17 @@ pub fn run_campaign(
         .expect("a campaign without checkpoints cannot fail")
 }
 
-/// How many workers share a campaign, and how often they sync.
+/// How many workers share a campaign. Workers share nothing until the join.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelOpts {
     /// Worker threads. `0` and `1` both select one worker on the calling
     /// thread.
     pub workers: usize,
-    /// With more than one worker, each publishes its coverage to the shared
-    /// map every this many executed cases (epoch-batched merge).
-    pub sync_every: usize,
 }
 
 impl Default for ParallelOpts {
     fn default() -> Self {
-        Self { workers: 1, sync_every: 16 }
+        Self { workers: 1 }
     }
 }
 
@@ -442,15 +440,14 @@ impl CampaignSpec {
 
     /// The campaign's `meta.json` record for engines named `fuzzer`.
     fn meta(&self, fuzzer: &str) -> CheckpointMeta {
-        let (o, workers) = (self.oracles, self.workers());
+        let o = self.oracles;
         CheckpointMeta {
             version: CHECKPOINT_VERSION,
             fuzzer: fuzzer.to_string(),
             dialect: self.dialect.name().to_string(),
             budget_units: self.budget.units,
             snapshots: self.budget.snapshots,
-            workers,
-            sync_every: if workers > 1 { self.parallel.sync_every } else { 0 },
+            workers: self.workers(),
             every_units: self.checkpoint.every_units,
             oracles: (o.tlp, o.norec, o.differential, o.recovery),
             rule_cov: self.rule_cov,
@@ -481,7 +478,6 @@ impl CampaignSpec {
                 budget_units,
                 snapshots,
                 workers,
-                sync_every,
                 every_units,
                 oracles,
                 rule_cov,
@@ -502,15 +498,15 @@ impl CampaignSpec {
 ///
 /// With one worker this is [`run_engine`] on `factory(0)`, on the calling
 /// thread. With N, each worker builds its engine on its own thread and runs
-/// a static slice of the budget; the join merges curves, bugs and corpora in
-/// worker order, so the result depends only on the seeds and the worker
-/// count, never on scheduling. Each worker logs through a
+/// a static slice of the budget, judging novelty on its own maps. Workers
+/// share nothing until the join, which unions their maps and merges curves,
+/// bugs and corpora in worker order, so the result depends only on the seeds
+/// and the worker count, never on scheduling. Each worker logs through a
 /// [`Telemetry::worker_child`], replayed into `tel` in worker order.
 ///
 /// A worker that panics outside the per-case isolation boundary forfeits
 /// only its own slice: the join records an [`Event::WorkerDied`], counts it
-/// in [`CampaignStats::workers_lost`], and merges the survivors (the shared
-/// coverage keeps whatever the dead worker had synced).
+/// in [`CampaignStats::workers_lost`], and merges the survivors alone.
 ///
 /// Errors on checkpoint I/O failure, an inconsistent resume, or when every
 /// worker died.
@@ -539,10 +535,10 @@ pub fn run_engine(
     let out = if spec.workers() > 1 {
         Err(format!("run_engine drives one engine, not {} workers", spec.workers()))
     } else {
-        spec.begin(engine.name()).and_then(|()| run_worker(spec, tel, 0, None, engine))
+        spec.begin(engine.name()).and_then(|()| run_worker(spec, tel, 0, engine))
     };
     let out = finish_on_error(tel, out)?;
-    Ok(assemble(spec, tel, start, vec![Some(out)], None, 0))
+    Ok(assemble(spec, tel, start, vec![Some(out)], 0))
 }
 
 /// A failing campaign still owes the operator a closing heartbeat line and
@@ -552,14 +548,6 @@ fn finish_on_error<T>(tel: &Telemetry, out: Result<T, String>) -> Result<T, Stri
         tel.finish();
     }
     out
-}
-
-/// The shared virgin maps of an N-worker campaign. Workers publish the words
-/// their local maps dirtied (atomic `fetch_or`, no lock); `fetch_or` is
-/// commutative and idempotent, so the result is interleaving-independent.
-struct Sinks {
-    cov: CoverageSink,
-    rules: Option<CoverageSink>,
 }
 
 fn run_workers<F>(
@@ -578,15 +566,14 @@ where
         spec.begin(factory(0).name())?;
     }
     let children: Vec<Telemetry> = (0..workers).map(|w| tel.worker_child(w)).collect();
-    let sinks = Sinks { cov: CoverageSink::new(), rules: spec.rule_cov.then(CoverageSink::new) };
     // Each slot: Ok(Ok) = survivor, Ok(Err) = fatal campaign error
     // (checkpoint I/O, bad resume), Err(msg) = worker died by panic.
     type Joined = Result<Result<WorkerOut, String>, String>;
     let joined: Vec<Joined> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let (sinks, wtel) = (&sinks, &children[w]);
-                s.spawn(move || run_worker(spec, wtel, w, Some(sinks), factory(w).as_mut()))
+                let wtel = &children[w];
+                s.spawn(move || run_worker(spec, wtel, w, factory(w).as_mut()))
             })
             .collect();
         // Join in spawn order: every downstream merge sees workers in index
@@ -618,7 +605,7 @@ where
     if outs.iter().all(Option::is_none) {
         return Err("every campaign worker died".to_string());
     }
-    Ok(assemble(spec, tel, start, outs, Some(sinks), workers_lost))
+    Ok(assemble(spec, tel, start, outs, workers_lost))
 }
 
 /// Drive worker `index` on `engine`: restore it from the resume checkpoint
@@ -627,11 +614,10 @@ fn run_worker(
     spec: &CampaignSpec,
     tel: &Telemetry,
     index: usize,
-    sinks: Option<&Sinks>,
     engine: &mut dyn FuzzEngine,
 ) -> Result<WorkerOut, String> {
     engine.attach_telemetry(tel.clone());
-    let mut worker = Worker::new(spec, tel, index, sinks);
+    let mut worker = Worker::new(spec, tel, index);
     if let Some(resume) = &spec.checkpoint.resume {
         worker
             .restore(engine, &resume.workers[index])
@@ -697,8 +683,6 @@ struct Worker<'a> {
     index: usize,
     /// This worker's share of the budget, in units.
     slice: usize,
-    /// `Some` with N workers: publish to these every `sync_every` cases.
-    sinks: Option<&'a Sinks>,
     /// Reset between cases; its coverage map is recycled after feedback so
     /// the loop does not allocate per case. Triage and the replays of
     /// checkpointed findings run on it too, so they see the spec's faults.
@@ -718,7 +702,6 @@ struct Worker<'a> {
     stmts_ok: usize,
     stmts_err: usize,
     cases_aborted: usize,
-    since_sync: usize,
     /// The next checkpoint boundary, in units (`usize::MAX` without
     /// checkpoints).
     next_ckpt: usize,
@@ -726,24 +709,19 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    fn new(
-        spec: &'a CampaignSpec,
-        tel: &'a Telemetry,
-        index: usize,
-        sinks: Option<&'a Sinks>,
-    ) -> Self {
+    fn new(spec: &'a CampaignSpec, tel: &'a Telemetry, index: usize) -> Self {
         let (budget, workers) = (spec.budget, spec.workers());
         let mut db = Dbms::new(spec.dialect);
         db.set_faults(spec.faults);
         // Static partition: worker w gets units/N, the remainder spread over
         // the first (units % N) workers. Deterministic for a given (units, N).
         let slice = budget.units / workers + usize::from(index < budget.units % workers);
-        let curve = match sinks {
-            None => Curve::Points {
+        let curve = match workers {
+            1 => Curve::Points {
                 points: Vec::with_capacity(budget.snapshots + 1),
                 every: (budget.units / budget.snapshots.max(1)).max(1),
             },
-            Some(_) => Curve::Shards {
+            _ => Curve::Shards {
                 snaps: Vec::with_capacity(budget.snapshots),
                 snapshots: budget.snapshots.max(1),
             },
@@ -753,7 +731,6 @@ impl<'a> Worker<'a> {
             tel,
             index,
             slice,
-            sinks,
             db,
             cov: GlobalCoverage::new(),
             rules: spec.rule_cov.then(|| (GlobalCoverage::new(), RuleTracer::new())),
@@ -767,7 +744,6 @@ impl<'a> Worker<'a> {
             stmts_ok: 0,
             stmts_err: 0,
             cases_aborted: 0,
-            since_sync: 0,
             next_ckpt: next_boundary(0, spec.checkpoint.every_units),
             ckpt_seq: 0,
         }
@@ -796,26 +772,16 @@ impl<'a> Worker<'a> {
         self.stmts_ok = w.stmts_ok;
         self.stmts_err = w.stmts_err;
         self.cases_aborted = w.cases_aborted;
-        self.since_sync = w.since_sync;
         self.next_ckpt = next_boundary(w.units, self.spec.checkpoint.every_units);
         self.ckpt_seq = w.seq;
-        // The shared maps start empty on a resumed campaign; re-seed them
-        // with everything this worker had synced. `from_sparse` marked all
-        // restored words dirty, so the dirty-publish covers the whole map.
-        if let Some(sinks) = self.sinks {
-            sinks.cov.publish_dirty(&mut self.cov);
-            if let (Some((rules, _)), Some(rs)) = (self.rules.as_mut(), &sinks.rules) {
-                rs.publish_dirty(rules);
-            }
-        }
         Ok(())
     }
 
     /// Judge one case: analyze, execute, merge coverage, triage, check and
     /// feed back. Returns `false` when the analyzer skipped the case, which
-    /// then counts for no sync, curve point or checkpoint boundary (those
-    /// fire at the next executed case — deterministic either way, since the
-    /// skip decision is).
+    /// then counts for no curve point or checkpoint boundary (those fire at
+    /// the next executed case — deterministic either way, since the skip
+    /// decision is).
     fn step(&mut self, engine: &mut dyn FuzzEngine, case: &Arc<TestCase>) -> bool {
         let (tel, dialect, worker, exec) = (self.tel, self.spec.dialect, self.index, self.execs);
         // Static pre-execution verdict: a provably-invalid case skips the
@@ -948,34 +914,15 @@ impl<'a> Worker<'a> {
         true
     }
 
-    /// The bookkeeping after an executed case: sync, curve point, and
-    /// checkpoint when a boundary has passed.
+    /// The bookkeeping after an executed case: curve point, and checkpoint
+    /// when a boundary has passed.
     fn after_case(&mut self, engine: &mut dyn FuzzEngine) -> Result<(), String> {
-        if let Some(sinks) = self.sinks {
-            self.since_sync += 1;
-            if self.since_sync >= self.spec.parallel.sync_every.max(1) {
-                self.sync(sinks);
-            }
-        }
         self.curve.sample(self.units, self.slice, &self.cov);
         if self.units >= self.next_ckpt {
             let tel = self.tel;
             tel.time(Stage::Checkpoint, || self.checkpoint(engine))?;
         }
         Ok(())
-    }
-
-    /// Publish the words of the local maps dirtied since the last sync; a
-    /// novelty-free epoch performs zero atomic operations.
-    fn sync(&mut self, sinks: &Sinks) {
-        let tel = self.tel;
-        let cov = &mut self.cov;
-        tel.time(Stage::CoverageUnion, || sinks.cov.publish_dirty(cov));
-        if let (Some((rules, _)), Some(rs)) = (self.rules.as_mut(), &sinks.rules) {
-            tel.time(Stage::CoverageUnion, || rs.publish_dirty(rules));
-        }
-        tel.emit(|| Event::WorkerSync { worker: self.index, execs: self.execs as u64 });
-        self.since_sync = 0;
     }
 
     /// Reseed barrier (state-changing even when nothing is persisted), then
@@ -1001,7 +948,6 @@ impl<'a> Worker<'a> {
             stmts_ok: self.stmts_ok,
             stmts_err: self.stmts_err,
             cases_aborted: self.cases_aborted,
-            since_sync: self.since_sync,
             curve,
             snaps,
             coverage: self.cov.to_sparse(),
@@ -1035,13 +981,9 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Close the curve, flush the shared maps one last time, and hand back
-    /// what the stats need.
+    /// Close the curve and hand back what the stats need.
     fn finish(mut self, engine: &dyn FuzzEngine) -> WorkerOut {
         self.curve.close(self.units, &self.cov);
-        if let Some(sinks) = self.sinks {
-            self.sync(sinks);
-        }
         // Sema divergences join the logic-bug list by discovery order
         // (stable on ties, oracle findings first). A sema-off run never
         // sorts, keeping its finding order byte-identical.
@@ -1062,8 +1004,8 @@ impl<'a> Worker<'a> {
             stmts_err: self.stmts_err,
             cases_aborted: self.cases_aborted,
             curve: self.curve,
-            branches: self.cov.edges_covered(),
-            rule_branches: self.rules.as_ref().map_or(0, |(r, _)| r.edges_covered()),
+            coverage: self.cov.to_sparse(),
+            rule_coverage: self.rules.as_ref().map(|(r, _)| r.to_sparse()).unwrap_or_default(),
             bugs: self.bugs,
             logic_bugs,
             oracle_checks: self.oracle.checks,
@@ -1092,9 +1034,10 @@ struct WorkerOut {
     stmts_err: usize,
     cases_aborted: usize,
     curve: Curve,
-    /// Edges of the worker's own branch and rule maps.
-    branches: usize,
-    rule_branches: usize,
+    /// Sparse dumps of the worker's final branch and rule maps (the rule
+    /// map's is empty without `rule_cov`).
+    coverage: Vec<(usize, u8)>,
+    rule_coverage: Vec<(usize, u8)>,
     bugs: Vec<BugFinding>,
     logic_bugs: Vec<LogicBugFinding>,
     oracle_checks: usize,
@@ -1104,25 +1047,30 @@ struct WorkerOut {
 }
 
 /// The campaign's stats from its workers' outcomes (`None` for a dead
-/// worker). With one worker its maps and curve are the campaign's; with N
-/// the shared maps give the totals and the curve's i-th point unions every
-/// survivor's i-th snapshot, at the units they had consumed by then.
+/// worker). The branch and rule totals union the survivors' final maps,
+/// however many workers there are. With one worker its curve is the
+/// campaign's; with N the curve's i-th point unions every survivor's i-th
+/// snapshot, at the units they had consumed by then.
 fn assemble(
     spec: &CampaignSpec,
     tel: &Telemetry,
     start: Instant,
     outs: Vec<Option<WorkerOut>>,
-    sinks: Option<Sinks>,
     workers_lost: usize,
 ) -> CampaignStats {
     let survivors = || outs.iter().flatten();
-    let (coverage_curve, branches, rule_branches) = match sinks {
-        None => {
+    let union = |map: fn(&WorkerOut) -> &[(usize, u8)]| {
+        let mut union = GlobalCoverage::new();
+        survivors().for_each(|o| union.union_sparse(map(o)));
+        union.edges_covered()
+    };
+    let coverage_curve = match spec.workers() {
+        1 => {
             let out = survivors().next().expect("a one-worker campaign has its worker");
             let Curve::Points { points, .. } = &out.curve else { unreachable!("one worker") };
-            (points.clone(), out.branches, out.rule_branches)
+            points.clone()
         }
-        Some(sinks) => {
+        _ => {
             let mut curve = vec![(0, 0)];
             for i in 0..spec.budget.snapshots.max(1) {
                 let mut merged = GlobalCoverage::new();
@@ -1134,8 +1082,7 @@ fn assemble(
                 }
                 curve.push((x, merged.edges_covered()));
             }
-            let rules = sinks.rules.map_or(0, |rs| rs.into_global().edges_covered());
-            (curve, sinks.cov.into_global().edges_covered(), rules)
+            curve
         }
     };
     // Workers deduplicate locally; the join re-deduplicates across workers
@@ -1151,8 +1098,8 @@ fn assemble(
         execs: sum(|o| o.execs),
         units: sum(|o| o.units),
         coverage_curve,
-        branches,
-        rule_branches,
+        branches: union(|o| &o.coverage),
+        rule_branches: union(|o| &o.rule_coverage),
         corpus_affinities: corpus_affinities(&corpus).len(),
         corpus_size: corpus.len(),
         stmts_ok: sum(|o| o.stmts_ok),

@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 /// it and regenerates the engine-snapshot fixture under `tests/fixtures/`.
 /// Restore accepts exactly this version: checkpoints are short-lived campaign
 /// state, so an older one is refused rather than migrated.
-pub const CHECKPOINT_VERSION: u64 = 7;
+pub const CHECKPOINT_VERSION: u64 = 8;
 
 /// Checkpointing configuration for a resilient campaign run.
 #[derive(Clone, Debug, Default)]
@@ -84,7 +84,6 @@ pub struct CheckpointMeta {
     pub budget_units: usize,
     pub snapshots: usize,
     pub workers: usize,
-    pub sync_every: usize,
     pub every_units: usize,
     /// `(tlp, norec, differential, recovery)`.
     pub oracles: (bool, bool, bool, bool),
@@ -110,8 +109,6 @@ pub struct WorkerCheckpoint {
     pub stmts_ok: usize,
     pub stmts_err: usize,
     pub cases_aborted: usize,
-    /// Cases since the last shard sync (worker loop; 0 for serial).
-    pub since_sync: usize,
     /// Coverage curve so far (serial loop; empty for workers).
     pub curve: Vec<(usize, usize)>,
     /// Local-shard snapshots so far (worker loop; empty for serial).
@@ -366,7 +363,6 @@ from_json!(CheckpointMeta {
     budget_units,
     snapshots,
     workers,
-    sync_every,
     every_units,
     oracles,
     rule_cov,
@@ -382,7 +378,6 @@ from_json!(WorkerCheckpoint {
     stmts_ok,
     stmts_err,
     cases_aborted,
-    since_sync,
     curve,
     snaps,
     coverage,
@@ -426,7 +421,6 @@ mod tests {
             stmts_ok: 60,
             stmts_err: 17,
             cases_aborted: 2,
-            since_sync: 5,
             curve: vec![(0, 0), (500, 42)],
             snaps: vec![SnapCk { units: 500, coverage: vec![(9, 3)] }],
             coverage: vec![(3, 1), (70_000, 255)],
@@ -450,7 +444,6 @@ mod tests {
             budget_units: 10_000,
             snapshots: 25,
             workers: 2,
-            sync_every: 16,
             every_units: 2_000,
             oracles: (false, true, false, true),
             rule_cov: true,
@@ -514,6 +507,7 @@ mod tests {
         let mut ck = sample_worker(0, 1);
         ck.version = 999;
         let err = read::<WorkerCheckpoint>(&serde_json::to_string(&ck).unwrap()).unwrap_err();
-        assert!(err.contains("version 999") && err.contains("version 7"), "{err}");
+        let this = format!("version {CHECKPOINT_VERSION}");
+        assert!(err.contains("version 999") && err.contains(&this), "{err}");
     }
 }

@@ -34,7 +34,8 @@ pub fn save_corpus<C: Borrow<TestCase>>(dir: &Path, corpus: &[C]) -> io::Result<
 }
 
 /// Load every parseable `.sql` file under `dir`, in file-name order.
-/// Unparseable files are skipped and reported in the second tuple element.
+/// Unparseable files, non-UTF-8 ones included, are skipped and reported in
+/// the second tuple element; any other read error fails the load.
 pub fn load_corpus(dir: &Path) -> io::Result<(Vec<TestCase>, Vec<String>)> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)?
         .filter_map(Result::ok)
@@ -45,9 +46,13 @@ pub fn load_corpus(dir: &Path) -> io::Result<(Vec<TestCase>, Vec<String>)> {
     let mut corpus = Vec::new();
     let mut skipped = Vec::new();
     for path in entries {
-        let sql = std::fs::read_to_string(&path)?;
-        match lego_sqlparser::parse_script(&sql) {
-            Ok(case) if !case.is_empty() => corpus.push(case),
+        let parsed = match std::fs::read_to_string(&path) {
+            Ok(sql) => lego_sqlparser::parse_script(&sql).ok(),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => None,
+            Err(e) => return Err(e),
+        };
+        match parsed {
+            Some(case) if !case.is_empty() => corpus.push(case),
             _ => skipped.push(path.display().to_string()),
         }
     }
@@ -107,10 +112,11 @@ mod tests {
         let dir = tmpdir("skip");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("bad.sql"), "FROBNICATE;").unwrap();
+        std::fs::write(dir.join("binary.sql"), [0xff, 0xfe]).unwrap();
         std::fs::write(dir.join("good.sql"), "SELECT 1;").unwrap();
         let (loaded, skipped) = load_corpus(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
-        assert_eq!(skipped.len(), 1);
+        assert_eq!(skipped.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

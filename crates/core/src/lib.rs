@@ -32,7 +32,7 @@
 //!
 //! // The same budget over two workers, with the correctness oracles on.
 //! let spec = CampaignSpec {
-//!     parallel: ParallelOpts { workers: 2, ..ParallelOpts::default() },
+//!     parallel: ParallelOpts { workers: 2 },
 //!     oracles: lego::OracleConfig::all(),
 //!     ..CampaignSpec::new(Dialect::Postgres, Budget::execs(200))
 //! };

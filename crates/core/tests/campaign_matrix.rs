@@ -38,7 +38,6 @@ const BUDGET: Budget = Budget { units: 3_000, snapshots: 10 };
 /// checkpoint 1.
 const CADENCE: usize = 750;
 const SEED: u64 = 0x5eed;
-const SYNC_EVERY: usize = 4;
 
 /// One row of the matrix: a feature set.
 #[derive(Clone, Copy)]
@@ -129,7 +128,7 @@ fn launch(
 ) -> Result<CampaignStats, String> {
     let workers = if mode == Mode::ThreeWorkers { 3 } else { 1 };
     let spec = CampaignSpec {
-        parallel: ParallelOpts { workers, sync_every: SYNC_EVERY },
+        parallel: ParallelOpts { workers },
         oracles: f.oracles,
         checkpoint,
         wal_dir: f.wal.then(|| wal.to_path_buf()),

@@ -72,7 +72,7 @@ const CADENCE: usize = 500;
 /// `checkpoint`.
 fn campaign(dialect: Dialect, workers: usize, checkpoint: CheckpointCfg) -> Result<(), String> {
     let spec = CampaignSpec {
-        parallel: ParallelOpts { workers, ..ParallelOpts::default() },
+        parallel: ParallelOpts { workers },
         checkpoint,
         ..CampaignSpec::new(dialect, Budget::units(3_000))
     };
@@ -223,20 +223,19 @@ fn checkpointed_synthesis_job_longer_than_len_is_rejected() {
 
 /// The keys of `meta.json`, of a worker checkpoint and of the engine snapshot
 /// it embeds.
-const META_KEYS: [&str; 11] = [
+const META_KEYS: [&str; 10] = [
     "version",
     "fuzzer",
     "dialect",
     "budget_units",
     "snapshots",
     "workers",
-    "sync_every",
     "every_units",
     "oracles",
     "rule_cov",
     "sema",
 ];
-const WORKER_KEYS: [&str; 21] = [
+const WORKER_KEYS: [&str; 20] = [
     "version",
     "worker",
     "seq",
@@ -245,7 +244,6 @@ const WORKER_KEYS: [&str; 21] = [
     "stmts_ok",
     "stmts_err",
     "cases_aborted",
-    "since_sync",
     "curve",
     "snaps",
     "coverage",
@@ -385,7 +383,7 @@ fn every_missing_or_mistyped_key_is_refused_by_name() {
             cases += 1;
         }
     }
-    assert_eq!(cases, 96);
+    assert_eq!(cases, 92);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

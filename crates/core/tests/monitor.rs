@@ -207,7 +207,7 @@ fn dead_campaign_still_flushes_telemetry() {
     let probe = Arc::new(FlushProbe::default());
     let tel = Telemetry::builder().sink(probe.clone()).heartbeat(2).build();
     let spec = CampaignSpec {
-        parallel: ParallelOpts { workers: 2, sync_every: 4 },
+        parallel: ParallelOpts { workers: 2 },
         ..CampaignSpec::new(Dialect::Postgres, Budget::units(5_000))
     };
     let result = run(&spec, &tel, |_w| Box::new(InstantDeath) as Box<dyn FuzzEngine + Send>);

@@ -40,7 +40,7 @@ fn serial_stats(dialect: Dialect, seed: u64, budget: Budget, tel: &Telemetry) ->
 fn event_stream_is_consistent_with_stats() {
     let (tel, mem, metrics) = observed();
     let spec = CampaignSpec {
-        parallel: ParallelOpts { workers: 3, sync_every: 4 },
+        parallel: ParallelOpts { workers: 3 },
         ..CampaignSpec::new(Dialect::MariaDb, Budget::units(40_000))
     };
     let stats = run(&spec, &tel, lego_factory(Dialect::MariaDb, 1)).expect("campaign completes");

@@ -21,15 +21,13 @@ fn lego_factory(
     }
 }
 
-/// A campaign over `workers` threads, syncing every 4 cases.
+/// A campaign over `workers` threads.
 fn parallel<F>(factory: F, dialect: Dialect, budget: Budget, workers: usize) -> CampaignStats
 where
     F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
 {
-    let spec = CampaignSpec {
-        parallel: ParallelOpts { workers, sync_every: 4 },
-        ..CampaignSpec::new(dialect, budget)
-    };
+    let spec =
+        CampaignSpec { parallel: ParallelOpts { workers }, ..CampaignSpec::new(dialect, budget) };
     run(&spec, &Telemetry::disabled(), factory).expect("campaign completes")
 }
 

@@ -10,7 +10,7 @@
 //!    is counted and reported, and is never admitted to the corpus.
 //! 3. **Worker-death tolerance** — a worker thread dying outside the
 //!    per-case isolation boundary forfeits only its own budget slice; the
-//!    join merges the survivors.
+//!    join merges the survivors, and nothing of the dead worker.
 //!
 //! Plus resume validation: a resume whose settings differ from the ones the
 //! checkpoint recorded is refused with an error naming the setting; workers
@@ -192,7 +192,7 @@ fn panic_campaigns_are_deterministic_across_worker_counts() {
         || |_w: usize| Box::new(ScriptedEngine::new(&SCRIPT)) as Box<dyn FuzzEngine + Send>;
     for workers in [1usize, 3] {
         let spec = CampaignSpec {
-            parallel: ParallelOpts { workers, sync_every: 4 },
+            parallel: ParallelOpts { workers },
             faults: panics(),
             ..CampaignSpec::new(Dialect::Postgres, Budget::units(900))
         };
@@ -241,28 +241,45 @@ fn hang_guard_aborts_spinning_cases_and_never_retains_them() {
         .all(|&(_, admitted)| !admitted));
 }
 
+/// The dying worker's script: its first cases run statements that [`SCRIPT`]
+/// never does, so edges only the dying worker reached would show in the
+/// report if any of its work were kept.
+const DYING_SCRIPT: [&str; 2] = [
+    "CREATE TABLE u (b INT);\nCREATE INDEX ub ON u (b);\nUPDATE u SET b = 2 WHERE b = 1;",
+    "CREATE TABLE v (c INT);\nDELETE FROM v WHERE c > 0;",
+];
+
 #[test]
 fn dead_worker_forfeits_only_its_own_slice() {
-    let mem = Arc::new(MemorySink::new());
-    let tel = Telemetry::builder().sink(mem.clone()).seed(1).build();
-    let factory = |w: usize| -> Box<dyn FuzzEngine + Send> {
-        if w == 1 {
-            Box::new(DyingEngine { inner: ScriptedEngine::new(&SCRIPT), dies_at: 5 })
-        } else {
-            Box::new(ScriptedEngine::new(&SCRIPT))
+    // Worker 1 dies before its `dies_at`-th case; the others run SCRIPT.
+    let factory = |dies_at: usize| {
+        move |w: usize| -> Box<dyn FuzzEngine + Send> {
+            if w == 1 {
+                Box::new(DyingEngine { inner: ScriptedEngine::new(&DYING_SCRIPT), dies_at })
+            } else {
+                Box::new(ScriptedEngine::new(&SCRIPT))
+            }
         }
     };
     let spec = CampaignSpec {
-        parallel: ParallelOpts { workers: 3, sync_every: 2 },
+        parallel: ParallelOpts { workers: 3 },
         ..CampaignSpec::new(Dialect::Postgres, Budget::units(900))
     };
-    let stats = run(&spec, &tel, factory).expect("campaign must survive a dead worker");
+    let mem = Arc::new(MemorySink::new());
+    let tel = Telemetry::builder().sink(mem.clone()).seed(1).build();
+    let stats = run(&spec, &tel, factory(5)).expect("campaign must survive a dead worker");
 
     assert_eq!(stats.workers_lost, 1);
     assert_eq!(stats.fuzzer, "SCRIPTED", "fuzzer name comes from a survivor");
     // Both survivors ran their full slices (300 units each).
     assert!(stats.units >= 600, "survivors forfeited work: {} units", stats.units);
     assert!(stats.branches > 0);
+    // The dead worker contributes nothing: the totals are the survivors'
+    // maps, which the last curve point unions too, and the report is the
+    // one a worker that died before its first case leaves.
+    assert_eq!(stats.coverage_curve.last(), Some(&(stats.units, stats.branches)));
+    let at_once = run(&spec, &Telemetry::disabled(), factory(0)).expect("survivors complete");
+    assert_eq!(stats.deterministic_json(), at_once.deterministic_json());
     let deaths: Vec<(usize, String)> = mem
         .snapshot()
         .iter()
@@ -294,7 +311,7 @@ type Factory = fn(usize) -> Box<dyn FuzzEngine + Send>;
 fn resume_rejects_every_setting_that_differs_from_the_checkpoint() {
     let dir = tmpdir("mismatch");
     let spec = CampaignSpec {
-        parallel: ParallelOpts { workers: 2, sync_every: 4 },
+        parallel: ParallelOpts { workers: 2 },
         checkpoint: CheckpointCfg { every_units: 2_000, dir: Some(dir.clone()), resume: None },
         ..CampaignSpec::new(Dialect::Postgres, Budget::units(6_000))
     };
@@ -306,13 +323,12 @@ fn resume_rejects_every_setting_that_differs_from_the_checkpoint() {
     };
     // One row per setting the checkpoint records: the name the error must
     // give, the changed setting, and the engines to resume with.
-    let rows: [(&str, Change, Factory); 10] = [
+    let rows: [(&str, Change, Factory); 9] = [
         ("fuzzer", |_| {}, scripted),
         ("dialect", |s| s.dialect = Dialect::MySql, lego),
         ("budget_units", |s| s.budget.units += 1, lego),
         ("snapshots", |s| s.budget.snapshots += 1, lego),
         ("workers", |s| s.parallel.workers = 3, lego),
-        ("sync_every", |s| s.parallel.sync_every = 8, lego),
         ("every_units", |s| s.checkpoint.every_units = 3_000, lego),
         ("oracles", |s| s.oracles = OracleConfig::all(), lego),
         ("rule_cov", |s| s.rule_cov = true, lego),
@@ -332,7 +348,7 @@ fn resume_rejects_every_setting_that_differs_from_the_checkpoint() {
 /// `dir` at a cadence that does not divide the 3,000-unit slices.
 fn two_workers(dir: &std::path::Path) -> CampaignSpec {
     CampaignSpec {
-        parallel: ParallelOpts { workers: 2, sync_every: 4 },
+        parallel: ParallelOpts { workers: 2 },
         checkpoint: CheckpointCfg {
             every_units: 1_100,
             dir: Some(dir.to_path_buf()),

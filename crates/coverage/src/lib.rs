@@ -18,14 +18,9 @@
 
 pub mod map;
 pub mod recorder;
-pub mod sink;
 
 pub use map::{bucket, CovMap, BUCKET_LUT, MAP_SIZE};
 pub use recorder::{CovRecorder, SiteId};
-pub use sink::CoverageSink;
-
-/// Number of 8-byte words in the virgin map.
-pub const MAP_WORDS: usize = MAP_SIZE / 8;
 
 /// Corpus-level coverage accounting with AFL hit-count bucketing.
 ///
@@ -36,15 +31,7 @@ pub const MAP_WORDS: usize = MAP_SIZE / 8;
 pub struct GlobalCoverage {
     virgin: Box<[u8]>,
     edges_covered: usize,
-    /// One bit per 8-byte virgin word that changed since the last
-    /// [`GlobalCoverage::drain_dirty_words`] — the epoch-batched delta a
-    /// parallel worker publishes to the shared [`CoverageSink`]. Serial
-    /// campaigns never drain it; setting bits costs one OR per *changed*
-    /// word, so the common no-novelty execution touches it not at all.
-    dirty: Box<[u64]>,
 }
-
-const DIRTY_WORDS: usize = MAP_WORDS / 64;
 
 impl Default for GlobalCoverage {
     fn default() -> Self {
@@ -54,16 +41,7 @@ impl Default for GlobalCoverage {
 
 impl GlobalCoverage {
     pub fn new() -> Self {
-        Self {
-            virgin: vec![0u8; MAP_SIZE].into_boxed_slice(),
-            edges_covered: 0,
-            dirty: vec![0u64; DIRTY_WORDS].into_boxed_slice(),
-        }
-    }
-
-    #[inline]
-    fn mark_dirty(&mut self, word: usize) {
-        self.dirty[word >> 6] |= 1u64 << (word & 63);
+        Self { virgin: vec![0u8; MAP_SIZE].into_boxed_slice(), edges_covered: 0 }
     }
 
     /// Merge one execution's map; returns `true` if any new bucket bit (and
@@ -80,15 +58,14 @@ impl GlobalCoverage {
                     self.edges_covered += 1;
                 }
                 self.virgin[i] = v | b;
-                self.mark_dirty(i >> 3);
                 new = true;
             }
         }
         new
     }
 
-    /// OR a sparse dump into this accumulator (the parallel join unions
-    /// worker snapshot dumps without materializing 64 KiB maps first).
+    /// OR a sparse dump into this accumulator (the parallel join unions the
+    /// workers' final maps and curve snapshots this way).
     pub fn union_sparse(&mut self, entries: &[(usize, u8)]) {
         for &(i, v) in entries {
             if i >= MAP_SIZE || v == 0 {
@@ -100,55 +77,8 @@ impl GlobalCoverage {
                     self.edges_covered += 1;
                 }
                 self.virgin[i] = d | v;
-                self.mark_dirty(i >> 3);
             }
         }
-    }
-
-    /// Visit and clear every virgin word changed since the last drain: the
-    /// delta a worker publishes to the shared sink. Costs a 128-word bitmap
-    /// scan when nothing changed — the lock-free common path of the
-    /// epoch-batched sync.
-    pub fn drain_dirty_words(&mut self, mut f: impl FnMut(usize, u64)) -> usize {
-        let mut published = 0usize;
-        for di in 0..DIRTY_WORDS {
-            let mut bits = self.dirty[di];
-            if bits == 0 {
-                continue;
-            }
-            self.dirty[di] = 0;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let wi = (di << 6) | bit;
-                f(wi, self.word(wi));
-                published += 1;
-            }
-        }
-        published
-    }
-
-    /// The `wi`-th 8-byte word of the virgin map.
-    #[inline]
-    pub fn word(&self, wi: usize) -> u64 {
-        u64::from_ne_bytes(self.virgin[wi * 8..wi * 8 + 8].try_into().expect("8-byte chunk"))
-    }
-
-    /// Rebuild from raw virgin words (the sink's collapse at campaign join).
-    pub(crate) fn from_words(words: impl Iterator<Item = u64>) -> Self {
-        let mut g = Self::new();
-        let mut edges = 0usize;
-        for (wi, w) in words.enumerate().take(MAP_WORDS) {
-            if w == 0 {
-                continue;
-            }
-            let bytes = w.to_ne_bytes();
-            edges += bytes.iter().filter(|&&b| b != 0).count();
-            g.virgin[wi * 8..wi * 8 + 8].copy_from_slice(&bytes);
-            g.mark_dirty(wi);
-        }
-        g.edges_covered = edges;
-        g
     }
 
     /// Number of distinct edges seen at least once — the "branches covered"
@@ -160,7 +90,6 @@ impl GlobalCoverage {
     /// Reset to the virgin state.
     pub fn clear(&mut self) {
         self.virgin.iter_mut().for_each(|b| *b = 0);
-        self.dirty.iter_mut().for_each(|b| *b = 0);
         self.edges_covered = 0;
     }
 
@@ -173,8 +102,7 @@ impl GlobalCoverage {
 
     /// Rebuild an accumulator from a [`GlobalCoverage::to_sparse`] dump.
     /// Out-of-range indexes are ignored (corrupt checkpoints fail novelty
-    /// checks rather than panicking). Restored edges count as dirty, so a
-    /// resumed worker's first sync re-publishes them to the sink.
+    /// checks rather than panicking).
     pub fn from_sparse(entries: &[(usize, u8)]) -> Self {
         let mut g = Self::new();
         g.union_sparse(entries);

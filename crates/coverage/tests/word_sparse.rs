@@ -1,9 +1,8 @@
 //! Property tests of the coverage accumulator's sparse paths: union order
-//! and idempotence, the sparse dump round trip, and the epoch-batched
-//! dirty-word publication through [`CoverageSink`], which must collapse to
-//! exactly the serial merge.
+//! and idempotence, the sparse dump round trip, and the campaign join, which
+//! unions the workers' maps and must give exactly the serial merge.
 
-use lego_coverage::{CovMap, CovRecorder, CoverageSink, GlobalCoverage, SiteId};
+use lego_coverage::{CovMap, CovRecorder, GlobalCoverage, SiteId};
 use proptest::prelude::*;
 
 /// Build a run map from a raw site-id sequence (edges are formed from
@@ -57,7 +56,7 @@ proptest! {
     }
 
     #[test]
-    fn sink_collapse_equals_serial_merge(
+    fn sharded_union_equals_serial_merge(
         runs in prop::collection::vec(sites(), 1..8),
         shards in prop::collection::vec(0usize..3, 1..8),
     ) {
@@ -67,36 +66,17 @@ proptest! {
             serial.merge(&run_of(s));
         }
 
-        // Parallel model: runs dealt across 3 worker shards (per the `shards`
-        // assignment), each publishing its dirty delta after every merge —
-        // an epoch of one case.
-        let sink = CoverageSink::new();
+        // Parallel model: runs dealt across 3 worker maps (per the `shards`
+        // assignment), each judging novelty on its own map; the join unions
+        // their sparse dumps in worker order.
         let mut workers = [GlobalCoverage::new(), GlobalCoverage::new(), GlobalCoverage::new()];
         for (i, s) in runs.iter().enumerate() {
-            let w = &mut workers[shards[i % shards.len()]];
-            let novel = w.merge(&run_of(s));
-            let published = sink.publish_dirty(w);
-            // The lock-free fast path: publishing after a no-novelty merge
-            // touches zero atomic words.
-            if !novel {
-                prop_assert_eq!(published, 0);
-            }
+            workers[shards[i % shards.len()]].merge(&run_of(s));
         }
-        let joined = sink.into_global();
+        let mut joined = GlobalCoverage::new();
+        for w in &workers {
+            joined.union_sparse(&w.to_sparse());
+        }
         prop_assert_eq!(state(&joined), state(&serial));
-    }
-
-    #[test]
-    fn drained_words_stay_clean_until_new_coverage(s in sites()) {
-        let mut g = GlobalCoverage::new();
-        g.merge(&run_of(&s));
-        let sink = CoverageSink::new();
-        let first = sink.publish_dirty(&mut g);
-        prop_assert_eq!(first == 0, s.is_empty());
-        // Nothing merged since the drain: nothing left to publish.
-        prop_assert_eq!(sink.publish_dirty(&mut g), 0);
-        // Re-merging the identical run sets no new bits either.
-        g.merge(&run_of(&s));
-        prop_assert_eq!(sink.publish_dirty(&mut g), 0);
     }
 }

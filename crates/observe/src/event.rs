@@ -58,8 +58,8 @@ impl MutOp {
 }
 
 /// One telemetry event. Emitted from the campaign driver (`ExecStart`,
-/// `ExecEnd`, `CoverageGain`, `BugFound`, `WorkerSync`) and from inside the
-/// LEGO engine (`MutationApplied`, `AffinityDiscovered`, `SynthesisStep`).
+/// `ExecEnd`, `CoverageGain`, `BugFound`) and from inside the LEGO engine
+/// (`MutationApplied`, `AffinityDiscovered`, `SynthesisStep`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event {
     /// A test case is about to execute.
@@ -93,8 +93,6 @@ pub enum Event {
     /// A worker thread died mid-campaign (engine panic outside the per-case
     /// isolation boundary); the supervisor merged the surviving shards.
     WorkerDied { worker: usize, error: String },
-    /// A worker flushed its local coverage shard into the shared map.
-    WorkerSync { worker: usize, execs: u64 },
     /// A campaign checkpoint was persisted to disk.
     CheckpointWritten { worker: usize, seq: u64, units: u64, path: String },
     /// The static analyzer classified a case (`--sema` campaigns only).
@@ -122,7 +120,6 @@ impl Event {
             Event::DurabilityBugFound { .. } => "DurabilityBugFound",
             Event::CaseAborted { .. } => "CaseAborted",
             Event::WorkerDied { .. } => "WorkerDied",
-            Event::WorkerSync { .. } => "WorkerSync",
             Event::CheckpointWritten { .. } => "CheckpointWritten",
             Event::SemaVerdict { .. } => "SemaVerdict",
             Event::SemaDivergenceFound { .. } => "SemaDivergenceFound",
@@ -196,10 +193,6 @@ impl Event {
             Event::WorkerDied { worker, error } => {
                 push_num(&mut s, "worker", *worker as u64);
                 push_str(&mut s, "error", error);
-            }
-            Event::WorkerSync { worker, execs } => {
-                push_num(&mut s, "worker", *worker as u64);
-                push_num(&mut s, "execs", *execs);
             }
             Event::CheckpointWritten { worker, seq, units, path } => {
                 push_num(&mut s, "worker", *worker as u64);

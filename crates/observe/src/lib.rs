@@ -546,8 +546,8 @@ mod tests {
         let c0 = parent.worker_child(0);
         let c1 = parent.worker_child(1);
         // Interleaved in wall time, merged in worker order.
-        c1.emit(|| Event::WorkerSync { worker: 1, execs: 5 });
-        c0.emit(|| Event::WorkerSync { worker: 0, execs: 5 });
+        c1.emit(|| Event::WorkerDied { worker: 1, error: "boom".into() });
+        c0.emit(|| Event::WorkerDied { worker: 0, error: "boom".into() });
         c0.emit(|| Event::ExecEnd {
             worker: 0,
             exec: 4,
@@ -563,11 +563,11 @@ mod tests {
         parent.merge_worker(&c1);
         let evs = mem.drain();
         assert_eq!(evs.len(), 3);
-        assert!(matches!(evs[0], Event::WorkerSync { worker: 0, .. }));
-        assert!(matches!(evs[2], Event::WorkerSync { worker: 1, .. }));
+        assert!(matches!(evs[0], Event::WorkerDied { worker: 0, .. }));
+        assert!(matches!(evs[2], Event::WorkerDied { worker: 1, .. }));
         // Metrics aggregated exactly once, at merge.
         assert_eq!(metrics.counter("lego_execs_total"), 1);
-        assert_eq!(metrics.counter("lego_worker_syncs_total"), 2);
+        assert_eq!(metrics.counter("lego_worker_deaths_total"), 2);
     }
 
     #[test]

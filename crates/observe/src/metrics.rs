@@ -63,7 +63,6 @@ fn metric_meta(base: &str) -> Option<(&'static str, &'static str)> {
         }
         "lego_aborted_cases_total" => ("counter", "Cases killed by a per-case budget, by reason."),
         "lego_worker_deaths_total" => ("counter", "Worker threads that died mid-campaign."),
-        "lego_worker_syncs_total" => ("counter", "Worker coverage-shard syncs."),
         "lego_checkpoints_written_total" => ("counter", "Campaign checkpoints persisted."),
         "lego_branches" => ("gauge", "Branches (edges) covered."),
         "lego_corpus_size" => ("gauge", "Seeds retained in the corpus."),
@@ -214,7 +213,6 @@ impl MetricsRegistry {
                 self.inc(&labeled("lego_aborted_cases_total", "reason", reason), 1);
             }
             Event::WorkerDied { .. } => self.inc("lego_worker_deaths_total", 1),
-            Event::WorkerSync { .. } => self.inc("lego_worker_syncs_total", 1),
             Event::CheckpointWritten { .. } => self.inc("lego_checkpoints_written_total", 1),
             Event::SemaVerdict { rejects, skipped, .. } => {
                 self.inc("lego_sema_rejects_total", *rejects);

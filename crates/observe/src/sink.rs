@@ -257,7 +257,7 @@ mod tests {
     fn memory_sink_buffers_and_drains() {
         let sink = MemorySink::new();
         sink.emit(&Event::ExecStart { worker: 0, exec: 0 });
-        sink.emit(&Event::WorkerSync { worker: 0, execs: 1 });
+        sink.emit(&Event::WorkerDied { worker: 0, error: "boom".into() });
         assert_eq!(sink.len(), 2);
         let evs = sink.drain();
         assert_eq!(evs.len(), 2);
@@ -309,11 +309,11 @@ mod tests {
         // Late subscriber still sees the backlog.
         let rx = sink.subscribe();
         assert_eq!(sink.subscriber_count(), 1);
-        sink.emit(&Event::WorkerSync { worker: 0, execs: 1 });
+        sink.emit(&Event::WorkerDied { worker: 0, error: "boom".into() });
         let got: Vec<Event> = rx.try_iter().collect();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].type_name(), "ExecStart");
-        assert_eq!(got[1].type_name(), "WorkerSync");
+        assert_eq!(got[1].type_name(), "WorkerDied");
         // Dropped receiver is pruned on the next emit.
         drop(rx);
         sink.emit(&Event::ExecStart { worker: 0, exec: 1 });

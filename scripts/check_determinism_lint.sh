@@ -38,6 +38,12 @@
 #      depends on the scheduler; state belongs to the instance that uses it
 #      (the planted faults are a per-instance `Faults` value for this
 #      reason). Write-once tables (`static … OnceLock`) stay allowed.
+#   6. Workers share nothing until the join: no std::sync::atomic, Atomic*,
+#      Mutex or RwLock in crates/coverage/src or crates/core/src/campaign.rs.
+#      Each worker judges novelty on its own maps and hands them back when
+#      it finishes; the join unions them in worker order. A map shared while
+#      the workers run would be written in scheduler order, and a read of it
+#      would make a worker's run depend on the others' progress.
 #
 # Usage: scripts/check_determinism_lint.sh   (run from the repo root)
 set -euo pipefail
@@ -184,6 +190,14 @@ fi
 if hits=$(grep -rnE '\bstatic[[:space:]]+mut\b|\bstatic[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:[[:space:]]*([A-Za-z_][A-Za-z0-9_]*::)*(Atomic[A-Za-z0-9]*|Mutex|RwLock)\b' \
     crates/{dbms,sqlsema,oracle,sqlparser,coverage,core}/src); then
   echo "determinism-lint: mutable process-global state (static mut / Atomic* / Mutex / RwLock):" >&2
+  echo "$hits" >&2
+  fail=1
+fi
+
+# --- Rule 6: workers share nothing until the join --------------------------
+if hits=$(grep -rnE 'std::sync::atomic|\bAtomic[A-Za-z0-9]*|\bMutex\b|\bRwLock\b' \
+    crates/coverage/src crates/core/src/campaign.rs); then
+  echo "determinism-lint: state shared between workers (atomic / Mutex / RwLock):" >&2
   echo "$hits" >&2
   fail=1
 fi

@@ -16,7 +16,7 @@ jq -e -s '
   (map(type == "object" and (.type | type == "string")) | all) and
   (map(.type) - ["ExecStart","ExecEnd","MutationApplied","AffinityDiscovered",
                  "SynthesisStep","CoverageGain","RuleCoverageGain","BugFound","LogicBugFound",
-                 "WorkerSync","CaseAborted","WorkerDied","CheckpointWritten",
+                 "CaseAborted","WorkerDied","CheckpointWritten",
                  "DurabilityBugFound","SemaVerdict","SemaDivergenceFound"] == [])
 ' "$log" >/dev/null || { echo "check_telemetry: malformed or unknown events in $log" >&2; exit 1; }
 

@@ -265,7 +265,7 @@ fn cmd_fuzz(cli: Cli) -> ExitCode {
             "resuming from checkpoint {} in {} ({} units done)",
             resume.workers[0].seq,
             dir.display(),
-            resume.workers[0].units
+            resume.workers[0].tally.units
         );
         ckpt.every_units = cli.checkpoint_every.unwrap_or(resume.meta.every_units);
         ckpt.dir = Some(dir.clone());

@@ -10,9 +10,9 @@
 
 use crate::affinity::corpus_affinities;
 use crate::checkpoint::{
-    self, CheckpointCfg, CheckpointMeta, FindingCk, SnapCk, WorkerCheckpoint, CHECKPOINT_VERSION,
+    self, CheckpointCfg, CheckpointMeta, SnapCk, Tally, WorkerCheckpoint, CHECKPOINT_VERSION,
 };
-use crate::checks::{OracleRuntime, SemaRuntime};
+use crate::checks::{Ledger, OracleRuntime, SemaRuntime};
 use lego_coverage::GlobalCoverage;
 use lego_dbms::faults::Faults;
 use lego_dbms::{CrashReport, Dbms, ExecReport, PANIC_BUG_ID};
@@ -275,7 +275,7 @@ fn rule_novelty(rules: &mut GlobalCoverage, tracer: &mut RuleTracer, case: &Test
 }
 
 /// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -317,41 +317,6 @@ fn triage_crash(
     let (reduced, spent) =
         tel.time(Stage::Dedup, || crate::reduce::reduce_case_on(db, case, crash));
     (reduced.to_sql(), spent)
-}
-
-/// Re-derive full [`BugFinding`]s from checkpointed reproducers by replaying
-/// each stored case through the isolated executor on `db`. Fails loudly if a
-/// stored crash no longer reproduces, or replays as a crash with another
-/// stack (the environment changed under the checkpoint). Replay executions
-/// are bookkeeping, not campaign work — nothing is charged to the unit
-/// budget.
-fn rebuild_bugs(db: &mut Dbms, findings: &[FindingCk]) -> Result<Vec<BugFinding>, String> {
-    let dialect = db.dialect();
-    findings
-        .iter()
-        .map(|f| {
-            let case = f.case("crash")?;
-            db.reset();
-            let report = execute_case_isolated(db, dialect, &case);
-            let crash = report.crash().cloned().ok_or_else(|| {
-                format!("checkpointed crash no longer reproduces: {}", f.case_sql)
-            })?;
-            if crash.stack_hash() != f.fingerprint {
-                return Err(format!(
-                    "checkpointed crash {:#x} replays as crash {:#x}: {}",
-                    f.fingerprint,
-                    crash.stack_hash(),
-                    f.case_sql
-                ));
-            }
-            Ok(BugFinding {
-                crash,
-                first_exec: f.first_exec,
-                case_sql: f.case_sql.clone(),
-                reduced_sql: f.reduced_sql.clone(),
-            })
-        })
-        .collect()
 }
 
 /// Run one engine against one DBMS for the budget: a serial campaign with
@@ -623,7 +588,7 @@ fn run_worker(
             .restore(engine, &resume.workers[index])
             .map_err(|e| format!("{}: {e}", checkpoint::worker_file(index)))?;
     }
-    while worker.units < worker.slice {
+    while worker.tally.units < worker.slice {
         let case = tel.time(Stage::Generation, || engine.next_case());
         if worker.step(engine, &case) {
             worker.after_case(engine)?;
@@ -677,6 +642,8 @@ impl Curve {
 /// One worker's campaign state. A one-worker campaign is a single `Worker`
 /// whose maps are the campaign's; with N, each judges novelty against its
 /// own maps only, so its run depends solely on its seed and budget slice.
+/// Its counters are one [`Tally`] and its findings three [`Ledger`]s, each
+/// moved whole by the checkpoint, the resume and the join.
 struct Worker<'a> {
     spec: &'a CampaignSpec,
     tel: &'a Telemetry,
@@ -691,17 +658,14 @@ struct Worker<'a> {
     /// Rule virgin map and tracer; `None` without `rule_cov`, so that path
     /// touches no extra state.
     rules: Option<(GlobalCoverage, RuleTracer)>,
-    /// Stack hashes of `bugs`.
-    seen_stacks: HashSet<u64>,
-    bugs: Vec<BugFinding>,
     oracle: OracleRuntime,
     sema: Option<SemaRuntime>,
+    /// The three findings lists, named as the checkpoint names them.
+    bugs: Ledger<BugFinding>,
+    logic_bugs: Ledger<LogicBugFinding>,
+    sema_findings: Ledger<LogicBugFinding>,
     curve: Curve,
-    units: usize,
-    execs: usize,
-    stmts_ok: usize,
-    stmts_err: usize,
-    cases_aborted: usize,
+    tally: Tally,
     /// The next checkpoint boundary, in units (`usize::MAX` without
     /// checkpoints).
     next_ckpt: usize,
@@ -734,45 +698,40 @@ impl<'a> Worker<'a> {
             db,
             cov: GlobalCoverage::new(),
             rules: spec.rule_cov.then(|| (GlobalCoverage::new(), RuleTracer::new())),
-            seen_stacks: HashSet::new(),
-            bugs: Vec::new(),
             oracle: OracleRuntime::new(spec, index),
             sema: spec.sema.then(|| SemaRuntime::new(spec)),
+            bugs: Ledger::new("bugs"),
+            logic_bugs: Ledger::new("logic_bugs"),
+            sema_findings: Ledger::new("sema_findings"),
             curve,
-            units: 0,
-            execs: 0,
-            stmts_ok: 0,
-            stmts_err: 0,
-            cases_aborted: 0,
+            tally: Tally::default(),
             next_ckpt: next_boundary(0, spec.checkpoint.every_units),
             ckpt_seq: 0,
         }
     }
 
-    /// Apply one worker's checkpoint: engine state, maps, re-derived
-    /// findings and counters.
+    /// Apply one worker's checkpoint: engine state, maps, findings (each
+    /// re-derived by replaying its stored case) and the tally.
     fn restore(&mut self, engine: &mut dyn FuzzEngine, w: &WorkerCheckpoint) -> Result<(), String> {
         engine.restore(&w.engine)?;
         self.cov = GlobalCoverage::from_sparse(&w.coverage);
         if let Some((rules, _)) = self.rules.as_mut() {
             *rules = GlobalCoverage::from_sparse(&w.rule_coverage);
         }
-        self.bugs = rebuild_bugs(&mut self.db, &w.bugs)?;
-        self.seen_stacks = w.bugs.iter().map(|f| f.fingerprint).collect();
-        self.oracle.restore(w)?;
-        if let Some(srt) = self.sema.as_mut() {
-            srt.restore(&mut self.db, w)?;
-        }
+        let (db, dialect) = (&mut self.db, self.spec.dialect);
+        self.bugs.restore(&w.bugs, |case| {
+            db.reset();
+            execute_case_isolated(db, dialect, case).crash().cloned()
+        })?;
+        self.logic_bugs.restore(&w.logic_bugs, |case| self.oracle.replay(case))?;
+        let sema = self.sema.as_ref();
+        self.sema_findings.restore(&w.sema_findings, |case| sema?.replay(db, case))?;
         match &mut self.curve {
             Curve::Points { points, .. } => *points = w.curve.clone(),
             Curve::Shards { snaps, .. } => *snaps = w.snaps.clone(),
         }
-        self.units = w.units;
-        self.execs = w.execs;
-        self.stmts_ok = w.stmts_ok;
-        self.stmts_err = w.stmts_err;
-        self.cases_aborted = w.cases_aborted;
-        self.next_ckpt = next_boundary(w.units, self.spec.checkpoint.every_units);
+        self.tally = w.tally;
+        self.next_ckpt = next_boundary(w.tally.units, self.spec.checkpoint.every_units);
         self.ckpt_seq = w.seq;
         Ok(())
     }
@@ -783,19 +742,21 @@ impl<'a> Worker<'a> {
     /// the next executed case — deterministic either way, since the skip
     /// decision is).
     fn step(&mut self, engine: &mut dyn FuzzEngine, case: &Arc<TestCase>) -> bool {
-        let (tel, dialect, worker, exec) = (self.tel, self.spec.dialect, self.index, self.execs);
+        let (tel, dialect, worker, exec) =
+            (self.tel, self.spec.dialect, self.index, self.tally.execs);
         // Static pre-execution verdict: a provably-invalid case skips the
         // engine, charged its statement count plus the reset fee (what the
         // cheapest failing run would have cost). Every SEMA_AUDIT_EVERY-th
         // rejected case executes anyway, auditing the analyzer.
         let mut sema_rep: Option<SeqReport> = None;
-        if let Some(srt) = self.sema.as_mut() {
+        if let Some(srt) = &self.sema {
             let rep = tel.time(Stage::Sema, || srt.sema.check_sequence(&case.statements));
             let rejects = rep.rejects();
             if rejects > 0 {
-                srt.rejects += rejects;
-                srt.audit += 1;
-                let audit = srt.audit % SEMA_AUDIT_EVERY == 0;
+                let t = &mut self.tally;
+                t.sema_rejects += rejects;
+                t.sema_audit += 1;
+                let audit = t.sema_audit.is_multiple_of(SEMA_AUDIT_EVERY);
                 tel.emit(|| Event::SemaVerdict {
                     worker,
                     exec: exec as u64,
@@ -805,8 +766,8 @@ impl<'a> Worker<'a> {
                 });
                 if !audit {
                     tel.emit(|| Event::ExecStart { worker, exec: exec as u64 });
-                    self.units += case.statements.len() + CASE_RESET_COST;
-                    srt.skipped_stmts += case.statements.len();
+                    t.units += case.statements.len() + CASE_RESET_COST;
+                    t.sema_skipped_stmts += case.statements.len();
                     tel.emit(|| Event::ExecEnd {
                         worker,
                         exec: exec as u64,
@@ -816,7 +777,7 @@ impl<'a> Worker<'a> {
                         new_coverage: false,
                     });
                     tel.time(Stage::Feedback, || engine.feedback(case, &srt.skipped, false));
-                    self.execs += 1;
+                    t.execs += 1;
                     return false;
                 }
             }
@@ -826,15 +787,16 @@ impl<'a> Worker<'a> {
         tel.emit(|| Event::ExecStart { worker, exec: exec as u64 });
         let db = &mut self.db;
         let report = tel.time(Stage::Execution, || execute_case_isolated(db, dialect, case));
-        self.units += report.statements_executed + CASE_RESET_COST;
-        self.stmts_ok += report.stmts_ok;
-        self.stmts_err += report.stmts_err;
+        let t = &mut self.tally;
+        t.units += report.statements_executed + CASE_RESET_COST;
+        t.stmts_ok += report.stmts_ok;
+        t.stmts_err += report.stmts_err;
         // A budget-tripped case never enters the corpus and its partial
         // coverage is discarded (like AFL's timeout inputs): retaining it
         // would reward runaway behaviour with novelty.
         let aborted = report.aborted();
         if let Some(reason) = aborted {
-            self.cases_aborted += 1;
+            t.cases_aborted += 1;
             tel.emit(|| Event::CaseAborted {
                 worker,
                 exec: exec as u64,
@@ -870,33 +832,29 @@ impl<'a> Worker<'a> {
         });
         if let Some(crash) = report.crash() {
             let h = crash.stack_hash();
-            if self.seen_stacks.insert(h) {
+            if self.bugs.is_new(h) {
                 // Triage: minimize the reproducer right away (the reduction
                 // executions are charged to the budget, like a real
                 // campaign's triage time).
                 let (reduced_sql, spent) = triage_crash(&mut self.db, case, crash, tel);
-                self.units += spent;
+                self.tally.units += spent;
                 tel.emit(|| Event::BugFound {
                     worker,
                     exec: exec as u64,
                     identifier: crash.identifier.clone(),
                     stack_hash: h,
                 });
-                self.bugs.push(BugFinding {
-                    crash: crash.clone(),
-                    first_exec: exec,
-                    case_sql: case.to_sql(),
-                    reduced_sql,
-                });
+                self.bugs.record(crash.clone(), exec, case, reduced_sql);
             }
         }
         if accepted && report.crash().is_none() {
-            self.units += self.oracle.check(case, worker, exec, tel);
+            self.oracle.check(case, &mut self.tally, &mut self.logic_bugs, worker, tel);
         }
         // Conformance oracle: every executed case (including audits of
         // statically-rejected ones) checks the analyzer against the engine.
-        if let (Some(srt), Some(rep)) = (self.sema.as_mut(), &sema_rep) {
-            self.units += srt.conformance(case, rep, &report, &mut self.db, worker, exec, tel);
+        if let (Some(srt), Some(rep)) = (&self.sema, &sema_rep) {
+            let (db, t, found) = (&mut self.db, &mut self.tally, &mut self.sema_findings);
+            srt.conformance(case, rep, &report, db, t, found, worker, tel);
         }
         tel.time(Stage::Feedback, || engine.feedback(case, &report, accepted));
         if rule_delta > 0 {
@@ -910,15 +868,15 @@ impl<'a> Worker<'a> {
             });
         }
         self.db.recycle(report.coverage);
-        self.execs += 1;
+        self.tally.execs += 1;
         true
     }
 
     /// The bookkeeping after an executed case: curve point, and checkpoint
     /// when a boundary has passed.
     fn after_case(&mut self, engine: &mut dyn FuzzEngine) -> Result<(), String> {
-        self.curve.sample(self.units, self.slice, &self.cov);
-        if self.units >= self.next_ckpt {
+        self.curve.sample(self.tally.units, self.slice, &self.cov);
+        if self.tally.units >= self.next_ckpt {
             let tel = self.tel;
             tel.time(Stage::Checkpoint, || self.checkpoint(engine))?;
         }
@@ -928,7 +886,7 @@ impl<'a> Worker<'a> {
     /// Reseed barrier (state-changing even when nothing is persisted), then
     /// persist the post-barrier state when there is a checkpoint directory.
     fn checkpoint(&mut self, engine: &mut dyn FuzzEngine) -> Result<(), String> {
-        self.next_ckpt = next_boundary(self.units, self.spec.checkpoint.every_units);
+        self.next_ckpt = next_boundary(self.tally.units, self.spec.checkpoint.every_units);
         self.ckpt_seq += 1;
         let engine_snap = engine.checkpoint();
         let Some(dir) = &self.spec.checkpoint.dir else { return Ok(()) };
@@ -938,36 +896,18 @@ impl<'a> Worker<'a> {
             Curve::Points { points, .. } => (points.clone(), Vec::new()),
             Curve::Shards { snaps, .. } => (Vec::new(), snaps.clone()),
         };
-        let sema = self.sema.as_ref();
         let ck = WorkerCheckpoint {
             version: CHECKPOINT_VERSION,
             worker: self.index,
             seq: self.ckpt_seq,
-            units: self.units,
-            execs: self.execs,
-            stmts_ok: self.stmts_ok,
-            stmts_err: self.stmts_err,
-            cases_aborted: self.cases_aborted,
+            tally: self.tally,
             curve,
             snaps,
             coverage: self.cov.to_sparse(),
             rule_coverage: self.rules.as_ref().map(|(r, _)| r.to_sparse()).unwrap_or_default(),
-            bugs: self
-                .bugs
-                .iter()
-                .map(|b| FindingCk {
-                    first_exec: b.first_exec,
-                    fingerprint: b.crash.stack_hash(),
-                    case_sql: b.case_sql.clone(),
-                    reduced_sql: b.reduced_sql.clone(),
-                })
-                .collect(),
-            logic_bugs: logic_findings_out(&self.oracle.findings),
-            oracle_checks: self.oracle.checks,
-            sema_rejects: sema.map_or(0, |s| s.rejects),
-            sema_skipped_stmts: sema.map_or(0, |s| s.skipped_stmts),
-            sema_audit: sema.map_or(0, |s| s.audit),
-            sema_findings: sema.map_or_else(Vec::new, |s| logic_findings_out(&s.findings)),
+            bugs: self.bugs.stored(),
+            logic_bugs: self.logic_bugs.stored(),
+            sema_findings: self.sema_findings.stored(),
             engine: engine_snap,
         };
         let path =
@@ -975,7 +915,7 @@ impl<'a> Worker<'a> {
         self.tel.emit(|| Event::CheckpointWritten {
             worker: self.index,
             seq: self.ckpt_seq as u64,
-            units: self.units as u64,
+            units: self.tally.units as u64,
             path: path.display().to_string(),
         });
         Ok(())
@@ -983,34 +923,21 @@ impl<'a> Worker<'a> {
 
     /// Close the curve and hand back what the stats need.
     fn finish(mut self, engine: &dyn FuzzEngine) -> WorkerOut {
-        self.curve.close(self.units, &self.cov);
-        // Sema divergences join the logic-bug list by discovery order
-        // (stable on ties, oracle findings first). A sema-off run never
-        // sorts, keeping its finding order byte-identical.
-        let mut logic_bugs = self.oracle.findings;
-        let (sema_rejects, sema_skipped_stmts) = match self.sema {
-            Some(srt) => {
-                logic_bugs.extend(srt.findings);
-                logic_bugs.sort_by_key(|b| b.first_exec);
-                (srt.rejects, srt.skipped_stmts)
-            }
-            None => (0, 0),
-        };
+        self.curve.close(self.tally.units, &self.cov);
+        // Analyzer divergences join the oracle findings by discovery order
+        // (stable on ties, oracle findings first); both lists are already
+        // in that order, so without divergences the sort changes nothing.
+        let mut logic_bugs = self.logic_bugs.found;
+        logic_bugs.extend(self.sema_findings.found);
+        logic_bugs.sort_by_key(|b| b.first_exec);
         WorkerOut {
             fuzzer: engine.name().to_string(),
-            execs: self.execs,
-            units: self.units,
-            stmts_ok: self.stmts_ok,
-            stmts_err: self.stmts_err,
-            cases_aborted: self.cases_aborted,
+            tally: self.tally,
             curve: self.curve,
             coverage: self.cov.to_sparse(),
             rule_coverage: self.rules.as_ref().map(|(r, _)| r.to_sparse()).unwrap_or_default(),
-            bugs: self.bugs,
+            bugs: self.bugs.found,
             logic_bugs,
-            oracle_checks: self.oracle.checks,
-            sema_rejects,
-            sema_skipped_stmts,
             corpus: engine.corpus(),
         }
     }
@@ -1028,11 +955,7 @@ fn next_boundary(units: usize, every: usize) -> usize {
 /// What one worker brings back to the join point.
 struct WorkerOut {
     fuzzer: String,
-    execs: usize,
-    units: usize,
-    stmts_ok: usize,
-    stmts_err: usize,
-    cases_aborted: usize,
+    tally: Tally,
     curve: Curve,
     /// Sparse dumps of the worker's final branch and rule maps (the rule
     /// map's is empty without `rule_cov`).
@@ -1040,9 +963,6 @@ struct WorkerOut {
     rule_coverage: Vec<(usize, u8)>,
     bugs: Vec<BugFinding>,
     logic_bugs: Vec<LogicBugFinding>,
-    oracle_checks: usize,
-    sema_rejects: usize,
-    sema_skipped_stmts: usize,
     corpus: Vec<Arc<TestCase>>,
 }
 
@@ -1091,28 +1011,28 @@ fn assemble(
     let bugs = merge_findings(&outs, |o| &o.bugs, |b| (b.first_exec, b.crash.stack_hash()));
     let logic_bugs = merge_findings(&outs, |o| &o.logic_bugs, |b| (b.first_exec, b.fingerprint()));
     let corpus: Vec<Arc<TestCase>> = survivors().flat_map(|o| o.corpus.iter().cloned()).collect();
-    let sum = |f: fn(&WorkerOut) -> usize| survivors().map(f).sum::<usize>();
+    let sum = |f: fn(&Tally) -> usize| survivors().map(|o| f(&o.tally)).sum::<usize>();
     let mut stats = CampaignStats {
         fuzzer: survivors().next().map_or_else(|| "unknown".into(), |o| o.fuzzer.clone()),
         dialect: spec.dialect,
-        execs: sum(|o| o.execs),
-        units: sum(|o| o.units),
+        execs: sum(|t| t.execs),
+        units: sum(|t| t.units),
         coverage_curve,
         branches: union(|o| &o.coverage),
         rule_branches: union(|o| &o.rule_coverage),
         corpus_affinities: corpus_affinities(&corpus).len(),
         corpus_size: corpus.len(),
-        stmts_ok: sum(|o| o.stmts_ok),
-        stmts_err: sum(|o| o.stmts_err),
-        cases_aborted: sum(|o| o.cases_aborted),
+        stmts_ok: sum(|t| t.stmts_ok),
+        stmts_err: sum(|t| t.stmts_err),
+        cases_aborted: sum(|t| t.cases_aborted),
         workers_lost,
         bugs,
         durability_bugs: logic_bugs.iter().filter(|f| f.bug.oracle == OracleKind::Recovery).count(),
-        sema_rejects: sum(|o| o.sema_rejects),
-        sema_skipped_stmts: sum(|o| o.sema_skipped_stmts),
+        sema_rejects: sum(|t| t.sema_rejects),
+        sema_skipped_stmts: sum(|t| t.sema_skipped_stmts),
         sema_divergences: logic_bugs.iter().filter(|f| f.bug.oracle == OracleKind::Sema).count(),
         logic_bugs,
-        oracle_checks: sum(|o| o.oracle_checks),
+        oracle_checks: sum(|t| t.oracle_checks),
         wall_ms: 0,
         execs_per_sec: 0.0,
         workers: 1,
@@ -1139,19 +1059,6 @@ fn merge_findings<T: Clone>(
     tagged.sort_by_key(|&(w, b)| (key(b).0, w));
     let mut seen = HashSet::new();
     tagged.into_iter().filter(|&(_, b)| seen.insert(key(b).1)).map(|(_, b)| b.clone()).collect()
-}
-
-/// Findings in their checkpoint form (reproducers + fingerprint).
-fn logic_findings_out(findings: &[LogicBugFinding]) -> Vec<FindingCk> {
-    findings
-        .iter()
-        .map(|b| FindingCk {
-            first_exec: b.first_exec,
-            fingerprint: b.fingerprint(),
-            case_sql: b.case_sql.clone(),
-            reduced_sql: b.reduced_sql.clone(),
-        })
-        .collect()
 }
 
 /// End-of-campaign telemetry: dump replayable bug artifacts, publish the

@@ -33,11 +33,11 @@
 //! Heavyweight state round-trips through SQL text: test cases are stored as
 //! scripts and re-parsed, and findings store only their fingerprint and
 //! reproducers — resume *re-derives* the `CrashReport`/`LogicBug` structures
-//! by replaying the stored SQL, failing loudly if the replay no longer gives
-//! a finding with the stored fingerprint. The dedup sets are the findings'
-//! fingerprints, the next checkpoint boundary follows from the units spent
-//! and the next curve sample from the samples taken, so none of them is
-//! stored.
+//! by replaying the stored SQL, failing loudly if the replay panics or no
+//! longer gives a finding with the stored fingerprint. The dedup sets are
+//! the findings' fingerprints, the next checkpoint boundary follows from the
+//! units spent and the next curve sample from the samples taken, so none of
+//! them is stored.
 
 use serde::Serialize;
 use std::io::{self, Write};
@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 /// it and regenerates the engine-snapshot fixture under `tests/fixtures/`.
 /// Restore accepts exactly this version: checkpoints are short-lived campaign
 /// state, so an older one is refused rather than migrated.
-pub const CHECKPOINT_VERSION: u64 = 8;
+pub const CHECKPOINT_VERSION: u64 = 9;
 
 /// Checkpointing configuration for a resilient campaign run.
 #[derive(Clone, Debug, Default)]
@@ -104,11 +104,7 @@ pub struct WorkerCheckpoint {
     pub worker: usize,
     /// Checkpoints this worker has taken, this one included.
     pub seq: usize,
-    pub units: usize,
-    pub execs: usize,
-    pub stmts_ok: usize,
-    pub stmts_err: usize,
-    pub cases_aborted: usize,
+    pub tally: Tally,
     /// Coverage curve so far (serial loop; empty for workers).
     pub curve: Vec<(usize, usize)>,
     /// Local-shard snapshots so far (worker loop; empty for serial).
@@ -122,20 +118,36 @@ pub struct WorkerCheckpoint {
     pub bugs: Vec<FindingCk>,
     /// Correctness-oracle findings (empty without oracles).
     pub logic_bugs: Vec<FindingCk>,
+    /// Conformance-divergence findings (empty without `--sema`).
+    pub sema_findings: Vec<FindingCk>,
+    /// Engine snapshot (`FuzzEngine::checkpoint` payload), embedded as a
+    /// JSON string.
+    pub engine: String,
+}
+
+/// A worker's counters. The worker updates them in place, a checkpoint
+/// stores them as one record, a resume assigns them whole and the join sums
+/// each over the surviving workers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+pub struct Tally {
+    /// Statement units consumed.
+    pub units: usize,
+    /// Cases judged, statically skipped ones included.
+    pub execs: usize,
+    pub stmts_ok: usize,
+    pub stmts_err: usize,
+    pub cases_aborted: usize,
+    /// Oracle comparisons (0 without oracles).
     pub oracle_checks: usize,
     /// Statements the static analyzer proved invalid (0 without `--sema`).
     pub sema_rejects: usize,
     /// Statements of statically-skipped cases, never attempted on the
     /// engine (0 without `--sema`).
     pub sema_skipped_stmts: usize,
-    /// Statically-rejected cases seen so far — drives the every-Nth
-    /// conformance-audit execution, so it must survive resume exactly.
+    /// Statically-rejected cases seen so far; every
+    /// [`SEMA_AUDIT_EVERY`](crate::campaign::SEMA_AUDIT_EVERY)-th one
+    /// executes anyway, so it must survive resume exactly.
     pub sema_audit: usize,
-    /// Conformance-divergence findings (empty without `--sema`).
-    pub sema_findings: Vec<FindingCk>,
-    /// Engine snapshot (`FuzzEngine::checkpoint` payload), embedded as a
-    /// JSON string.
-    pub engine: String,
 }
 
 /// One coverage-curve snapshot of a worker's local shard.
@@ -147,21 +159,14 @@ pub struct SnapCk {
 
 /// A crash, oracle or analyzer finding, stored as its dedup fingerprint and
 /// reproducers. Resume re-derives the `CrashReport` or `LogicBug` by
-/// replaying `case_sql` and refuses a replay whose fingerprint differs.
+/// replaying `case_sql` and refuses a replay that panics or whose
+/// fingerprint differs.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FindingCk {
     pub first_exec: usize,
     pub fingerprint: u64,
     pub case_sql: String,
     pub reduced_sql: String,
-}
-
-impl FindingCk {
-    /// Re-parse the stored case of a `what` finding.
-    pub(crate) fn case(&self, what: &str) -> Result<lego_sqlast::TestCase, String> {
-        lego_sqlparser::parse_script(&self.case_sql)
-            .map_err(|e| format!("checkpointed {what} case re-parse: {e:?}"))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -373,23 +378,27 @@ from_json!(WorkerCheckpoint {
     version,
     worker,
     seq,
-    units,
-    execs,
-    stmts_ok,
-    stmts_err,
-    cases_aborted,
+    tally,
     curve,
     snaps,
     coverage,
     rule_coverage,
     bugs,
     logic_bugs,
+    sema_findings,
+    engine,
+});
+
+from_json!(Tally {
+    units,
+    execs,
+    stmts_ok,
+    stmts_err,
+    cases_aborted,
     oracle_checks,
     sema_rejects,
     sema_skipped_stmts,
     sema_audit,
-    sema_findings,
-    engine,
 });
 
 from_json!(SnapCk { units, coverage });
@@ -416,21 +425,23 @@ mod tests {
             version: CHECKPOINT_VERSION,
             worker,
             seq,
-            units: 1234,
-            execs: 77,
-            stmts_ok: 60,
-            stmts_err: 17,
-            cases_aborted: 2,
+            tally: Tally {
+                units: 1234,
+                execs: 77,
+                stmts_ok: 60,
+                stmts_err: 17,
+                cases_aborted: 2,
+                oracle_checks: 9,
+                sema_rejects: 4,
+                sema_skipped_stmts: 12,
+                sema_audit: 3,
+            },
             curve: vec![(0, 0), (500, 42)],
             snaps: vec![SnapCk { units: 500, coverage: vec![(9, 3)] }],
             coverage: vec![(3, 1), (70_000, 255)],
             rule_coverage: vec![(17, 1)],
             bugs: vec![finding(u64::MAX - 3, 11, "SELECT 1;")],
             logic_bugs: vec![finding(u64::MAX - 1, 13, "SELECT 2;\nSELECT 3;")],
-            oracle_checks: 9,
-            sema_rejects: 4,
-            sema_skipped_stmts: 12,
-            sema_audit: 3,
             sema_findings: vec![finding(1 << 63, 21, "COMMIT;")],
             engine: "{\"rng_reseed\":18446744073709551615}".into(),
         }

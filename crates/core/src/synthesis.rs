@@ -157,6 +157,12 @@ impl SequenceStore {
         let idx = self.seqs.len() as u32;
         let row = self.ps_row(last, len);
         self.ps[row].push(idx);
+        if self.seqs.len() == self.seqs.capacity() {
+            // Double like `Vec::push`, but never past the cap: the store
+            // holds no more, so the slots past it would stay empty.
+            let room = self.cap - self.seqs.len();
+            self.seqs.reserve_exact(self.seqs.len().max(4).min(room));
+        }
         self.seqs.push(key);
         true
     }
@@ -618,6 +624,24 @@ mod tests {
             s.seqs.push(key);
             true
         }
+    }
+
+    #[test]
+    fn a_full_store_allocates_no_slot_past_its_cap() {
+        // Six types, LEN 4 and two starters over a complete graph span 518
+        // sequences, past a cap of 150; `Vec` doubling alone would reach 256.
+        let kinds: Vec<StmtKind> = StmtKind::all().into_iter().take(6).collect();
+        let cap = 150;
+        let mut store = SequenceStore::with_cap(4, &kinds[..2], cap);
+        let mut map = AffinityMap::new();
+        for &t1 in &kinds {
+            for &t2 in &kinds {
+                map.insert(t1, t2);
+                store.on_new_affinity(t1, t2, &map, 1000);
+            }
+        }
+        assert_eq!(store.len(), cap, "the store must fill");
+        assert!(store.seqs.capacity() <= cap, "capacity {}", store.seqs.capacity());
     }
 
     #[test]

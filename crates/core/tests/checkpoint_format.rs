@@ -11,21 +11,23 @@
 //! `cargo run -q -p lego --example dump_resume_stream` (each example's doc
 //! gives the redirect). Every other version is refused, on the engine
 //! snapshot, on `meta.json` and on each worker checkpoint alike, and so is a
-//! record with any key missing or of the wrong type. A directory holds
-//! `meta.json` and one file per worker, however many checkpoints were taken.
+//! record with any key missing or of the wrong type, and a stored finding
+//! of any kind that does not replay. A directory holds `meta.json` and one
+//! file per worker, however many checkpoints were taken.
 
-use lego::campaign::{run, Budget, CampaignSpec, FuzzEngine, ParallelOpts};
+use lego::campaign::{run, Budget, CampaignSpec, CampaignStats, FuzzEngine, ParallelOpts};
 use lego::checkpoint::{
-    load_campaign_checkpoint, meta_path, worker_path, CampaignResume, CheckpointCfg,
-    CHECKPOINT_VERSION,
+    load_campaign_checkpoint, meta_path, worker_path, CheckpointCfg, CHECKPOINT_VERSION,
 };
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::ngram::MAX_PACKED_SEQ;
 use lego::observe::Telemetry;
+use lego_dbms::faults::Faults;
+use lego_oracle::OracleConfig;
 use lego_sqlast::Dialect;
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, UnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe, UnwindSafe};
 use std::path::{Path, PathBuf};
 
 const SNAPSHOT: &str = include_str!("fixtures/engine_snapshot.json");
@@ -80,20 +82,16 @@ fn campaign(dialect: Dialect, workers: usize, checkpoint: CheckpointCfg) -> Resu
         .map(drop)
 }
 
-/// Resume [`campaign`] from `resume`.
-fn resumed(dialect: Dialect, resume: CampaignResume) -> Result<(), String> {
-    let workers = resume.meta.workers;
-    campaign(
-        dialect,
-        workers,
-        CheckpointCfg { every_units: CADENCE, dir: None, resume: Some(resume) },
-    )
+/// A fresh directory for the checkpoints of test `tag`.
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("lego_ckfmt_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// The checkpoint directory [`campaign`] leaves.
 fn written_checkpoint(tag: &str, dialect: Dialect, workers: usize) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lego_ckfmt_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = tmpdir(tag);
     let every = CheckpointCfg { every_units: CADENCE, dir: Some(dir.clone()), resume: None };
     campaign(dialect, workers, every).expect("checkpointed campaign");
     dir
@@ -221,8 +219,8 @@ fn checkpointed_synthesis_job_longer_than_len_is_rejected() {
     }
 }
 
-/// The keys of `meta.json`, of a worker checkpoint and of the engine snapshot
-/// it embeds.
+/// The keys of `meta.json`, of a worker checkpoint, of the tally nested in
+/// it and of the engine snapshot it embeds.
 const META_KEYS: [&str; 10] = [
     "version",
     "fuzzer",
@@ -235,27 +233,30 @@ const META_KEYS: [&str; 10] = [
     "rule_cov",
     "sema",
 ];
-const WORKER_KEYS: [&str; 20] = [
+const WORKER_KEYS: [&str; 12] = [
     "version",
     "worker",
     "seq",
-    "units",
-    "execs",
-    "stmts_ok",
-    "stmts_err",
-    "cases_aborted",
+    "tally",
     "curve",
     "snaps",
     "coverage",
     "rule_coverage",
     "bugs",
     "logic_bugs",
+    "sema_findings",
+    "engine",
+];
+const TALLY_KEYS: [&str; 9] = [
+    "units",
+    "execs",
+    "stmts_ok",
+    "stmts_err",
+    "cases_aborted",
     "oracle_checks",
     "sema_rejects",
     "sema_skipped_stmts",
     "sema_audit",
-    "sema_findings",
-    "engine",
 ];
 const ENGINE_KEYS: [&str; 16] = [
     "version",
@@ -308,35 +309,48 @@ fn to_json(v: &Value, out: &mut String) {
     }
 }
 
-/// The record `src` with its top-level `key` set to `value`, or dropped.
-fn edited(src: &str, key: &str, value: Option<Value>) -> String {
-    let Ok(Value::Object(mut map)) = serde_json::from_str(src) else {
+/// The record `src` as a JSON object.
+fn object(src: &str) -> BTreeMap<String, Value> {
+    let Ok(Value::Object(map)) = serde_json::from_str(src) else {
         panic!("a checkpoint record is a JSON object");
     };
-    match value {
-        Some(value) => map.insert(key.to_string(), value),
-        None => map.remove(key),
-    };
+    map
+}
+
+/// The record `src` with the key at the end of `path` set to `value`, or
+/// dropped; the keys before it name the nested objects that hold it.
+fn edited(src: &str, path: &[&str], value: Option<Value>) -> String {
+    fn edit(map: &mut BTreeMap<String, Value>, path: &[&str], value: Option<Value>) {
+        match (path, value) {
+            ([key], Some(value)) => drop(map.insert(key.to_string(), value)),
+            ([key], None) => drop(map.remove(*key)),
+            ([outer, rest @ ..], value) => match map.get_mut(*outer) {
+                Some(Value::Object(inner)) => edit(inner, rest, value),
+                _ => panic!("'{outer}' holds no object"),
+            },
+            ([], _) => panic!("an empty key path"),
+        }
+    }
+    let mut map = object(src);
+    edit(&mut map, path, value);
     let mut out = String::new();
     to_json(&Value::Object(map), &mut out);
     out
 }
 
-/// Require the record `src` to hold exactly `keys`.
-fn assert_keys(src: &str, keys: &[&str]) {
-    let Ok(Value::Object(map)) = serde_json::from_str(src) else {
-        panic!("a checkpoint record is a JSON object");
-    };
+/// Require the object `map` to hold exactly `keys`.
+fn assert_keys(map: &BTreeMap<String, Value>, keys: &[&str]) {
     let mut want = keys.to_vec();
     want.sort_unstable();
     assert_eq!(map.keys().map(String::as_str).collect::<Vec<_>>(), want, "the record's keys");
 }
 
-/// The record `src` without `key`, then with an object in its place.
-fn malformed(src: &str, key: &str) -> [(&'static str, String); 2] {
+/// The record `src` without the key at `path`, then with an object in its
+/// place.
+fn malformed(src: &str, path: &[&str]) -> [(&'static str, String); 2] {
     [
-        ("without", edited(src, key, None)),
-        ("with an object for", edited(src, key, Some(Value::Object(BTreeMap::new())))),
+        ("without", edited(src, path, None)),
+        ("with an object for", edited(src, path, Some(Value::Object(BTreeMap::new())))),
     ]
 }
 
@@ -360,30 +374,41 @@ fn every_missing_or_mistyped_key_is_refused_by_name() {
     let engine = resume.workers[0].engine.clone();
     restore(&engine).expect("the written engine snapshot restores");
     let mut cases = 0;
-    for (path, keys) in
-        [(meta_path(&dir), &META_KEYS[..]), (worker_path(&dir, 0), &WORKER_KEYS[..])]
-    {
-        let src = std::fs::read_to_string(&path).unwrap();
-        assert_keys(&src, keys);
+    // Each file's keys, then the worker's tally's, by their path.
+    let (meta, worker) = (meta_path(&dir), worker_path(&dir, 0));
+    for (path, nest, keys) in [
+        (&meta, None, &META_KEYS[..]),
+        (&worker, None, &WORKER_KEYS[..]),
+        (&worker, Some("tally"), &TALLY_KEYS[..]),
+    ] {
+        let src = std::fs::read_to_string(path).unwrap();
+        match nest {
+            None => assert_keys(&object(&src), keys),
+            Some(outer) => match object(&src).get(outer) {
+                Some(Value::Object(inner)) => assert_keys(inner, keys),
+                _ => panic!("'{outer}' holds no object"),
+            },
+        }
         for key in keys {
-            for (how, bad) in malformed(&src, key) {
-                std::fs::write(&path, bad).unwrap();
-                let case = format!("{} {how} '{key}'", path.display());
+            let at: Vec<&str> = nest.into_iter().chain([*key]).collect();
+            for (how, bad) in malformed(&src, &at) {
+                std::fs::write(path, bad).unwrap();
+                let case = format!("{} {how} '{}'", path.display(), at.join("."));
                 assert_refused(&case, &format!("'{key}'"), || load_campaign_checkpoint(&dir));
                 cases += 1;
             }
         }
-        std::fs::write(&path, src).unwrap();
+        std::fs::write(path, src).unwrap();
     }
-    assert_keys(&engine, &ENGINE_KEYS);
+    assert_keys(&object(&engine), &ENGINE_KEYS);
     for key in ENGINE_KEYS {
-        for (how, bad) in malformed(&engine, key) {
+        for (how, bad) in malformed(&engine, &[key]) {
             let case = format!("engine snapshot {how} '{key}'");
             assert_refused(&case, &format!("'{key}'"), || restore(&bad));
             cases += 1;
         }
     }
-    assert_eq!(cases, 92);
+    assert_eq!(cases, 94);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -407,26 +432,83 @@ fn each_worker_keeps_one_file_however_many_checkpoints_it_takes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn a_crash_finding_whose_replay_has_another_fingerprint_is_refused() {
-    let dir = written_checkpoint("fingerprint", Dialect::MariaDb, 1);
-    let resume = load_campaign_checkpoint(&dir).expect("the written checkpoint loads");
-    let crash = resume.workers[0].bugs.first().expect("the campaign found a crash").fingerprint;
-    resumed(Dialect::MariaDb, resume).expect("the unedited checkpoint resumes");
+/// A MariaDB campaign of 3,000 units with the analyzer and the TLP, NoREC
+/// and differential oracles on `workers` workers, with `faults` planted.
+fn layered(
+    workers: usize,
+    checkpoint: CheckpointCfg,
+    faults: Faults,
+) -> Result<CampaignStats, String> {
+    let spec = CampaignSpec {
+        parallel: ParallelOpts { workers },
+        oracles: OracleConfig::all(),
+        sema: true,
+        faults,
+        checkpoint,
+        ..CampaignSpec::new(Dialect::MariaDb, Budget::units(3_000))
+    };
+    let cfg = Config { sema: true, ..Config::default() };
+    run(&spec, &Telemetry::disabled(), |_| Box::new(LegoFuzzer::new(Dialect::MariaDb, cfg.clone())))
+}
 
-    let path = worker_path(&dir, 0);
-    let src = std::fs::read_to_string(&path).unwrap();
-    let Ok(Value::Object(map)) = serde_json::from_str(&src) else { panic!("a JSON object") };
-    let Some(Value::Array(mut bugs)) = map.get("bugs").cloned() else { panic!("a bugs array") };
-    let Value::Object(first) = &mut bugs[0] else { panic!("a finding object") };
-    first.insert("fingerprint".into(), Value::Number((crash ^ 1).to_string()));
-    std::fs::write(&path, edited(&src, "bugs", Some(Value::Array(bugs)))).unwrap();
-    let resume = load_campaign_checkpoint(&dir).expect("the edited file is well-formed");
-    let err = resumed(Dialect::MariaDb, resume).expect_err("an edited crash fingerprint");
-    let want =
-        format!("worker00.json: checkpointed crash {:#x} replays as crash {crash:#x}", crash ^ 1);
-    assert!(err.contains(&want), "the error should name the file and both crashes: {err}");
-    let _ = std::fs::remove_dir_all(&dir);
+#[test]
+fn a_stored_finding_of_any_kind_is_refused_by_name_never_by_a_panic() {
+    // One finding appended to each list of worker00.json: its fingerprint is
+    // one no replay of its case gives, and its case panics an engine
+    // carrying the planted CREATE TRIGGER panic. Faults are not part of the
+    // checkpoint record, so a resume may plant one the campaign lacked.
+    let case = "CREATE TABLE t0 (c0 INT);\n\
+                CREATE TRIGGER r0 AFTER INSERT ON t0 FOR EACH ROW DELETE FROM t0;";
+    let stored = Value::Object(BTreeMap::from([
+        ("first_exec".to_string(), Value::Number("0".into())),
+        ("fingerprint".to_string(), Value::Number("1".into())),
+        ("case_sql".to_string(), Value::String(case.into())),
+        ("reduced_sql".to_string(), Value::String(case.into())),
+    ]));
+    let panics = Faults { panic_on_create_trigger: true, ..Faults::default() };
+    let edits = [("an altered fingerprint", Faults::default()), ("a panicking case", panics)];
+    for workers in [1, 2] {
+        let dir = tmpdir(&format!("findings{workers}"));
+        let every = |resume| CheckpointCfg { every_units: 1_000, dir: None, resume };
+        let write = CheckpointCfg { dir: Some(dir.clone()), ..every(None) };
+        layered(workers, write, Faults::default()).expect("checkpointed campaign");
+        let path = worker_path(&dir, 0);
+        let src = std::fs::read_to_string(&path).unwrap();
+        let resume = load_campaign_checkpoint(&dir).expect("the written checkpoint loads");
+        for (edit, faults) in edits {
+            let unedited = layered(workers, every(Some(resume.clone())), faults);
+            assert_eq!(unedited.map(|s| s.workers_lost), Ok(0), "the unedited file, {edit}");
+        }
+        for list in ["bugs", "logic_bugs", "sema_findings"] {
+            let Some(Value::Array(mut findings)) = object(&src).remove(list) else {
+                panic!("'{list}' holds no array");
+            };
+            let index = findings.len();
+            findings.push(stored.clone());
+            std::fs::write(&path, edited(&src, &[list], Some(Value::Array(findings)))).unwrap();
+            for (edit, faults) in edits {
+                let row = format!("{list}, {edit}, {workers} worker(s)");
+                let resume =
+                    load_campaign_checkpoint(&dir).expect("the edited file is well-formed");
+                let resumed = catch_unwind(AssertUnwindSafe(|| {
+                    layered(workers, every(Some(resume)), faults)
+                }));
+                let err = match resumed {
+                    Ok(Err(err)) => err,
+                    Ok(Ok(stats)) => {
+                        panic!("{row}: accepted, {} worker(s) lost", stats.workers_lost)
+                    }
+                    Err(_) => panic!("{row}: panicked"),
+                };
+                let want = format!("worker00.json: {list}[{index}]: finding 0x1 does not replay");
+                assert!(
+                    err.contains(&want),
+                    "{row}: the error should name the file and the list: {err}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -438,7 +520,7 @@ fn a_worker_count_the_files_do_not_hold_is_refused() {
     let meta = std::fs::read_to_string(meta_path(&dir)).unwrap();
     for (count, want) in [(0, "meta.json"), (u64::MAX, "worker01.json")] {
         let workers = Some(Value::Number(count.to_string()));
-        std::fs::write(meta_path(&dir), edited(&meta, "workers", workers)).unwrap();
+        std::fs::write(meta_path(&dir), edited(&meta, &["workers"], workers)).unwrap();
         assert_refused(&format!("workers {count}"), want, || load_campaign_checkpoint(&dir));
     }
     let _ = std::fs::remove_dir_all(&dir);

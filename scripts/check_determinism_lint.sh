@@ -39,11 +39,13 @@
 #      (the planted faults are a per-instance `Faults` value for this
 #      reason). Write-once tables (`static … OnceLock`) stay allowed.
 #   6. Workers share nothing until the join: no std::sync::atomic, Atomic*,
-#      Mutex or RwLock in crates/coverage/src or crates/core/src/campaign.rs.
-#      Each worker judges novelty on its own maps and hands them back when
-#      it finishes; the join unions them in worker order. A map shared while
-#      the workers run would be written in scheduler order, and a read of it
-#      would make a worker's run depend on the others' progress.
+#      Mutex or RwLock in crates/coverage/src, crates/core/src/campaign.rs or
+#      crates/core/src/checks.rs (the oracle and analyzer runtimes and the
+#      finding ledgers, which run inside each worker). Each worker judges
+#      novelty on its own maps and hands them back when it finishes; the
+#      join unions them in worker order. A map shared while the workers run
+#      would be written in scheduler order, and a read of it would make a
+#      worker's run depend on the others' progress.
 #
 # Usage: scripts/check_determinism_lint.sh   (run from the repo root)
 set -euo pipefail
@@ -196,7 +198,7 @@ fi
 
 # --- Rule 6: workers share nothing until the join --------------------------
 if hits=$(grep -rnE 'std::sync::atomic|\bAtomic[A-Za-z0-9]*|\bMutex\b|\bRwLock\b' \
-    crates/coverage/src crates/core/src/campaign.rs); then
+    crates/coverage/src crates/core/src/campaign.rs crates/core/src/checks.rs); then
   echo "determinism-lint: state shared between workers (atomic / Mutex / RwLock):" >&2
   echo "$hits" >&2
   fail=1

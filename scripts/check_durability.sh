@@ -12,16 +12,11 @@
 #    results/bugs/, and the lego_durability_bugs_total metric exported.
 #
 # Usage: scripts/check_durability.sh [path-to-lego_cli]
-#        (default: target/release/lego_cli — build with
-#         cargo build --release -p lego-bench --bin lego_cli)
+#        (default: a release lego_cli built from this checkout first)
 set -euo pipefail
 
-cli="${1:-target/release/lego_cli}"
+source "$(dirname "$0")/lego_cli_bin.sh" "$@"
 command -v jq >/dev/null || { echo "check_durability: jq not found" >&2; exit 1; }
-[[ -x "$cli" ]] || {
-  echo "check_durability: $cli not found; build with: cargo build --release -p lego-bench --bin lego_cli" >&2
-  exit 1
-}
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT

@@ -7,16 +7,11 @@
 # nothing to the `rule_coverage` stage and emit no RuleCoverageGain telemetry.
 #
 # Usage: scripts/check_rule_cov.sh [path-to-lego_cli]
-#        (default: target/release/lego_cli — build with
-#         cargo build --release -p lego-bench --bin lego_cli)
+#        (default: a release lego_cli built from this checkout first)
 set -euo pipefail
 
-cli="${1:-target/release/lego_cli}"
+source "$(dirname "$0")/lego_cli_bin.sh" "$@"
 command -v jq >/dev/null || { echo "check_rule_cov: jq not found" >&2; exit 1; }
-[[ -x "$cli" ]] || {
-  echo "check_rule_cov: $cli not found; build with: cargo build --release -p lego-bench --bin lego_cli" >&2
-  exit 1
-}
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
